@@ -1,275 +1,190 @@
-// Ladder-vs-legacy equivalence: a DiskParameters built from
-// PowerLadder::from_legacy(ultrastar) must reproduce the legacy-backed
-// Ultrastar bit for bit — every accessor, all seven schemes, both replay
-// dispatch paths, with and without fault injection, traced and untraced.
-// Every comparison is EXPECT_EQ, never NEAR: from_legacy stores values
-// computed by the exact legacy formulas, so the doubles are identical.
+// The paper disk and the preset devices against committed results.
+//
+// tests/golden/job_results.json holds JobResult::to_json() (minus the
+// measured wall_ms) for the six Table 2 benchmarks x {none, LF+DL, TL+DL} x
+// {fault-free, faulted} on the default Ultrastar 36Z15, plus galgel on
+// scsi_multi_idle and nvme_tiered.  The paper-disk results were recorded
+// while that disk was still evaluated from its Table 1 closed forms, so
+// any drift of the ladder-built device shows up here.  Every comparison is
+// exact, and a failure names the first differing job, scheme and field.
 #include <gtest/gtest.h>
 
-#include <cstddef>
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 
-#include "core/schedule.h"
-#include "disk/ladder.h"
+#include "api/job_spec.h"
+#include "api/session.h"
 #include "disk/parameters.h"
-#include "experiments/runner.h"
-#include "layout/layout_table.h"
 #include "obs/sinks.h"
 #include "obs/tracer.h"
-#include "policy/adaptive_tpm.h"
-#include "policy/base.h"
-#include "policy/drpm.h"
-#include "policy/proactive.h"
-#include "policy/tpm.h"
-#include "sim/simulator.h"
-#include "trace/generator.h"
-#include "util/error.h"
-#include "workloads/benchmarks.h"
+#include "util/json.h"
 
 namespace sdpm {
 namespace {
 
-const disk::DiskParameters& legacy_params() {
-  static const disk::DiskParameters p =
-      disk::DiskParameters::ultrastar_36z15();
-  return p;
-}
-
-const disk::DiskParameters& ladder_params() {
-  static const disk::DiskParameters p = disk::DiskParameters::from_ladder(
-      disk::PowerLadder::from_legacy(legacy_params(), "ultrastar_36z15"));
-  return p;
-}
-
-TEST(LadderEquivalence, BackingsDiffer) {
-  EXPECT_FALSE(legacy_params().has_ladder());
-  EXPECT_TRUE(ladder_params().has_ladder());
-}
-
-TEST(LadderEquivalence, AccessorsMatchBitForBit) {
-  const disk::DiskParameters& a = legacy_params();
-  const disk::DiskParameters& b = ladder_params();
-  ASSERT_EQ(a.rpm_level_count(), b.rpm_level_count());
-  for (int level = 0; level < a.rpm_level_count(); ++level) {
-    EXPECT_EQ(a.rpm_of_level(level), b.rpm_of_level(level));
-    EXPECT_EQ(a.idle_power_at_level(level), b.idle_power_at_level(level));
-    EXPECT_EQ(a.active_power_at_level(level), b.active_power_at_level(level));
-    EXPECT_EQ(a.rotational_latency_at_level(level),
-              b.rotational_latency_at_level(level));
-    EXPECT_EQ(a.transfer_rate_at_level(level),
-              b.transfer_rate_at_level(level));
-    EXPECT_EQ(a.service_time(kib(64), level, true),
-              b.service_time(kib(64), level, true));
-    for (int to = 0; to < a.rpm_level_count(); ++to) {
-      EXPECT_EQ(a.rpm_transition_time(level, to),
-                b.rpm_transition_time(level, to));
-      EXPECT_EQ(a.rpm_transition_energy(level, to),
-                b.rpm_transition_energy(level, to));
-    }
-  }
-  EXPECT_EQ(a.standby_power(), b.standby_power());
-  EXPECT_EQ(a.break_even_time(), b.break_even_time());
-  ASSERT_EQ(b.park_count(), 1);
-  EXPECT_EQ(a.wake_time(0), b.wake_time(0));
-  EXPECT_EQ(a.wake_energy(0), b.wake_energy(0));
-  EXPECT_EQ(a.park_entry_time(a.max_level(), 0),
-            b.park_entry_time(b.max_level(), 0));
-  EXPECT_EQ(a.park_entry_energy(a.max_level(), 0),
-            b.park_entry_energy(b.max_level(), 0));
-  EXPECT_EQ(a.window_size(), b.window_size());
-  EXPECT_EQ(a.lower_tolerance(), b.lower_tolerance());
-  EXPECT_EQ(a.upper_tolerance(), b.upper_tolerance());
-}
-
-/// galgel over 4 disks with scheduled power calls: the cheapest real
-/// trace that still exercises directives (same recipe as the replay-
-/// equivalence suite).
-const trace::Trace& galgel_trace() {
-  static const trace::Trace t = [] {
-    const workloads::Benchmark bench = workloads::make_galgel();
-    const layout::LayoutTable table(bench.program,
-                                    layout::Striping{0, 4, kib(64)}, 4);
-    const core::ScheduleResult scheduled =
-        core::schedule_power_calls(bench.program, table, legacy_params());
-    trace::TraceGenerator generator(scheduled.program, table);
-    trace::Trace trace = generator.generate();
-    SDPM_REQUIRE(!trace.power_events.empty(),
-                 "scheduler inserted no power events");
-    return trace;
+const Json& golden() {
+  static const Json doc = [] {
+    std::ifstream in(SDPM_GOLDEN_DIR "/job_results.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    return Json::parse(text.str());
   }();
-  return t;
+  return doc;
 }
 
-void expect_bit_identical(const sim::SimReport& a, const sim::SimReport& b) {
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.execution_ms, b.execution_ms);
-  EXPECT_EQ(a.compute_ms, b.compute_ms);
-  EXPECT_EQ(a.io_stall_ms, b.io_stall_ms);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred);
-  ASSERT_EQ(a.responses.size(), b.responses.size());
-  for (std::size_t i = 0; i < a.responses.size(); ++i) {
-    ASSERT_EQ(a.responses[i], b.responses[i]) << "request " << i;
+bool on_paper_disk(const Json& entry) {
+  return entry.at("device").as_string() == "ultrastar_36z15";
+}
+
+bool faulted(const Json& entry) { return entry.at("faulted").as_bool(); }
+
+std::string job_name(const Json& entry) {
+  return entry.at("benchmark").as_string() + "/" +
+         entry.at("transform").as_string() + " on " +
+         entry.at("device").as_string() +
+         (faulted(entry) ? " (faulted)" : "");
+}
+
+api::JobSpec spec_of(const Json& entry) {
+  api::JobSpecBuilder builder(entry.at("benchmark").as_string());
+  builder.transform(entry.at("transform").as_string());
+  if (!on_paper_disk(entry)) builder.device(entry.at("device").as_string());
+  if (faulted(entry)) {
+    builder.fault_spinup(0.2).fault_drop(0.1).fault_media(0.05).fault_seed(7);
   }
-  ASSERT_EQ(a.disks.size(), b.disks.size());
-  for (std::size_t d = 0; d < a.disks.size(); ++d) {
-    EXPECT_EQ(a.disks[d].breakdown.total_j(), b.disks[d].breakdown.total_j());
-    EXPECT_EQ(a.disks[d].services, b.disks[d].services);
-    EXPECT_EQ(a.disks[d].spin_downs, b.disks[d].spin_downs);
-    EXPECT_EQ(a.disks[d].demand_spin_ups, b.disks[d].demand_spin_ups);
-    EXPECT_EQ(a.disks[d].rpm_transitions, b.disks[d].rpm_transitions);
-    EXPECT_EQ(a.disks[d].spin_up_retries, b.disks[d].spin_up_retries);
-    EXPECT_EQ(a.disks[d].media_errors, b.disks[d].media_errors);
-    EXPECT_EQ(a.disks[d].dropped_directives, b.disks[d].dropped_directives);
+  return builder.build();
+}
+
+/// Exact comparison of a fresh result with the golden entry; fails at the
+/// first differing field.  Doubles are compared through their
+/// shortest-round-trip rendering, so equal text means equal bits.
+void expect_golden(const Json& entry, const Json& actual) {
+  const Json& expected = entry.at("result");
+  for (const char* key : {"label", "benchmark", "transform"}) {
+    ASSERT_EQ(expected.at(key).dump(), actual.at(key).dump())
+        << job_name(entry) << ": field " << key;
   }
-}
-
-sim::SimOptions faulty(sim::SimOptions o) {
-  o.faults.spin_up_failure_prob = 0.3;
-  o.faults.media_error_prob = 0.05;
-  o.faults.dropped_directive_prob = 0.2;
-  o.faults.service_jitter = 0.1;
-  o.faults.seed = 42;
-  return o;
-}
-
-/// Replay the trace under both backings with identical options and
-/// compare the reports field by field.
-template <typename MakePolicy>
-void check_backings(MakePolicy make_policy, sim::SimOptions options,
-                    sim::DispatchMode dispatch) {
-  options.capture_responses = true;
-  options.dispatch = dispatch;
-  auto policy_a = make_policy();
-  const sim::SimReport a =
-      sim::simulate(galgel_trace(), legacy_params(), policy_a, options);
-  auto policy_b = make_policy();
-  const sim::SimReport b =
-      sim::simulate(galgel_trace(), ladder_params(), policy_b, options);
-  expect_bit_identical(a, b);
-}
-
-template <typename MakePolicy>
-void check_dispatch_and_faults(MakePolicy make_policy) {
-  for (const sim::DispatchMode dispatch :
-       {sim::DispatchMode::kForceVirtual, sim::DispatchMode::kForceKernel}) {
-    SCOPED_TRACE(dispatch == sim::DispatchMode::kForceVirtual ? "virtual"
-                                                              : "kernel");
-    {
-      SCOPED_TRACE("fault-free");
-      check_backings(make_policy, sim::SimOptions{}, dispatch);
-    }
-    {
-      SCOPED_TRACE("faulty");
-      check_backings(make_policy, faulty({}), dispatch);
+  const Json::Array& want = expected.at("schemes").as_array();
+  const Json::Array& got = actual.at("schemes").as_array();
+  ASSERT_EQ(want.size(), got.size()) << job_name(entry) << ": scheme count";
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::string& scheme = want[i].at("scheme").as_string();
+    ASSERT_EQ(want[i].as_object().size(), got[i].as_object().size())
+        << job_name(entry) << ", scheme " << scheme << ": field count";
+    for (const auto& [field, value] : want[i].as_object()) {
+      const Json* now = got[i].find(field);
+      ASSERT_TRUE(now != nullptr && now->dump() == value.dump())
+          << job_name(entry) << ", scheme " << scheme << ", field " << field
+          << ": golden " << value.dump() << ", now "
+          << (now != nullptr ? now->dump() : "<missing>");
     }
   }
 }
 
-TEST(LadderEquivalence, ReplayBase) {
-  check_dispatch_and_faults([] { return policy::BasePolicy(); });
+template <typename Select>
+void check_golden_jobs(Select select) {
+  api::Session session(api::SessionOptions{.jobs = 1});
+  int checked = 0;
+  for (const Json& entry : golden().as_array()) {
+    if (!select(entry)) continue;
+    ++checked;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_golden(entry, session.run(spec_of(entry)).to_json()));
+  }
+  EXPECT_GT(checked, 0);
 }
 
-TEST(LadderEquivalence, ReplayTpm) {
-  check_dispatch_and_faults([] { return policy::TpmPolicy(); });
+TEST(LadderEquivalence, AllSevenSchemesBitIdentical) {
+  check_golden_jobs([](const Json& entry) {
+    return on_paper_disk(entry) && !faulted(entry);
+  });
 }
 
-TEST(LadderEquivalence, ReplayAdaptiveTpm) {
-  check_dispatch_and_faults([] { return policy::AdaptiveTpmPolicy(); });
+// Spin-up failures, dropped directives and media errors: the fault RNG
+// consumption must line up with the recorded runs as well.
+TEST(LadderEquivalence, FaultedRunnerBitIdentical) {
+  check_golden_jobs([](const Json& entry) { return faulted(entry); });
 }
 
-TEST(LadderEquivalence, ReplayDrpm) {
-  check_dispatch_and_faults([] { return policy::DrpmPolicy(); });
+TEST(LadderEquivalence, PresetDevicesBitIdentical) {
+  check_golden_jobs([](const Json& entry) { return !on_paper_disk(entry); });
 }
 
-TEST(LadderEquivalence, ReplayProactiveDirectives) {
-  check_dispatch_and_faults([] { return policy::ProactivePolicy("CMDRPM"); });
-}
-
-// Tracing must not perturb equivalence, and both backings must emit the
-// same number of events (the ladder backing adds state-name labels, which
-// is a rendering difference, not a behavioral one).
+// Tracing must not perturb a single bit of the traced replay.
 TEST(LadderEquivalence, TracedReplayMatches) {
-  auto traced_run = [&](const disk::DiskParameters& params,
-                        std::int64_t* events) {
+  for (const Json& entry : golden().as_array()) {
+    if (entry.at("benchmark").as_string() != "galgel" ||
+        !on_paper_disk(entry)) {
+      continue;
+    }
+    SCOPED_TRACE(job_name(entry));
     obs::CountingSink sink;
     obs::EventTracer tracer;
     tracer.add_sink(sink);
-    sim::SimOptions options;
-    options.tracer = &tracer;
-    options.capture_responses = true;
-    policy::TpmPolicy policy;
-    const sim::SimReport report =
-        sim::simulate(galgel_trace(), params, policy, options);
-    *events = sink.total();
-    return report;
+    api::RunHooks hooks;
+    hooks.replay_tracer = &tracer;
+    hooks.trace_scheme = experiments::Scheme::kCmdrpm;
+    api::Session session(api::SessionOptions{.jobs = 1});
+    ASSERT_NO_FATAL_FAILURE(
+        expect_golden(entry, session.run(spec_of(entry), hooks).to_json()));
+    EXPECT_GT(sink.total(), 0);
+  }
+}
+
+// The paper disk's accessors reproduce the Table 1 / DRPM closed forms bit
+// for bit: spindle power ~ RPM^2.8 above the 2.5 W electronics floor,
+// rotational latency ~ 1/RPM, transfer rate ~ RPM, and 5 ms per 1,200 RPM
+// step billed at the faster level's idle power.
+TEST(LadderEquivalence, AccessorsMatchBitForBit) {
+  const disk::DiskParameters p;
+  const auto rpm_of = [](int level) { return 3'000 + level * 1'200; };
+  const auto ratio_of = [&](int level) {
+    return static_cast<double>(rpm_of(level)) / 15'000.0;
   };
-  std::int64_t legacy_events = 0;
-  std::int64_t ladder_events = 0;
-  const sim::SimReport a = traced_run(legacy_params(), &legacy_events);
-  const sim::SimReport b = traced_run(ladder_params(), &ladder_events);
-  expect_bit_identical(a, b);
-  EXPECT_GT(legacy_events, 0);
-  EXPECT_EQ(legacy_events, ladder_events);
-}
-
-/// One field-by-field SchemeResult comparison (mispredict is optional).
-void expect_same_result(const experiments::SchemeResult& a,
-                        const experiments::SchemeResult& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.energy_j, b.energy_j);
-  EXPECT_EQ(a.execution_ms, b.execution_ms);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.normalized_energy, b.normalized_energy);
-  EXPECT_EQ(a.normalized_time, b.normalized_time);
-  EXPECT_EQ(a.mispredict_pct.has_value(), b.mispredict_pct.has_value());
-  if (a.mispredict_pct && b.mispredict_pct) {
-    EXPECT_EQ(*a.mispredict_pct, *b.mispredict_pct);
+  const auto idle_of = [&](int level) {
+    return 2.5 + 7.7 * std::pow(ratio_of(level), 2.8);
+  };
+  ASSERT_EQ(p.rpm_level_count(), 11);
+  for (int level = 0; level < p.rpm_level_count(); ++level) {
+    SCOPED_TRACE(level);
+    const double rate_bytes_per_ms =
+        55.0 * ratio_of(level) * 1'000'000.0 / 1'000.0;
+    const TimeMs rotation = 2.0 * (15'000.0 / rpm_of(level));
+    EXPECT_EQ(p.rpm_of_level(level), rpm_of(level));
+    EXPECT_EQ(p.idle_power_at_level(level), idle_of(level));
+    EXPECT_EQ(p.active_power_at_level(level),
+              idle_of(level) + 3.3 * ratio_of(level));
+    EXPECT_EQ(p.rotational_latency_at_level(level), rotation);
+    EXPECT_EQ(p.transfer_rate_at_level(level), 55.0 * ratio_of(level));
+    EXPECT_EQ(p.service_time(kib(64), level, false),
+              3.4 + rotation + static_cast<double>(kib(64)) /
+                                   rate_bytes_per_ms);
+    for (int to = 0; to < p.rpm_level_count(); ++to) {
+      const TimeMs shift = static_cast<double>(std::abs(to - level)) * 5.0;
+      EXPECT_EQ(p.rpm_transition_time(level, to), shift);
+      EXPECT_EQ(p.rpm_transition_energy(level, to),
+                to == level ? 0.0
+                            : joules_from_watt_ms(
+                                  idle_of(std::max(level, to)), shift));
+    }
   }
-  EXPECT_EQ(a.power_calls, b.power_calls);
-}
-
-// The full pipeline — compiler, generator, simulator, oracles — under all
-// seven schemes: the ladder backing must land on the same bits scheme by
-// scheme (galgel over 4 disks keeps the runtime small).
-TEST(LadderEquivalence, AllSevenSchemesBitIdentical) {
-  const workloads::Benchmark bench = workloads::make_galgel();
-  experiments::ExperimentConfig config_a;
-  config_a.total_disks = 4;
-  config_a.striping.stripe_factor = 4;
-  config_a.disk = legacy_params();
-  experiments::ExperimentConfig config_b = config_a;
-  config_b.disk = ladder_params();
-
-  experiments::Runner runner_a(bench, config_a);
-  experiments::Runner runner_b(bench, config_b);
-  for (const experiments::Scheme scheme : experiments::all_schemes()) {
-    SCOPED_TRACE(experiments::to_string(scheme));
-    expect_same_result(runner_a.run(scheme), runner_b.run(scheme));
-  }
-}
-
-// Faulted end-to-end runs (spin-up failures, dropped directives) through
-// the runner: the fault RNG consumption must line up on both backings.
-TEST(LadderEquivalence, FaultedRunnerBitIdentical) {
-  const workloads::Benchmark bench = workloads::make_galgel();
-  experiments::ExperimentConfig config_a;
-  config_a.total_disks = 4;
-  config_a.striping.stripe_factor = 4;
-  config_a.disk = legacy_params();
-  config_a.faults.spin_up_failure_prob = 0.2;
-  config_a.faults.dropped_directive_prob = 0.1;
-  config_a.faults.seed = 7;
-  experiments::ExperimentConfig config_b = config_a;
-  config_b.disk = ladder_params();
-
-  experiments::Runner runner_a(bench, config_a);
-  experiments::Runner runner_b(bench, config_b);
-  for (const experiments::Scheme scheme :
-       {experiments::Scheme::kTpm, experiments::Scheme::kCmtpm,
-        experiments::Scheme::kCmdrpm}) {
-    SCOPED_TRACE(experiments::to_string(scheme));
-    expect_same_result(runner_a.run(scheme), runner_b.run(scheme));
-  }
+  EXPECT_EQ(p.park_count(), 1);
+  EXPECT_EQ(p.standby_power(), 2.5);
+  EXPECT_EQ(p.park_entry_time(p.max_level(), 0), 1'500.0);
+  EXPECT_EQ(p.park_entry_energy(p.max_level(), 0), 13.0);
+  EXPECT_EQ(p.wake_time(0), 10'900.0);
+  EXPECT_EQ(p.wake_energy(0), 135.0);
+  EXPECT_EQ(p.break_even_time(),
+            ms_from_seconds((13.0 + 135.0 -
+                             2.5 * seconds_from_ms(1'500.0 + 10'900.0)) /
+                            (10.2 - 2.5)));
+  EXPECT_EQ(p.window_size(), 30);
+  EXPECT_EQ(p.lower_tolerance(), 0.05);
+  EXPECT_EQ(p.upper_tolerance(), 0.15);
 }
 
 }  // namespace
