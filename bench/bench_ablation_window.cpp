@@ -16,7 +16,9 @@ int main() {
   workloads::Benchmark swim = workloads::make_swim();
   for (const int window : {5, 15, 30, 60, 120}) {
     experiments::ExperimentConfig config;
-    config.disk.drpm.window_size = window;
+    disk::PowerLadder ladder = config.disk.ladder();
+    ladder.window_size = window;
+    config.disk = disk::DiskParameters::from_ladder(std::move(ladder));
     experiments::Runner runner(swim, config);
     const auto drpm = runner.run(experiments::Scheme::kDrpm);
     table.add_row({std::to_string(window),

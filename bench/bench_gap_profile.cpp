@@ -26,7 +26,7 @@ int main() {
     const Histogram gaps = experiments::idle_gap_histogram(base);
 
     // Count gaps above each threshold directly from the busy timelines.
-    const TimeMs round_trip = 2 * config.disk.drpm.transition_time_per_step;
+    const TimeMs round_trip = 2 * config.disk.rpm_transition_time(1, 0);
     const TimeMs break_even = config.disk.break_even_time();
     std::int64_t above_rt = 0, above_be = 0, total = 0;
     for (const sim::DiskReport& d : base.disks) {

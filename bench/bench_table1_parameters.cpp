@@ -12,35 +12,37 @@
 int main() {
   using namespace sdpm;
   const disk::DiskParameters p = disk::DiskParameters::ultrastar_36z15();
-  p.validate();
+  const disk::PowerLadder& device = p.ladder();
+  const int top = p.max_level();
 
   Table table("Table 1: default simulation parameters");
   table.set_header({"Parameter", "Value"});
-  table.add_row({"Disk model", p.model});
-  table.add_row({"Interface", p.interface});
-  table.add_row({"Storage capacity", fmt_bytes(p.capacity)});
-  table.add_row({"RPM", std::to_string(p.rpm)});
-  table.add_row({"Average seek time", fmt_time_ms(p.average_seek_time)});
+  table.add_row({"Disk model", device.model});
+  table.add_row({"Interface", device.interface});
+  table.add_row({"Storage capacity", fmt_bytes(device.capacity)});
+  table.add_row({"RPM", std::to_string(p.rpm_of_level(top))});
+  table.add_row({"Average seek time", fmt_time_ms(device.average_seek_time)});
   table.add_row({"Average rotation time",
-                 fmt_time_ms(p.average_rotation_time)});
+                 fmt_time_ms(p.rotational_latency_at_level(top))});
   table.add_row({"Internal transfer rate",
-                 fmt_double(p.internal_transfer_mb_per_s, 0) + " MB/sec"});
-  table.add_row({"Power (active)", fmt_double(p.tpm.active_power, 1) + " W"});
-  table.add_row({"Power (idle)", fmt_double(p.tpm.idle_power, 1) + " W"});
-  table.add_row({"Power (standby)",
-                 fmt_double(p.tpm.standby_power, 1) + " W"});
+                 fmt_double(p.transfer_rate_at_level(top), 0) + " MB/sec"});
+  table.add_row({"Power (active)",
+                 fmt_double(p.active_power_at_level(top), 1) + " W"});
+  table.add_row({"Power (idle)",
+                 fmt_double(p.idle_power_at_level(top), 1) + " W"});
+  table.add_row({"Power (standby)", fmt_double(p.standby_power(), 1) + " W"});
   table.add_row({"Energy (spin down)",
-                 fmt_double(p.tpm.spin_down_energy, 0) + " J"});
-  table.add_row({"Time (spin down)", fmt_time_ms(p.tpm.spin_down_time)});
-  table.add_row({"Energy (spin up)",
-                 fmt_double(p.tpm.spin_up_energy, 0) + " J"});
-  table.add_row({"Time (spin up)", fmt_time_ms(p.tpm.spin_up_time)});
-  table.add_row({"Maximum RPM level", std::to_string(p.drpm.max_rpm)});
-  table.add_row({"Minimum RPM level", std::to_string(p.drpm.min_rpm)});
-  table.add_row({"RPM step-size", std::to_string(p.drpm.rpm_step)});
-  table.add_row({"Window size", std::to_string(p.drpm.window_size)});
+                 fmt_double(p.park_entry_energy(top, 0), 0) + " J"});
+  table.add_row({"Time (spin down)", fmt_time_ms(p.park_entry_time(top, 0))});
+  table.add_row({"Energy (spin up)", fmt_double(p.wake_energy(0), 0) + " J"});
+  table.add_row({"Time (spin up)", fmt_time_ms(p.wake_time(0))});
+  table.add_row({"Maximum RPM level", std::to_string(p.rpm_of_level(top))});
+  table.add_row({"Minimum RPM level", std::to_string(p.rpm_of_level(0))});
+  table.add_row({"RPM step-size",
+                 std::to_string(p.rpm_of_level(1) - p.rpm_of_level(0))});
+  table.add_row({"Window size", std::to_string(p.window_size())});
   table.add_row({"RPM step transition time",
-                 fmt_time_ms(p.drpm.transition_time_per_step)});
+                 fmt_time_ms(p.rpm_transition_time(1, 0))});
   layout::Striping striping;
   table.add_row({"Stripe unit (stripe size)",
                  fmt_bytes(striping.stripe_size)});

@@ -58,7 +58,7 @@ struct ModelTable {
     }
     // Directives only ever park into the default (deepest) park, so the
     // wake window is that park's edge; the entry window takes the worst
-    // entry edge over all levels (legacy disks: the Table 1 constants).
+    // entry edge over all levels (the paper disk: the Table 1 constants).
     const int park = p.default_park();
     const TimeMs up_t = p.wake_time(park);
     const Joules up_e = p.wake_energy(park);

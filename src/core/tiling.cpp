@@ -32,9 +32,10 @@ std::vector<double> disk_energy_per_nest(
   const std::vector<std::int64_t> misses =
       misses_per_nest(program, layout, options);
   // Rough per-miss service estimate: seek + rotation + one block transfer.
-  const TimeMs service = params.average_seek_time +
-                         params.average_rotation_time +
-                         64.0 / params.internal_transfer_mb_per_s;
+  const int top = params.max_level();
+  const TimeMs service = params.ladder().average_seek_time +
+                         params.rotational_latency_at_level(top) +
+                         64.0 / params.transfer_rate_at_level(top);
   std::vector<double> energy(program.nests.size(), 0.0);
   for (std::size_t n = 0; n < program.nests.size(); ++n) {
     const TimeMs duration =

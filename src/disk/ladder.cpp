@@ -1,9 +1,11 @@
 #include "disk/ladder.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <deque>
 
-#include "disk/parameters.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -16,6 +18,12 @@ constexpr double kDecompositionTol = 1e-6;
 [[noreturn]] void fail(const PowerLadder& ladder, const std::string& what) {
   throw Error("PowerLadder '" + (ladder.name.empty() ? "?" : ladder.name) +
               "': " + what);
+}
+
+/// Size the edge matrix to the states, every edge absent.
+void clear_edges(PowerLadder& ladder) {
+  const auto n = static_cast<std::size_t>(ladder.state_count());
+  ladder.edges.assign(n * n, LadderEdge{});
 }
 
 }  // namespace
@@ -55,7 +63,9 @@ int PowerLadder::state_index(const std::string& state_name) const {
 void PowerLadder::validate() const {
   const int n = state_count();
   if (n < 2) fail(*this, "needs at least one parked and one serviceable state");
-  if (n > 64) fail(*this, "more than 64 states");
+  if (n > kMaxStates) {
+    fail(*this, str_printf("more than %d states", kMaxStates));
+  }
   if (edges.size() != static_cast<std::size_t>(n) * static_cast<std::size_t>(n)) {
     fail(*this, str_printf("edge matrix holds %zu entries, want %d x %d",
                            edges.size(), n, n));
@@ -315,6 +325,17 @@ std::int64_t field_int(const Json& json, const char* key,
   return f == nullptr ? fallback : f->as_int();
 }
 
+/// An integer field narrowed to int after checking it lies in [lo, hi].
+int field_bounded_int(const Json& json, const char* key, int fallback,
+                      int lo, int hi) {
+  const std::int64_t v = field_int(json, key, fallback);
+  if (v < lo || v > hi) {
+    throw Error(str_printf("PowerLadder: field '%s' = %lld is outside [%d, %d]",
+                           key, static_cast<long long>(v), lo, hi));
+  }
+  return static_cast<int>(v);
+}
+
 std::string field_string(const Json& json, const char* key,
                          const std::string& fallback) {
   const Json* f = json.find(key);
@@ -345,7 +366,7 @@ PowerLadder PowerLadder::from_json(const Json& json) {
   ladder.spindle_power_at_max =
       field_double(json, "spindle_power_at_max_w", -1);
   ladder.window_size =
-      static_cast<int>(field_int(json, "window_size", ladder.window_size));
+      field_bounded_int(json, "window_size", ladder.window_size, 1, INT_MAX);
   ladder.lower_tolerance =
       field_double(json, "lower_tolerance", ladder.lower_tolerance);
   ladder.upper_tolerance =
@@ -353,7 +374,13 @@ PowerLadder PowerLadder::from_json(const Json& json) {
   ladder.idleness_threshold =
       field_double(json, "idleness_threshold_ms", ladder.idleness_threshold);
 
-  for (const Json& state_json : json.at("states").as_array()) {
+  const Json::Array& states_json = json.at("states").as_array();
+  if (states_json.size() > static_cast<std::size_t>(kMaxStates)) {
+    throw Error(str_printf(
+        "PowerLadder: field 'states' holds %zu entries, more than %d",
+        states_json.size(), kMaxStates));
+  }
+  for (const Json& state_json : states_json) {
     SDPM_REQUIRE(state_json.is_object(),
                  "PowerLadder: each state must be an object");
     require_keys(state_json,
@@ -369,13 +396,11 @@ PowerLadder PowerLadder::from_json(const Json& json) {
     s.active_power = field_double(state_json, "active_power_w", 0);
     s.rot_latency_ms = field_double(state_json, "rot_latency_ms", 0);
     s.transfer_mb_per_s = field_double(state_json, "transfer_mb_per_s", 0);
-    s.rpm = static_cast<int>(field_int(state_json, "rpm", 0));
+    s.rpm = field_bounded_int(state_json, "rpm", 0, 0, INT_MAX);
     s.timer_ms = field_double(state_json, "timer_ms", -1);
     ladder.states.push_back(std::move(s));
   }
-  const int n = ladder.state_count();
-  ladder.edges.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n), LadderEdge{});
+  clear_edges(ladder);
   for (const Json& edge_json : json.at("edges").as_array()) {
     SDPM_REQUIRE(edge_json.is_object(),
                  "PowerLadder: each edge must be an object");
@@ -397,67 +422,82 @@ PowerLadder PowerLadder::from_json(const Json& json) {
   return ladder;
 }
 
-PowerLadder PowerLadder::from_legacy(const DiskParameters& params,
-                                     std::string ladder_name) {
-  if (params.has_ladder()) {
-    PowerLadder copy = params.ladder();
-    copy.name = std::move(ladder_name);
-    return copy;
-  }
-  PowerLadder ladder;
-  ladder.name = std::move(ladder_name);
-  ladder.model = params.model;
-  ladder.interface = params.interface;
-  ladder.capacity = params.capacity;
-  ladder.average_seek_time = params.average_seek_time;
-  ladder.electronics_power = params.drpm.electronics_power;
-  ladder.spindle_power_at_max = params.drpm.spindle_power_at_max;
-  ladder.window_size = params.drpm.window_size;
-  ladder.lower_tolerance = params.drpm.lower_tolerance;
-  ladder.upper_tolerance = params.drpm.upper_tolerance;
-  ladder.idleness_threshold = params.tpm.idleness_threshold;
+namespace {
 
-  LadderState standby;
-  standby.name = "standby";
-  standby.serviceable = false;
-  standby.idle_power = params.tpm.standby_power;
-  ladder.states.push_back(std::move(standby));
-  const int levels = params.rpm_level_count();
-  for (int l = 0; l < levels; ++l) {
-    LadderState s;
-    s.name = "rpm_" + std::to_string(params.rpm_of_level(l));
-    s.serviceable = true;
-    // Each derived value comes from the legacy formula it replaces, so the
-    // stored doubles equal the on-the-fly values bit for bit.
-    s.idle_power = params.idle_power_at_level(l);
-    s.active_power = params.active_power_at_level(l);
-    s.rot_latency_ms = params.rotational_latency_at_level(l);
-    s.transfer_mb_per_s = params.transfer_rate_at_level(l);
-    s.rpm = params.rpm_of_level(l);
-    ladder.states.push_back(std::move(s));
+void set_edge(PowerLadder& ladder, const char* from, const char* to,
+              TimeMs time, Joules energy) {
+  ladder.edge_ref(ladder.state_index(from), ladder.state_index(to)) =
+      LadderEdge{time, energy};
+}
+
+LadderState parked(const char* name, Watts power, TimeMs timer) {
+  LadderState s;
+  s.name = name;
+  s.idle_power = power;
+  s.timer_ms = timer;
+  return s;
+}
+
+PowerLadder make_ultrastar_36z15() {
+  // The paper's disk: IBM Ultrastar 36Z15 (Table 1) with the DRPM scaling
+  // laws of Gurumurthi et al. (ISCA'03) over an eleven-level RPM ladder.
+  // Each level value is evaluated by its closed form, in this order, so
+  // presets/ultrastar_36z15.json pins the formula results bit for bit.
+  constexpr int kMinRpm = 3'000;
+  constexpr int kMaxRpm = 15'000;
+  constexpr int kRpmStep = 1'200;
+  constexpr double kSpindleExponent = 2.8;  // spindle power ~ RPM^2.8
+  constexpr Watts kAccessPowerAtMax = 3.3;  // active - idle at full speed
+  constexpr TimeMs kRotationAtMax = 2.0;    // average rotational latency
+  constexpr double kTransferAtMax = 55.0;   // MB/s
+  constexpr TimeMs kStepTime = 5.0;         // per RPM step, up or down
+  PowerLadder ladder;
+  ladder.name = "ultrastar_36z15";
+  ladder.model = "IBM Ultrastar 36Z15";
+  ladder.interface = "SCSI";
+  ladder.capacity = gib(18);
+  ladder.average_seek_time = 3.4;
+  ladder.electronics_power = 2.5;
+  ladder.spindle_power_at_max = 7.7;  // idle 10.2 W - electronics
+
+  ladder.states.push_back(parked("standby", 2.5, -1));
+  for (int rpm = kMinRpm; rpm <= kMaxRpm; rpm += kRpmStep) {
+    const double ratio =
+        static_cast<double>(rpm) / static_cast<double>(kMaxRpm);
+    LadderState level;
+    level.name = "rpm_" + std::to_string(rpm);
+    level.serviceable = true;
+    level.idle_power = ladder.electronics_power +
+                       ladder.spindle_power_at_max *
+                           std::pow(ratio, kSpindleExponent);
+    level.active_power = level.idle_power + kAccessPowerAtMax * ratio;
+    level.rot_latency_ms =
+        kRotationAtMax *
+        (static_cast<double>(kMaxRpm) / static_cast<double>(rpm));
+    level.transfer_mb_per_s = kTransferAtMax * ratio;
+    level.rpm = rpm;
+    ladder.states.push_back(std::move(level));
   }
-  const int n = ladder.state_count();
-  ladder.edges.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n), LadderEdge{});
+
+  clear_edges(ladder);
+  const int levels = ladder.level_count();
   for (int i = 0; i < levels; ++i) {
     for (int j = 0; j < levels; ++j) {
       if (i == j) continue;
-      LadderEdge& e = ladder.edge_ref(ladder.level_state(i),
-                                      ladder.level_state(j));
-      e.time_ms = params.rpm_transition_time(i, j);
-      e.energy_j = params.rpm_transition_energy(i, j);
+      // RPM shifts are billed at the faster level's idle power.
+      const TimeMs time = static_cast<double>(std::abs(j - i)) * kStepTime;
+      const Watts faster =
+          ladder.states[static_cast<std::size_t>(
+                            ladder.level_state(std::max(i, j)))]
+              .idle_power;
+      ladder.edge_ref(ladder.level_state(i), ladder.level_state(j)) =
+          LadderEdge{time, joules_from_watt_ms(faster, time)};
     }
-    LadderEdge& down = ladder.edge_ref(ladder.level_state(i), 0);
-    down.time_ms = params.tpm.spin_down_time;
-    down.energy_j = params.tpm.spin_down_energy;
+    ladder.edge_ref(ladder.level_state(i), 0) = LadderEdge{1'500.0, 13.0};
   }
-  LadderEdge& up = ladder.edge_ref(0, ladder.top_state());
-  up.time_ms = params.tpm.spin_up_time;
-  up.energy_j = params.tpm.spin_up_energy;
+  ladder.edge_ref(0, ladder.top_state()) = LadderEdge{10'900.0, 135.0};
   return ladder;
 }
-
-namespace {
 
 PowerLadder make_scsi_multi_idle() {
   // Representative enterprise-SCSI power conditions (T10 power-condition
@@ -473,18 +513,10 @@ PowerLadder make_scsi_multi_idle() {
   ladder.electronics_power = 2.2;
   ladder.spindle_power_at_max = -1;  // single-speed spindle, no scaling law
 
-  auto park = [](const char* name, Watts power, TimeMs timer) {
-    LadderState s;
-    s.name = name;
-    s.serviceable = false;
-    s.idle_power = power;
-    s.timer_ms = timer;
-    return s;
-  };
-  ladder.states.push_back(park("standby_z", 0.9, 300'000.0));
-  ladder.states.push_back(park("standby_y", 1.6, 120'000.0));
-  ladder.states.push_back(park("idle_c", 2.8, 15'000.0));
-  ladder.states.push_back(park("idle_b", 5.4, 2'000.0));
+  ladder.states.push_back(parked("standby_z", 0.9, 300'000.0));
+  ladder.states.push_back(parked("standby_y", 1.6, 120'000.0));
+  ladder.states.push_back(parked("idle_c", 2.8, 15'000.0));
+  ladder.states.push_back(parked("idle_b", 5.4, 2'000.0));
   LadderState level;
   level.name = "active_idle";
   level.serviceable = true;
@@ -495,29 +527,21 @@ PowerLadder make_scsi_multi_idle() {
   level.rpm = 15'000;
   ladder.states.push_back(std::move(level));
 
-  const int n = ladder.state_count();
-  ladder.edges.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n), LadderEdge{});
-  auto set = [&](const char* from, const char* to, TimeMs time, Joules energy) {
-    LadderEdge& e = ladder.edge_ref(ladder.state_index(from),
-                                    ladder.state_index(to));
-    e.time_ms = time;
-    e.energy_j = energy;
-  };
+  clear_edges(ladder);
   // Entries from full speed (head unload is quick; a full stop is not).
-  set("active_idle", "idle_b", 500.0, 3.2);
-  set("active_idle", "idle_c", 1'000.0, 5.5);
-  set("active_idle", "standby_y", 4'000.0, 20.0);
-  set("active_idle", "standby_z", 6'000.0, 26.0);
+  set_edge(ladder, "active_idle", "idle_b", 500.0, 3.2);
+  set_edge(ladder, "active_idle", "idle_c", 1'000.0, 5.5);
+  set_edge(ladder, "active_idle", "standby_y", 4'000.0, 20.0);
+  set_edge(ladder, "active_idle", "standby_z", 6'000.0, 26.0);
   // Progressive descent along the timer chain.
-  set("idle_b", "idle_c", 600.0, 1.8);
-  set("idle_c", "standby_y", 3'500.0, 11.0);
-  set("standby_y", "standby_z", 2'500.0, 4.5);
+  set_edge(ladder, "idle_b", "idle_c", 600.0, 1.8);
+  set_edge(ladder, "idle_c", "standby_y", 3'500.0, 11.0);
+  set_edge(ladder, "standby_y", "standby_z", 2'500.0, 4.5);
   // Wakes (deeper parks pay more).
-  set("idle_b", "active_idle", 500.0, 4.0);
-  set("idle_c", "active_idle", 1'200.0, 9.0);
-  set("standby_y", "active_idle", 7'000.0, 95.0);
-  set("standby_z", "active_idle", 11'000.0, 140.0);
+  set_edge(ladder, "idle_b", "active_idle", 500.0, 4.0);
+  set_edge(ladder, "idle_c", "active_idle", 1'200.0, 9.0);
+  set_edge(ladder, "standby_y", "active_idle", 7'000.0, 95.0);
+  set_edge(ladder, "standby_z", "active_idle", 11'000.0, 140.0);
   return ladder;
 }
 
@@ -535,14 +559,6 @@ PowerLadder make_nvme_tiered() {
   ladder.electronics_power = 0.3;
   ladder.spindle_power_at_max = -1;  // no spindle
 
-  auto park = [](const char* name, Watts power, TimeMs timer) {
-    LadderState s;
-    s.name = name;
-    s.serviceable = false;
-    s.idle_power = power;
-    s.timer_ms = timer;
-    return s;
-  };
   auto tier = [](const char* name, Watts idle, Watts active, double mb_per_s) {
     LadderState s;
     s.name = name;
@@ -552,36 +568,28 @@ PowerLadder make_nvme_tiered() {
     s.transfer_mb_per_s = mb_per_s;
     return s;
   };
-  ladder.states.push_back(park("ps4_deep_sleep", 0.005, 400.0));
-  ladder.states.push_back(park("ps3_sleep", 0.05, 50.0));
+  ladder.states.push_back(parked("ps4_deep_sleep", 0.005, 400.0));
+  ladder.states.push_back(parked("ps3_sleep", 0.05, 50.0));
   ladder.states.push_back(tier("ps2", 1.9, 3.3, 900.0));
   ladder.states.push_back(tier("ps1", 3.1, 5.4, 1'800.0));
   ladder.states.push_back(tier("ps0", 5.2, 8.5, 2'800.0));
 
-  const int n = ladder.state_count();
-  ladder.edges.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n), LadderEdge{});
-  auto set = [&](const char* from, const char* to, TimeMs time, Joules energy) {
-    LadderEdge& e = ladder.edge_ref(ladder.state_index(from),
-                                    ladder.state_index(to));
-    e.time_ms = time;
-    e.energy_j = energy;
-  };
+  clear_edges(ladder);
   // Tier shifts are electrical: tens of microseconds.
   for (const char* a : {"ps0", "ps1", "ps2"}) {
     for (const char* b : {"ps0", "ps1", "ps2"}) {
-      if (std::string(a) != b) set(a, b, 0.05, 0.0003);
+      if (std::string(a) != b) set_edge(ladder, a, b, 0.05, 0.0003);
     }
   }
   // Park entries (autonomous power-state transitions).
   for (const char* l : {"ps0", "ps1", "ps2"}) {
-    set(l, "ps3_sleep", 0.01, 0.0001);
-    set(l, "ps4_deep_sleep", 0.01, 0.0001);
+    set_edge(ladder, l, "ps3_sleep", 0.01, 0.0001);
+    set_edge(ladder, l, "ps4_deep_sleep", 0.01, 0.0001);
   }
-  set("ps3_sleep", "ps4_deep_sleep", 0.1, 0.00001);
+  set_edge(ladder, "ps3_sleep", "ps4_deep_sleep", 0.1, 0.00001);
   // Millisecond-scale wakes, straight to PS0.
-  set("ps3_sleep", "ps0", 5.0, 0.02);
-  set("ps4_deep_sleep", "ps0", 14.0, 0.08);
+  set_edge(ladder, "ps3_sleep", "ps0", 5.0, 0.02);
+  set_edge(ladder, "ps4_deep_sleep", "ps0", 14.0, 0.08);
   return ladder;
 }
 
@@ -601,7 +609,7 @@ bool PowerLadder::is_preset(const std::string& preset) {
 PowerLadder PowerLadder::preset(const std::string& preset) {
   PowerLadder ladder;
   if (preset == "ultrastar_36z15") {
-    ladder = from_legacy(DiskParameters::ultrastar_36z15(), preset);
+    ladder = make_ultrastar_36z15();
   } else if (preset == "scsi_multi_idle") {
     ladder = make_scsi_multi_idle();
   } else if (preset == "nvme_tiered") {

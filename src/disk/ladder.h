@@ -17,11 +17,12 @@
 // progressively cheaper power / costlier wake) and NVMe power states
 // (several serviceable tiers plus parked states with ~ms wake).
 //
-// DiskParameters consumes a ladder through its generic accessors; the
-// legacy TpmParameters/DrpmParameters structs survive as a thin
-// constructor onto the ladder (from_legacy), and from_legacy's derived
-// values are produced by the exact legacy formulas, so a ladder-built
-// Ultrastar is bit-identical to the legacy path.
+// A ladder is the whole device model: DiskParameters (parameters.h) is a
+// validated handle on one, and the paper's Ultrastar 36Z15 is the preset
+// built from the Table 1 / DRPM formulas (make_ultrastar_36z15 in
+// ladder.cpp).  Descriptors from files and daemon submits go through
+// from_json, which bounds the state count and every narrowed integer before
+// it allocates, then validates.
 #pragma once
 
 #include <string>
@@ -31,8 +32,6 @@
 #include "util/units.h"
 
 namespace sdpm::disk {
-
-struct DiskParameters;  // parameters.h (cyclic: DiskParameters holds a ladder)
 
 /// One rung of the ladder.
 struct LadderState {
@@ -72,6 +71,9 @@ struct LadderEdge {
 
 struct PowerLadder {
   inline static constexpr int kSchemaVersion = 1;
+  /// Largest state count a descriptor may declare (the n x n edge matrix
+  /// grows quadratically).
+  inline static constexpr int kMaxStates = 64;
 
   std::string name;  ///< preset id / descriptor id
   std::string model;
@@ -131,21 +133,16 @@ struct PowerLadder {
   /// JSON document (sorted keys, absent edges omitted); round-trips
   /// through from_json bit for bit.
   Json to_json() const;
+  /// Parse and validate a descriptor.  The state count and the integer
+  /// fields are range-checked before anything is allocated or narrowed;
+  /// every error names the offending field.
   static PowerLadder from_json(const Json& json);
-
-  // ---- constructors -------------------------------------------------------
-
-  /// Derive the ladder of a legacy (TpmParameters/DrpmParameters) disk.
-  /// Every derived value is computed by the legacy formula it replaces, so
-  /// a ladder-built disk reproduces the legacy disk bit for bit.
-  static PowerLadder from_legacy(const DiskParameters& params,
-                                 std::string ladder_name = "legacy");
 
   // ---- shipped presets ---------------------------------------------------
 
   /// Preset names, in presentation order:
-  ///   ultrastar_36z15  the paper's disk (Table 1), derived from the
-  ///                    legacy structs
+  ///   ultrastar_36z15  the paper's disk: Table 1 plus the DRPM scaling
+  ///                    laws over eleven RPM levels and one standby park
   ///   scsi_multi_idle  enterprise SCSI power conditions: Idle_B/Idle_C
   ///                    head-unload parks + Standby_Y/Standby_Z, each with
   ///                    its own timer and wake cost

@@ -1,275 +1,60 @@
 #include "disk/parameters.h"
 
-#include <cmath>
-#include <cstdlib>
-
-#include "disk/ladder.h"
-#include "util/error.h"
-
 namespace sdpm::disk {
 
-DiskParameters DiskParameters::ultrastar_36z15() {
-  return DiskParameters{};  // defaults are the Table 1 values
+namespace {
+
+/// The paper's ladder, built and validated once for every default disk.
+const std::shared_ptr<const PowerLadder>& paper_ladder() {
+  static const std::shared_ptr<const PowerLadder> ladder =
+      std::make_shared<const PowerLadder>(
+          PowerLadder::preset("ultrastar_36z15"));
+  return ladder;
 }
 
-// ---- ladder backing --------------------------------------------------------
+}  // namespace
 
-const PowerLadder& DiskParameters::ladder() const {
-  SDPM_REQUIRE(native_ladder != nullptr, "disk has no ladder backing");
-  return *native_ladder;
-}
+DiskParameters::DiskParameters() : ladder_(paper_ladder()) {}
 
-PowerLadder DiskParameters::to_ladder(std::string ladder_name) const {
-  return PowerLadder::from_legacy(*this, std::move(ladder_name));
-}
+DiskParameters DiskParameters::ultrastar_36z15() { return DiskParameters(); }
 
-DiskParameters DiskParameters::from_ladder(const PowerLadder& ladder) {
+DiskParameters DiskParameters::from_ladder(PowerLadder ladder) {
   ladder.validate();
-  DiskParameters params;
-  params.model = ladder.model;
-  params.interface = ladder.interface;
-  params.capacity = ladder.capacity;
-  params.average_seek_time = ladder.average_seek_time;
-  const LadderState& top =
-      ladder.states[static_cast<std::size_t>(ladder.top_state())];
-  params.rpm = top.rpm;
-  params.average_rotation_time = top.rot_latency_ms;
-  params.internal_transfer_mb_per_s = top.transfer_mb_per_s;
-  // Mirror the ladder's top level and default park into the legacy structs
-  // so rendered summaries stay meaningful; all physics reads go through
-  // the ladder-branching accessors, never these mirrors.
-  params.tpm.active_power = top.active_power;
-  params.tpm.idle_power = top.idle_power;
-  params.tpm.standby_power = ladder.states[0].idle_power;
-  const LadderEdge& down = ladder.edge(ladder.top_state(), 0);
-  params.tpm.spin_down_time = down.time_ms;
-  params.tpm.spin_down_energy = down.energy_j;
-  const LadderEdge& up = ladder.edge(0, ladder.top_state());
-  params.tpm.spin_up_time = up.time_ms;
-  params.tpm.spin_up_energy = up.energy_j;
-  params.tpm.idleness_threshold = ladder.idleness_threshold;
-  params.drpm.window_size = ladder.window_size;
-  params.drpm.lower_tolerance = ladder.lower_tolerance;
-  params.drpm.upper_tolerance = ladder.upper_tolerance;
-  params.drpm.electronics_power = ladder.electronics_power;
-  params.drpm.spindle_power_at_max =
-      ladder.spindle_power_at_max >= 0 ? ladder.spindle_power_at_max : 0;
-  params.drpm.access_power_at_max = top.active_power - top.idle_power;
-  params.native_ladder = std::make_shared<const PowerLadder>(ladder);
-  return params;
+  return DiskParameters(
+      std::make_shared<const PowerLadder>(std::move(ladder)));
 }
 
 DiskParameters DiskParameters::preset(const std::string& preset_name) {
-  // The paper's disk stays legacy-backed (the two paths are proven
-  // bit-identical; the legacy backing keeps default reports and traces
-  // byte-stable).  Every other preset is ladder-backed.
-  if (preset_name == "ultrastar_36z15") return ultrastar_36z15();
   return from_ladder(PowerLadder::preset(preset_name));
 }
 
-const std::vector<std::string>& DiskParameters::preset_names() {
-  return PowerLadder::preset_names();
+const LadderEdge& DiskParameters::entry_edge(int level, int park) const {
+  const LadderEdge& e = ladder_->edge(level_index(level), park_index(park));
+  SDPM_REQUIRE(e.present(), "no entry edge into the requested park");
+  return e;
 }
 
-// ---- parked states ---------------------------------------------------------
-
-int DiskParameters::park_count() const {
-  return has_ladder() ? native_ladder->park_count() : 1;
-}
-
-const std::string& DiskParameters::park_name(int park) const {
-  if (has_ladder()) {
-    SDPM_REQUIRE(park >= 0 && park < native_ladder->park_count(),
-                 "park index out of range");
-    return native_ladder->states[static_cast<std::size_t>(park)].name;
-  }
-  SDPM_REQUIRE(park == 0, "park index out of range");
-  static const std::string kStandbyName = "standby";
-  return kStandbyName;
-}
-
-Watts DiskParameters::park_power(int park) const {
-  if (has_ladder()) {
-    SDPM_REQUIRE(park >= 0 && park < native_ladder->park_count(),
-                 "park index out of range");
-    return native_ladder->states[static_cast<std::size_t>(park)].idle_power;
-  }
-  SDPM_REQUIRE(park == 0, "park index out of range");
-  return tpm.standby_power;
-}
-
-TimeMs DiskParameters::park_timer_ms(int park) const {
-  if (has_ladder()) {
-    SDPM_REQUIRE(park >= 0 && park < native_ladder->park_count(),
-                 "park index out of range");
-    return native_ladder->states[static_cast<std::size_t>(park)].timer_ms;
-  }
-  SDPM_REQUIRE(park == 0, "park index out of range");
-  return -1;
-}
-
-bool DiskParameters::park_entry_possible(int level, int park) const {
-  if (!has_ladder()) return park == 0;
-  return native_ladder
-      ->edge(native_ladder->level_state(level), native_ladder->park_state(park))
-      .present();
-}
-
-TimeMs DiskParameters::park_entry_time(int level, int park) const {
-  if (has_ladder()) {
-    const LadderEdge& e = native_ladder->edge(
-        native_ladder->level_state(level), native_ladder->park_state(park));
-    SDPM_REQUIRE(e.present(), "no entry edge into the requested park");
-    return e.time_ms;
-  }
-  SDPM_REQUIRE(park == 0, "park index out of range");
-  (void)level;
-  return tpm.spin_down_time;
-}
-
-Joules DiskParameters::park_entry_energy(int level, int park) const {
-  if (has_ladder()) {
-    const LadderEdge& e = native_ladder->edge(
-        native_ladder->level_state(level), native_ladder->park_state(park));
-    SDPM_REQUIRE(e.present(), "no entry edge into the requested park");
-    return e.energy_j;
-  }
-  SDPM_REQUIRE(park == 0, "park index out of range");
-  (void)level;
-  return tpm.spin_down_energy;
-}
-
-bool DiskParameters::park_descent_possible(int from_park, int to_park) const {
-  if (!has_ladder()) return false;
-  return native_ladder
-      ->edge(native_ladder->park_state(from_park),
-             native_ladder->park_state(to_park))
-      .present();
-}
-
-TimeMs DiskParameters::park_descent_time(int from_park, int to_park) const {
-  const LadderEdge& e = ladder().edge(native_ladder->park_state(from_park),
-                                      native_ladder->park_state(to_park));
+const LadderEdge& DiskParameters::descent_edge(int from_park,
+                                               int to_park) const {
+  const LadderEdge& e =
+      ladder_->edge(park_index(from_park), park_index(to_park));
   SDPM_REQUIRE(e.present(), "no descent edge between the requested parks");
-  return e.time_ms;
+  return e;
 }
 
-Joules DiskParameters::park_descent_energy(int from_park, int to_park) const {
-  const LadderEdge& e = ladder().edge(native_ladder->park_state(from_park),
-                                      native_ladder->park_state(to_park));
-  SDPM_REQUIRE(e.present(), "no descent edge between the requested parks");
-  return e.energy_j;
-}
-
-TimeMs DiskParameters::wake_time(int park) const {
-  if (has_ladder()) {
-    return native_ladder
-        ->edge(native_ladder->park_state(park), native_ladder->top_state())
-        .time_ms;
-  }
-  SDPM_REQUIRE(park == 0, "park index out of range");
-  return tpm.spin_up_time;
-}
-
-Joules DiskParameters::wake_energy(int park) const {
-  if (has_ladder()) {
-    return native_ladder
-        ->edge(native_ladder->park_state(park), native_ladder->top_state())
-        .energy_j;
-  }
-  SDPM_REQUIRE(park == 0, "park index out of range");
-  return tpm.spin_up_energy;
-}
-
-// ---- levels ----------------------------------------------------------------
-
-int DiskParameters::rpm_level_count() const {
-  if (has_ladder()) return native_ladder->level_count();
-  return (drpm.max_rpm - drpm.min_rpm) / drpm.rpm_step + 1;
-}
-
-int DiskParameters::rpm_of_level(int level) const {
-  SDPM_REQUIRE(level >= 0 && level < rpm_level_count(),
-               "RPM level out of range");
-  if (has_ladder()) {
-    return native_ladder
-        ->states[static_cast<std::size_t>(native_ladder->level_state(level))]
-        .rpm;
-  }
-  return drpm.min_rpm + level * drpm.rpm_step;
+const LadderEdge& DiskParameters::shift_edge(int from_level,
+                                             int to_level) const {
+  static constexpr LadderEdge kStay{0.0, 0.0};
+  const int from = level_index(from_level);
+  const int to = level_index(to_level);
+  return from == to ? kStay : ladder_->edge(from, to);
 }
 
 int DiskParameters::level_of_rpm(int target_rpm) const {
-  if (has_ladder()) {
-    for (int level = 0; level < native_ladder->level_count(); ++level) {
-      if (native_ladder
-              ->states[static_cast<std::size_t>(
-                  native_ladder->level_state(level))]
-              .rpm == target_rpm) {
-        return level;
-      }
-    }
-    throw Error("RPM value not on the ladder");
+  for (int level = 0; level < rpm_level_count(); ++level) {
+    if (rpm_of_level(level) == target_rpm) return level;
   }
-  SDPM_REQUIRE(target_rpm >= drpm.min_rpm && target_rpm <= drpm.max_rpm &&
-                   (target_rpm - drpm.min_rpm) % drpm.rpm_step == 0,
-               "RPM value not on the ladder");
-  return (target_rpm - drpm.min_rpm) / drpm.rpm_step;
-}
-
-Watts DiskParameters::idle_power_at_level(int level) const {
-  if (has_ladder()) {
-    SDPM_REQUIRE(level >= 0 && level < native_ladder->level_count(),
-                 "RPM level out of range");
-    return native_ladder
-        ->states[static_cast<std::size_t>(native_ladder->level_state(level))]
-        .idle_power;
-  }
-  const double ratio = static_cast<double>(rpm_of_level(level)) /
-                       static_cast<double>(drpm.max_rpm);
-  return drpm.electronics_power +
-         drpm.spindle_power_at_max * std::pow(ratio, drpm.spindle_exponent);
-}
-
-Watts DiskParameters::active_power_at_level(int level) const {
-  if (has_ladder()) {
-    SDPM_REQUIRE(level >= 0 && level < native_ladder->level_count(),
-                 "RPM level out of range");
-    return native_ladder
-        ->states[static_cast<std::size_t>(native_ladder->level_state(level))]
-        .active_power;
-  }
-  const double ratio = static_cast<double>(rpm_of_level(level)) /
-                       static_cast<double>(drpm.max_rpm);
-  return idle_power_at_level(level) + drpm.access_power_at_max * ratio;
-}
-
-Watts DiskParameters::standby_power() const { return park_power(0); }
-
-TimeMs DiskParameters::rotational_latency_at_level(int level) const {
-  if (has_ladder()) {
-    SDPM_REQUIRE(level >= 0 && level < native_ladder->level_count(),
-                 "RPM level out of range");
-    return native_ladder
-        ->states[static_cast<std::size_t>(native_ladder->level_state(level))]
-        .rot_latency_ms;
-  }
-  const double ratio = static_cast<double>(drpm.max_rpm) /
-                       static_cast<double>(rpm_of_level(level));
-  return average_rotation_time * ratio;
-}
-
-double DiskParameters::transfer_rate_at_level(int level) const {
-  if (has_ladder()) {
-    SDPM_REQUIRE(level >= 0 && level < native_ladder->level_count(),
-                 "RPM level out of range");
-    return native_ladder
-        ->states[static_cast<std::size_t>(native_ladder->level_state(level))]
-        .transfer_mb_per_s;
-  }
-  const double ratio = static_cast<double>(rpm_of_level(level)) /
-                       static_cast<double>(drpm.max_rpm);
-  return internal_transfer_mb_per_s * ratio;
+  throw Error("RPM value not on the ladder");
 }
 
 TimeMs DiskParameters::service_time(Bytes request_bytes, int level,
@@ -279,52 +64,12 @@ TimeMs DiskParameters::service_time(Bytes request_bytes, int level,
       transfer_rate_at_level(level) * 1'000'000.0 / 1'000.0;
   const TimeMs transfer = static_cast<double>(request_bytes) / rate_bytes_per_ms;
   if (sequential) return transfer;
-  return average_seek_time + rotational_latency_at_level(level) + transfer;
+  return ladder_->average_seek_time + rotational_latency_at_level(level) +
+         transfer;
 }
-
-TimeMs DiskParameters::rpm_transition_time(int from_level,
-                                           int to_level) const {
-  if (has_ladder()) {
-    if (from_level == to_level) return 0.0;
-    return native_ladder
-        ->edge(native_ladder->level_state(from_level),
-               native_ladder->level_state(to_level))
-        .time_ms;
-  }
-  const int steps = std::abs(to_level - from_level);
-  return static_cast<double>(steps) * drpm.transition_time_per_step;
-}
-
-Joules DiskParameters::rpm_transition_energy(int from_level,
-                                             int to_level) const {
-  if (from_level == to_level) return 0.0;
-  if (has_ladder()) {
-    return native_ladder
-        ->edge(native_ladder->level_state(from_level),
-               native_ladder->level_state(to_level))
-        .energy_j;
-  }
-  const int faster = std::max(from_level, to_level);
-  return joules_from_watt_ms(idle_power_at_level(faster),
-                             rpm_transition_time(from_level, to_level));
-}
-
-// ---- TPM thresholds --------------------------------------------------------
-
-TimeMs DiskParameters::break_even_time() const { return break_even_time(0); }
 
 TimeMs DiskParameters::break_even_time(int park) const {
-  if (!has_ladder()) {
-    SDPM_REQUIRE(park == 0, "park index out of range");
-    const Joules transition_cost =
-        tpm.spin_down_energy + tpm.spin_up_energy -
-        tpm.standby_power *
-            seconds_from_ms(tpm.spin_down_time + tpm.spin_up_time);
-    const Watts saving_rate = tpm.idle_power - tpm.standby_power;
-    SDPM_REQUIRE(saving_rate > 0, "idle power must exceed standby power");
-    return ms_from_seconds(transition_cost / saving_rate);
-  }
-  const int top = native_ladder->level_count() - 1;
+  const int top = max_level();
   const TimeMs down_t = park_entry_time(top, park);
   const Joules down_e = park_entry_energy(top, park);
   const TimeMs up_t = wake_time(park);
@@ -336,49 +81,6 @@ TimeMs DiskParameters::break_even_time(int park) const {
   SDPM_REQUIRE(saving_rate > 0,
                "top-level idle power must exceed the park's resident power");
   return ms_from_seconds(transition_cost / saving_rate);
-}
-
-TimeMs DiskParameters::effective_idleness_threshold() const {
-  const TimeMs configured =
-      has_ladder() ? native_ladder->idleness_threshold : tpm.idleness_threshold;
-  return configured >= 0 ? configured : break_even_time();
-}
-
-// ---- reactive-controller knobs --------------------------------------------
-
-int DiskParameters::window_size() const {
-  return has_ladder() ? native_ladder->window_size : drpm.window_size;
-}
-
-double DiskParameters::lower_tolerance() const {
-  return has_ladder() ? native_ladder->lower_tolerance : drpm.lower_tolerance;
-}
-
-double DiskParameters::upper_tolerance() const {
-  return has_ladder() ? native_ladder->upper_tolerance : drpm.upper_tolerance;
-}
-
-void DiskParameters::validate() const {
-  if (has_ladder()) {
-    native_ladder->validate();
-    return;
-  }
-  SDPM_REQUIRE(rpm == drpm.max_rpm, "nominal RPM must equal the top level");
-  SDPM_REQUIRE(drpm.min_rpm > 0 && drpm.min_rpm <= drpm.max_rpm,
-               "bad RPM range");
-  SDPM_REQUIRE((drpm.max_rpm - drpm.min_rpm) % drpm.rpm_step == 0,
-               "RPM step must divide the RPM range");
-  SDPM_REQUIRE(tpm.active_power >= tpm.idle_power &&
-                   tpm.idle_power > tpm.standby_power,
-               "power ordering must be active >= idle > standby");
-  SDPM_REQUIRE(average_seek_time >= 0 && average_rotation_time >= 0,
-               "negative positioning times");
-  SDPM_REQUIRE(internal_transfer_mb_per_s > 0, "transfer rate must be > 0");
-  SDPM_REQUIRE(drpm.window_size >= 1, "window size must be >= 1");
-  // The TPM decomposition must reproduce Table 1 at the top level.
-  const Watts idle_top = drpm.electronics_power + drpm.spindle_power_at_max;
-  SDPM_REQUIRE(std::abs(idle_top - tpm.idle_power) < 1e-6,
-               "electronics + spindle power must equal idle power");
 }
 
 }  // namespace sdpm::disk

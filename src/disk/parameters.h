@@ -1,8 +1,17 @@
-// Disk model parameters (paper Table 1) and derived physics.
+// The disk model every simulator, policy and compiler pass consumes.
 //
-// Defaults reproduce the IBM Ultrastar 36Z15 figures the paper extracted
-// from the datasheet, plus the DRPM scaling laws from Gurumurthi et al.
-// (ISCA'03) that the paper's simulator relies on:
+// DiskParameters is an immutable handle on one validated PowerLadder (see
+// ladder.h).  It answers the physics questions in ladder terms (levels are
+// the serviceable states, slowest first; parks the parked states, deepest
+// first) and hides the park/level -> state-index arithmetic.  A handle can
+// only be obtained validated: the default constructor and
+// ultrastar_36z15() share the paper's ladder, built once; from_ladder()
+// and preset() validate the descriptor they are given.  To vary a knob,
+// copy ladder(), edit the copy and rebuild with from_ladder().
+//
+// The paper disk is the IBM Ultrastar 36Z15 of Table 1 with the DRPM
+// scaling laws from Gurumurthi et al. (ISCA'03); its ladder is built from
+// those formulas in ladder.cpp (make_ultrastar_36z15):
 //   - rotational latency scales as 1/RPM,
 //   - media transfer rate scales linearly with RPM,
 //   - spindle power scales as RPM^2.8 above a fixed electronics floor,
@@ -15,203 +24,172 @@
 #include <string>
 #include <vector>
 
+#include "disk/ladder.h"
+#include "util/error.h"
 #include "util/units.h"
 
 namespace sdpm::disk {
 
-struct PowerLadder;  // ladder.h
+class DiskParameters {
+ public:
+  /// The paper's disk (Table 1).
+  DiskParameters();
 
-/// TPM (traditional power management) spin-down/up characteristics.
-struct TpmParameters {
-  Watts active_power = 13.5;
-  Watts idle_power = 10.2;
-  Watts standby_power = 2.5;
-  Joules spin_down_energy = 13.0;          ///< idle -> standby
-  TimeMs spin_down_time = 1'500.0;         ///< 1.5 s
-  Joules spin_up_energy = 135.0;           ///< standby -> active
-  TimeMs spin_up_time = 10'900.0;          ///< 10.9 s
-  /// Reactive TPM idleness threshold.  Default: the break-even time (the
-  /// classic 2-competitive choice); see break_even_time().
-  TimeMs idleness_threshold = -1.0;        ///< <0 means "use break-even"
-};
-
-/// DRPM (dynamic RPM) ladder and reactive-controller parameters.
-struct DrpmParameters {
-  int min_rpm = 3'000;
-  int max_rpm = 15'000;
-  int rpm_step = 1'200;
-  int window_size = 30;  ///< requests per controller window (paper: 30)
-  /// Reactive controller tolerances on the relative change of windowed
-  /// average response time (Gurumurthi et al. heuristic).
-  double lower_tolerance = 0.05;
-  double upper_tolerance = 0.15;
-  /// Time to move one RPM step (same for up and down).  Full swing
-  /// (3,000 <-> 15,000) takes 10 steps = 50 ms, two orders of magnitude
-  /// under the 10.9 s spin-up — the paper's premise that RPM modulation is
-  /// "much smaller than typical spin-up/down times", and the regime in
-  /// which the hypothetical DRPM disk can exploit the ~100 ms..1 s per-disk
-  /// inter-access gaps these workloads produce at Table 2's ~10 ms request
-  /// spacing over 8 disks.
-  TimeMs transition_time_per_step = 5.0;
-  /// Spindle power exponent (power ~ RPM^2.8, DRPM paper).
-  double spindle_exponent = 2.8;
-  /// Fixed electronics power while serviceable (the floor of the Table 1
-  /// decomposition).  The Ultrastar figures happen to match the standby
-  /// power, but nothing requires that: standby draw is a property of the
-  /// parked state, not of the electronics floor.
-  Watts electronics_power = 2.5;
-  /// Spindle power at max RPM: idle(15k) - electronics = 10.2 - 2.5.
-  /// The Table 1 decomposition electronics + spindle_at_max == idle is
-  /// enforced by validate(); electronics_power is otherwise independent of
-  /// TpmParameters::standby_power (a parked device may keep more or less
-  /// of its electronics alive than the spun-down floor suggests).
-  Watts spindle_power_at_max = 7.7;
-  /// Additional power while servicing at max RPM: active - idle.
-  Watts access_power_at_max = 3.3;
-};
-
-/// Full disk model.  Two backings share one accessor surface:
-///   - *legacy*: the TpmParameters/DrpmParameters structs below; every
-///     derived quantity is computed by the original Table 1 formulas.
-///     Mutating `tpm`/`drpm` fields directly keeps working.
-///   - *ladder*: a generic PowerLadder descriptor (see ladder.h) with
-///     arbitrary parked states, serviceable levels and an explicit
-///     transition-cost matrix.  The legacy structs then only mirror the
-///     ladder's top level for display.
-/// from_ladder(PowerLadder::from_legacy(p)) reproduces a legacy disk `p`
-/// bit for bit (each ladder value is produced by the formula it replaces).
-struct DiskParameters {
-  std::string model = "IBM Ultrastar 36Z15";
-  std::string interface = "SCSI";
-  Bytes capacity = gib(18);
-  int rpm = 15'000;
-  TimeMs average_seek_time = 3.4;
-  TimeMs average_rotation_time = 2.0;  ///< avg rotational latency at max RPM
-  double internal_transfer_mb_per_s = 55.0;
-
-  TpmParameters tpm;
-  DrpmParameters drpm;
-
-  /// Ladder backing; null for legacy-backed disks.  Shared so copies of
-  /// DiskParameters stay cheap (SweepEngine copies configs across threads).
-  std::shared_ptr<const PowerLadder> native_ladder;
-
-  /// The paper's default disk (legacy-backed Table 1 values).
+  /// The paper's disk (Table 1); shares the default-constructed ladder.
   static DiskParameters ultrastar_36z15();
-
-  // ---- ladder backing ----------------------------------------------------
-
-  bool has_ladder() const { return native_ladder != nullptr; }
-  /// The backing ladder; requires has_ladder().
-  const PowerLadder& ladder() const;
-  /// This disk as a ladder: the backing ladder, or the legacy model
-  /// converted via PowerLadder::from_legacy.
-  PowerLadder to_ladder(std::string ladder_name = "device") const;
-  /// A ladder-backed disk (validates the ladder; mirrors its top level
-  /// into the legacy structs for display).
-  static DiskParameters from_ladder(const PowerLadder& ladder);
-  /// Shipped device presets (see PowerLadder::preset_names).  The
-  /// `ultrastar_36z15` preset is the legacy-backed paper disk; the others
-  /// are ladder-backed.
+  /// A disk on `ladder`; throws sdpm::Error when the ladder is invalid.
+  static DiskParameters from_ladder(PowerLadder ladder);
+  /// from_ladder(PowerLadder::preset(name)); see PowerLadder::preset_names.
   static DiskParameters preset(const std::string& preset_name);
-  static const std::vector<std::string>& preset_names();
+  static const std::vector<std::string>& preset_names() {
+    return PowerLadder::preset_names();
+  }
+
+  /// The validated device descriptor.
+  const PowerLadder& ladder() const { return *ladder_; }
 
   // ---- parked states -----------------------------------------------------
 
   /// Number of parked (non-serviceable) states; park 0 is the deepest.
-  /// Legacy disks have exactly one park ("standby").
-  int park_count() const;
+  int park_count() const { return ladder_->park_count(); }
   /// The park a bare spin-down directive targets (the deepest).
   int default_park() const { return 0; }
-  const std::string& park_name(int park) const;
+  const std::string& park_name(int park) const {
+    return state(park_index(park)).name;
+  }
   /// Resident power while parked in `park`.
-  Watts park_power(int park) const;
+  Watts park_power(int park) const {
+    return state(park_index(park)).idle_power;
+  }
   /// Idleness timer of `park` (< 0 = none; reactive policies then fall
   /// back to the break-even threshold for the default park).
-  TimeMs park_timer_ms(int park) const;
+  TimeMs park_timer_ms(int park) const {
+    return state(park_index(park)).timer_ms;
+  }
   /// Entry cost from serviceable `level` into `park`; entry must be
   /// possible (check park_entry_possible for non-default parks).
-  bool park_entry_possible(int level, int park) const;
-  TimeMs park_entry_time(int level, int park) const;
-  Joules park_entry_energy(int level, int park) const;
+  bool park_entry_possible(int level, int park) const {
+    return ladder_->edge(level_index(level), park_index(park)).present();
+  }
+  TimeMs park_entry_time(int level, int park) const {
+    return entry_edge(level, park).time_ms;
+  }
+  Joules park_entry_energy(int level, int park) const {
+    return entry_edge(level, park).energy_j;
+  }
   /// Descent between parks (deepening while already parked).
-  bool park_descent_possible(int from_park, int to_park) const;
-  TimeMs park_descent_time(int from_park, int to_park) const;
-  Joules park_descent_energy(int from_park, int to_park) const;
+  bool park_descent_possible(int from_park, int to_park) const {
+    return ladder_->edge(park_index(from_park), park_index(to_park))
+        .present();
+  }
+  TimeMs park_descent_time(int from_park, int to_park) const {
+    return descent_edge(from_park, to_park).time_ms;
+  }
+  Joules park_descent_energy(int from_park, int to_park) const {
+    return descent_edge(from_park, to_park).energy_j;
+  }
   /// Wake cost from `park` back to the top level.
-  TimeMs wake_time(int park) const;
-  Joules wake_energy(int park) const;
+  TimeMs wake_time(int park) const { return wake_edge(park).time_ms; }
+  Joules wake_energy(int park) const { return wake_edge(park).energy_j; }
 
-  // ---- DRPM ladder -------------------------------------------------------
+  // ---- serviceable levels ------------------------------------------------
 
-  /// Number of discrete RPM levels; level 0 is min_rpm, the top level is
-  /// max_rpm.
-  int rpm_level_count() const;
-
+  /// Number of serviceable levels; level 0 is the slowest, the top level
+  /// runs at full speed.
+  int rpm_level_count() const { return ladder_->level_count(); }
   /// RPM of level `level`.
-  int rpm_of_level(int level) const;
-
+  int rpm_of_level(int level) const { return state(level_index(level)).rpm; }
   /// Highest (fastest) level index.
   int max_level() const { return rpm_level_count() - 1; }
-
   /// Level whose RPM equals `target_rpm` (must be on the ladder).
   int level_of_rpm(int target_rpm) const;
 
   // ---- power -------------------------------------------------------------
 
   /// Power while spinning idle at `level`.
-  Watts idle_power_at_level(int level) const;
-
+  Watts idle_power_at_level(int level) const {
+    return state(level_index(level)).idle_power;
+  }
   /// Power while servicing a request at `level`.
-  Watts active_power_at_level(int level) const;
-
+  Watts active_power_at_level(int level) const {
+    return state(level_index(level)).active_power;
+  }
   /// Power while spun down into the deepest park.
-  Watts standby_power() const;
+  Watts standby_power() const { return park_power(0); }
 
   // ---- mechanics ---------------------------------------------------------
 
-  /// Average rotational latency at `level` (scales with 1/RPM).
-  TimeMs rotational_latency_at_level(int level) const;
-
-  /// Media transfer rate at `level` in MB/s (scales with RPM).
-  double transfer_rate_at_level(int level) const;
-
+  /// Average rotational latency at `level`.
+  TimeMs rotational_latency_at_level(int level) const {
+    return state(level_index(level)).rot_latency_ms;
+  }
+  /// Media transfer rate at `level` in MB/s.
+  double transfer_rate_at_level(int level) const {
+    return state(level_index(level)).transfer_mb_per_s;
+  }
   /// Service time of one request at `level`: optional seek + rotational
   /// latency (skipped when `sequential`), plus transfer.
   TimeMs service_time(Bytes request_bytes, int level, bool sequential) const;
 
   // ---- transitions -------------------------------------------------------
 
-  /// Time to move the spindle from `from_level` to `to_level`.
-  TimeMs rpm_transition_time(int from_level, int to_level) const;
-
-  /// Energy of an RPM transition: billed at the faster level's idle power
-  /// for the transition duration (the paper's conservative assumption).
-  Joules rpm_transition_energy(int from_level, int to_level) const;
+  /// Time and energy to move between two serviceable levels.
+  TimeMs rpm_transition_time(int from_level, int to_level) const {
+    return shift_edge(from_level, to_level).time_ms;
+  }
+  Joules rpm_transition_energy(int from_level, int to_level) const {
+    return shift_edge(from_level, to_level).energy_j;
+  }
 
   // ---- TPM thresholds ----------------------------------------------------
 
   /// Minimum idle-period length for which parking in the deepest park
   /// saves energy:
   /// (E_down + E_up - P_park*(T_down + T_up)) / (P_idle - P_park).
-  TimeMs break_even_time() const;
-
+  TimeMs break_even_time() const { return break_even_time(0); }
   /// Break-even generalized to any park (entry from and wake back to the
   /// top level).
   TimeMs break_even_time(int park) const;
-
-  /// Effective reactive-TPM idleness threshold (configured value, or
+  /// Effective reactive-TPM idleness threshold (the ladder's override, or
   /// break-even when unset).
-  TimeMs effective_idleness_threshold() const;
+  TimeMs effective_idleness_threshold() const {
+    return ladder_->idleness_threshold >= 0 ? ladder_->idleness_threshold
+                                            : break_even_time();
+  }
 
   // ---- reactive-controller knobs ----------------------------------------
 
-  int window_size() const;
-  double lower_tolerance() const;
-  double upper_tolerance() const;
+  int window_size() const { return ladder_->window_size; }
+  double lower_tolerance() const { return ladder_->lower_tolerance; }
+  double upper_tolerance() const { return ladder_->upper_tolerance; }
 
-  /// Validate parameter consistency; throws sdpm::Error.
-  void validate() const;
+ private:
+  explicit DiskParameters(std::shared_ptr<const PowerLadder> ladder)
+      : ladder_(std::move(ladder)) {}
+
+  /// Ladder state index of serviceable `level` / of `park` (range-checked).
+  int level_index(int level) const {
+    SDPM_REQUIRE(level >= 0 && level < ladder_->level_count(),
+                 "RPM level out of range");
+    return ladder_->level_state(level);
+  }
+  int park_index(int park) const {
+    SDPM_REQUIRE(park >= 0 && park < ladder_->park_count(),
+                 "park index out of range");
+    return ladder_->park_state(park);
+  }
+  const LadderState& state(int index) const {
+    return ladder_->states[static_cast<std::size_t>(index)];
+  }
+  const LadderEdge& entry_edge(int level, int park) const;
+  const LadderEdge& descent_edge(int from_park, int to_park) const;
+  const LadderEdge& wake_edge(int park) const {
+    return ladder_->edge(park_index(park), ladder_->top_state());
+  }
+  /// The level-to-level edge; a zero-cost edge when the levels are equal.
+  const LadderEdge& shift_edge(int from_level, int to_level) const;
+
+  std::shared_ptr<const PowerLadder> ladder_;  ///< never null, validated
 };
 
 }  // namespace sdpm::disk

@@ -1,7 +1,7 @@
 // Reactive DRPM (Gurumurthi et al., ISCA'03) window heuristic.
 //
 // Each disk monitors the average response time of consecutive n-request
-// windows (n = DrpmParameters::window_size; the paper uses 30).  At each
+// windows (n = DiskParameters::window_size(); the paper uses 30).  At each
 // window boundary the controller compares the window's average against the
 // previous window's:
 //   - if response time degraded by more than the *upper tolerance*, the

@@ -48,12 +48,7 @@ int optimal_rpm_level(TimeMs gap_ms, const disk::DiskParameters& params) {
 }
 
 bool tpm_gap_beneficial(TimeMs gap_ms, const disk::DiskParameters& params) {
-  if (!params.has_ladder()) {
-    const TimeMs fit =
-        params.tpm.spin_down_time + params.tpm.spin_up_time;
-    return gap_ms >= fit && gap_ms > params.break_even_time();
-  }
-  // Ladder: beneficial when any park's round trip fits and pays off.
+  // Beneficial when any park's round trip fits and pays off.
   const int top = params.max_level();
   for (int park = 0; park < params.park_count(); ++park) {
     if (!params.park_entry_possible(top, park)) continue;
@@ -76,22 +71,9 @@ int min_serviceable_level(Bytes request_bytes, TimeMs interarrival_ms,
 }
 
 Joules tpm_gap_energy(TimeMs gap_ms, const disk::DiskParameters& params) {
-  if (!params.has_ladder()) {
-    const Joules stay =
-        joules_from_watt_ms(params.tpm.idle_power, gap_ms);
-    if (!tpm_gap_beneficial(gap_ms, params)) return stay;
-    const TimeMs residence =
-        gap_ms - params.tpm.spin_down_time - params.tpm.spin_up_time;
-    const Joules spin = params.tpm.spin_down_energy +
-                        params.tpm.spin_up_energy +
-                        joules_from_watt_ms(params.tpm.standby_power,
-                                            residence);
-    return std::min(stay, spin);
-  }
-  // Ladder: the oracle picks the cheapest qualifying park for the gap.
-  // Each park's cost is the exact legacy expression with that park's entry,
-  // wake and resident figures, so a one-park ladder reproduces the legacy
-  // result bit for bit.
+  // The oracle picks the cheapest qualifying park for the gap: stay idle at
+  // the top level, or pay the park's entry and wake plus its resident power
+  // over the rest of the gap.
   const int top = params.max_level();
   Joules best = joules_from_watt_ms(params.idle_power_at_level(top), gap_ms);
   for (int park = 0; park < params.park_count(); ++park) {

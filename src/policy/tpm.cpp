@@ -41,7 +41,7 @@ void TpmPolicy::maybe_park_multi(sim::DiskUnit& disk, TimeMs now) {
 }
 
 bool TpmPolicy::uses_park_timers(const disk::DiskParameters& params) const {
-  if (!params.has_ladder() || threshold_ms_ >= 0) return false;
+  if (threshold_ms_ >= 0) return false;
   for (int park = 0; park < params.park_count(); ++park) {
     if (params.park_timer_ms(park) >= 0) return true;
   }

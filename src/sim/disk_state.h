@@ -10,11 +10,11 @@
 // (tests, the multi-stream harness) owns a one-slot DiskArrayState of its
 // own, so the split is invisible outside the simulator.
 //
-// LevelTable caches the derived per-RPM-level physics (idle/active power,
-// rotational latency, transfer rate).  The uncached path evaluates
-// pow(rpm_ratio, 2.8) per energy integration — by far the most expensive
-// instruction stream in the hot loop.  Every cached value is produced by
-// the same DiskParameters function the on-demand path used, so cached and
+// LevelTable caches the per-level physics the hot loop reads (idle/active
+// power, rotational latency, transfer rate, park powers, average seek
+// time), so a service or an energy integration is a flat array read instead
+// of a range-checked ladder lookup.  Every cached value is produced by the
+// same DiskParameters accessor the on-demand path uses, so cached and
 // uncached replays are bit-identical.
 #pragma once
 
@@ -41,7 +41,8 @@ class LevelTable {
     double bytes_per_ms = 0;   ///< transfer_rate_at_level * 1e6 / 1e3
   };
 
-  explicit LevelTable(const disk::DiskParameters& params) {
+  explicit LevelTable(const disk::DiskParameters& params)
+      : seek_ms_(params.ladder().average_seek_time) {
     levels_.resize(static_cast<std::size_t>(params.rpm_level_count()));
     for (int l = 0; l < params.rpm_level_count(); ++l) {
       Level& lv = levels_[static_cast<std::size_t>(l)];
@@ -63,13 +64,16 @@ class LevelTable {
     return levels_[static_cast<std::size_t>(level)];
   }
 
-  /// Resident power of park `park` (park 0 the deepest; legacy disks have
-  /// exactly the standby park).
+  /// Resident power of park `park` (park 0 the deepest).
   Watts park_w(int park) const {
     return parks_w_[static_cast<std::size_t>(park)];
   }
 
+  /// Average seek time (the positioning cost of a non-sequential request).
+  TimeMs seek_ms() const { return seek_ms_; }
+
  private:
+  TimeMs seek_ms_;
   std::vector<Level> levels_;
   std::vector<Watts> parks_w_;
 };
@@ -96,13 +100,11 @@ struct DiskArrayState {
     std::uint8_t after_park = 0;  ///< park entered when after_mode is kStandby
   };
 
-  /// Validates `params` once for the whole array (the per-unit validation
-  /// the standalone DiskUnit constructor performs).
   DiskArrayState(int disks, const disk::DiskParameters& params)
       : core(static_cast<std::size_t>(disks)),
         trans(static_cast<std::size_t>(disks)),
         last_issue(static_cast<std::size_t>(disks), 0.0),
-        levels((params.validate(), params)) {
+        levels(params) {
     const std::int32_t top = params.max_level();
     for (Core& c : core) c.level = top;
   }

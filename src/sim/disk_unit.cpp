@@ -9,11 +9,9 @@ namespace sdpm::sim {
 
 namespace {
 
-/// Ladder-state name for tracing; nullptr for legacy-backed disks (their
-/// traces stay byte-identical to the pre-ladder format).
+/// Ladder-state name for tracing (none while in transition).
 const char* state_label(const disk::DiskParameters& params, DiskMode mode,
                         int level, int park) {
-  if (!params.has_ladder()) return nullptr;
   const disk::PowerLadder& ladder = params.ladder();
   switch (mode) {
     case DiskMode::kSpinning:
@@ -35,7 +33,7 @@ DiskUnit::DiskUnit(const disk::DiskParameters& params, int id,
     : params_(&params), id_(id), faults_(faults), state_(nullptr), slot_(0),
       level_residency_(static_cast<std::size_t>(params.rpm_level_count()),
                        0.0) {
-  owned_ = std::make_unique<DiskArrayState>(1, params);  // validates params
+  owned_ = std::make_unique<DiskArrayState>(1, params);
   state_ = owned_.get();
 }
 
@@ -146,8 +144,8 @@ int DiskUnit::current_park() const {
 void DiskUnit::begin_spin_up() {
   SDPM_ASSERT(core().mode == DiskMode::kStandby,
               "spin-up must start from standby");
-  // Wake cost depends on the resident park (legacy disks: the standby park,
-  // whose wake edge carries the Table 1 spin-up figures).
+  // Wake cost depends on the resident park (the paper disk: its standby
+  // park, whose wake edge carries the Table 1 spin-up figures).
   const int park = core().park;
   const TimeMs up_time = params_->wake_time(park);
   const Joules up_energy = params_->wake_energy(park);
@@ -214,7 +212,7 @@ TimeMs DiskUnit::faulted_service(BlockNo sector, Bytes size_bytes,
   if (faults_->is_remapped(id_, sector)) {
     // The head must detour to the spare area: one reposition (seek +
     // rotational latency) on top of the nominal transfer.
-    service += params_->average_seek_time + lv.rot_latency_ms;
+    service += state_->levels.seek_ms() + lv.rot_latency_ms;
   }
   const FaultModel::MediaOutcome media = faults_->media_check(id_, sector);
   if (media.error) {
@@ -231,7 +229,7 @@ TimeMs DiskUnit::faulted_service(BlockNo sector, Bytes size_bytes,
     }
     // Retry the transfer from the (re)mapped location: a full
     // non-sequential re-read at the current level.
-    service += params_->average_seek_time + lv.rot_latency_ms +
+    service += state_->levels.seek_ms() + lv.rot_latency_ms +
                static_cast<double>(size_bytes) / lv.bytes_per_ms;
   }
   return service * faults_->service_jitter_factor(id_);
@@ -285,8 +283,7 @@ void DiskUnit::park_to(TimeMs t, int park) {
       ev.t0 = t;
       ev.t1 = t;
       ev.value = park;
-      ev.label = params_->has_ladder() ? params_->park_name(park).c_str()
-                                       : "spin_down";
+      ev.label = params_->park_name(park).c_str();
       tracer_->emit(ev);
     }
     return;
@@ -310,8 +307,7 @@ void DiskUnit::park_to(TimeMs t, int park) {
     ev.t0 = c.clock;
     ev.t1 = c.clock;
     ev.value = park;
-    ev.label = params_->has_ladder() ? params_->park_name(park).c_str()
-                                     : "spin_down";
+    ev.label = params_->park_name(park).c_str();
     tracer_->emit(ev);
   }
   if (parked) {

@@ -299,7 +299,7 @@ inline DiskUnit::ServeResult DiskUnit::serve(TimeMs arrival, BlockNo sector,
   const TimeMs transfer = static_cast<double>(size_bytes) / lv.bytes_per_ms;
   TimeMs service =
       sequential ? transfer
-                 : params_->average_seek_time + lv.rot_latency_ms + transfer;
+                 : state_->levels.seek_ms() + lv.rot_latency_ms + transfer;
   if (faults_ != nullptr) {
     service = faulted_service(sector, size_bytes, service);
   }

@@ -67,6 +67,11 @@ std::string shortest_double(double value) {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted.  The parser recurses once per
+  /// level; this keeps hostile input (a 64 MB frame of '[') far from the
+  /// stack limit while staying well above any document the system writes.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json run() {
@@ -110,8 +115,8 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested([&] { return parse_object(); });
+      case '[': return nested([&] { return parse_array(); });
       case '"': return Json(parse_string());
       case 't':
         if (!consume_literal("true")) fail("invalid literal");
@@ -126,6 +131,17 @@ class Parser {
         if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
         fail("unexpected character");
     }
+  }
+
+  template <typename ParseFn>
+  Json nested(ParseFn parse) {
+    if (depth_ == kMaxDepth) {
+      fail(str_printf("nesting deeper than %d levels", kMaxDepth));
+    }
+    ++depth_;
+    Json value = parse();
+    --depth_;
+    return value;
   }
 
   Json parse_object() {
@@ -285,6 +301,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void dump_to(const Json& value, std::string& out);

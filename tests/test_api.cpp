@@ -104,8 +104,9 @@ TEST(JobSpec, DeviceDefaultsToThePaperDisk) {
   EXPECT_TRUE(spec.device.empty());
   EXPECT_TRUE(spec.device_inline_json.empty());
   const disk::DiskParameters resolved = spec.resolved_device();
-  EXPECT_EQ(resolved.model, "IBM Ultrastar 36Z15");
-  EXPECT_FALSE(resolved.has_ladder());  // legacy-backed default stays exact
+  EXPECT_EQ(resolved.ladder().model, "IBM Ultrastar 36Z15");
+  // The default shares the paper ladder with every default-built disk.
+  EXPECT_EQ(&resolved.ladder(), &disk::DiskParameters().ladder());
 }
 
 TEST(JobSpec, DevicePresetRoundTrips) {
@@ -114,7 +115,6 @@ TEST(JobSpec, DevicePresetRoundTrips) {
   const JobSpec back = JobSpec::from_json(spec.to_json());
   EXPECT_EQ(spec, back);
   EXPECT_EQ(back.device, "scsi_multi_idle");
-  EXPECT_TRUE(spec.resolved_device().has_ladder());
   EXPECT_EQ(spec.resolved_device().ladder().name, "scsi_multi_idle");
 }
 
@@ -144,7 +144,6 @@ TEST(JobSpec, ToConfigCarriesTheResolvedDevice) {
   const JobSpec spec =
       JobSpecBuilder("galgel").scheme("Base").device("nvme_tiered").build();
   const experiments::ExperimentConfig config = spec.to_config();
-  ASSERT_TRUE(config.disk.has_ladder());
   EXPECT_EQ(config.disk.ladder().name, "nvme_tiered");
 }
 
@@ -154,7 +153,8 @@ TEST(JobSpec, V1DocumentsKeepParsing) {
   const JobSpec spec = JobSpec::from_json(doc);
   EXPECT_EQ(spec.version, 1);
   EXPECT_TRUE(spec.device.empty());
-  EXPECT_FALSE(spec.resolved_device().has_ladder());  // default Ultrastar
+  EXPECT_EQ(spec.resolved_device().ladder(),
+            disk::PowerLadder::preset("ultrastar_36z15"));  // the paper disk
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-// DiskParameters: Table 1 identities and the derived physics.
+// DiskParameters: Table 1 identities, the derived physics and the handle's
+// construction rules.
 #include <gtest/gtest.h>
 
 #include "disk/ladder.h"
@@ -11,21 +12,17 @@ namespace {
 
 TEST(Parameters, Table1Defaults) {
   const DiskParameters p = DiskParameters::ultrastar_36z15();
-  EXPECT_EQ(p.model, "IBM Ultrastar 36Z15");
-  EXPECT_EQ(p.capacity, gib(18));
-  EXPECT_EQ(p.rpm, 15'000);
-  EXPECT_DOUBLE_EQ(p.average_seek_time, 3.4);
-  EXPECT_DOUBLE_EQ(p.average_rotation_time, 2.0);
-  EXPECT_DOUBLE_EQ(p.internal_transfer_mb_per_s, 55.0);
-  EXPECT_DOUBLE_EQ(p.tpm.active_power, 13.5);
-  EXPECT_DOUBLE_EQ(p.tpm.idle_power, 10.2);
-  EXPECT_DOUBLE_EQ(p.tpm.standby_power, 2.5);
-  EXPECT_DOUBLE_EQ(p.tpm.spin_down_energy, 13.0);
-  EXPECT_DOUBLE_EQ(p.tpm.spin_down_time, 1'500.0);
-  EXPECT_DOUBLE_EQ(p.tpm.spin_up_energy, 135.0);
-  EXPECT_DOUBLE_EQ(p.tpm.spin_up_time, 10'900.0);
-  EXPECT_EQ(p.drpm.window_size, 30);
-  p.validate();
+  const int top = p.max_level();
+  EXPECT_EQ(p.ladder().model, "IBM Ultrastar 36Z15");
+  EXPECT_EQ(p.ladder().capacity, gib(18));
+  EXPECT_EQ(p.rpm_of_level(top), 15'000);
+  EXPECT_DOUBLE_EQ(p.ladder().average_seek_time, 3.4);
+  EXPECT_DOUBLE_EQ(p.rotational_latency_at_level(top), 2.0);
+  EXPECT_DOUBLE_EQ(p.transfer_rate_at_level(top), 55.0);
+  EXPECT_DOUBLE_EQ(p.active_power_at_level(top), 13.5);
+  EXPECT_DOUBLE_EQ(p.idle_power_at_level(top), 10.2);
+  EXPECT_DOUBLE_EQ(p.standby_power(), 2.5);
+  EXPECT_EQ(p.window_size(), 30);
 }
 
 TEST(Parameters, RpmLadder) {
@@ -62,7 +59,7 @@ TEST(Parameters, PowerMonotoneInRpm) {
               p.active_power_at_level(level - 1));
   }
   // The floor approaches (but stays above) the electronics power.
-  EXPECT_GT(p.idle_power_at_level(0), p.drpm.electronics_power);
+  EXPECT_GT(p.idle_power_at_level(0), p.ladder().electronics_power);
   EXPECT_LT(p.idle_power_at_level(0), 3.0);
 }
 
@@ -97,10 +94,8 @@ TEST(Parameters, ServiceSlowerAtLowerRpm) {
 TEST(Parameters, TransitionTimeProportionalToDistance) {
   const DiskParameters p;
   EXPECT_DOUBLE_EQ(p.rpm_transition_time(10, 10), 0.0);
-  EXPECT_DOUBLE_EQ(p.rpm_transition_time(10, 9),
-                   p.drpm.transition_time_per_step);
-  EXPECT_DOUBLE_EQ(p.rpm_transition_time(0, 10),
-                   10 * p.drpm.transition_time_per_step);
+  EXPECT_DOUBLE_EQ(p.rpm_transition_time(10, 9), 5.0);  // one RPM step
+  EXPECT_DOUBLE_EQ(p.rpm_transition_time(0, 10), 10 * 5.0);
   EXPECT_DOUBLE_EQ(p.rpm_transition_time(3, 7), p.rpm_transition_time(7, 3));
 }
 
@@ -124,24 +119,29 @@ TEST(Parameters, BreakEvenMatchesClosedForm) {
 }
 
 TEST(Parameters, IdlenessThresholdDefaultsToBreakEven) {
-  DiskParameters p;
+  const DiskParameters p;
   EXPECT_DOUBLE_EQ(p.effective_idleness_threshold(), p.break_even_time());
-  p.tpm.idleness_threshold = 2'000.0;
-  EXPECT_DOUBLE_EQ(p.effective_idleness_threshold(), 2'000.0);
+  PowerLadder ladder = p.ladder();
+  ladder.idleness_threshold = 2'000.0;
+  EXPECT_DOUBLE_EQ(
+      DiskParameters::from_ladder(ladder).effective_idleness_threshold(),
+      2'000.0);
 }
 
 TEST(Parameters, ValidateCatchesInconsistencies) {
-  DiskParameters p;
-  p.drpm.rpm_step = 900;  // does not divide the 12,000 RPM range
-  EXPECT_THROW(p.validate(), Error);
+  // A handle only exists validated: from_ladder rejects inconsistent edits.
+  const PowerLadder paper = DiskParameters().ladder();
+  PowerLadder p = paper;
+  p.states[1].idle_power = 1.0;  // slowest level below standby
+  EXPECT_THROW(DiskParameters::from_ladder(p), Error);
 
-  DiskParameters q;
-  q.tpm.idle_power = 1.0;  // below standby
-  EXPECT_THROW(q.validate(), Error);
+  PowerLadder q = paper;
+  q.spindle_power_at_max = 1.0;  // decomposition broken
+  EXPECT_THROW(DiskParameters::from_ladder(q), Error);
 
-  DiskParameters r;
-  r.drpm.spindle_power_at_max = 1.0;  // decomposition broken
-  EXPECT_THROW(r.validate(), Error);
+  PowerLadder r = paper;
+  r.window_size = 0;
+  EXPECT_THROW(DiskParameters::from_ladder(r), Error);
 }
 
 TEST(EnergyBreakdown, AccumulatesByState) {
@@ -175,18 +175,19 @@ TEST(PowerStateNames, AllDistinct) {
 }
 
 TEST(Parameters, LegacyParkApiIsTheOneStandbyState) {
+  // The paper disk's one park is Table 1's standby state, entered by the
+  // spin-down edge and left by the spin-up edge.
   const DiskParameters p = DiskParameters::ultrastar_36z15();
-  EXPECT_FALSE(p.has_ladder());
   EXPECT_EQ(p.park_count(), 1);
   EXPECT_EQ(p.default_park(), 0);
   EXPECT_EQ(p.park_name(0), "standby");
-  EXPECT_EQ(p.park_power(0), p.tpm.standby_power);
-  EXPECT_LT(p.park_timer_ms(0), 0);  // legacy: break-even, never a timer
+  EXPECT_EQ(p.park_power(0), 2.5);
+  EXPECT_LT(p.park_timer_ms(0), 0);  // break-even, never a timer
   EXPECT_TRUE(p.park_entry_possible(p.max_level(), 0));
-  EXPECT_EQ(p.park_entry_time(p.max_level(), 0), p.tpm.spin_down_time);
-  EXPECT_EQ(p.park_entry_energy(p.max_level(), 0), p.tpm.spin_down_energy);
-  EXPECT_EQ(p.wake_time(0), p.tpm.spin_up_time);
-  EXPECT_EQ(p.wake_energy(0), p.tpm.spin_up_energy);
+  EXPECT_EQ(p.park_entry_time(p.max_level(), 0), 1'500.0);
+  EXPECT_EQ(p.park_entry_energy(p.max_level(), 0), 13.0);
+  EXPECT_EQ(p.wake_time(0), 10'900.0);
+  EXPECT_EQ(p.wake_energy(0), 135.0);
   EXPECT_FALSE(p.park_descent_possible(0, 0));
   EXPECT_EQ(p.break_even_time(0), p.break_even_time());
   EXPECT_THROW(p.park_power(1), Error);
@@ -194,22 +195,25 @@ TEST(Parameters, LegacyParkApiIsTheOneStandbyState) {
 
 TEST(Parameters, PresetRegistry) {
   EXPECT_EQ(DiskParameters::preset_names().size(), 3u);
-  // The paper's disk stays legacy-backed; the new presets are ladder-backed.
-  EXPECT_FALSE(DiskParameters::preset("ultrastar_36z15").has_ladder());
-  EXPECT_TRUE(DiskParameters::preset("scsi_multi_idle").has_ladder());
-  EXPECT_TRUE(DiskParameters::preset("nvme_tiered").has_ladder());
+  // Every preset, the paper disk included, is its PowerLadder preset.
+  for (const std::string& name : DiskParameters::preset_names()) {
+    EXPECT_EQ(DiskParameters::preset(name).ladder(), PowerLadder::preset(name));
+  }
+  EXPECT_EQ(DiskParameters::preset("ultrastar_36z15").ladder(),
+            DiskParameters().ladder());
   EXPECT_THROW(DiskParameters::preset("microdrive"), Error);
 }
 
 TEST(Parameters, ElectronicsPowerDecoupledFromStandby) {
-  // The Table 1 decomposition floor is the DRPM electronics power, not the
-  // TPM standby power: changing one must not move the other.
-  DiskParameters p = DiskParameters::ultrastar_36z15();
-  const Watts idle_top_before = p.idle_power_at_level(p.max_level());
-  p.tpm.standby_power = 5.0;
-  EXPECT_EQ(p.idle_power_at_level(p.max_level()), idle_top_before);
-  EXPECT_EQ(p.standby_power(), 5.0);
-  p.validate();  // the decomposition still holds: only standby moved
+  // The Table 1 decomposition floor is the electronics power, not the
+  // standby power: moving one must not move the other.
+  PowerLadder ladder = DiskParameters().ladder();
+  ladder.states[0].idle_power = 1.0;  // standby below the electronics floor
+  const DiskParameters p = DiskParameters::from_ladder(ladder);
+  EXPECT_EQ(p.idle_power_at_level(p.max_level()),
+            DiskParameters().idle_power_at_level(p.max_level()));
+  EXPECT_EQ(p.standby_power(), 1.0);
+  EXPECT_EQ(p.ladder().electronics_power, 2.5);
 }
 
 TEST(Parameters, MultiParkPresetAccessors) {
@@ -234,14 +238,14 @@ TEST(Parameters, MultiParkPresetAccessors) {
 }
 
 TEST(Parameters, ToLadderFromLadderRoundTrip) {
-  const DiskParameters legacy = DiskParameters::ultrastar_36z15();
-  const DiskParameters back =
-      DiskParameters::from_ladder(legacy.to_ladder("roundtrip"));
-  EXPECT_TRUE(back.has_ladder());
-  EXPECT_EQ(back.rpm_level_count(), legacy.rpm_level_count());
-  EXPECT_EQ(back.standby_power(), legacy.standby_power());
-  EXPECT_EQ(back.break_even_time(), legacy.break_even_time());
-  back.validate();
+  // Default disks share the one paper ladder; from_ladder builds a new
+  // handle on an equal copy.
+  const DiskParameters paper = DiskParameters::ultrastar_36z15();
+  EXPECT_EQ(&paper.ladder(), &DiskParameters().ladder());
+  const DiskParameters back = DiskParameters::from_ladder(paper.ladder());
+  EXPECT_NE(&back.ladder(), &paper.ladder());
+  EXPECT_EQ(back.ladder(), paper.ladder());
+  EXPECT_EQ(back.break_even_time(), paper.break_even_time());
 }
 
 }  // namespace

@@ -134,14 +134,14 @@ TEST(DiskUnitFaults, RetriesPayTimeEnergyAndBackoff) {
   EXPECT_EQ(unit.spin_up_retries(), 2);
   // Two failed attempts (500 ms + backoff 100, 200 ms) then a full spin-up.
   const TimeMs wake = 60'000.0 + (500.0 + 100.0) + (500.0 + 200.0) +
-                      params().tpm.spin_up_time;
+                      params().wake_time(0);
   EXPECT_NEAR(r.start, wake, 1e-9);
   // Each failed attempt is billed pro-rata at spin-up power.
   const Joules attempt_j =
-      params().tpm.spin_up_energy * 500.0 / params().tpm.spin_up_time;
+      params().wake_energy(0) * 500.0 / params().wake_time(0);
   unit.finish(r.completion);
   EXPECT_NEAR(unit.breakdown().spin_up_j,
-              params().tpm.spin_up_energy + 2 * attempt_j, 1e-9);
+              params().wake_energy(0) + 2 * attempt_j, 1e-9);
 }
 
 TEST(DiskUnitFaults, DroppedDirectiveLeavesDiskSpinning) {

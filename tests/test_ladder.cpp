@@ -1,12 +1,13 @@
-// PowerLadder: descriptor validation, JSON round-trips, and the preset
-// catalog.  The legacy-equivalence guarantees (a ladder-built Ultrastar
-// reproduces the legacy path bit for bit) live in test_ladder_equivalence.
+// PowerLadder: descriptor validation, JSON round-trips and bounds, and the
+// preset catalog.  The paper disk's bit-level guarantees (committed job
+// results, Table 1 closed forms) live in test_ladder_equivalence.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdint>
 #include <string>
 
 #include "disk/ladder.h"
-#include "disk/parameters.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -91,12 +92,6 @@ TEST(Ladder, JsonRoundTripsEveryPresetBitForBit) {
     // The canonical dump is the daemon's fingerprint: byte-stable.
     EXPECT_EQ(json.dump(), back.to_json().dump());
   }
-}
-
-TEST(Ladder, FromLegacyMatchesUltrastarPreset) {
-  const PowerLadder derived = PowerLadder::from_legacy(
-      DiskParameters::ultrastar_36z15(), "ultrastar_36z15");
-  EXPECT_EQ(derived, PowerLadder::preset("ultrastar_36z15"));
 }
 
 TEST(Ladder, FromJsonRejectsUnknownKeys) {
@@ -190,6 +185,59 @@ TEST(Ladder, FromJsonRejectsNegativeEdgeTime) {
   edges.push_back(std::move(edge));
   json.set("edges", std::move(edges));
   EXPECT_THROW(PowerLadder::from_json(json), Error);
+}
+
+/// from_json must reject `json` with an error naming `field`.
+void expect_rejected_naming(const Json& json, const std::string& field) {
+  try {
+    PowerLadder::from_json(json);
+    ADD_FAILURE() << "accepted a descriptor with a bad '" << field << "'";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// tiny_ladder()'s JSON with the first `from` replaced by `to`.
+Json edited_tiny_json(const std::string& from, const std::string& to) {
+  std::string text = tiny_ladder().to_json().dump();
+  text.replace(text.find(from), from.size(), to);
+  return Json::parse(text);
+}
+
+TEST(Ladder, FromJsonRangeChecksIntegersBeforeNarrowing) {
+  // 4294967326 would truncate to a plausible window of 30.
+  expect_rejected_naming(
+      edited_tiny_json("\"window_size\":30", "\"window_size\":4294967326"),
+      "window_size");
+  expect_rejected_naming(
+      edited_tiny_json("\"window_size\":30", "\"window_size\":0"),
+      "window_size");
+  expect_rejected_naming(
+      edited_tiny_json("\"rpm\":15000", "\"rpm\":1099511627776"), "rpm");
+  expect_rejected_naming(edited_tiny_json("\"rpm\":15000", "\"rpm\":-1"),
+                         "rpm");
+}
+
+std::int64_t peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(Ladder, FromJsonBoundsTheStateCountBeforeAllocating) {
+  // A 20,000-state descriptor is ~350 KB of JSON but would ask for a
+  // 20,000 x 20,000 edge matrix; it must fail on the count alone.
+  const std::int64_t before = peak_rss_kib();
+  std::string text = "{\"name\":\"huge\",\"edges\":[],\"states\":[";
+  for (int i = 0; i < 20'000; ++i) {
+    text += (i == 0 ? "{\"name\":\"s" : ",{\"name\":\"s") +
+            std::to_string(i) + "\"}";
+  }
+  text += "]}";
+  expect_rejected_naming(Json::parse(text), "states");
+  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
 }
 
 }  // namespace

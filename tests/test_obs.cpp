@@ -21,6 +21,7 @@
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/source.h"
+#include "util/json.h"
 #include "workloads/benchmarks.h"
 
 namespace sdpm {
@@ -297,6 +298,29 @@ TEST(ChromeTraceSink, ByteStableAcrossRuns) {
 TEST(JsonlSink, ByteStableAcrossRuns) {
   const std::string first = export_fixed_run<obs::JsonlSink>();
   EXPECT_EQ(first, export_fixed_run<obs::JsonlSink>());
+}
+
+// On the default disk every idle, active and standby segment names its
+// ladder state: the RPM level it spins at, or the park it rests in.
+TEST(JsonlSink, StateSegmentsCarryLadderStateNames) {
+  std::istringstream lines(export_fixed_run<obs::JsonlSink>());
+  int named = 0;
+  for (std::string line; std::getline(lines, line);) {
+    const Json event = Json::parse(line);
+    const std::string& state = event.at("state").as_string();
+    if (event.at("kind").as_string() != "state_segment" ||
+        (state != "idle" && state != "active" && state != "standby")) {
+      continue;
+    }
+    const std::string expected =
+        state == "standby"
+            ? params().park_name(0)
+            : "rpm_" + std::to_string(params().rpm_of_level(
+                           static_cast<int>(event.at("level").as_int())));
+    EXPECT_EQ(event.at("label").as_string(), expected) << line;
+    ++named;
+  }
+  EXPECT_GT(named, 0);
 }
 
 TEST(TimelineCsvSink, MergesAndCoversTheRun) {

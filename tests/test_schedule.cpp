@@ -140,7 +140,7 @@ TEST(Schedule, PreactivationLeadRespectsSpinUpTime) {
       const TimeMs lead =
           nominal.at_global(plan.end_iter) - nominal.at_global(g);
       const TimeMs required =
-          params().tpm.spin_up_time * (1.0 + o.safety_margin);
+          params().wake_time(0) * (1.0 + o.safety_margin);
       const TimeMs one_iter = nominal.at_global(g + 1) - nominal.at_global(g);
       // The wake-up starts early enough (to one iteration of quantization),
       // or the whole gap was too short and the call sits at the gap start.

@@ -679,13 +679,25 @@ TEST(ServiceDaemon, SurvivesMalformedAndTruncatedFrames) {
   std::thread waiter([&] { daemon.wait(); });
 
   // Garbage payloads inside well-formed frames: structured errors, the
-  // connection stays healthy.
+  // connection stays healthy.  The hostile ones: 1 MB of '[' (parser
+  // nesting) and a submit whose inline device declares 20,000 states (a
+  // 20,000 x 20,000 edge matrix if it were allocated).
+  std::string huge_device = "{\"name\":\"huge\",\"edges\":[],\"states\":[";
+  for (int i = 0; i < 20'000; ++i) {
+    huge_device += (i == 0 ? "{\"name\":\"s" : ",{\"name\":\"s") +
+                   std::to_string(i) + "\"}";
+  }
+  huge_device += "]}";
   {
     const int fd = raw_connect(options.socket_path);
     for (const std::string bad :
          {std::string("this is not json"), std::string("[1,2,3"),
           std::string("{\"no_op\":true}"), std::string("{\"op\":42}"),
-          std::string("\x00\xff\x7f garbage \x01", 12)}) {
+          std::string("\x00\xff\x7f garbage \x01", 12),
+          std::string(1'000'000, '['),
+          "{\"op\":\"submit\",\"spec\":{\"benchmark\":\"galgel\","
+          "\"device\":" +
+              huge_device + "}}"}) {
       write_frame(fd, bad);
       std::string payload;
       ASSERT_TRUE(read_frame(fd, payload));
