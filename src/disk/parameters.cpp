@@ -14,7 +14,7 @@ const std::shared_ptr<const PowerLadder>& paper_ladder() {
 
 }  // namespace
 
-DiskParameters::DiskParameters() : ladder_(paper_ladder()) {}
+DiskParameters::DiskParameters() : DiskParameters(paper_ladder()) {}
 
 DiskParameters DiskParameters::ultrastar_36z15() { return DiskParameters(); }
 
@@ -26,28 +26,6 @@ DiskParameters DiskParameters::from_ladder(PowerLadder ladder) {
 
 DiskParameters DiskParameters::preset(const std::string& preset_name) {
   return from_ladder(PowerLadder::preset(preset_name));
-}
-
-const LadderEdge& DiskParameters::entry_edge(int level, int park) const {
-  const LadderEdge& e = ladder_->edge(level_index(level), park_index(park));
-  SDPM_REQUIRE(e.present(), "no entry edge into the requested park");
-  return e;
-}
-
-const LadderEdge& DiskParameters::descent_edge(int from_park,
-                                               int to_park) const {
-  const LadderEdge& e =
-      ladder_->edge(park_index(from_park), park_index(to_park));
-  SDPM_REQUIRE(e.present(), "no descent edge between the requested parks");
-  return e;
-}
-
-const LadderEdge& DiskParameters::shift_edge(int from_level,
-                                             int to_level) const {
-  static constexpr LadderEdge kStay{0.0, 0.0};
-  const int from = level_index(from_level);
-  const int to = level_index(to_level);
-  return from == to ? kStay : ladder_->edge(from, to);
 }
 
 int DiskParameters::level_of_rpm(int target_rpm) const {

@@ -51,7 +51,7 @@ class DiskParameters {
   // ---- parked states -----------------------------------------------------
 
   /// Number of parked (non-serviceable) states; park 0 is the deepest.
-  int park_count() const { return ladder_->park_count(); }
+  int park_count() const { return parks_; }
   /// The park a bare spin-down directive targets (the deepest).
   int default_park() const { return 0; }
   const std::string& park_name(int park) const {
@@ -69,7 +69,7 @@ class DiskParameters {
   /// Entry cost from serviceable `level` into `park`; entry must be
   /// possible (check park_entry_possible for non-default parks).
   bool park_entry_possible(int level, int park) const {
-    return ladder_->edge(level_index(level), park_index(park)).present();
+    return edge(level_index(level), park_index(park)).present();
   }
   TimeMs park_entry_time(int level, int park) const {
     return entry_edge(level, park).time_ms;
@@ -79,8 +79,7 @@ class DiskParameters {
   }
   /// Descent between parks (deepening while already parked).
   bool park_descent_possible(int from_park, int to_park) const {
-    return ladder_->edge(park_index(from_park), park_index(to_park))
-        .present();
+    return edge(park_index(from_park), park_index(to_park)).present();
   }
   TimeMs park_descent_time(int from_park, int to_park) const {
     return descent_edge(from_park, to_park).time_ms;
@@ -96,7 +95,9 @@ class DiskParameters {
 
   /// Number of serviceable levels; level 0 is the slowest, the top level
   /// runs at full speed.
-  int rpm_level_count() const { return ladder_->level_count(); }
+  int rpm_level_count() const {
+    return static_cast<int>(ladder_->states.size()) - parks_;
+  }
   /// RPM of level `level`.
   int rpm_of_level(int level) const { return state(level_index(level)).rpm; }
   /// Highest (fastest) level index.
@@ -165,31 +166,50 @@ class DiskParameters {
 
  private:
   explicit DiskParameters(std::shared_ptr<const PowerLadder> ladder)
-      : ladder_(std::move(ladder)) {}
+      : ladder_(std::move(ladder)), parks_(ladder_->park_count()) {}
 
   /// Ladder state index of serviceable `level` / of `park` (range-checked).
   int level_index(int level) const {
-    SDPM_REQUIRE(level >= 0 && level < ladder_->level_count(),
+    SDPM_REQUIRE(level >= 0 && level < rpm_level_count(),
                  "RPM level out of range");
-    return ladder_->level_state(level);
+    return parks_ + level;
   }
   int park_index(int park) const {
-    SDPM_REQUIRE(park >= 0 && park < ladder_->park_count(),
-                 "park index out of range");
-    return ladder_->park_state(park);
+    SDPM_REQUIRE(park >= 0 && park < parks_, "park index out of range");
+    return park;
   }
   const LadderState& state(int index) const {
     return ladder_->states[static_cast<std::size_t>(index)];
   }
-  const LadderEdge& entry_edge(int level, int park) const;
-  const LadderEdge& descent_edge(int from_park, int to_park) const;
+  /// Edge between two range-checked state indices.
+  const LadderEdge& edge(int from_state, int to_state) const {
+    return ladder_->edges[static_cast<std::size_t>(from_state) *
+                              ladder_->states.size() +
+                          static_cast<std::size_t>(to_state)];
+  }
+  const LadderEdge& entry_edge(int level, int park) const {
+    const LadderEdge& e = edge(level_index(level), park_index(park));
+    SDPM_REQUIRE(e.present(), "no entry edge into the requested park");
+    return e;
+  }
+  const LadderEdge& descent_edge(int from_park, int to_park) const {
+    const LadderEdge& e = edge(park_index(from_park), park_index(to_park));
+    SDPM_REQUIRE(e.present(), "no descent edge between the requested parks");
+    return e;
+  }
   const LadderEdge& wake_edge(int park) const {
-    return ladder_->edge(park_index(park), ladder_->top_state());
+    return edge(park_index(park), ladder_->top_state());
   }
   /// The level-to-level edge; a zero-cost edge when the levels are equal.
-  const LadderEdge& shift_edge(int from_level, int to_level) const;
+  const LadderEdge& shift_edge(int from_level, int to_level) const {
+    static constexpr LadderEdge kStay{0.0, 0.0};
+    const int from = level_index(from_level);
+    const int to = level_index(to_level);
+    return from == to ? kStay : edge(from, to);
+  }
 
   std::shared_ptr<const PowerLadder> ladder_;  ///< never null, validated
+  int parks_;  ///< ladder_->park_count(), fixed with the immutable ladder
 };
 
 }  // namespace sdpm::disk
