@@ -47,14 +47,22 @@ int optimal_rpm_level(TimeMs gap_ms, const disk::DiskParameters& params) {
   return best;
 }
 
-bool tpm_gap_beneficial(TimeMs gap_ms, const disk::DiskParameters& params) {
-  // Beneficial when any park's round trip fits and pays off.
+namespace {
+
+/// Parking in `park` from the top level fits in the gap and pays off.
+bool park_pays_off(TimeMs gap_ms, int park,
+                   const disk::DiskParameters& params) {
   const int top = params.max_level();
+  return params.park_entry_possible(top, park) &&
+         gap_ms >= params.park_entry_time(top, park) + params.wake_time(park) &&
+         gap_ms > params.break_even_time(park);
+}
+
+}  // namespace
+
+bool tpm_gap_beneficial(TimeMs gap_ms, const disk::DiskParameters& params) {
   for (int park = 0; park < params.park_count(); ++park) {
-    if (!params.park_entry_possible(top, park)) continue;
-    const TimeMs fit =
-        params.park_entry_time(top, park) + params.wake_time(park);
-    if (gap_ms >= fit && gap_ms > params.break_even_time(park)) return true;
+    if (park_pays_off(gap_ms, park, params)) return true;
   }
   return false;
 }
@@ -77,14 +85,9 @@ Joules tpm_gap_energy(TimeMs gap_ms, const disk::DiskParameters& params) {
   const int top = params.max_level();
   Joules best = joules_from_watt_ms(params.idle_power_at_level(top), gap_ms);
   for (int park = 0; park < params.park_count(); ++park) {
-    if (!params.park_entry_possible(top, park)) continue;
-    const TimeMs down_t = params.park_entry_time(top, park);
-    const TimeMs up_t = params.wake_time(park);
-    if (!(gap_ms >= down_t + up_t &&
-          gap_ms > params.break_even_time(park))) {
-      continue;
-    }
-    const TimeMs residence = gap_ms - down_t - up_t;
+    if (!park_pays_off(gap_ms, park, params)) continue;
+    const TimeMs residence =
+        gap_ms - params.park_entry_time(top, park) - params.wake_time(park);
     const Joules spin = params.park_entry_energy(top, park) +
                         params.wake_energy(park) +
                         joules_from_watt_ms(params.park_power(park),

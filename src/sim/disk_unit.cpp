@@ -9,21 +9,15 @@ namespace sdpm::sim {
 
 namespace {
 
-/// Ladder-state name for tracing (none while in transition).
+/// Ladder-state name for tracing; none while in transition (the bucket
+/// names the transition).
 const char* state_label(const disk::DiskParameters& params, DiskMode mode,
                         int level, int park) {
+  if (mode == DiskMode::kTransition) return nullptr;
   const disk::PowerLadder& ladder = params.ladder();
-  switch (mode) {
-    case DiskMode::kSpinning:
-      return ladder.states[static_cast<std::size_t>(ladder.level_state(level))]
-          .name.c_str();
-    case DiskMode::kStandby:
-      return ladder.states[static_cast<std::size_t>(ladder.park_state(park))]
-          .name.c_str();
-    case DiskMode::kTransition:
-      return nullptr;  // the bucket names the transition
-  }
-  return nullptr;
+  const int state = mode == DiskMode::kStandby ? ladder.park_state(park)
+                                               : ladder.level_state(level);
+  return ladder.states[static_cast<std::size_t>(state)].name.c_str();
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/job_spec.h"
 #include "api/session.h"
@@ -59,24 +60,28 @@ api::JobSpec spec_of(const Json& entry) {
   return builder.build();
 }
 
-/// Exact comparison of a fresh result with the golden entry; fails at the
-/// first differing field.  Doubles are compared through their
-/// shortest-round-trip rendering, so equal text means equal bits.
+/// Exact comparison of a fresh result with the golden entry: the job
+/// fields, then every scheme row the run produced against the golden row
+/// of the same scheme.  Fails at the first differing field.  Doubles are
+/// compared through their shortest-round-trip rendering, so equal text
+/// means equal bits.
 void expect_golden(const Json& entry, const Json& actual) {
   const Json& expected = entry.at("result");
   for (const char* key : {"label", "benchmark", "transform"}) {
     ASSERT_EQ(expected.at(key).dump(), actual.at(key).dump())
         << job_name(entry) << ": field " << key;
   }
-  const Json::Array& want = expected.at("schemes").as_array();
-  const Json::Array& got = actual.at("schemes").as_array();
-  ASSERT_EQ(want.size(), got.size()) << job_name(entry) << ": scheme count";
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const std::string& scheme = want[i].at("scheme").as_string();
-    ASSERT_EQ(want[i].as_object().size(), got[i].as_object().size())
+  for (const Json& row : actual.at("schemes").as_array()) {
+    const std::string& scheme = row.at("scheme").as_string();
+    const Json* want = nullptr;
+    for (const Json& golden_row : expected.at("schemes").as_array()) {
+      if (golden_row.at("scheme").as_string() == scheme) want = &golden_row;
+    }
+    ASSERT_NE(want, nullptr) << job_name(entry) << ": no golden " << scheme;
+    ASSERT_EQ(want->as_object().size(), row.as_object().size())
         << job_name(entry) << ", scheme " << scheme << ": field count";
-    for (const auto& [field, value] : want[i].as_object()) {
-      const Json* now = got[i].find(field);
+    for (const auto& [field, value] : want->as_object()) {
+      const Json* now = row.find(field);
       ASSERT_TRUE(now != nullptr && now->dump() == value.dump())
           << job_name(entry) << ", scheme " << scheme << ", field " << field
           << ": golden " << value.dump() << ", now "
@@ -85,18 +90,32 @@ void expect_golden(const Json& entry, const Json& actual) {
   }
 }
 
+/// Rerun the selected golden jobs with `schemes` (all seven when empty),
+/// replaying the single scheme into `hooks` when given, and compare each
+/// with its golden result.
 template <typename Select>
-void check_golden_jobs(Select select) {
+void check_golden_jobs(Select select,
+                       const std::vector<std::string>& schemes = {},
+                       const api::RunHooks& hooks = {}) {
   api::Session session(api::SessionOptions{.jobs = 1});
   int checked = 0;
   for (const Json& entry : golden().as_array()) {
     if (!select(entry)) continue;
     ++checked;
-    ASSERT_NO_FATAL_FAILURE(
-        expect_golden(entry, session.run(spec_of(entry)).to_json()));
+    api::JobSpec spec = spec_of(entry);
+    spec.schemes = schemes;
+    const Json actual = session.run(spec, hooks).to_json();
+    ASSERT_EQ(actual.at("schemes").as_array().size(),
+              schemes.empty()
+                  ? entry.at("result").at("schemes").as_array().size()
+                  : schemes.size())
+        << job_name(entry) << ": scheme count";
+    ASSERT_NO_FATAL_FAILURE(expect_golden(entry, actual));
   }
   EXPECT_GT(checked, 0);
 }
+
+bool any_job(const Json&) { return true; }
 
 TEST(LadderEquivalence, AllSevenSchemesBitIdentical) {
   check_golden_jobs([](const Json& entry) {
@@ -114,25 +133,33 @@ TEST(LadderEquivalence, PresetDevicesBitIdentical) {
   check_golden_jobs([](const Json& entry) { return !on_paper_disk(entry); });
 }
 
+// One scheme per job takes the single-scheme path (`sdpm_cli run --scheme
+// S`) instead of the all-seven sweep; every replayed scheme must land on
+// its golden row.
+TEST(LadderEquivalence, ReplayBase) { check_golden_jobs(any_job, {"Base"}); }
+
+TEST(LadderEquivalence, ReplayTpm) { check_golden_jobs(any_job, {"TPM"}); }
+
+TEST(LadderEquivalence, ReplayDrpm) { check_golden_jobs(any_job, {"DRPM"}); }
+
+TEST(LadderEquivalence, ReplayProactiveDirectives) {
+  check_golden_jobs(any_job, {"CMTPM"});
+  check_golden_jobs(any_job, {"CMDRPM"});
+}
+
 // Tracing must not perturb a single bit of the traced replay.
 TEST(LadderEquivalence, TracedReplayMatches) {
-  for (const Json& entry : golden().as_array()) {
-    if (entry.at("benchmark").as_string() != "galgel" ||
-        !on_paper_disk(entry)) {
-      continue;
-    }
-    SCOPED_TRACE(job_name(entry));
-    obs::CountingSink sink;
-    obs::EventTracer tracer;
-    tracer.add_sink(sink);
-    api::RunHooks hooks;
-    hooks.replay_tracer = &tracer;
-    hooks.trace_scheme = experiments::Scheme::kCmdrpm;
-    api::Session session(api::SessionOptions{.jobs = 1});
-    ASSERT_NO_FATAL_FAILURE(
-        expect_golden(entry, session.run(spec_of(entry), hooks).to_json()));
-    EXPECT_GT(sink.total(), 0);
-  }
+  obs::CountingSink sink;
+  obs::EventTracer tracer;
+  tracer.add_sink(sink);
+  api::RunHooks hooks;
+  hooks.replay_tracer = &tracer;
+  check_golden_jobs(
+      [](const Json& entry) {
+        return entry.at("benchmark").as_string() == "galgel";
+      },
+      {"CMDRPM"}, hooks);
+  EXPECT_GT(sink.total(), 0);
 }
 
 // The paper disk's accessors reproduce the Table 1 / DRPM closed forms bit
@@ -172,12 +199,8 @@ TEST(LadderEquivalence, AccessorsMatchBitForBit) {
                                   idle_of(std::max(level, to)), shift));
     }
   }
-  EXPECT_EQ(p.park_count(), 1);
-  EXPECT_EQ(p.standby_power(), 2.5);
-  EXPECT_EQ(p.park_entry_time(p.max_level(), 0), 1'500.0);
-  EXPECT_EQ(p.park_entry_energy(p.max_level(), 0), 13.0);
-  EXPECT_EQ(p.wake_time(0), 10'900.0);
-  EXPECT_EQ(p.wake_energy(0), 135.0);
+  // The standby park's Table 1 edges are pinned by
+  // Parameters.LegacyParkApiIsTheOneStandbyState.
   EXPECT_EQ(p.break_even_time(),
             ms_from_seconds((13.0 + 135.0 -
                              2.5 * seconds_from_ms(1'500.0 + 10'900.0)) /
