@@ -33,9 +33,10 @@ struct SessionOptions {
   /// Worker threads for batched evaluation; 0 = default_jobs()
   /// (SDPM_JOBS / --jobs / hardware concurrency).
   unsigned jobs = 0;
-  /// When false, disables the process-wide TraceCache at construction
-  /// (never re-enables it: the cache is process state, and a Session only
-  /// opts out, it does not override another component's opt-out).
+  /// When false, disables the process-wide TraceCache, and with it the
+  /// access-walk memo, at construction (never re-enables it: the cache is
+  /// process state, and a Session only opts out, it does not override
+  /// another component's opt-out).
   bool use_cache = true;
   /// Cell-lifecycle tracer for batched runs (not owned; see
   /// SweepEngine::set_tracer).

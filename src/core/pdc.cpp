@@ -24,8 +24,9 @@ PdcResult apply_pdc(const ir::Program& program, const PdcOptions& options) {
                                            options.total_disks);
   std::vector<double> requests(program.arrays.size(), 0.0);
   double total_requests = 0;
-  for (const trace::MissRecord& miss :
-       trace::collect_misses(program, profile_layout, options.access)) {
+  const auto misses =
+      trace::collect_misses(program, profile_layout, options.access);
+  for (const trace::MissRecord& miss : *misses) {
     requests[static_cast<std::size_t>(miss.array)] += 1.0;
     total_requests += 1.0;
   }

@@ -16,8 +16,8 @@ std::vector<std::int64_t> misses_per_nest(
     const trace::GeneratorOptions& options) {
   const trace::IterationSpace space(program);
   std::vector<std::int64_t> counts(program.nests.size(), 0);
-  for (const trace::MissRecord& miss :
-       trace::collect_misses(program, layout, options)) {
+  const auto misses = trace::collect_misses(program, layout, options);
+  for (const trace::MissRecord& miss : *misses) {
     ++counts[static_cast<std::size_t>(
         space.point_of(miss.global_iter).nest_index)];
   }

@@ -1,7 +1,5 @@
 #include "experiments/trace_cache.h"
 
-#include <bit>
-
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/perf_counters.h"
@@ -21,65 +19,17 @@ void note_lookup(obs::EventTracer* tracer, bool hit) {
   }
 }
 
-/// 128-bit streaming mixer: two SplitMix64-style lanes with different
-/// constants, each absorbing every word.  Not cryptographic — collision
-/// resistance at 2^-128 is ample for a 32-entry cache.
-class Fingerprint {
- public:
-  void mix(std::uint64_t v) {
-    a_ = finalize((a_ ^ v) + 0x9e3779b97f4a7c15ULL);
-    b_ = finalize((b_ + v) ^ 0xc2b2ae3d27d4eb4fULL);
-  }
-  void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+}  // namespace
 
-  TraceKey key() const { return TraceKey{a_, b_}; }
-
- private:
-  static std::uint64_t finalize(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  std::uint64_t a_ = 0x243f6a8885a308d3ULL;
-  std::uint64_t b_ = 0x13198a2e03707344ULL;
-};
-
-void mix_affine(Fingerprint& fp, const ir::AffineExpr& e) {
-  fp.mix(static_cast<std::uint64_t>(e.coefs.size()));
-  for (std::int64_t c : e.coefs) fp.mix(c);
-  fp.mix(e.constant);
-}
-
-void mix_program(Fingerprint& fp, const ir::Program& program) {
-  fp.mix(static_cast<std::uint64_t>(program.arrays.size()));
-  for (const ir::Array& a : program.arrays) {
-    fp.mix(static_cast<std::uint64_t>(a.extents.size()));
-    for (std::int64_t e : a.extents) fp.mix(e);
-    fp.mix(a.element_size);
-    fp.mix(static_cast<std::uint64_t>(a.layout));
-  }
-  fp.mix(static_cast<std::uint64_t>(program.nests.size()));
+TraceKey trace_key_of(const ir::Program& program,
+                      const layout::LayoutTable& layout,
+                      const trace::GeneratorOptions& options) {
+  // The access key fixes the nest and statement structure, so the timing
+  // fields below follow it unambiguously.
+  Fingerprint fp;
+  fp.mix(trace::access_key_of(program, layout, options));
   for (const ir::LoopNest& nest : program.nests) {
-    fp.mix(static_cast<std::uint64_t>(nest.loops.size()));
-    for (const ir::Loop& loop : nest.loops) {
-      fp.mix(loop.lower);
-      fp.mix(loop.upper);
-      fp.mix(loop.step);
-    }
-    fp.mix(static_cast<std::uint64_t>(nest.body.size()));
-    for (const ir::Statement& stmt : nest.body) {
-      fp.mix(static_cast<std::uint64_t>(stmt.refs.size()));
-      for (const ir::ArrayRef& ref : stmt.refs) {
-        fp.mix(ref.array);
-        fp.mix(static_cast<std::uint64_t>(ref.kind));
-        fp.mix(static_cast<std::uint64_t>(ref.subscripts.size()));
-        for (const ir::AffineExpr& sub : ref.subscripts) mix_affine(fp, sub);
-      }
-      fp.mix(stmt.cycles);
-    }
+    for (const ir::Statement& stmt : nest.body) fp.mix(stmt.cycles);
     fp.mix(nest.loop_overhead_cycles);
   }
   fp.mix(static_cast<std::uint64_t>(program.directives.size()));
@@ -90,40 +40,11 @@ void mix_program(Fingerprint& fp, const ir::Program& program) {
     fp.mix(pd.directive.disk);
     fp.mix(pd.directive.rpm_level);
   }
-}
-
-void mix_layout(Fingerprint& fp, const layout::LayoutTable& layout) {
-  fp.mix(layout.total_disks());
-  fp.mix(static_cast<std::uint64_t>(layout.array_count()));
-  for (std::size_t a = 0; a < layout.array_count(); ++a) {
-    const layout::FileLayout& fl =
-        layout.layout_of(static_cast<ir::ArrayId>(a));
-    fp.mix(fl.striping().starting_disk);
-    fp.mix(fl.striping().stripe_factor);
-    fp.mix(fl.striping().stripe_size);
-    fp.mix(fl.file_size());
-  }
-}
-
-void mix_options(Fingerprint& fp, const trace::GeneratorOptions& options) {
-  fp.mix(options.block_size);
-  fp.mix(options.cache_bytes);
   fp.mix(options.noise.sigma);
   fp.mix(options.noise.seed);
   fp.mix(options.clock_hz);
   fp.mix(options.power_call_overhead_ms);
   fp.mix(options.prefetch_lead_ms);
-}
-
-}  // namespace
-
-TraceKey trace_key_of(const ir::Program& program,
-                      const layout::LayoutTable& layout,
-                      const trace::GeneratorOptions& options) {
-  Fingerprint fp;
-  mix_program(fp, program);
-  mix_layout(fp, layout);
-  mix_options(fp, options);
   return fp.key();
 }
 
@@ -138,19 +59,18 @@ TraceCache& TraceCache::global() {
 std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
     const ir::Program& program, const layout::LayoutTable& layout,
     const trace::GeneratorOptions& options) {
+  // Fingerprint once, before locking: a scheduled program carries tens of
+  // thousands of directives, and every worker shares this mutex.  While
+  // the cache is disabled the index stays empty, so the lookup misses.
+  const TraceKey key = trace_key_of(program, layout, options);
   {
     std::lock_guard lock(mutex_);
-    if (!enabled_) {
-      // Fall through to uncached generation (outside the lock).
-    } else {
-      const TraceKey key = trace_key_of(program, layout, options);
-      const auto it = index_.find(key);
-      if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        PerfCounters::global().add_trace_cache_hit();
-        note_lookup(tracer_, /*hit=*/true);
-        return it->second->trace;
-      }
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      PerfCounters::global().add_trace_cache_hit();
+      note_lookup(tracer_, /*hit=*/true);
+      return it->second->trace;
     }
   }
 
@@ -165,7 +85,6 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
   if (!enabled_) return trace;
   PerfCounters::global().add_trace_cache_miss();
   note_lookup(tracer_, /*hit=*/false);
-  const TraceKey key = trace_key_of(program, layout, options);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -187,12 +106,15 @@ void TraceCache::set_tracer(obs::EventTracer* tracer) {
 }
 
 void TraceCache::set_enabled(bool enabled) {
-  std::lock_guard lock(mutex_);
-  enabled_ = enabled;
-  if (!enabled) {
-    lru_.clear();
-    index_.clear();
+  {
+    std::lock_guard lock(mutex_);
+    enabled_ = enabled;
+    if (!enabled) {
+      lru_.clear();
+      index_.clear();
+    }
   }
+  trace::set_access_memo_enabled(enabled);
 }
 
 bool TraceCache::enabled() const {
@@ -201,9 +123,12 @@ bool TraceCache::enabled() const {
 }
 
 void TraceCache::clear() {
-  std::lock_guard lock(mutex_);
-  lru_.clear();
-  index_.clear();
+  {
+    std::lock_guard lock(mutex_);
+    lru_.clear();
+    index_.clear();
+  }
+  trace::clear_access_memo();
 }
 
 std::size_t TraceCache::size() const {

@@ -1,14 +1,23 @@
 // Content-keyed trace cache.
 //
-// Trace generation is the dominant cost of an experiment cell: Base, TPM
-// and DRPM all replay the *same* power-call-free trace, and bench sweeps
-// revisit identical (program, layout, options) combinations across
+// Base, TPM and DRPM all replay the *same* power-call-free trace, and bench
+// sweeps revisit identical (program, layout, options) combinations across
 // configurations.  The cache keys traces by a 128-bit fingerprint of
-// everything that determines the generated trace bit for bit — the
-// program's semantic structure (arrays, nests, references, directives),
-// the physical layout (per-array striping + total disks), and the full
-// GeneratorOptions including the noise sigma/seed — so a hit is guaranteed
-// to return the exact trace a fresh generation would produce.
+// everything that determines the generated trace bit for bit, so a hit is
+// guaranteed to return the exact trace a fresh generation would produce.
+//
+// Two keys, one mixer (util/fingerprint.h):
+//   access key  trace::access_key_of: what the access walk reads (program
+//               structure, per-array striping and file sizes, total disks,
+//               block size and cache size).  It keys the process-wide
+//               memo of miss streams under trace::collect_misses.
+//   trace key   trace_key_of: the access key extended with the timing
+//               fields (cycles, directives, noise, clock, power-call
+//               overhead, prefetch lead).  It keys this cache.
+// A trace-cache miss therefore usually costs only timestamping: the walk,
+// which dominated generation, is reused from any earlier trace or DAP of
+// the same program structure.  clear() and set_enabled() cover both
+// levels, on any instance: the access memo sits below every TraceCache.
 //
 // Entries are shared_ptr<const Trace>: concurrently running sweep cells
 // can hold the same trace while the LRU evicts it from the cache proper.
@@ -25,6 +34,7 @@
 #include "layout/layout_table.h"
 #include "trace/generator.h"
 #include "trace/request.h"
+#include "util/fingerprint.h"
 
 namespace sdpm::obs {
 class EventTracer;
@@ -33,24 +43,11 @@ class EventTracer;
 namespace sdpm::experiments {
 
 /// 128-bit content fingerprint of a (program, layout, options) triple.
-struct TraceKey {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
+using TraceKey = ContentKey;
 
-  friend bool operator==(const TraceKey&, const TraceKey&) = default;
-};
-
-struct TraceKeyHash {
-  std::size_t operator()(const TraceKey& key) const noexcept {
-    return static_cast<std::size_t>(key.lo ^ (key.hi * 0x9e3779b97f4a7c15ULL));
-  }
-};
-
-/// Fingerprint the inputs of trace generation.  Two triples with equal keys
-/// generate bit-identical traces: the key covers every semantic field of
-/// the program (names are excluded — they do not affect the trace), the
-/// per-array striping and file sizes, and all generator options including
-/// the noise seed.
+/// Fingerprint the inputs of trace generation: the access key plus every
+/// timing field.  Two triples with equal keys generate bit-identical
+/// traces.  Names are excluded — they do not affect the trace.
 TraceKey trace_key_of(const ir::Program& program,
                       const layout::LayoutTable& layout,
                       const trace::GeneratorOptions& options);
@@ -76,10 +73,12 @@ class TraceCache {
   void set_tracer(obs::EventTracer* tracer);
 
   /// Toggle caching (enabled by default).  Disabling also clears the cache
-  /// so benchmarks of the uncached path start cold.
+  /// and bypasses the process-wide access memo, so benchmarks of the
+  /// uncached path start cold and walk on every call.
   void set_enabled(bool enabled);
   bool enabled() const;
 
+  /// Drop every cached trace and every memoized access walk.
   void clear();
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -95,7 +94,7 @@ class TraceCache {
   bool enabled_ = true;
   std::size_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<TraceKey, std::list<Entry>::iterator, TraceKeyHash>
+  std::unordered_map<TraceKey, std::list<Entry>::iterator, ContentKeyHash>
       index_;
 };
 

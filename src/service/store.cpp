@@ -17,6 +17,7 @@
 #include "service/telemetry.h"
 #include "util/checksum.h"
 #include "util/error.h"
+#include "util/fingerprint.h"
 #include "util/strings.h"
 
 namespace sdpm::service {
@@ -139,21 +140,10 @@ std::optional<StoreKey> StoreKey::from_hex(std::string_view hex) {
 }
 
 StoreKey fingerprint_bytes(std::string_view bytes) {
-  // Two SplitMix64-style lanes with distinct constants, the same mixing
-  // discipline as experiments::trace_key_of; the byte length is mixed
-  // first so "a" + "" and "" + "a" cannot collide via padding.
-  const auto finalize = [](std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  std::uint64_t a = 0x243f6a8885a308d3ULL;
-  std::uint64_t b = 0x13198a2e03707344ULL;
-  const auto mix = [&](std::uint64_t v) {
-    a = finalize((a ^ v) + 0x9e3779b97f4a7c15ULL);
-    b = finalize((b + v) ^ 0xc2b2ae3d27d4eb4fULL);
-  };
-  mix(static_cast<std::uint64_t>(bytes.size()));
+  // The byte length is mixed first so "a" + "" and "" + "a" cannot collide
+  // via padding.
+  Fingerprint fp;
+  fp.mix(static_cast<std::uint64_t>(bytes.size()));
   std::size_t i = 0;
   while (i + 8 <= bytes.size()) {
     std::uint64_t word = 0;
@@ -162,7 +152,7 @@ StoreKey fingerprint_bytes(std::string_view bytes) {
                   static_cast<unsigned char>(bytes[i + static_cast<std::size_t>(k)]))
               << (8 * k);
     }
-    mix(word);
+    fp.mix(word);
     i += 8;
   }
   std::uint64_t tail = 0;
@@ -171,8 +161,10 @@ StoreKey fingerprint_bytes(std::string_view bytes) {
                 static_cast<unsigned char>(bytes[i + static_cast<std::size_t>(k)]))
             << (8 * k);
   }
-  mix(tail);
-  return StoreKey{a, b};
+  fp.mix(tail);
+  // StoreKey prints the first lane first.
+  const ContentKey key = fp.key();
+  return StoreKey{key.lo, key.hi};
 }
 
 PersistentStore::PersistentStore(StoreOptions options)

@@ -1,9 +1,9 @@
 // Persistent content-addressed store: the durable layer under the
 // in-memory TraceCache/result path of sdpm_serviced.
 //
-// Entries are keyed by a 128-bit content fingerprint (the same
-// SplitMix64-lane mixing discipline as experiments::TraceKey, applied to a
-// job's canonical JSON) and live as individual files under
+// Entries are keyed by a 128-bit content fingerprint (util/fingerprint.h,
+// the mixer behind experiments::TraceKey, applied to a job's canonical
+// JSON) and live as individual files under
 // `<dir>/objects/<32-hex>.bin`.  Three durability properties the store
 // tests pin down:
 //
@@ -50,9 +50,8 @@ struct StoreKey {
 };
 
 /// Fingerprint arbitrary bytes (a JobSpec's canonical JSON) into a
-/// StoreKey using the same two-lane SplitMix64 mixer as the trace cache's
-/// TraceKey, so the service and the trace layer share one keying
-/// discipline.
+/// StoreKey with the same Fingerprint mixer as the trace cache's TraceKey,
+/// so the service and the trace layer share one keying discipline.
 StoreKey fingerprint_bytes(std::string_view bytes);
 
 struct StoreOptions {

@@ -22,9 +22,8 @@ DiskAccessPattern::DiskAccessPattern(const ir::Program& program,
 DiskAccessPattern DiskAccessPattern::analyze(
     const ir::Program& program, const layout::LayoutTable& layout,
     const GeneratorOptions& options) {
-  const std::vector<MissRecord> misses =
-      collect_misses(program, layout, options);
-  return DiskAccessPattern(program, layout.total_disks(), misses);
+  return DiskAccessPattern(program, layout.total_disks(),
+                           *collect_misses(program, layout, options));
 }
 
 const IntervalSet& DiskAccessPattern::active_iterations(int disk) const {

@@ -22,8 +22,10 @@ namespace sdpm::trace {
 class DiskAccessPattern {
  public:
   /// Analyze `program` against `layout`; `options` controls block size and
-  /// buffer-cache model (timing options are ignored — a DAP is purely in
-  /// iteration coordinates).
+  /// buffer-cache model.  A DAP is purely in iteration coordinates, so it
+  /// reads only what the access key encodes (see access_key_of): every
+  /// program and options that differ only in timing share one memoized
+  /// walk with the trace generator.
   static DiskAccessPattern analyze(const ir::Program& program,
                                    const layout::LayoutTable& layout,
                                    const GeneratorOptions& options = {});

@@ -1,6 +1,7 @@
 #include "trace/generator.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "util/error.h"
 #include "util/perf_counters.h"
@@ -117,14 +118,135 @@ bool MissCursor::next(MissRecord& out) {
   return false;
 }
 
-std::vector<MissRecord> collect_misses(const ir::Program& program,
-                                       const layout::LayoutTable& layout,
-                                       const GeneratorOptions& options) {
+AccessKey access_key_of(const ir::Program& program,
+                        const layout::LayoutTable& layout,
+                        const GeneratorOptions& options) {
+  Fingerprint fp;
+  fp.mix(static_cast<std::uint64_t>(program.arrays.size()));
+  for (const ir::Array& a : program.arrays) {
+    fp.mix(static_cast<std::uint64_t>(a.extents.size()));
+    for (std::int64_t e : a.extents) fp.mix(e);
+    fp.mix(a.element_size);
+    fp.mix(static_cast<std::uint64_t>(a.layout));
+  }
+  fp.mix(static_cast<std::uint64_t>(program.nests.size()));
+  for (const ir::LoopNest& nest : program.nests) {
+    fp.mix(static_cast<std::uint64_t>(nest.loops.size()));
+    for (const ir::Loop& loop : nest.loops) {
+      fp.mix(loop.lower);
+      fp.mix(loop.upper);
+      fp.mix(loop.step);
+    }
+    fp.mix(static_cast<std::uint64_t>(nest.body.size()));
+    for (const ir::Statement& stmt : nest.body) {
+      fp.mix(static_cast<std::uint64_t>(stmt.refs.size()));
+      for (const ir::ArrayRef& ref : stmt.refs) {
+        fp.mix(ref.array);
+        fp.mix(static_cast<std::uint64_t>(ref.kind));
+        fp.mix(static_cast<std::uint64_t>(ref.subscripts.size()));
+        for (const ir::AffineExpr& sub : ref.subscripts) {
+          fp.mix(static_cast<std::uint64_t>(sub.coefs.size()));
+          for (std::int64_t c : sub.coefs) fp.mix(c);
+          fp.mix(sub.constant);
+        }
+      }
+    }
+  }
+  fp.mix(layout.total_disks());
+  fp.mix(static_cast<std::uint64_t>(layout.array_count()));
+  for (std::size_t a = 0; a < layout.array_count(); ++a) {
+    const layout::FileLayout& fl =
+        layout.layout_of(static_cast<ir::ArrayId>(a));
+    fp.mix(fl.striping().starting_disk);
+    fp.mix(fl.striping().stripe_factor);
+    fp.mix(fl.striping().stripe_size);
+    fp.mix(fl.file_size());
+  }
+  fp.mix(options.block_size);
+  fp.mix(options.cache_bytes);
+  return fp.key();
+}
+
+namespace {
+
+using Misses = std::shared_ptr<const std::vector<MissRecord>>;
+
+/// Process-wide LRU of materialized walks, most recent first.  It holds a
+/// handful of entries, so a linear scan is the whole index.
+class AccessMemo {
+ public:
+  static AccessMemo& global() {
+    static AccessMemo memo;
+    return memo;
+  }
+
+  /// The memoized walk for `key`, or null on a miss or when disabled.
+  Misses find(const AccessKey& key) {
+    std::lock_guard lock(mutex_);
+    const auto it = std::find_if(entries_.begin(), entries_.end(),
+                                 [&](const Entry& e) { return e.key == key; });
+    if (it == entries_.end()) return nullptr;
+    std::rotate(entries_.begin(), it, it + 1);
+    return entries_.front().misses;
+  }
+
+  /// Keep `misses` as the most recent walk (a no-op when disabled).  Two
+  /// callers racing on one key both walk; equal keys walk equal misses, so
+  /// the second insert only refreshes the entry.
+  void insert(const AccessKey& key, Misses misses) {
+    std::lock_guard lock(mutex_);
+    if (!enabled_) return;
+    std::erase_if(entries_, [&](const Entry& e) { return e.key == key; });
+    entries_.insert(entries_.begin(), Entry{key, std::move(misses)});
+    if (entries_.size() > kAccessMemoCapacity) entries_.pop_back();
+  }
+
+  void clear() {
+    std::lock_guard lock(mutex_);
+    entries_.clear();
+  }
+
+  void set_enabled(bool enabled) {
+    std::lock_guard lock(mutex_);
+    enabled_ = enabled;
+    if (!enabled) entries_.clear();
+  }
+
+ private:
+  struct Entry {
+    AccessKey key;
+    Misses misses;
+  };
+
+  std::mutex mutex_;
+  bool enabled_ = true;
+  std::vector<Entry> entries_;
+};
+
+}  // namespace
+
+std::shared_ptr<const std::vector<MissRecord>> collect_misses(
+    const ir::Program& program, const layout::LayoutTable& layout,
+    const GeneratorOptions& options) {
+  AccessMemo& memo = AccessMemo::global();
+  const AccessKey key = access_key_of(program, layout, options);
+  if (Misses hit = memo.find(key)) return hit;
+
+  // Walk outside the memo's lock so walks of different keys run in
+  // parallel.
   MissCursor cursor(program, layout, options);
-  std::vector<MissRecord> misses;
+  auto misses = std::make_shared<std::vector<MissRecord>>();
   MissRecord miss;
-  while (cursor.next(miss)) misses.push_back(miss);
+  while (cursor.next(miss)) misses->push_back(miss);
+  PerfCounters::global().add_access_walk();
+  memo.insert(key, misses);
   return misses;
+}
+
+void clear_access_memo() { AccessMemo::global().clear(); }
+
+void set_access_memo_enabled(bool enabled) {
+  AccessMemo::global().set_enabled(enabled);
 }
 
 TraceGenerator::TraceGenerator(const ir::Program& program,
@@ -147,10 +269,10 @@ Trace TraceGenerator::generate() const {
   trace.power_events =
       power_events_of(program_, actual_, directive_globals, tm);
 
-  const std::vector<MissRecord> misses =
+  const std::shared_ptr<const std::vector<MissRecord>> misses =
       collect_misses(program_, layout_, options_);
-  trace.requests.reserve(misses.size());
-  for (const MissRecord& miss : misses) {
+  trace.requests.reserve(misses->size());
+  for (const MissRecord& miss : *misses) {
     trace.requests.push_back(
         request_from_miss(miss, actual_, directive_globals, options_));
     trace.bytes_transferred += miss.size_bytes;

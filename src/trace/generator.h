@@ -13,9 +13,16 @@
 //   StreamingTraceSource        feeds the simulator one item at a time with
 //                               O(1) request memory — the streaming path,
 //                               proven bit-identical by the property tests.
+// The materialized path reads the access walk through collect_misses,
+// which memoizes it by access key: the walk reads no directive, cycle
+// count or noise value, so every trace, DAP and compiler profile of one
+// program structure shares a single walk.  The streaming path walks afresh
+// every time; it exists for traces too large to hold.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ir/program.h"
@@ -26,6 +33,7 @@
 #include "trace/source.h"
 #include "trace/timeline.h"
 #include "trace/walker.h"
+#include "util/fingerprint.h"
 
 namespace sdpm::trace {
 
@@ -63,6 +71,8 @@ struct MissRecord {
   ir::AccessKind kind = ir::AccessKind::kRead;
   ir::ArrayId array = -1;
   std::int64_t block = 0;
+
+  friend bool operator==(const MissRecord&, const MissRecord&) = default;
 };
 
 /// Pull-based access walk + buffer cache: next() yields every miss in
@@ -89,12 +99,45 @@ class MissCursor {
   TouchCursor cursor_;
 };
 
-/// Run the access walk + buffer cache and return every miss in program
-/// order.  Deterministic; shared by the trace generator and the DAP
-/// analysis so the compiler's model and the "hardware" agree exactly.
-std::vector<MissRecord> collect_misses(const ir::Program& program,
-                                       const layout::LayoutTable& layout,
-                                       const GeneratorOptions& options);
+/// 128-bit fingerprint of exactly what the access walk reads:
+///   - each array's extents, element size and storage order;
+///   - each nest's loop bounds and steps, and its statements' references
+///     in order (array, kind, subscripts);
+///   - each array's striping and file size, and the total disk count;
+///   - GeneratorOptions::block_size and cache_bytes.
+/// Statement and loop-overhead cycles, directives, names, noise, clock_hz,
+/// power_call_overhead_ms and prefetch_lead_ms only move timestamps, so
+/// they are left out: programs and options differing only in those walk
+/// the identical miss stream.
+using AccessKey = ContentKey;
+AccessKey access_key_of(const ir::Program& program,
+                        const layout::LayoutTable& layout,
+                        const GeneratorOptions& options);
+
+/// Number of walks the process-wide access memo keeps.
+inline constexpr std::size_t kAccessMemoCapacity = 8;
+
+/// Every miss of the access walk + buffer cache, in program order: the one
+/// materialized access walk.  The trace generator, the DAP analysis (and
+/// through it the scheduler and the analyzer) and the compiler's tiling and
+/// PDC profiles all read it, so the compiler's model and the "hardware"
+/// agree exactly.  Walks are memoized by access_key_of in a process-wide,
+/// thread-safe LRU of kAccessMemoCapacity entries; a hit returns the misses
+/// a fresh walk of the same key produces.  A walk that throws is not
+/// memoized.  Each walk actually run counts into
+/// PerfCounters::access_walks.
+std::shared_ptr<const std::vector<MissRecord>> collect_misses(
+    const ir::Program& program, const layout::LayoutTable& layout,
+    const GeneratorOptions& options);
+
+/// Drop every memoized walk.  experiments::TraceCache::clear() calls this,
+/// so clearing the trace cache starts the next job cold.
+void clear_access_memo();
+
+/// Use (true, the default) or bypass (false) the access memo; disabling
+/// also clears it.  experiments::TraceCache::set_enabled() calls this, so
+/// an uncached run walks on every call.
+void set_access_memo_enabled(bool enabled);
 
 class TraceGenerator {
  public:

@@ -33,6 +33,7 @@ PerfSnapshot PerfSnapshot::since(const PerfSnapshot& earlier) const {
   d.requests_simulated = requests_simulated - earlier.requests_simulated;
   d.sim_wall_us = sim_wall_us - earlier.sim_wall_us;
   d.traces_generated = traces_generated - earlier.traces_generated;
+  d.access_walks = access_walks - earlier.access_walks;
   d.requests_streamed = requests_streamed - earlier.requests_streamed;
   d.trace_cache_hits = trace_cache_hits - earlier.trace_cache_hits;
   d.trace_cache_misses = trace_cache_misses - earlier.trace_cache_misses;
@@ -65,6 +66,7 @@ PerfSnapshot PerfCounters::snapshot() const {
   s.requests_simulated = requests_simulated_.load(kRelaxed);
   s.sim_wall_us = sim_wall_us_.load(kRelaxed);
   s.traces_generated = traces_generated_.load(kRelaxed);
+  s.access_walks = access_walks_.load(kRelaxed);
   s.requests_streamed = requests_streamed_.load(kRelaxed);
   s.trace_cache_hits = trace_cache_hits_.load(kRelaxed);
   s.trace_cache_misses = trace_cache_misses_.load(kRelaxed);
@@ -79,6 +81,7 @@ void PerfCounters::reset_for_testing() {
   requests_simulated_.store(0, kRelaxed);
   sim_wall_us_.store(0, kRelaxed);
   traces_generated_.store(0, kRelaxed);
+  access_walks_.store(0, kRelaxed);
   requests_streamed_.store(0, kRelaxed);
   trace_cache_hits_.store(0, kRelaxed);
   trace_cache_misses_.store(0, kRelaxed);
@@ -113,6 +116,7 @@ std::string perf_json(const PerfSnapshot& snap, double wall_ms,
      << "  \"requests_simulated\": " << snap.requests_simulated << ",\n"
      << "  \"requests_per_sec\": " << snap.requests_per_sec() << ",\n"
      << "  \"traces_generated\": " << snap.traces_generated << ",\n"
+     << "  \"access_walks\": " << snap.access_walks << ",\n"
      << "  \"requests_streamed\": " << snap.requests_streamed << ",\n"
      << "  \"trace_cache_hits\": " << snap.trace_cache_hits << ",\n"
      << "  \"trace_cache_misses\": " << snap.trace_cache_misses << ",\n"

@@ -1,9 +1,10 @@
 // Process-wide performance counters for the simulation substrate.
 //
-// Every Simulator run, trace generation, and cache lookup reports into the
-// global() instance; the sweep engine and `sdpm_cli bench --json` snapshot
-// it to surface a perf trajectory (simulated requests/sec, trace cache hit
-// rate, peak RSS, wall time per cell) that CI archives per commit.
+// Every Simulator run, trace generation, access walk and cache lookup
+// reports into the global() instance; the sweep engine and
+// `sdpm_cli bench --json` snapshot it to surface a perf trajectory
+// (simulated requests/sec, trace cache hit rate, peak RSS, wall time per
+// cell) that CI archives per commit.
 // Counters are atomics: producers on pool workers increment concurrently,
 // and incrementing once per simulation (not per request) keeps the hot
 // path untouched.
@@ -22,6 +23,7 @@ struct PerfSnapshot {
   std::int64_t requests_simulated = 0; ///< requests replayed across all runs
   std::int64_t sim_wall_us = 0;        ///< wall time inside Simulator::run
   std::int64_t traces_generated = 0;   ///< full trace generations (cache misses included)
+  std::int64_t access_walks = 0;       ///< materialized access walks run (memo misses)
   std::int64_t requests_streamed = 0;  ///< requests produced by streaming sources
   std::int64_t trace_cache_hits = 0;
   std::int64_t trace_cache_misses = 0;
@@ -55,6 +57,7 @@ class PerfCounters {
 
   void add_simulation(std::int64_t requests, std::int64_t wall_us);
   void add_trace_generated() { traces_generated_.fetch_add(1, kRelaxed); }
+  void add_access_walk() { access_walks_.fetch_add(1, kRelaxed); }
   void add_requests_streamed(std::int64_t n) {
     requests_streamed_.fetch_add(n, kRelaxed);
   }
@@ -78,6 +81,7 @@ class PerfCounters {
   std::atomic<std::int64_t> requests_simulated_{0};
   std::atomic<std::int64_t> sim_wall_us_{0};
   std::atomic<std::int64_t> traces_generated_{0};
+  std::atomic<std::int64_t> access_walks_{0};
   std::atomic<std::int64_t> requests_streamed_{0};
   std::atomic<std::int64_t> trace_cache_hits_{0};
   std::atomic<std::int64_t> trace_cache_misses_{0};

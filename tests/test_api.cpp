@@ -6,8 +6,10 @@
 #include "api/session.h"
 #include "disk/ladder.h"
 #include "experiments/runner.h"
+#include "experiments/trace_cache.h"
 #include "obs/tracer.h"
 #include "util/error.h"
+#include "util/perf_counters.h"
 #include "workloads/benchmarks.h"
 
 namespace sdpm::api {
@@ -283,6 +285,64 @@ TEST(Session, AnalyzeIsCleanOnSchedulerOutputAndDirtyOnMutation) {
       spec, core::PowerMode::kDrpm, analysis::Mutation::kLatePreactivation);
   EXPECT_GT(dirty.errors(), 0);
   EXPECT_TRUE(dirty.has("SDPM-E040")) << render_text(dirty);
+}
+
+// ---------------------------------------------------------------------------
+// One access walk per job: the Base trace, both schedules' DAPs, the
+// analyzer's DAP, the certificate's trace and the CMDRPM trace all read the
+// same miss stream, so a cold job walks it once.
+
+template <typename Job>
+std::int64_t access_walks_of(const Job& job) {
+  experiments::TraceCache::global().clear();
+  const PerfSnapshot before = PerfCounters::global().snapshot();
+  job();
+  return (PerfCounters::global().snapshot() - before).access_walks;
+}
+
+TEST(Session, SevenSchemeRunWalksOnce) {
+  Session session;
+  for (const std::string& name : workloads::benchmark_names()) {
+    const JobSpec spec = JobSpecBuilder(name).build();
+    EXPECT_EQ(access_walks_of([&] { session.run(spec); }), 1) << name;
+  }
+}
+
+TEST(Session, AnalyzeWalksOnce) {
+  const Session session;
+  for (const std::string& name : workloads::benchmark_names()) {
+    const JobSpec spec = JobSpecBuilder(name).build();
+    EXPECT_EQ(access_walks_of([&] {
+                session.analyze(spec, core::PowerMode::kDrpm);
+              }),
+              1)
+        << name;
+  }
+}
+
+TEST(Session, RepairWalksOncePerLayout) {
+  // short-gap is repaired by dropping spin-down/spin-up pairs (SDPM-F002),
+  // so no round restripes and every round reuses the one walk.
+  const Session session;
+  for (const std::string& name : workloads::benchmark_names()) {
+    const JobSpec spec = JobSpecBuilder(name).build();
+    EXPECT_EQ(access_walks_of([&] {
+                session.repair(spec, core::PowerMode::kTpm,
+                               analysis::Mutation::kShortGapSpinDown);
+              }),
+              1)
+        << name;
+  }
+}
+
+TEST(Session, UncachedSessionWalksEveryTime) {
+  // use_cache = false is `sdpm_cli bench --no-cache`: it bypasses the
+  // access memo too, so the Base, CMTPM and CMDRPM traces and both
+  // schedules' DAPs each walk.
+  Session session(SessionOptions{.use_cache = false});
+  const JobSpec spec = JobSpecBuilder("galgel").build();
+  EXPECT_EQ(access_walks_of([&] { session.run(spec); }), 5);
+  experiments::TraceCache::global().set_enabled(true);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // TraceCache under concurrency: many threads sharing one cache, mixed
-// hit/miss/eviction traffic, and enable/clear toggles racing lookups.
-// Primarily a TSan target (the CI tsan job runs it), but the assertions
-// also pin the sharing contract: equal keys -> the exact same trace.
+// hit/miss/eviction traffic, and enable/clear toggles racing lookups, plus
+// the process-wide access memo under the scheduler, the DAP analysis and
+// trace generation.  Primarily a TSan target (the CI tsan job runs it), but
+// the assertions also pin the sharing contract: equal keys -> the exact
+// same trace, and every memoized result equals its serial counterpart.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,9 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/schedule.h"
 #include "experiments/runner.h"
 #include "experiments/trace_cache.h"
 #include "layout/layout_table.h"
+#include "trace/dap.h"
+#include "trace/generator.h"
 #include "workloads/benchmarks.h"
 
 namespace sdpm::experiments {
@@ -153,6 +158,153 @@ TEST(TraceCacheConcurrency, ToggleAndClearRaceLookups) {
   }
   toggler.join();
   for (std::thread& th : readers) th.join();
+  EXPECT_TRUE(cache.enabled());
+}
+
+bool same_schedule(const core::ScheduleResult& a,
+                   const core::ScheduleResult& b) {
+  if (a.calls_inserted != b.calls_inserted ||
+      a.plans.size() != b.plans.size() ||
+      a.program.directives.size() != b.program.directives.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.plans.size(); ++i) {
+    const core::GapPlan& x = a.plans[i];
+    const core::GapPlan& y = b.plans[i];
+    if (x.disk != y.disk || x.begin_iter != y.begin_iter ||
+        x.end_iter != y.end_iter || x.estimated_ms != y.estimated_ms ||
+        x.level != y.level || x.acted != y.acted) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.program.directives.size(); ++i) {
+    const ir::PlacedDirective& x = a.program.directives[i];
+    const ir::PlacedDirective& y = b.program.directives[i];
+    if (x.point.nest_index != y.point.nest_index ||
+        x.point.flat_iteration != y.point.flat_iteration ||
+        x.directive.kind != y.directive.kind ||
+        x.directive.disk != y.directive.disk ||
+        x.directive.rpm_level != y.directive.rpm_level) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_dap(const trace::DiskAccessPattern& a,
+              const trace::DiskAccessPattern& b) {
+  if (a.disk_count() != b.disk_count()) return false;
+  for (int d = 0; d < a.disk_count(); ++d) {
+    if (!(a.active_iterations(d) == b.active_iterations(d))) return false;
+  }
+  return true;
+}
+
+bool same_trace(const trace::Trace& a, const trace::Trace& b) {
+  if (a.requests.size() != b.requests.size() ||
+      a.power_events.size() != b.power_events.size() ||
+      a.compute_total_ms != b.compute_total_ms ||
+      a.bytes_transferred != b.bytes_transferred) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.requests.size(); ++i) {
+    const trace::Request& x = a.requests[i];
+    const trace::Request& y = b.requests[i];
+    if (x.arrival_ms != y.arrival_ms || x.disk != y.disk ||
+        x.start_sector != y.start_sector || x.size_bytes != y.size_bytes ||
+        x.global_iter != y.global_iter) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.power_events.size(); ++i) {
+    if (a.power_events[i].app_time_ms != b.power_events[i].app_time_ms) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(TraceCacheConcurrency, AccessMemoRacesKeepEveryResultExact) {
+  const workloads::Benchmark bench = workloads::make_benchmark("galgel");
+  const ExperimentConfig config;
+  const layout::LayoutTable table(bench.program, config.striping,
+                                  config.total_disks);
+  TraceCache& cache = TraceCache::global();
+
+  // Serial references, every one from a fresh walk.
+  cache.set_enabled(false);
+  const auto schedule = [&](core::PowerMode mode) {
+    core::SchedulerOptions so;
+    so.mode = mode;
+    so.access = config.gen;
+    return core::schedule_power_calls(bench.program, table, config.disk, so);
+  };
+  const core::ScheduleResult ref_tpm = schedule(core::PowerMode::kTpm);
+  const core::ScheduleResult ref_drpm = schedule(core::PowerMode::kDrpm);
+  ASSERT_GT(ref_drpm.calls_inserted, 0);
+  const trace::DiskAccessPattern ref_dap =
+      trace::DiskAccessPattern::analyze(bench.program, table, config.gen);
+  // Two directive sets (none, CMDRPM's) x two noise seeds.
+  const std::vector<const ir::Program*> programs{&bench.program,
+                                                 &ref_drpm.program};
+  const auto options_for = [&](std::size_t seed) {
+    trace::GeneratorOptions gen = config.gen;
+    gen.noise = trace::CycleNoise{0.2, 0x5eed + seed};
+    return gen;
+  };
+  std::vector<trace::Trace> ref_traces;
+  for (std::size_t k = 0; k < 4; ++k) {
+    ref_traces.push_back(trace::TraceGenerator(*programs[k % 2], table,
+                                               options_for(k / 2))
+                             .generate());
+  }
+  cache.set_enabled(true);
+
+  constexpr int kWorkers = 4;
+  constexpr int kIters = 6;
+  std::atomic<int> workers_left{kWorkers};
+  std::atomic<int> mismatches{0};
+  std::thread toggler([&] {
+    while (workers_left.load() > 0) {
+      cache.clear();
+      cache.set_enabled(false);
+      cache.set_enabled(true);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        bool same = true;
+        switch ((t + i) % 4) {
+          case 0:
+            same = same_schedule(schedule(core::PowerMode::kTpm), ref_tpm);
+            break;
+          case 1:
+            same = same_schedule(schedule(core::PowerMode::kDrpm), ref_drpm);
+            break;
+          case 2:
+            same = same_dap(trace::DiskAccessPattern::analyze(
+                                bench.program, table, config.gen),
+                            ref_dap);
+            break;
+          default: {
+            const std::size_t k =
+                static_cast<std::size_t>(t * kIters + i) % 4;
+            same = same_trace(*cache.get_or_generate(*programs[k % 2], table,
+                                                     options_for(k / 2)),
+                              ref_traces[k]);
+          }
+        }
+        if (!same) mismatches.fetch_add(1);
+      }
+      workers_left.fetch_sub(1);
+    });
+  }
+  for (std::thread& th : workers) th.join();
+  toggler.join();
+  EXPECT_EQ(mismatches.load(), 0);
   EXPECT_TRUE(cache.enabled());
 }
 

@@ -143,7 +143,8 @@ TEST(Generator, CollectMissesMatchesTraceRequests) {
   const ir::Program p = sweep_twice_program();
   const layout::LayoutTable table(p, layout::Striping{0, 4, kib(64)}, 4);
   const GeneratorOptions o = no_cache();
-  const std::vector<MissRecord> misses = collect_misses(p, table, o);
+  const auto walked = collect_misses(p, table, o);
+  const std::vector<MissRecord>& misses = *walked;
   TraceGenerator gen(p, table, o);
   const Trace trace = gen.generate();
   ASSERT_EQ(misses.size(), trace.requests.size());

@@ -229,7 +229,7 @@ TEST(Tiling, AccessesPreservedThroughReshape) {
   const Bytes tile_bytes = result.tile_rows * result.tile_cols * 8;
   const std::int64_t tiles_per_array = (128 * 256 * 8) / tile_bytes;
   std::int64_t m_misses = 0;
-  for (const auto& miss : misses) {
+  for (const auto& miss : *misses) {
     if (miss.array != 0) ++m_misses;
   }
   EXPECT_EQ(m_misses, 2 * tiles_per_array);
