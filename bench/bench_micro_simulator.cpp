@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/schedule.h"
+#include "experiments/bench_baseline.h"
 #include "experiments/sweep.h"
 #include "experiments/trace_cache.h"
 #include "layout/layout_table.h"
@@ -20,7 +21,6 @@
 #include "sim/simulator.h"
 #include "trace/dap.h"
 #include "trace/generator.h"
-#include "util/perf_counters.h"
 #include "workloads/benchmarks.h"
 
 namespace {
@@ -409,7 +409,7 @@ void BM_LargeTraceStreamedRss(benchmark::State& state) {
     benchmark::DoNotOptimize(report.total_energy);
   }
   state.counters["peak_rss_mib"] =
-      static_cast<double>(peak_rss_kib()) / 1024.0;
+      static_cast<double>(experiments::peak_rss_kib()) / 1024.0;
   state.SetItemsProcessed(state.iterations() * kLargeRequests);
 }
 BENCHMARK(BM_LargeTraceStreamedRss)
@@ -433,7 +433,7 @@ void BM_LargeTraceMaterializedRss(benchmark::State& state) {
     benchmark::DoNotOptimize(report.total_energy);
   }
   state.counters["peak_rss_mib"] =
-      static_cast<double>(peak_rss_kib()) / 1024.0;
+      static_cast<double>(experiments::peak_rss_kib()) / 1024.0;
   state.SetItemsProcessed(state.iterations() * kLargeRequests);
 }
 BENCHMARK(BM_LargeTraceMaterializedRss)

@@ -10,12 +10,16 @@
 #include "util/error.h"
 #include "util/json.h"
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
+
 namespace sdpm::experiments {
 
 std::string BenchSnapshot::to_json() const {
-  // Hand-formatted like perf_json: multiline with sorted keys and fixed
-  // precision, so committed baselines diff cleanly and regenerating an
-  // unchanged snapshot is byte-stable modulo the measured numbers.
+  // Hand-formatted: multiline with sorted keys and fixed precision, so
+  // committed baselines diff cleanly and regenerating an unchanged
+  // snapshot is byte-stable modulo the measured numbers.
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
@@ -113,6 +117,20 @@ double calibration_score() {
   SDPM_REQUIRE(best_us < std::numeric_limits<double>::infinity(),
                "calibration loop measured no time");
   return static_cast<double>(kIters) / best_us;
+}
+
+std::int64_t peak_rss_kib() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+#if defined(__APPLE__)
+  return static_cast<std::int64_t>(usage.ru_maxrss) / 1024;  // bytes
+#else
+  return static_cast<std::int64_t>(usage.ru_maxrss);  // KiB
+#endif
+#else
+  return 0;
+#endif
 }
 
 namespace {

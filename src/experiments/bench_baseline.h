@@ -56,6 +56,10 @@ struct BenchSnapshot {
 /// requests_per_sec / calib_score is machine-independent to first order.
 double calibration_score();
 
+/// Peak resident set size of this process in KiB (getrusage; 0 when
+/// unavailable on the platform).
+std::int64_t peak_rss_kib();
+
 /// Outcome of comparing a fresh snapshot against a stored baseline.
 struct BenchComparison {
   bool regressed = false;

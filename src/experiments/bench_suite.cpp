@@ -125,16 +125,29 @@ BenchSnapshot snapshot_simulator_suite() {
   return make_simulator_snapshot(run_simulator_suite());
 }
 
-BenchSnapshot make_sweep_snapshot(const PerfSnapshot& delta, double wall_ms,
-                                  unsigned jobs) {
+double sim_requests_per_sec(const obs::MetricsRegistry::Snapshot& before,
+                            const obs::MetricsRegistry::Snapshot& after) {
+  const std::int64_t wall_us =
+      after.counter("sim.wall_us") - before.counter("sim.wall_us");
+  if (wall_us <= 0) return 0.0;
+  return static_cast<double>(after.counter("sim.requests") -
+                             before.counter("sim.requests")) *
+         1e6 / static_cast<double>(wall_us);
+}
+
+BenchSnapshot make_sweep_snapshot(const obs::MetricsRegistry::Snapshot& before,
+                                  const obs::MetricsRegistry::Snapshot& after,
+                                  double wall_ms, unsigned jobs) {
   BenchSnapshot snap;
   snap.suite = "sweep";
   snap.jobs = jobs;
   snap.calib_score = calibration_score();
   snap.wall_ms = wall_ms;
-  snap.requests_simulated = delta.requests_simulated;
-  snap.requests_per_sec = delta.requests_per_sec();
-  snap.cells_completed = delta.cells_completed;
+  snap.requests_simulated =
+      after.counter("sim.requests") - before.counter("sim.requests");
+  snap.requests_per_sec = sim_requests_per_sec(before, after);
+  snap.cells_completed = after.counter("sweep.cells_completed") -
+                         before.counter("sweep.cells_completed");
   return snap;
 }
 

@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "experiments/bench_baseline.h"
-#include "util/perf_counters.h"
+#include "obs/metrics.h"
 
 namespace sdpm::experiments {
 
@@ -39,9 +39,16 @@ BenchSnapshot make_simulator_snapshot(const SimulatorSuiteResult& run);
 /// run_simulator_suite() + make_simulator_snapshot in one call.
 BenchSnapshot snapshot_simulator_suite();
 
+/// Requests replayed per second of simulator wall time between two
+/// registry snapshots ("sim.requests" / "sim.wall_us"); 0 when no
+/// simulator time elapsed.
+double sim_requests_per_sec(const obs::MetricsRegistry::Snapshot& before,
+                            const obs::MetricsRegistry::Snapshot& after);
+
 /// Package a sweep run (the figs 5-8 grid sdpm_cli bench dispatches) as a
-/// persistable snapshot from its perf-counter delta.
-BenchSnapshot make_sweep_snapshot(const PerfSnapshot& delta, double wall_ms,
-                                  unsigned jobs);
+/// persistable snapshot from the registry snapshots bracketing it.
+BenchSnapshot make_sweep_snapshot(const obs::MetricsRegistry::Snapshot& before,
+                                  const obs::MetricsRegistry::Snapshot& after,
+                                  double wall_ms, unsigned jobs);
 
 }  // namespace sdpm::experiments

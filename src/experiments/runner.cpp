@@ -7,6 +7,7 @@
 #include "core/mispredict.h"
 #include "core/schedule.h"
 #include "experiments/trace_cache.h"
+#include "obs/metrics.h"
 #include "policy/base.h"
 #include "policy/drpm.h"
 #include "policy/oracle.h"
@@ -14,7 +15,6 @@
 #include "policy/tpm.h"
 #include "sim/simulator.h"
 #include "util/error.h"
-#include "util/perf_counters.h"
 #include "util/thread_pool.h"
 
 namespace sdpm::experiments {
@@ -127,7 +127,9 @@ const trace::StallAwareTimeline& Runner::measured_timeline(
   std::lock_guard lock(timeline_mutex_);
   const auto it = timelines_.find(key);
   if (it != timelines_.end()) {
-    PerfCounters::global().add_timeline_cache_hit();
+    static obs::MetricsRegistry::Counter& hits =
+        obs::MetricsRegistry::global().counter("runner.timeline_cache_hits");
+    hits.fetch_add(1, std::memory_order_relaxed);
     return *it->second;
   }
   const trace::Timeline compute = trace::Timeline::with_noise(

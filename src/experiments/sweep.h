@@ -56,8 +56,9 @@ class SweepEngine {
   void set_tracer(obs::EventTracer* tracer) { tracer_ = tracer; }
 
   /// Evaluate every cell; results are ordered exactly as `cells`, with
-  /// each cell's results in its scheme order.  Per-cell wall time also
-  /// reports into PerfCounters::global() and the metrics registry.
+  /// each cell's results in its scheme order.  Each cell also counts into
+  /// the metrics registry ("sweep.cells_completed", and its wall time into
+  /// the "sweep.cell_wall_ms" histogram).
   std::vector<SweepCellResult> run(const std::vector<SweepCell>& cells);
 
   unsigned jobs() const { return jobs_; }

@@ -2,15 +2,17 @@
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "util/perf_counters.h"
 
 namespace sdpm::experiments {
 
 namespace {
 
 void note_lookup(obs::EventTracer* tracer, bool hit) {
-  obs::MetricsRegistry::global().add(hit ? "trace_cache.hits"
-                                         : "trace_cache.misses");
+  static obs::MetricsRegistry::Counter& hits =
+      obs::MetricsRegistry::global().counter("trace_cache.hits");
+  static obs::MetricsRegistry::Counter& misses =
+      obs::MetricsRegistry::global().counter("trace_cache.misses");
+  (hit ? hits : misses).fetch_add(1, std::memory_order_relaxed);
   if (tracer != nullptr) {
     obs::Event ev;
     ev.kind = hit ? obs::EventKind::kCacheHit : obs::EventKind::kCacheMiss;
@@ -68,7 +70,6 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
     const auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      PerfCounters::global().add_trace_cache_hit();
       note_lookup(tracer_, /*hit=*/true);
       return it->second->trace;
     }
@@ -83,7 +84,6 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
 
   std::lock_guard lock(mutex_);
   if (!enabled_) return trace;
-  PerfCounters::global().add_trace_cache_miss();
   note_lookup(tracer_, /*hit=*/false);
   const auto it = index_.find(key);
   if (it != index_.end()) {

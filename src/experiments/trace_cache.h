@@ -62,8 +62,9 @@ class TraceCache {
 
   /// Return the cached trace for the triple, generating (and inserting) it
   /// on a miss.  When the cache is disabled every call generates afresh.
-  /// Hits and misses report into PerfCounters::global() and the metrics
-  /// registry ("trace_cache.hits"/"trace_cache.misses").
+  /// Hits and misses count into the metrics registry
+  /// ("trace_cache.hits"/"trace_cache.misses"); a disabled cache counts
+  /// neither.
   std::shared_ptr<const trace::Trace> get_or_generate(
       const ir::Program& program, const layout::LayoutTable& layout,
       const trace::GeneratorOptions& options);

@@ -28,6 +28,12 @@ void MetricsRegistry::observe(const std::string& name, double sample) {
   histograms_.try_emplace(name).first->second.add(sample);
 }
 
+std::int64_t MetricsRegistry::Snapshot::counter(
+    const std::string& name) const {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   Snapshot snap;

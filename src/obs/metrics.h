@@ -1,8 +1,6 @@
-// Named-metric registry: the generalization of util::PerfCounters.
+// Named-metric registry: the process's one counter store.
 //
-// PerfCounters is a fixed struct of process-wide atomics; every new
-// subsystem that wanted a number had to grow it.  MetricsRegistry instead
-// registers metrics by name at first use:
+// Metrics are registered by name at first use:
 //
 //   counters   monotonically increasing int64 (atomic; hot sites cache the
 //              returned reference, so steady-state increments are one
@@ -19,9 +17,14 @@
 // a hot path should prefer obs::LatencyHistogram (sharded, see latency.h)
 // and fold into the registry on snapshot instead.
 //
-// The simulator, trace cache, sweep engine and event tracer all report
-// into global(); `sdpm_cli ... --metrics-out` snapshots it as JSON with
-// deterministically sorted keys.
+// The simulator (sim.simulations, sim.requests, sim.wall_us), the trace
+// layer (trace.walks_run, trace.generated, trace.requests_streamed), the
+// trace cache (trace_cache.hits/misses), the runner
+// (runner.timeline_cache_hits), the sweep engine (sweep.cells_completed,
+// sweep.cell_wall_ms), the API session and the daemon all report into
+// global().  Consumers bracket a region with two snapshot() calls and diff
+// them by name (Snapshot::counter); `sdpm_cli run|bench --format metrics`
+// renders it as JSON with deterministically sorted keys.
 #pragma once
 
 #include <atomic>
@@ -77,6 +80,10 @@ class MetricsRegistry {
     std::map<std::string, std::int64_t> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, HistogramStats> histograms;
+
+    /// Counter `name`, or 0 when it was never created: two snapshots
+    /// diff as `after.counter(n) - before.counter(n)`.
+    std::int64_t counter(const std::string& name) const;
   };
   Snapshot snapshot() const;
 

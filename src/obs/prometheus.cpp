@@ -66,18 +66,7 @@ std::string render_prometheus(const MetricsRegistry::Snapshot& snapshot,
     os << "# TYPE " << pn << " gauge\n" << pn << " " << num(value) << "\n";
   }
   for (const auto& [name, h] : snapshot.histograms) {
-    LatencyHistogram::Quantiles q;
-    q.count = h.count;
-    q.sum = h.sum;
-    q.mean = h.mean;
-    q.p50 = h.p50;
-    q.p90 = h.p95;  // registry stats carry p95, the closest available
-    q.p99 = h.p99;
-    q.p999 = h.p99;
-    q.max = h.max;
-    // Registry histograms expose p95 rather than p90/p999; render the
-    // quantiles the snapshot actually has instead of the summary helper's
-    // fixed set.
+    // Registry histograms carry p50/p95/p99, not the PromSummary set.
     const std::string pn = prometheus_name(name);
     os << "# TYPE " << pn << " summary\n";
     os << pn << "{quantile=\"0.5\"} " << num(h.p50) << "\n";

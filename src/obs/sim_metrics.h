@@ -4,7 +4,7 @@
 // to keep the replay hot path untouched; distribution metrics — idle-gap
 // lengths from the per-disk busy timelines, per-request stalls when the
 // run captured them — are derived here, once, from the finished report by
-// whichever consumer wants them (the CLI's --metrics-out, sweeps, tests).
+// whichever consumer wants them (the CLI's --format metrics, sweeps, tests).
 #pragma once
 
 #include "obs/metrics.h"

@@ -7,7 +7,6 @@
 #include "obs/tracer.h"
 #include "sim/replay.h"
 #include "util/error.h"
-#include "util/perf_counters.h"
 
 namespace sdpm::sim {
 
@@ -90,10 +89,15 @@ SimReport Simulator::run() {
   SimReport report = engine(policy_, ctx);
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - started);
-  PerfCounters::global().add_simulation(report.requests, elapsed.count());
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  metrics.add("sim.simulations");
-  metrics.add("sim.requests", report.requests);
+  static obs::MetricsRegistry::Counter& simulations =
+      obs::MetricsRegistry::global().counter("sim.simulations");
+  static obs::MetricsRegistry::Counter& requests =
+      obs::MetricsRegistry::global().counter("sim.requests");
+  static obs::MetricsRegistry::Counter& wall_us =
+      obs::MetricsRegistry::global().counter("sim.wall_us");
+  simulations.fetch_add(1, std::memory_order_relaxed);
+  requests.fetch_add(report.requests, std::memory_order_relaxed);
+  wall_us.fetch_add(elapsed.count(), std::memory_order_relaxed);
   return report;
 }
 

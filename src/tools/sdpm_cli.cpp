@@ -20,10 +20,9 @@
 //       exported to --out: "chrome" is Perfetto-loadable trace JSON
 //       timestamped in simulated time, "jsonl" a structured log, "csv" the
 //       per-disk power-state timeline; "metrics" dumps the metrics
-//       registry as JSON.  --preact-report prints the pre-activation
-//       accounting (hit / late / wasted spin-ups).  The pre-unification
-//       spellings --trace-out FILE / --trace-format F / --metrics-out FILE
-//       still work as deprecated aliases (a note goes to stderr).
+//       registry as JSON (to stdout without --out).  --preact-report
+//       prints the pre-activation accounting (hit / late / wasted
+//       spin-ups).
 //   sdpm_cli dap --benchmark NAME [--disks N] [--stripe BYTES]
 //       Print the compiler's Disk Access Pattern for a benchmark.
 //   sdpm_cli trace --benchmark NAME [--out FILE] [config flags]
@@ -34,17 +33,16 @@
 //                 [--out FILE] [--format table|csv|json|metrics]
 //                 [--no-cache] [--jobs N] [--compare FILE] [--tolerance N]
 //       --suite sweep (default): the 7-scheme x 8-config sweep through
-//       the facade's batched entry point; --format json emits the
-//       perf-counter snapshot CI archives per commit (with --suite given
-//       explicitly, the persistable BenchSnapshot schema instead).
+//       the facade's batched entry point; --format json emits its
+//       BenchSnapshot, --format metrics the metrics registry (access
+//       walks, trace-cache hits/misses, per-cell wall time, peak RSS).
 //       --suite simulator: the single-disk hot-loop replay suite (Base
 //       policy on swim, plus the null-tracer overhead probe); --format
 //       json emits its BenchSnapshot.  --compare FILE checks the fresh
 //       run against a stored snapshot (BENCH_simulator.json /
 //       BENCH_sweep.json at the repo root) with a --tolerance percent
 //       band (default 15) on calibration-normalized throughput; a
-//       regression exits 4.  --json / --metrics-out FILE remain as
-//       deprecated aliases.
+//       regression exits 4.
 //   sdpm_cli client --socket PATH --op ping|submit|run|status|result|
 //                 cancel|stats|telemetry|drain|shutdown [--id N] [--wait]
 //                 [--trace-id HEX] [job flags]
@@ -129,7 +127,6 @@
 #include "trace/generator.h"
 #include "trace/text_io.h"
 #include "util/error.h"
-#include "util/perf_counters.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -161,8 +158,9 @@ const char* usage_text() {
       "  bench  [--benchmark NAME] [--out FILE]\n"
       "         [--format table|csv|json|metrics] [--no-cache] [config]\n"
       "         sweep all 7 schemes x 8 configs through the batched facade\n"
-      "         entry point; --format json emits the perf-counter snapshot\n"
-      "         (BENCH_simulator.json schema) instead of the table\n"
+      "         entry point; --format json emits its BenchSnapshot\n"
+      "         (BENCH_sweep.json schema), --format metrics the metrics\n"
+      "         registry, instead of the table\n"
       "  client --socket PATH --op ping|submit|run|status|result|cancel|\n"
       "         stats|telemetry|drain|shutdown [--id N] [--wait]\n"
       "         [--retry-connect [N]] [--trace-id HEX [--span-id HEX]]\n"
@@ -190,9 +188,6 @@ const char* usage_text() {
       "fault flags:  --fault-seed N --fault-spinup P --fault-media P\n"
       "              --fault-jitter F --fault-drop P --fault-retries N\n"
       "              (inspect/replay also accept --resilient)\n"
-      "deprecated:   --trace-out/--trace-format/--metrics-out (run) and\n"
-      "              --json/--metrics-out (bench) are aliases for\n"
-      "              --out/--format and print a note to stderr\n"
       "exit codes:   0 ok, 1 runtime error, 2 usage error, 3 analyze "
       "findings\n";
 }
@@ -386,13 +381,6 @@ std::optional<experiments::Scheme> scheme_from(const std::string& name) {
   return std::nullopt;
 }
 
-/// One stderr note per deprecated alias; the alias keeps working.
-void deprecation_note(const std::string& old_flag,
-                      const std::string& replacement) {
-  std::cerr << "note: --" << old_flag << " is deprecated; use " << replacement
-            << "\n";
-}
-
 /// Build the unified api::JobSpec from the common config + fault flags
 /// (the facade-era replacement of config_from for run/bench/analyze).
 api::JobSpec job_spec_from(const Args& args) {
@@ -506,8 +494,8 @@ int cmd_device(const Args& args) {
 
 int cmd_run(const Args& args) {
   require_known_flags("run", args,
-                      {"benchmark", "scheme", "out", "format", "trace-out",
-                       "trace-format", "preact-report", "metrics-out"});
+                      {"benchmark", "scheme", "out", "format",
+                       "preact-report"});
   if (!args.has("benchmark")) usage("run requires --benchmark");
   const api::JobSpec spec = job_spec_from(args);
   const bool single_scheme = spec.schemes.size() == 1;
@@ -517,34 +505,13 @@ int cmd_run(const Args& args) {
                           .value_or(experiments::Scheme::kBase)
                     : experiments::Scheme::kBase;
 
-  // Unified output: --out PATH + --format; the pre-unification flags are
-  // deprecated aliases.
-  std::string out_path = args.get("out");
-  std::string format = args.get("format");
-  if (args.has("trace-out")) {
-    deprecation_note("trace-out", "--out FILE --format chrome|jsonl|csv");
-    out_path = args.get("trace-out");
-    if (format.empty()) format = args.get("trace-format", "chrome");
-  }
-  if (args.has("trace-format")) {
-    if (!args.has("trace-out")) usage("--trace-format requires --trace-out");
-    deprecation_note("trace-format", "--format");
-  }
-  std::string metrics_path;  // separate alias channel: may coexist with a
-                             // trace export in one legacy invocation
-  bool want_metrics = false;
-  if (args.has("metrics-out")) {
-    deprecation_note("metrics-out", "--out FILE --format metrics");
-    metrics_path = args.get("metrics-out");
-    want_metrics = true;
-  }
-  if (format == "metrics") {
-    want_metrics = true;
-    if (metrics_path.empty()) metrics_path = out_path;
-  }
+  // Output: --out PATH + --format; metrics without --out go to stdout.
+  const std::string out_path = args.get("out");
+  const std::string format = args.get("format");
+  const bool want_metrics = format == "metrics";
   const bool want_trace =
       format == "chrome" || format == "jsonl" || format == "csv";
-  if (!format.empty() && !want_trace && format != "metrics") {
+  if (!format.empty() && !want_trace && !want_metrics) {
     usage("unknown --format '" + format +
           "' for run (chrome, jsonl, csv or metrics)");
   }
@@ -612,10 +579,10 @@ int cmd_run(const Args& args) {
   if (want_metrics) {
     // The Base report's distributions were folded in by the session
     // (RunHooks::record_base_metrics).
-    if (metrics_path.empty()) {
+    if (out_path.empty()) {
       std::cout << obs::MetricsRegistry::global().to_json() << "\n";
     } else {
-      write_metrics_json(metrics_path);
+      write_metrics_json(out_path);
     }
   }
   return 0;
@@ -855,8 +822,8 @@ int cmd_bench_simulator(const Args& args, const std::string& format,
 
 int cmd_bench(const Args& args) {
   require_known_flags("bench", args,
-                      {"benchmark", "out", "format", "json", "no-cache",
-                       "metrics-out", "suite", "compare", "tolerance"});
+                      {"benchmark", "out", "format", "no-cache", "suite",
+                       "compare", "tolerance"});
   const std::string suite = args.get("suite", "sweep");
   if (suite != "sweep" && suite != "simulator") {
     usage("unknown --suite '" + suite + "' for bench (sweep or simulator)");
@@ -865,18 +832,8 @@ int cmd_bench(const Args& args) {
   if (tolerance_pct < 0) usage("--tolerance must be non-negative");
   const std::string bench_name = args.get("benchmark", "swim");
 
-  // Unified output: --out PATH + --format; --json and --metrics-out are
-  // deprecated aliases.
-  std::string format = args.get("format", args.has("csv") ? "csv" : "table");
-  if (args.has("json")) {
-    deprecation_note("json", "--format json");
-    if (!args.has("format")) format = "json";
-  }
-  std::string metrics_path;
-  if (args.has("metrics-out")) {
-    deprecation_note("metrics-out", "--out FILE --format metrics");
-    metrics_path = args.get("metrics-out");
-  }
+  const std::string format =
+      args.get("format", args.has("csv") ? "csv" : "table");
   if (format != "table" && format != "csv" && format != "json" &&
       format != "metrics") {
     usage("unknown --format '" + format +
@@ -910,17 +867,18 @@ int cmd_bench(const Args& args) {
     }
   }
 
-  // Bracket the sweep with two snapshots instead of resetting the global
-  // counters: the diff isolates this sweep without destroying the
+  // Bracket the sweep with two registry snapshots instead of resetting the
+  // global counters: the diff isolates this sweep without destroying the
   // process-wide perf trajectory.
-  const PerfSnapshot before = PerfCounters::global().snapshot();
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const obs::MetricsRegistry::Snapshot before = metrics.snapshot();
   const auto started = std::chrono::steady_clock::now();
   const std::vector<api::JobResult> results = session.run_batch(specs);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - started)
           .count();
-  const PerfSnapshot sweep_delta = PerfCounters::global().snapshot() - before;
+  const obs::MetricsRegistry::Snapshot after = metrics.snapshot();
   const unsigned jobs = default_jobs();
 
   // Primary output stream: --out or stdout.
@@ -930,8 +888,6 @@ int cmd_bench(const Args& args) {
     if (!out_file) usage("cannot open '" + args.get("out") + "'");
   }
   std::ostream& out = args.has("out") ? out_file : std::cout;
-
-  if (!metrics_path.empty()) write_metrics_json(metrics_path);
 
   std::optional<experiments::BenchSnapshot> snap;
   const auto sweep_snapshot = [&]() -> const experiments::BenchSnapshot& {
@@ -943,16 +899,20 @@ int cmd_bench(const Args& args) {
       // count (e.g. a future result cache short-circuiting the sweep)
       // are discarded rather than compared.
       constexpr int kGateRounds = 5;
-      double best_rps = sweep_delta.requests_per_sec();
+      const std::int64_t requests =
+          after.counter("sim.requests") - before.counter("sim.requests");
+      double best_rps = experiments::sim_requests_per_sec(before, after);
       for (int round = 0; round < kGateRounds; ++round) {
-        const PerfSnapshot r0 = PerfCounters::global().snapshot();
+        const obs::MetricsRegistry::Snapshot r0 = metrics.snapshot();
         (void)session.run_batch(specs);
-        const PerfSnapshot rd = PerfCounters::global().snapshot() - r0;
-        if (rd.requests_simulated == sweep_delta.requests_simulated) {
-          best_rps = std::max(best_rps, rd.requests_per_sec());
+        const obs::MetricsRegistry::Snapshot r1 = metrics.snapshot();
+        if (r1.counter("sim.requests") - r0.counter("sim.requests") ==
+            requests) {
+          best_rps =
+              std::max(best_rps, experiments::sim_requests_per_sec(r0, r1));
         }
       }
-      snap = experiments::make_sweep_snapshot(sweep_delta, wall_ms, jobs);
+      snap = experiments::make_sweep_snapshot(before, after, wall_ms, jobs);
       snap->requests_per_sec = best_rps;
     }
     return *snap;
@@ -965,17 +925,13 @@ int cmd_bench(const Args& args) {
   };
 
   if (format == "metrics") {
-    out << obs::MetricsRegistry::global().to_json() << "\n";
+    metrics.set_gauge("process.peak_rss_kib",
+                      static_cast<double>(experiments::peak_rss_kib()));
+    out << metrics.to_json() << "\n";
     return finish();
   }
   if (format == "json") {
-    // An explicit --suite asks for the persistable BenchSnapshot schema;
-    // legacy invocations keep the historical perf-counter document.
-    if (args.has("suite")) {
-      out << sweep_snapshot().to_json() << "\n";
-    } else {
-      out << perf_json(sweep_delta, wall_ms, jobs) << "\n";
-    }
+    out << sweep_snapshot().to_json() << "\n";
     return finish();
   }
 

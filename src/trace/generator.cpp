@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <mutex>
 
+#include "obs/metrics.h"
 #include "util/error.h"
-#include "util/perf_counters.h"
 
 namespace sdpm::trace {
 
@@ -238,7 +238,9 @@ std::shared_ptr<const std::vector<MissRecord>> collect_misses(
   auto misses = std::make_shared<std::vector<MissRecord>>();
   MissRecord miss;
   while (cursor.next(miss)) misses->push_back(miss);
-  PerfCounters::global().add_access_walk();
+  static obs::MetricsRegistry::Counter& walks_run =
+      obs::MetricsRegistry::global().counter("trace.walks_run");
+  walks_run.fetch_add(1, std::memory_order_relaxed);
   memo.insert(key, misses);
   return misses;
 }
@@ -280,7 +282,9 @@ Trace TraceGenerator::generate() const {
 
   trace.compute_total_ms =
       actual_.total() + tm * static_cast<double>(program_.directives.size());
-  PerfCounters::global().add_trace_generated();
+  static obs::MetricsRegistry::Counter& generated =
+      obs::MetricsRegistry::global().counter("trace.generated");
+  generated.fetch_add(1, std::memory_order_relaxed);
   return trace;
 }
 
@@ -321,7 +325,9 @@ bool StreamingTraceSource::produce(TraceItem& item) {
   if (!have_power && !have_pending_) {
     if (!exhausted_reported_) {
       exhausted_reported_ = true;
-      PerfCounters::global().add_requests_streamed(requests_streamed_);
+      static obs::MetricsRegistry::Counter& streamed =
+          obs::MetricsRegistry::global().counter("trace.requests_streamed");
+      streamed.fetch_add(requests_streamed_, std::memory_order_relaxed);
     }
     return false;
   }

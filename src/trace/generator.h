@@ -124,8 +124,8 @@ inline constexpr std::size_t kAccessMemoCapacity = 8;
 /// agree exactly.  Walks are memoized by access_key_of in a process-wide,
 /// thread-safe LRU of kAccessMemoCapacity entries; a hit returns the misses
 /// a fresh walk of the same key produces.  A walk that throws is not
-/// memoized.  Each walk actually run counts into
-/// PerfCounters::access_walks.
+/// memoized.  Each walk actually run counts into the metrics registry's
+/// "trace.walks_run".
 std::shared_ptr<const std::vector<MissRecord>> collect_misses(
     const ir::Program& program, const layout::LayoutTable& layout,
     const GeneratorOptions& options);

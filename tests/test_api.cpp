@@ -7,9 +7,9 @@
 #include "disk/ladder.h"
 #include "experiments/runner.h"
 #include "experiments/trace_cache.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/error.h"
-#include "util/perf_counters.h"
 #include "workloads/benchmarks.h"
 
 namespace sdpm::api {
@@ -295,9 +295,10 @@ TEST(Session, AnalyzeIsCleanOnSchedulerOutputAndDirtyOnMutation) {
 template <typename Job>
 std::int64_t access_walks_of(const Job& job) {
   experiments::TraceCache::global().clear();
-  const PerfSnapshot before = PerfCounters::global().snapshot();
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const std::int64_t before = metrics.snapshot().counter("trace.walks_run");
   job();
-  return (PerfCounters::global().snapshot() - before).access_walks;
+  return metrics.snapshot().counter("trace.walks_run") - before;
 }
 
 TEST(Session, SevenSchemeRunWalksOnce) {

@@ -2,12 +2,12 @@
 // preset catalog.  The paper disk's bit-level guarantees (committed job
 // results, Table 1 closed forms) live in test_ladder_equivalence.
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
 #include <cstdint>
 #include <string>
 
 #include "disk/ladder.h"
+#include "experiments/bench_baseline.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -220,16 +220,10 @@ TEST(Ladder, FromJsonRangeChecksIntegersBeforeNarrowing) {
                          "rpm");
 }
 
-std::int64_t peak_rss_kib() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;
-}
-
 TEST(Ladder, FromJsonBoundsTheStateCountBeforeAllocating) {
   // A 20,000-state descriptor is ~350 KB of JSON but would ask for a
   // 20,000 x 20,000 edge matrix; it must fail on the count alone.
-  const std::int64_t before = peak_rss_kib();
+  const std::int64_t before = experiments::peak_rss_kib();
   std::string text = "{\"name\":\"huge\",\"edges\":[],\"states\":[";
   for (int i = 0; i < 20'000; ++i) {
     text += (i == 0 ? "{\"name\":\"s" : ",{\"name\":\"s") +
@@ -237,7 +231,7 @@ TEST(Ladder, FromJsonBoundsTheStateCountBeforeAllocating) {
   }
   text += "]}";
   expect_rejected_naming(Json::parse(text), "states");
-  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
+  EXPECT_LT(experiments::peak_rss_kib() - before, 64 * 1024);
 }
 
 }  // namespace

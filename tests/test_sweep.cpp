@@ -8,10 +8,10 @@
 
 #include "experiments/runner.h"
 #include "experiments/sweep.h"
+#include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "obs/tracer.h"
 #include "util/error.h"
-#include "util/perf_counters.h"
 #include "util/units.h"
 #include "workloads/benchmarks.h"
 
@@ -141,18 +141,30 @@ TEST(SweepEngine, JobsAreConfigurable) {
   EXPECT_GE(SweepEngine().jobs(), 1u);  // 0 resolves to default_jobs()
 }
 
-TEST(SweepEngine, PerfCountersAdvanceBySnapshotDiff) {
-  // The global counters are process-wide and other tests contribute to
-  // them, so assertions go against the bracketed diff, never absolutes.
+TEST(SweepEngine, MetricsAdvanceBySnapshotDiff) {
+  // The global registry is process-wide and other tests contribute to it,
+  // so assertions go against the bracketed diff, never absolutes.
   const std::vector<SweepCell> cells = two_cells();
-  const PerfSnapshot before = PerfCounters::global().snapshot();
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const obs::MetricsRegistry::Snapshot before = metrics.snapshot();
   SweepEngine(2).run(cells);
-  const PerfSnapshot delta = PerfCounters::global().snapshot() - before;
-  EXPECT_EQ(delta.cells_completed, static_cast<std::int64_t>(cells.size()));
-  EXPECT_GT(delta.simulations, 0);
-  EXPECT_GT(delta.requests_simulated, 0);
-  EXPECT_GE(delta.cell_wall_us, 0);
-  EXPECT_GT(delta.trace_cache_hits + delta.trace_cache_misses, 0);
+  const obs::MetricsRegistry::Snapshot after = metrics.snapshot();
+  const auto delta = [&](const std::string& name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const auto cell_wall = [](const obs::MetricsRegistry::Snapshot& snap) {
+    const auto it = snap.histograms.find("sweep.cell_wall_ms");
+    return it == snap.histograms.end() ? obs::MetricsRegistry::HistogramStats{}
+                                       : it->second;
+  };
+  const auto n_cells = static_cast<std::int64_t>(cells.size());
+  EXPECT_EQ(delta("sweep.cells_completed"), n_cells);
+  EXPECT_GT(delta("sim.simulations"), 0);
+  EXPECT_GT(delta("sim.requests"), 0);
+  EXPECT_GE(delta("sim.wall_us"), 0);
+  EXPECT_EQ(cell_wall(after).count - cell_wall(before).count, n_cells);
+  EXPECT_GE(cell_wall(after).sum - cell_wall(before).sum, 0.0);
+  EXPECT_GT(delta("trace_cache.hits") + delta("trace_cache.misses"), 0);
 }
 
 TEST(SweepEngine, TracerSeesEveryCellLifecycle) {

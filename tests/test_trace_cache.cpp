@@ -16,9 +16,9 @@
 #include "experiments/trace_cache.h"
 #include "ir/builder.h"
 #include "layout/layout_table.h"
+#include "obs/metrics.h"
 #include "trace/generator.h"
 #include "util/error.h"
-#include "util/perf_counters.h"
 #include "workloads/benchmarks.h"
 
 namespace sdpm::experiments {
@@ -437,7 +437,7 @@ void expect_same_trace(const trace::Trace& a, const trace::Trace& b) {
 }
 
 std::int64_t access_walks() {
-  return PerfCounters::global().snapshot().access_walks;
+  return obs::MetricsRegistry::global().snapshot().counter("trace.walks_run");
 }
 
 TEST(AccessMemo, TraceFromAHitEqualsAFreshGeneration) {
