@@ -13,6 +13,7 @@
 // E030 carries an SDPM-F002 fix-it: when the whole gap clears break-even
 // the spin_down is hoisted to the gap's first iteration; otherwise the
 // spin_down and its paired wake-up are removed and the plan un-acted.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,13 +37,21 @@ class BreakEvenPass final : public Pass {
     const std::optional<core::PowerMode> mode = ctx.inferred_mode();
 
     for (int disk = 0; disk < ctx.total_disks(); ++disk) {
+      const std::vector<AnalysisContext::DirRef>& dirs =
+          ctx.directives_of(disk);
       for (const core::GapPlan* plan : ctx.plans_of(disk)) {
         // E030: every spin_down inside this gap must leave at least the
-        // break-even time before the gap's next access.
-        for (const auto& ref : ctx.directives_of(disk)) {
-          if (ref.global < plan->begin_iter || ref.global > plan->end_iter) {
-            continue;
-          }
+        // break-even time before the gap's next access.  The disk's
+        // directives are sorted by global iteration, so the gap's are one
+        // run found by binary search rather than a scan per gap.
+        auto ref_it = std::lower_bound(
+            dirs.begin(), dirs.end(), plan->begin_iter,
+            [](const AnalysisContext::DirRef& r, std::int64_t g) {
+              return r.global < g;
+            });
+        for (; ref_it != dirs.end() && ref_it->global <= plan->end_iter;
+             ++ref_it) {
+          const AnalysisContext::DirRef& ref = *ref_it;
           const ir::PowerDirective& d =
               program.directives[static_cast<std::size_t>(ref.index)]
                   .directive;

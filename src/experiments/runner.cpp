@@ -60,7 +60,7 @@ Runner::Runner(const workloads::Benchmark& benchmark,
 }
 
 void Runner::ensure_base() {
-  std::call_once(base_once_, [this] {
+  base_once_.call([this] {
     trace::GeneratorOptions gen = config_.gen;
     gen.noise = config_.actual_noise;
     trace_ = TraceCache::global().get_or_generate(compiled_.program,

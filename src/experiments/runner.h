@@ -31,6 +31,7 @@
 #include "sim/report.h"
 #include "trace/generator.h"
 #include "trace/stall_aware.h"
+#include "util/once.h"
 #include "workloads/benchmarks.h"
 
 namespace sdpm::obs {
@@ -147,7 +148,7 @@ class Runner {
   ExperimentConfig config_;
   core::CompileOutput compiled_;
   std::optional<layout::LayoutTable> layout_;
-  std::once_flag base_once_;
+  OnceState base_once_;  // a failed Base run rethrows to every caller
   std::shared_ptr<const trace::Trace> trace_;  // without power calls
   std::optional<sim::SimReport> base_;
   mutable std::mutex timeline_mutex_;

@@ -11,6 +11,7 @@
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "util/once.h"
 #include "util/thread_pool.h"
 
 namespace sdpm::experiments {
@@ -24,7 +25,7 @@ std::vector<SweepCellResult> SweepEngine::run(
   // the cell arrives first (compile + Base run happen once), then every
   // scheme task of the cell reuses it.
   struct CellState {
-    std::once_flag once;
+    OnceState once;
     std::unique_ptr<Runner> runner;
     std::atomic<std::int64_t> task_us{0};
   };
@@ -77,7 +78,7 @@ std::vector<SweepCellResult> SweepEngine::run(
           tracer->emit(ev);
         }
         CellState& st = state[c];
-        std::call_once(st.once, [&] {
+        st.once.call([&] {
           st.runner = std::make_unique<Runner>(cells[c].benchmark,
                                                cells[c].config);
           st.runner->base_report();  // shared prerequisite, computed once

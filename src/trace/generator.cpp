@@ -87,9 +87,12 @@ MissCursor::MissCursor(const ir::Program& program,
                        const GeneratorOptions& options)
     : layout_(&layout), options_(options), space_(program),
       cache_(options.cache_bytes),
-      cursor_(program, [this](ir::ArrayId a) {
-        return block_size_for(*layout_, a, options_);
-      }) {
+      cursor_(
+          program,
+          [this](ir::ArrayId a) {
+            return block_size_for(*layout_, a, options_);
+          },
+          options.cache_bytes) {
   SDPM_REQUIRE(layout.array_count() == program.arrays.size(),
                "layout table does not match program arrays");
 }
@@ -240,7 +243,11 @@ std::shared_ptr<const std::vector<MissRecord>> collect_misses(
   while (cursor.next(miss)) misses->push_back(miss);
   static obs::MetricsRegistry::Counter& walks_run =
       obs::MetricsRegistry::global().counter("trace.walks_run");
+  static obs::MetricsRegistry::Counter& sweeps_skipped =
+      obs::MetricsRegistry::global().counter("trace.sweeps_skipped");
   walks_run.fetch_add(1, std::memory_order_relaxed);
+  sweeps_skipped.fetch_add(cursor.sweeps_skipped(),
+                           std::memory_order_relaxed);
   memo.insert(key, misses);
   return misses;
 }

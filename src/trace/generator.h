@@ -79,7 +79,11 @@ struct MissRecord {
 /// program order, one at a time, with memory independent of the trace
 /// length.  Shared by the materialized collect_misses and the streaming
 /// source, so the compiler's model and the "hardware" agree exactly.
-/// The program and layout must outlive the cursor.
+/// It hands its cache capacity to the TouchCursor, which then skips every
+/// outer sweep that provably hits the cache on each touch: such a sweep
+/// adds no miss and leaves the LRU as it was, so the miss stream is the
+/// one a touch-by-touch walk produces.  The program and layout must
+/// outlive the cursor.
 class MissCursor {
  public:
   MissCursor(const ir::Program& program, const layout::LayoutTable& layout,
@@ -90,6 +94,9 @@ class MissCursor {
 
   /// Advance to the next cache miss; false when the walk is complete.
   bool next(MissRecord& out);
+
+  /// Outer sweeps the walk has skipped as all-hit repeats so far.
+  std::int64_t sweeps_skipped() const { return cursor_.sweeps_skipped(); }
 
  private:
   const layout::LayoutTable* layout_;
@@ -125,7 +132,8 @@ inline constexpr std::size_t kAccessMemoCapacity = 8;
 /// thread-safe LRU of kAccessMemoCapacity entries; a hit returns the misses
 /// a fresh walk of the same key produces.  A walk that throws is not
 /// memoized.  Each walk actually run counts into the metrics registry's
-/// "trace.walks_run".
+/// "trace.walks_run", and the sweeps it skipped into
+/// "trace.sweeps_skipped".
 std::shared_ptr<const std::vector<MissRecord>> collect_misses(
     const ir::Program& program, const layout::LayoutTable& layout,
     const GeneratorOptions& options);

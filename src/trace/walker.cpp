@@ -1,6 +1,7 @@
 #include "trace/walker.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <queue>
 #include <vector>
 
@@ -32,6 +33,8 @@ struct RefInfo {
 struct RefStream {
   const RefInfo* info = nullptr;
   Bytes base = 0;          // A: byte offset at trip 0
+  std::int64_t lo = 0;     // lowest block the sweep touches
+  std::int64_t hi = 0;     // highest block the sweep touches
   std::int64_t trips = 0;  // innermost trip count
   std::int64_t next_trip = 0;
   std::int64_t current_block = -1;  // block emitted at next_trip
@@ -91,10 +94,13 @@ struct HeapEntry {
 // The cursor holds exactly the per-nest state of the original recursive
 // walk — ref table, ref streams, the inner-sweep merge heap, and the outer
 // odometer — so next() replays the original loop structure one emission at
-// a time and yields the identical touch order.
+// a time and yields the identical touch order, less the sweeps that
+// start_sweep proves to be all-hit repeats when given a cache capacity.
 struct TouchCursor::Impl {
   const ir::Program* program = nullptr;
   BlockSizeFn block_size_of;
+  Bytes capacity = 0;        // LRU capacity for the sweep skip; 0 = off
+  std::int64_t skipped = 0;  // outer sweeps skipped so far
 
   int nest = 0;  // current nest index; nest_count() when done
 
@@ -177,14 +183,34 @@ struct TouchCursor::Impl {
     if (outer_total > 0) start_sweep();
   }
 
+  /// Start outer sweep o: validate every reference's range, then queue each
+  /// reference's first touch — unless the sweep is provably a cache-hit
+  /// replay of sweep o-1, in which case it is skipped and queues nothing.
+  /// Sweep o repeats sweep o-1's (array, block) sequence when
+  ///   (a) every reference keeps its block range [lo, hi], and
+  ///   (b) at most one reference spans more than one block, or no
+  ///       multi-block reference moved its base (single-block references
+  ///       all enter at trip 0, so the merged order is fixed), and
+  ///   (c) a multi-block reference that moved has |stride| <= block size,
+  ///       so it enters every block of its range once, in order;
+  /// and all of those touches hit an LRU of `capacity` bytes when
+  ///   (d) the capacity is nonzero and the summed ranges fit in it.
+  /// After a sweep whose distinct blocks fit, all of them are resident, so
+  /// replaying the same sequence hits every time and leaves the recency
+  /// order as it was.  Each check is O(refs) and enumerates no touch.
   void start_sweep() {
     const ir::LoopNest& nest_ir =
         program->nests[static_cast<std::size_t>(nest)];
     const int depth = nest_ir.depth();
-    // Base offset of every reference at innermost trip 0.
     heap = {};
+    bool same_ranges = true;
+    int multi_block = 0;
+    bool multi_moved = false;
+    bool moved_in_order = true;
+    Bytes footprint = 0;
     for (std::size_t i = 0; i < refs.size(); ++i) {
       const RefInfo& info = refs[i];
+      // Base offset of the reference at innermost trip 0.
       Bytes a = info.const_bytes;
       for (int k = 0; k < depth; ++k) {
         a += info.outer_coef[static_cast<std::size_t>(k)] *
@@ -196,10 +222,36 @@ struct TouchCursor::Impl {
                        last < info.file_size,
                    "array reference out of bounds in nest '" + nest_ir.name +
                        "'");
-      streams[i].start(a, inner_trips);
-      if (!streams[i].exhausted) {
-        heap.push(HeapEntry{streams[i].next_trip, info.statement,
-                            info.ref_index, i});
+      RefStream& stream = streams[i];
+      const std::int64_t lo = std::min(a, last) / info.block_size;
+      const std::int64_t hi = std::max(a, last) / info.block_size;
+      same_ranges = same_ranges && lo == stream.lo && hi == stream.hi;
+      if (hi > lo) {
+        ++multi_block;
+        if (a != stream.base) {
+          multi_moved = true;
+          moved_in_order = moved_in_order &&
+                           std::abs(info.inner_stride) <= info.block_size;
+        }
+      }
+      footprint += (hi - lo + 1) * info.block_size;
+      stream.base = a;
+      stream.lo = lo;
+      stream.hi = hi;
+    }
+    if (o > 0 && same_ranges &&                   // (a)
+        (multi_block <= 1 || !multi_moved) &&     // (b)
+        moved_in_order &&                         // (c)
+        capacity > 0 && footprint <= capacity) {  // (d)
+      ++skipped;
+      return;
+    }
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      RefStream& stream = streams[i];
+      stream.start(stream.base, inner_trips);
+      if (!stream.exhausted) {
+        heap.push(HeapEntry{stream.next_trip, stream.info->statement,
+                            stream.info->ref_index, i});
       }
     }
   }
@@ -254,10 +306,13 @@ struct TouchCursor::Impl {
   }
 };
 
-TouchCursor::TouchCursor(const ir::Program& program, BlockSizeFn block_size_of)
+TouchCursor::TouchCursor(const ir::Program& program, BlockSizeFn block_size_of,
+                         Bytes cache_capacity)
     : impl_(std::make_unique<Impl>()) {
+  SDPM_REQUIRE(cache_capacity >= 0, "cache capacity must be non-negative");
   impl_->program = &program;
   impl_->block_size_of = std::move(block_size_of);
+  impl_->capacity = cache_capacity;
   if (impl_->nest_count() > 0) impl_->enter_nest();
 }
 
@@ -267,18 +322,6 @@ TouchCursor& TouchCursor::operator=(TouchCursor&&) noexcept = default;
 
 bool TouchCursor::next(BlockTouch& out) { return impl_->next(out); }
 
-void walk_block_touches(const ir::Program& program,
-                        const BlockSizeFn& block_size_of,
-                        const TouchCallback& fn) {
-  TouchCursor cursor(program, block_size_of);
-  BlockTouch touch;
-  while (cursor.next(touch)) fn(touch);
-}
-
-void walk_block_touches(const ir::Program& program, Bytes block_size,
-                        const TouchCallback& fn) {
-  walk_block_touches(
-      program, [block_size](ir::ArrayId) { return block_size; }, fn);
-}
+std::int64_t TouchCursor::sweeps_skipped() const { return impl_->skipped; }
 
 }  // namespace sdpm::trace

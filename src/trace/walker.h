@@ -10,12 +10,16 @@
 // iteration order with a small heap, so downstream consumers (buffer cache,
 // trace timestamps, DAP) observe the true program order.
 //
-// Two shapes of the same walk are offered: the callback-driven
-// walk_block_touches (push), and the pull-based TouchCursor that yields one
-// touch per next() call.  The push form is implemented on top of the
-// cursor, so both enumerate the identical sequence — the cursor is what
+// The walk has one shape: the pull-based TouchCursor, which yields one
+// touch per next() call and holds O(refs-per-nest) state.  That is what
 // lets the streaming trace pipeline feed the simulator without ever
 // materializing the full touch (or request) list.
+//
+// One loop further out the same affine reasoning proves reuse.  Given the
+// capacity of the LRU buffer cache its consumer simulates, the cursor
+// skips every outer sweep that provably replays the previous sweep's
+// (array, block) sequence and hits that cache on every touch; such a sweep
+// would change neither the cache nor the miss stream.  See DESIGN.md §9.
 #pragma once
 
 #include <cstdint>
@@ -38,19 +42,27 @@ struct BlockTouch {
   int statement = 0;            ///< statement index (provenance)
 };
 
-using TouchCallback = std::function<void(const BlockTouch&)>;
-
 /// Block size to use per array, in bytes.  Must divide into the array's
 /// element size evenly (block_size % element_size == 0).
 using BlockSizeFn = std::function<Bytes(ir::ArrayId)>;
 
 /// Pull-based walk over all nests of a program: next() yields block-entry
-/// events one at a time, in exactly the order walk_block_touches invokes
-/// its callback.  Holds O(refs-per-nest) state — independent of the trace
-/// length.  The program must outlive the cursor.
+/// events one at a time, in program order.  Holds O(refs-per-nest) state —
+/// independent of the trace length.  The program must outlive the cursor.
+///
+/// `cache_capacity` is the byte capacity of the LRU cache (BufferCache)
+/// that the caller feeds every touch into.  At the default, 0, the cursor
+/// enumerates every touch.  When it is nonzero, the cursor leaves out each
+/// outer sweep o > 0 whose touches provably repeat sweep o-1's (array,
+/// block) sequence and all hit that cache: every reference keeps its block
+/// range, the merged order cannot change, and the summed ranges fit in the
+/// capacity.  Only a consumer that simulates exactly such a cache — and
+/// reads nothing of a hit — may pass a capacity; any other consumer would
+/// silently lose touches.
 class TouchCursor {
  public:
-  TouchCursor(const ir::Program& program, BlockSizeFn block_size_of);
+  TouchCursor(const ir::Program& program, BlockSizeFn block_size_of,
+              Bytes cache_capacity = 0);
   ~TouchCursor();
 
   TouchCursor(TouchCursor&&) noexcept;
@@ -59,20 +71,12 @@ class TouchCursor {
   /// Advance to the next touch; returns false when the walk is complete.
   bool next(BlockTouch& out);
 
+  /// Outer sweeps left out so far (always 0 without a cache capacity).
+  std::int64_t sweeps_skipped() const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Walk all nests of `program` in execution order, invoking `fn` for every
-/// block-entry event in iteration order.  `block_size_of` gives the cache
-/// block size for each array.
-void walk_block_touches(const ir::Program& program,
-                        const BlockSizeFn& block_size_of,
-                        const TouchCallback& fn);
-
-/// Convenience overload with a single uniform block size.
-void walk_block_touches(const ir::Program& program, Bytes block_size,
-                        const TouchCallback& fn);
 
 }  // namespace sdpm::trace

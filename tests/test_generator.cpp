@@ -1,12 +1,18 @@
 // TraceGenerator: request stream correctness.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
+#include "experiments/runner.h"
 #include "ir/builder.h"
 #include "layout/layout_table.h"
+#include "obs/metrics.h"
 #include "trace/generator.h"
 #include "util/error.h"
+#include "workloads/benchmarks.h"
+#include "workloads/synthetic.h"
 
 namespace sdpm::trace {
 namespace {
@@ -153,6 +159,256 @@ TEST(Generator, CollectMissesMatchesTraceRequests) {
     EXPECT_EQ(misses[i].start_sector, trace.requests[i].start_sector);
     EXPECT_EQ(misses[i].global_iter, trace.requests[i].global_iter);
   }
+}
+
+// --- WalkSkip: the skipping walk against the touch-by-touch walk ---------
+
+/// The miss stream of a walk that enumerates every touch: a TouchCursor
+/// without a cache capacity feeding a BufferCache, record for record the
+/// walk MissCursor made before it skipped sweeps.
+std::vector<MissRecord> full_walk(const ir::Program& program,
+                                  const layout::LayoutTable& layout,
+                                  const GeneratorOptions& options) {
+  const IterationSpace space(program);
+  BufferCache cache(options.cache_bytes);
+  TouchCursor cursor(program, [&](ir::ArrayId a) {
+    return block_size_for(layout, a, options);
+  });
+  std::vector<MissRecord> misses;
+  BlockTouch touch;
+  while (cursor.next(touch)) {
+    const Bytes bs = block_size_for(layout, touch.array, options);
+    const Bytes begin = touch.block * bs;
+    const Bytes length =
+        std::min(bs, layout.layout_of(touch.array).file_size() - begin);
+    if (cache.access(touch.array, touch.block, length)) continue;
+    const layout::PhysicalLocation loc = layout.locate(touch.array, begin);
+    MissRecord miss;
+    miss.global_iter =
+        space.global_of(ir::IterationPoint{touch.nest, touch.flat_iter});
+    miss.disk = loc.disk;
+    miss.start_sector = loc.sector();
+    miss.size_bytes = length;
+    miss.kind = touch.kind;
+    miss.array = touch.array;
+    miss.block = touch.block;
+    misses.push_back(miss);
+  }
+  return misses;
+}
+
+struct SkippingWalk {
+  std::vector<MissRecord> misses;
+  std::int64_t sweeps_skipped = 0;
+};
+
+/// The product walk, straight from MissCursor (no memo involved).
+SkippingWalk skipping_walk(const ir::Program& program,
+                           const layout::LayoutTable& layout,
+                           const GeneratorOptions& options) {
+  MissCursor cursor(program, layout, options);
+  SkippingWalk walk;
+  MissRecord miss;
+  while (cursor.next(miss)) walk.misses.push_back(miss);
+  walk.sweeps_skipped = cursor.sweeps_skipped();
+  return walk;
+}
+
+/// Check the skipping walk against the full walk record for record;
+/// returns the skipping walk.
+SkippingWalk expect_same_misses(const ir::Program& program,
+                                const layout::LayoutTable& layout,
+                                const GeneratorOptions& options,
+                                const std::string& label) {
+  const std::vector<MissRecord> full = full_walk(program, layout, options);
+  SkippingWalk walk = skipping_walk(program, layout, options);
+  EXPECT_EQ(walk.misses.size(), full.size()) << label;
+  const std::size_t n = std::min(walk.misses.size(), full.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (walk.misses[i] == full[i]) continue;
+    ADD_FAILURE() << label << ": first differing miss #" << i
+                  << ": skipping walk (array " << walk.misses[i].array
+                  << ", block " << walk.misses[i].block << ", iter "
+                  << walk.misses[i].global_iter << "), full walk (array "
+                  << full[i].array << ", block " << full[i].block
+                  << ", iter " << full[i].global_iter << ")";
+    break;
+  }
+  return walk;
+}
+
+layout::LayoutTable paper_layout(const ir::Program& program) {
+  const experiments::ExperimentConfig paper;
+  return layout::LayoutTable(program, paper.striping, paper.total_disks);
+}
+
+TEST(WalkSkip, PaperBenchmarksMatchTheFullWalk) {
+  // Sweeps skipped per walk at paper defaults (64 KiB blocks, 6 MiB
+  // cache) are pinned, so a change that narrows the skip fails here.
+  const std::map<std::string, std::int64_t> expected_skips = {
+      {"wupwise", 26'673}, {"swim", 5'535}, {"mgrid", 27'776},
+      {"applu", 10'952},   {"mesa", 9'344}, {"galgel", 7'168}};
+  const experiments::ExperimentConfig paper;
+  for (const workloads::Benchmark& b : workloads::all_benchmarks()) {
+    const layout::LayoutTable table = paper_layout(b.program);
+    const SkippingWalk walk =
+        expect_same_misses(b.program, table, paper.gen, b.name);
+    EXPECT_EQ(walk.sweeps_skipped, expected_skips.at(b.name)) << b.name;
+  }
+  const workloads::Benchmark swim = workloads::make_swim();
+  GeneratorOptions small_blocks = paper.gen;
+  small_blocks.block_size = kib(8);
+  const SkippingWalk walk =
+      expect_same_misses(swim.program, paper_layout(swim.program),
+                         small_blocks, "swim, 8 KiB blocks");
+  EXPECT_GT(walk.sweeps_skipped, 0);
+}
+
+TEST(WalkSkip, CollectMissesCountsSkippedSweeps) {
+  const workloads::Benchmark galgel = workloads::make_galgel();
+  const layout::LayoutTable table = paper_layout(galgel.program);
+  const GeneratorOptions options = experiments::ExperimentConfig{}.gen;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  clear_access_memo();
+  const obs::MetricsRegistry::Snapshot before = metrics.snapshot();
+  collect_misses(galgel.program, table, options);
+  collect_misses(galgel.program, table, options);  // memo hit: no walk
+  const obs::MetricsRegistry::Snapshot after = metrics.snapshot();
+  EXPECT_EQ(after.counter("trace.walks_run") -
+                before.counter("trace.walks_run"),
+            1);
+  EXPECT_EQ(after.counter("trace.sweeps_skipped") -
+                before.counter("trace.sweeps_skipped"),
+            7'168);
+}
+
+TEST(WalkSkip, SyntheticProgramsMatchTheFullWalk) {
+  // test_fuzz's seeds and layout, across block sizes and cache capacities.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u,
+                                   89u}) {
+    workloads::SyntheticOptions synthetic;
+    synthetic.seed = seed;
+    const ir::Program program = workloads::make_synthetic(synthetic);
+    const layout::LayoutTable table(program, layout::Striping{0, 4, kib(64)},
+                                    4);
+    for (const Bytes block : {kib(8), kib(64)}) {
+      for (const Bytes capacity : {Bytes{0}, kib(64), kib(512), mib(6)}) {
+        GeneratorOptions options;
+        options.block_size = block;
+        options.cache_bytes = capacity;
+        const std::string label = "seed " + std::to_string(seed) +
+                                  ", block " + std::to_string(block) +
+                                  ", cache " + std::to_string(capacity);
+        const SkippingWalk walk =
+            expect_same_misses(program, table, options, label);
+        // Without a cache nothing is skipped; with the paper's cache the
+        // skip fires on every program, so the comparison is not vacuous.
+        if (capacity == 0) {
+          EXPECT_EQ(walk.sweeps_skipped, 0) << label;
+        } else if (capacity == mib(6)) {
+          EXPECT_GT(walk.sweeps_skipped, 0) << label;
+        }
+      }
+    }
+  }
+}
+
+/// `sweeps` sweeps of one reference over a 2-block (128 KiB) array plus
+/// one over a 1-block array: each sweep's footprint is exactly 3 blocks.
+ir::Program footprint_program(std::int64_t sweeps) {
+  ProgramBuilder pb("p");
+  const auto u = pb.array("U", {2 * 8192});
+  const auto v = pb.array("V", {8192});
+  pb.nest("n")
+      .loop("t", 0, sweeps)
+      .loop("i", 0, 2 * 8192)
+      .stmt(1.0)
+      .read(u, {sym("i")})
+      .read(v, {ir::sym_const(7)})
+      .done();
+  return pb.build();
+}
+
+TEST(WalkSkip, FootprintMustFitTheCapacity) {
+  const ir::Program p = footprint_program(4);
+  const layout::LayoutTable table(p, layout::Striping{0, 4, kib(64)}, 4);
+  const Bytes footprint = 3 * kib(64);
+  GeneratorOptions options;
+  options.cache_bytes = footprint;
+  const SkippingWalk fits = expect_same_misses(p, table, options, "F");
+  EXPECT_EQ(fits.sweeps_skipped, 3);
+  EXPECT_EQ(fits.misses.size(), 3u);
+  options.cache_bytes = footprint - 1;
+  const SkippingWalk tight = expect_same_misses(p, table, options, "F - 1");
+  EXPECT_EQ(tight.sweeps_skipped, 0);
+}
+
+TEST(WalkSkip, NothingIsSkippedWithoutACapacity) {
+  // A sweep that touches nothing fits any cache, yet without a capacity the
+  // walk still skips no sweep.
+  ProgramBuilder pb("p");
+  const auto u = pb.array("U", {8192});
+  pb.nest("compute").loop("t", 0, 4).loop("i", 0, 8).stmt(1.0).done();
+  pb.nest("read").loop("i", 0, 8192).stmt(1.0).read(u, {sym("i")}).done();
+  const ir::Program p = pb.build();
+  const layout::LayoutTable table(p, layout::Striping{0, 4, kib(64)}, 4);
+  GeneratorOptions options;
+  options.cache_bytes = 0;
+  EXPECT_EQ(expect_same_misses(p, table, options, "no cache").sweeps_skipped,
+            0);
+  options.cache_bytes = kib(64);
+  EXPECT_EQ(expect_same_misses(p, table, options, "cache").sweeps_skipped, 3);
+}
+
+TEST(WalkSkip, StrideProbe) {
+  // A[12288 j + i] strides 1.5 blocks per inner trip: at i = 4096 the
+  // blocks visited change from {0,1,3} to {0,2,3} while the range stays
+  // [0,3], so a moved base with |stride| > block size must not skip.
+  ProgramBuilder pb("p");
+  const auto a = pb.array("A", {49'152});
+  pb.nest("n")
+      .loop("i", 0, 8192)
+      .loop("j", 0, 3)
+      .stmt(1.0)
+      .read(a, {12'288 * sym("j") + sym("i")})
+      .done();
+  const ir::Program p = pb.build();
+  const layout::LayoutTable table(p, layout::Striping{0, 4, kib(64)}, 4);
+  GeneratorOptions options;  // stripe-sized blocks, 6 MiB cache
+  const SkippingWalk walk = expect_same_misses(p, table, options, "stride");
+  EXPECT_EQ(walk.misses.size(), 4u);
+}
+
+TEST(WalkSkip, OrderProbe) {
+  // A and B both cross a block boundary and A's base moves, so the second
+  // sweep touches the same blocks in another order (A0 B0 B1 A1, then
+  // A0 B0 A1 B1).  The LRU order that follows decides whether the last
+  // nest's A[8] evicts B's block 1 before B[8] reads it.
+  ProgramBuilder pb("p");
+  const auto a = pb.array("A", {64});
+  const auto b = pb.array("B", {64});
+  const auto c = pb.array("C", {64});
+  pb.nest("swept")
+      .loop("i", 0, 2)
+      .loop("j", 0, 12)
+      .stmt(1.0)
+      .read(a, {sym("j") + sym("i")})
+      .read(b, {sym("j") + 1})
+      .done();
+  pb.nest("evict").loop("k", 0, 3).stmt(1.0).read(c, {8 * sym("k")}).done();
+  pb.nest("reread")
+      .loop("k", 0, 1)
+      .stmt(1.0)
+      .read(a, {sym("k") + 8})
+      .read(b, {sym("k") + 8})
+      .done();
+  const ir::Program p = pb.build();
+  const layout::LayoutTable table(p, layout::Striping{0, 4, kib(64)}, 4);
+  GeneratorOptions options;
+  options.block_size = 64;
+  options.cache_bytes = 256;
+  const SkippingWalk walk = expect_same_misses(p, table, options, "order");
+  EXPECT_EQ(walk.misses.size(), 9u);
 }
 
 TEST(Trace, WriteTextFormat) {

@@ -2,7 +2,10 @@
 // must hold for every benchmark under the default configuration.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "experiments/runner.h"
+#include "util/error.h"
 
 namespace sdpm::experiments {
 namespace {
@@ -170,6 +173,28 @@ TEST(Runner, GalgelUnaffectedByTransformations) {
                 0.02 * base_energy)
         << core::to_string(t);
   }
+}
+
+TEST(Runner, FailedBaseRunRethrowsTheSameErrorToEveryCaller) {
+  // A block size that does not divide the 64 KB stripe lets the Runner
+  // compile but makes its Base trace throw.  The failure is kept: a second
+  // call rethrows the same located error instead of re-running the walk.
+  ExperimentConfig config;
+  config.gen.block_size = kib(64) + 512;
+  Runner runner(workloads::make_galgel(), config);
+  const auto message = [&runner] {
+    try {
+      runner.base_report();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string first = message();
+  EXPECT_NE(first.find("block size must divide"), std::string::npos)
+      << first;
+  EXPECT_NE(first.find(".cpp:"), std::string::npos) << first;
+  EXPECT_EQ(message(), first);
 }
 
 }  // namespace

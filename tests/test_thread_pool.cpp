@@ -1,10 +1,14 @@
 // ThreadPool: completion, wait_idle semantics, exception propagation, and
-// run_parallel.
+// run_parallel; OnceState, the run-once guard pool tasks share.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "util/once.h"
 #include "util/thread_pool.h"
 
 namespace sdpm {
@@ -117,6 +121,38 @@ TEST(ThreadPool, SetDefaultJobsOverridesDetection) {
   EXPECT_EQ(pool.thread_count(), 3u);
   set_default_jobs(0);  // restore automatic detection
   EXPECT_GE(default_jobs(), 1u);
+}
+
+TEST(OnceState, RunsTheCallableOnce) {
+  OnceState once;
+  int runs = 0;
+  once.call([&runs] { ++runs; });
+  once.call([&runs] { ++runs; });
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(OnceState, ThrowingCallableRethrowsToEveryCaller) {
+  // Pool tasks race on one guard whose callable throws: it runs once, and
+  // every task sees its error, none hangs.
+  OnceState once;
+  std::atomic<int> runs{0};
+  std::atomic<int> failures{0};
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back([&] {
+      try {
+        once.call([&runs] {
+          runs.fetch_add(1);
+          throw std::runtime_error("first");
+        });
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == "first") failures.fetch_add(1);
+      }
+    });
+  }
+  run_parallel(std::move(tasks), 4);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(failures.load(), 8);
 }
 
 }  // namespace

@@ -28,10 +28,12 @@ struct Event {
 
 std::vector<Event> run_walker(const ir::Program& program, Bytes block_size) {
   std::vector<Event> events;
-  walk_block_touches(program, block_size, [&](const BlockTouch& t) {
+  TouchCursor cursor(program, [block_size](ArrayId) { return block_size; });
+  BlockTouch t;
+  while (cursor.next(t)) {
     events.push_back(Event{t.nest, t.flat_iter, t.array, t.block,
                            t.statement});
-  });
+  }
   return events;
 }
 
@@ -191,11 +193,36 @@ TEST(Walker, PerArrayBlockSizes) {
       .done();
   const ir::Program p = pb.build();
   int a_events = 0, b_events = 0;
-  walk_block_touches(
-      p, [&](ir::ArrayId arr) { return arr == 0 ? Bytes{64} : Bytes{128}; },
-      [&](const BlockTouch& t) { (t.array == 0 ? a_events : b_events)++; });
+  TouchCursor cursor(
+      p, [](ArrayId arr) { return arr == 0 ? Bytes{64} : Bytes{128}; });
+  BlockTouch t;
+  while (cursor.next(t)) (t.array == 0 ? a_events : b_events)++;
   EXPECT_EQ(a_events, 4);  // 256B / 64B
   EXPECT_EQ(b_events, 2);  // 256B / 128B
+}
+
+TEST(Walker, RepeatSweepsNeedACapacityToBeSkipped) {
+  // Four identical sweeps of U.  Without a cache capacity the cursor yields
+  // every touch; given one that holds U, it skips the three repeats.
+  ProgramBuilder pb("p");
+  const ArrayId u = pb.array("U", {64});  // 4 blocks of 128 bytes
+  pb.nest("n")
+      .loop("t", 0, 4)
+      .loop("i", 0, 64)
+      .stmt(1.0)
+      .read(u, {sym("i")})
+      .done();
+  const ir::Program p = pb.build();
+  const auto events = run_walker(p, 128);
+  EXPECT_EQ(events.size(), 16u);
+  EXPECT_EQ(events, brute_force(p, 128));
+
+  TouchCursor cursor(p, [](ArrayId) { return Bytes{128}; }, 512);
+  int touches = 0;
+  BlockTouch t;
+  while (cursor.next(t)) ++touches;
+  EXPECT_EQ(touches, 4);
+  EXPECT_EQ(cursor.sweeps_skipped(), 3);
 }
 
 TEST(Walker, SteppedLoopsMatchBruteForce) {
