@@ -43,25 +43,25 @@ int main() {
                     "Retries", "Demotions"});
 
   for (const double rate : {0.0, 0.02, 0.05, 0.10, 0.15}) {
-    sim::FaultConfig faults;
-    faults.spin_up_failure_prob = rate;
+    sim::SimOptions options;
+    options.faults.spin_up_failure_prob = rate;
 
     policy::BasePolicy base;
     const sim::SimReport base_report = sim::simulate(
-        plain, config.disk, base, sim::ReplayMode::kClosedLoop, faults);
+        plain, config.disk, base, options);
 
     policy::TpmPolicy tpm;
     const sim::SimReport tpm_report = sim::simulate(
-        plain, config.disk, tpm, sim::ReplayMode::kClosedLoop, faults);
+        plain, config.disk, tpm, options);
 
     policy::ProactivePolicy cmtpm("CMTPM");
     const sim::SimReport cm_report = sim::simulate(
-        cm, config.disk, cmtpm, sim::ReplayMode::kClosedLoop, faults);
+        cm, config.disk, cmtpm, options);
 
     policy::ProactivePolicy inner("CMTPM");
     policy::ResilientPolicy resilient(inner);
     const sim::SimReport res_report = sim::simulate(
-        cm, config.disk, resilient, sim::ReplayMode::kClosedLoop, faults);
+        cm, config.disk, resilient, options);
 
     table.add_row({
         fmt_double(100.0 * rate, 0),

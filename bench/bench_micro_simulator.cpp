@@ -1,15 +1,13 @@
 // Micro-benchmarks (google-benchmark): throughput of the substrate —
 // trace generation (access walker + buffer cache), the closed-loop
-// simulator (materialized and streamed), the DAP analysis, the power-call
-// scheduler, the sweep engine (serial-uncached vs pooled-cached), and the
-// large-trace memory comparison between the materialized and streaming
-// delivery paths.
+// simulator (static kernel and virtual engine), the DAP analysis, the
+// power-call scheduler, and the sweep engine (serial-uncached vs
+// pooled-cached).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "core/schedule.h"
-#include "experiments/bench_baseline.h"
 #include "experiments/sweep.h"
 #include "experiments/trace_cache.h"
 #include "layout/layout_table.h"
@@ -19,6 +17,7 @@
 #include "service/telemetry.h"
 #include "policy/drpm.h"
 #include "sim/simulator.h"
+#include "tests/forwarding_policy.h"
 #include "trace/dap.h"
 #include "trace/generator.h"
 #include "workloads/benchmarks.h"
@@ -69,7 +68,7 @@ void BM_BaseSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_BaseSimulation)->Unit(benchmark::kMillisecond);
 
-// The batched-replay acceptance metric: single-disk swim replay (no
+// The replay-throughput acceptance metric: single-disk swim replay (no
 // striping fan-out, every request back to back through the hot loop) —
 // the same workload `sdpm_cli bench --suite simulator` times.
 void BM_SingleDiskReplay(benchmark::State& state) {
@@ -89,45 +88,24 @@ void BM_SingleDiskReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleDiskReplay)->Unit(benchmark::kMillisecond);
 
-// The same replay through the generic virtual engine (DispatchMode::
-// kForceVirtual): the distance between this and BM_BaseSimulation is what
-// static kernel dispatch buys.  Results are bit-identical either way (the
-// equivalence suite pins that); only the speed differs.
+// The same replay through the generic virtual engine: BasePolicy wrapped
+// in a ForwardingPolicy, which has no static kernel.  The distance between
+// this and BM_BaseSimulation is what static kernel dispatch buys.  Results
+// are bit-identical either way (the equivalence suite pins that); only the
+// speed differs.
 void BM_BaseSimulationVirtualDispatch(benchmark::State& state) {
   trace::TraceGenerator generator(swim().program, swim_layout());
   const trace::Trace trace = generator.generate();
-  sim::SimOptions options;
-  options.dispatch = sim::DispatchMode::kForceVirtual;
   for (auto _ : state) {
-    policy::BasePolicy policy;
+    test::ForwardingPolicy<policy::BasePolicy> policy;
     benchmark::DoNotOptimize(
-        sim::simulate(trace, disk::DiskParameters::ultrastar_36z15(), policy,
-                      options)
+        sim::simulate(trace, disk::DiskParameters::ultrastar_36z15(), policy)
             .total_energy);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trace.requests.size()));
 }
 BENCHMARK(BM_BaseSimulationVirtualDispatch)->Unit(benchmark::kMillisecond);
-
-// Scalar delivery (replay_batch = 1): one next_batch virtual call per
-// item, quantifying what block-pull amortization buys.
-void BM_BaseSimulationScalarDelivery(benchmark::State& state) {
-  trace::TraceGenerator generator(swim().program, swim_layout());
-  const trace::Trace trace = generator.generate();
-  sim::SimOptions options;
-  options.replay_batch = 1;
-  for (auto _ : state) {
-    policy::BasePolicy policy;
-    benchmark::DoNotOptimize(
-        sim::simulate(trace, disk::DiskParameters::ultrastar_36z15(), policy,
-                      options)
-            .total_energy);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(trace.requests.size()));
-}
-BENCHMARK(BM_BaseSimulationScalarDelivery)->Unit(benchmark::kMillisecond);
 
 // The observability overhead contract (DESIGN.md §10): a sink-less tracer
 // collapses to the null fast path and must stay within ~2% of
@@ -248,32 +226,6 @@ void BM_ServiceTelemetryRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceTelemetryRecord);
 
-// Same replay fed by the streaming generator: no request vector is ever
-// materialized.  The result must be bit-identical to BM_BaseSimulation's.
-void BM_StreamedSimulation(benchmark::State& state) {
-  trace::TraceGenerator generator(swim().program, swim_layout());
-  const trace::Trace trace = generator.generate();
-  policy::BasePolicy reference_policy;
-  const double reference =
-      sim::simulate(trace, disk::DiskParameters::ultrastar_36z15(),
-                    reference_policy)
-          .total_energy;
-  std::int64_t requests = 0;
-  for (auto _ : state) {
-    trace::StreamingTraceSource source(swim().program, swim_layout());
-    policy::BasePolicy policy;
-    const sim::SimReport report = sim::simulate(
-        source, disk::DiskParameters::ultrastar_36z15(), policy);
-    requests = report.requests;
-    if (report.total_energy != reference) {
-      state.SkipWithError("streamed replay diverged from materialized");
-      return;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * requests);
-}
-BENCHMARK(BM_StreamedSimulation)->Unit(benchmark::kMillisecond);
-
 void BM_DrpmSimulation(benchmark::State& state) {
   trace::TraceGenerator generator(swim().program, swim_layout());
   const trace::Trace trace = generator.generate();
@@ -353,92 +305,6 @@ void BM_SweepEngineCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SweepEngineCached)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Large-trace memory comparison: replay >= 10M synthetic requests through
-// the streaming interface (O(1) request memory) and through a materialized
-// Trace (~600 MB of requests).  Each variant reports the process peak RSS
-// after its run; the streamed case registers (and runs) first, so its
-// reported peak is not inflated by the materialized allocation.
-
-constexpr std::int64_t kLargeRequests = 10'000'000;
-constexpr int kLargeDisks = 8;
-constexpr TimeMs kLargeGapMs = 0.002;
-
-/// Deterministic synthetic request stream: fixed-size sequential reads
-/// round-robined over the disks at a fixed arrival cadence.
-class SyntheticSource final : public trace::RequestSource {
- public:
-  explicit SyntheticSource(std::int64_t count) : count_(count) {}
-
-  bool next(trace::TraceItem& item) override {
-    if (i_ >= count_) return false;
-    item.kind = trace::TraceItem::Kind::kRequest;
-    item.request = request_at(i_);
-    ++i_;
-    return true;
-  }
-
-  int total_disks() const override { return kLargeDisks; }
-  TimeMs compute_total_ms() const override {
-    return kLargeGapMs * static_cast<double>(count_);
-  }
-
-  static trace::Request request_at(std::int64_t i) {
-    trace::Request r;
-    r.arrival_ms = kLargeGapMs * static_cast<double>(i);
-    r.disk = static_cast<int>(i % kLargeDisks);
-    r.start_sector = (i / kLargeDisks) * 16;
-    r.size_bytes = kib(8);
-    r.kind = ir::AccessKind::kRead;
-    r.global_iter = i;
-    return r;
-  }
-
- private:
-  std::int64_t count_;
-  std::int64_t i_ = 0;
-};
-
-void BM_LargeTraceStreamedRss(benchmark::State& state) {
-  for (auto _ : state) {
-    SyntheticSource source(kLargeRequests);
-    policy::BasePolicy policy;
-    const sim::SimReport report = sim::simulate(
-        source, disk::DiskParameters::ultrastar_36z15(), policy);
-    benchmark::DoNotOptimize(report.total_energy);
-  }
-  state.counters["peak_rss_mib"] =
-      static_cast<double>(experiments::peak_rss_kib()) / 1024.0;
-  state.SetItemsProcessed(state.iterations() * kLargeRequests);
-}
-BENCHMARK(BM_LargeTraceStreamedRss)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_LargeTraceMaterializedRss(benchmark::State& state) {
-  for (auto _ : state) {
-    trace::Trace trace;
-    trace.total_disks = kLargeDisks;
-    trace.compute_total_ms =
-        kLargeGapMs * static_cast<double>(kLargeRequests);
-    trace.requests.reserve(static_cast<std::size_t>(kLargeRequests));
-    for (std::int64_t i = 0; i < kLargeRequests; ++i) {
-      trace.requests.push_back(SyntheticSource::request_at(i));
-      trace.bytes_transferred += trace.requests.back().size_bytes;
-    }
-    policy::BasePolicy policy;
-    const sim::SimReport report = sim::simulate(
-        trace, disk::DiskParameters::ultrastar_36z15(), policy);
-    benchmark::DoNotOptimize(report.total_energy);
-  }
-  state.counters["peak_rss_mib"] =
-      static_cast<double>(experiments::peak_rss_kib()) / 1024.0;
-  state.SetItemsProcessed(state.iterations() * kLargeRequests);
-}
-BENCHMARK(BM_LargeTraceMaterializedRss)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 }  // namespace
 

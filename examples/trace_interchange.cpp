@@ -57,8 +57,9 @@ int main() {
   summary.set_header({"Policy", "Energy (J)", "Completion", "Mean resp",
                       "Spin-downs", "RPM shifts"});
   const auto add_row = [&](const char* name, sim::PowerPolicy& policy) {
-    const sim::SimReport report =
-        sim::simulate(parsed, params, policy, sim::ReplayMode::kOpenLoop);
+    const sim::SimReport report = sim::simulate(
+        parsed, params, policy,
+        sim::SimOptions{.mode = sim::ReplayMode::kOpenLoop});
     std::int64_t downs = 0, shifts = 0;
     for (const auto& d : report.disks) {
       downs += d.spin_downs;

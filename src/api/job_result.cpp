@@ -17,16 +17,6 @@ const char* to_string(ErrorCode code) {
   return "";
 }
 
-std::optional<ErrorCode> error_code_from(const std::string& text) {
-  for (const ErrorCode code :
-       {ErrorCode::kNone, ErrorCode::kExecError, ErrorCode::kJobTimeout,
-        ErrorCode::kQuarantined, ErrorCode::kResultTooLarge,
-        ErrorCode::kFrameTooLarge, ErrorCode::kCancelled}) {
-    if (text == to_string(code)) return code;
-  }
-  return std::nullopt;
-}
-
 SchemeOutcome outcome_from(const experiments::SchemeResult& result) {
   SchemeOutcome out;
   out.scheme = experiments::to_string(result.scheme);

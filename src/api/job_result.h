@@ -30,12 +30,9 @@ enum class ErrorCode {
   kCancelled,       ///< cancelled by a client before dispatch
 };
 
-/// Stable wire string of a code ("EXEC_ERROR", "JOB_TIMEOUT", ...).
+/// Stable wire string of a code ("EXEC_ERROR", "JOB_TIMEOUT", ...): the
+/// one spelling every producer writes.
 const char* to_string(ErrorCode code);
-
-/// Parse a wire string; empty optional for unknown codes (forward
-/// compatibility: clients treat unknown codes as a generic failure).
-std::optional<ErrorCode> error_code_from(const std::string& text);
 
 /// One scheme's outcome within a job (paper Figs. 3/4 columns).
 struct SchemeOutcome {
@@ -61,10 +58,11 @@ struct JobResult {
   /// a measurement, not a simulated quantity — excluded from equality.
   double wall_ms = 0;
   /// Optional analyzer report (analysis::render_json v2: diagnostics,
-  /// fix-its, certificate) attached by the service `analyze` op.  Stored
-  /// as its JSON text; to_json embeds it as a parsed "analysis" object and
-  /// from_json recovers the canonical dump, so the payload — including
-  /// every fix-it edit — survives the wire round trip structurally.
+  /// fix-its, certificate) a caller may attach to a result; nothing in
+  /// the job pipeline or the daemon sets it.  Stored as its JSON text;
+  /// to_json embeds it as a parsed "analysis" object and from_json
+  /// recovers the canonical dump, so the payload — including every fix-it
+  /// edit — survives the wire round trip structurally.
   /// Excluded from equality (like wall_ms: canonicalization may reorder
   /// keys without changing meaning).
   std::string analysis_json;

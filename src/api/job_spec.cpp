@@ -156,12 +156,6 @@ std::vector<experiments::Scheme> JobSpec::resolved_schemes() const {
   return out;
 }
 
-core::Transformation JobSpec::resolved_transform() const {
-  const std::optional<core::Transformation> t = transform_from_name(transform);
-  require(t.has_value(), "unknown transform '" + transform + "'");
-  return *t;
-}
-
 disk::DiskParameters JobSpec::resolved_device() const {
   if (!device_inline_json.empty()) {
     return disk::DiskParameters::from_ladder(

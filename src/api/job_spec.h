@@ -117,9 +117,6 @@ struct JobSpec {
   /// The scheme list this spec resolves to (all seven when empty).
   std::vector<experiments::Scheme> resolved_schemes() const;
 
-  /// The parsed transformation.
-  core::Transformation resolved_transform() const;
-
   /// The disk model this spec runs on: the inline ladder when set, else
   /// the named preset, else the paper's default disk.
   disk::DiskParameters resolved_device() const;

@@ -1,7 +1,6 @@
 #include "disk/power_state.h"
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace sdpm::disk {
 
@@ -37,14 +36,6 @@ EnergyBreakdown& EnergyBreakdown::operator+=(const EnergyBreakdown& other) {
   spin_up_j += other.spin_up_j;
   rpm_shift_j += other.rpm_shift_j;
   return *this;
-}
-
-std::string EnergyBreakdown::to_string() const {
-  return str_printf(
-      "active %.1fJ/%.0fms idle %.1fJ/%.0fms standby %.1fJ/%.0fms "
-      "down %.1fJ up %.1fJ shift %.1fJ",
-      active_j, active_ms, idle_j, idle_ms, standby_j, standby_ms,
-      spin_down_j, spin_up_j, rpm_shift_j);
 }
 
 }  // namespace sdpm::disk

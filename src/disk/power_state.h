@@ -1,8 +1,6 @@
 // Disk power-state taxonomy and energy accounting buckets.
 #pragma once
 
-#include <string>
-
 #include "util/error.h"
 #include "util/units.h"
 
@@ -80,8 +78,6 @@ struct EnergyBreakdown {
   }
 
   EnergyBreakdown& operator+=(const EnergyBreakdown& other);
-
-  std::string to_string() const;
 };
 
 }  // namespace sdpm::disk

@@ -106,21 +106,4 @@ Table rpm_residency_table(const sim::SimReport& report,
   return table;
 }
 
-Table stream_table(const sim::MultiStreamReport& report,
-                   const std::string& title) {
-  Table table(title);
-  table.set_header({"Stream", "Completion", "Compute", "Requests",
-                    "Mean response"});
-  for (const sim::StreamReport& s : report.streams) {
-    table.add_row({
-        s.name,
-        fmt_time_ms(s.completion_ms),
-        fmt_time_ms(s.compute_ms),
-        std::to_string(s.requests),
-        fmt_time_ms(s.response_ms.mean()),
-    });
-  }
-  return table;
-}
-
 }  // namespace sdpm::experiments

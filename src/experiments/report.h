@@ -3,7 +3,6 @@
 #pragma once
 
 #include "disk/parameters.h"
-#include "sim/multi_stream.h"
 #include "sim/report.h"
 #include "util/table.h"
 
@@ -24,9 +23,5 @@ Table summary_table(const sim::SimReport& report,
 Table rpm_residency_table(const sim::SimReport& report,
                           const disk::DiskParameters& params,
                           const std::string& title = "RPM residency");
-
-/// Per-stream summary of a multiprogrammed run.
-Table stream_table(const sim::MultiStreamReport& report,
-                   const std::string& title = "streams");
 
 }  // namespace sdpm::experiments

@@ -18,11 +18,11 @@
 // and fold into the registry on snapshot instead.
 //
 // The simulator (sim.simulations, sim.requests, sim.wall_us), the trace
-// layer (trace.walks_run, trace.sweeps_skipped, trace.generated,
-// trace.requests_streamed), the trace cache (trace_cache.hits/misses), the
-// runner (runner.timeline_cache_hits), the sweep engine
-// (sweep.cells_completed, sweep.cell_wall_ms), the API session and the
-// daemon all report into global().  Consumers bracket a region with two snapshot() calls and diff
+// layer (trace.walks_run, trace.sweeps_skipped, trace.generated), the
+// trace cache (trace_cache.hits/misses), the runner
+// (runner.timeline_cache_hits), the sweep engine (sweep.cells_completed,
+// sweep.cell_wall_ms), the API session and the daemon all report into
+// global().  Consumers bracket a region with two snapshot() calls and diff
 // them by name (Snapshot::counter); `sdpm_cli run|bench --format metrics`
 // renders it as JSON with deterministically sorted keys.
 #pragma once

@@ -135,9 +135,10 @@ void ServiceDaemon::open_state() {
       const std::string error = str_printf(
           "job quarantined after %lld dispatch attempts without completion",
           static_cast<long long>(replayed.dispatches));
+      const char* code = api::to_string(api::ErrorCode::kQuarantined);
       queue_.restore_failed(replayed.id, replayed.session, std::move(spec),
-                            error, "QUARANTINED");
-      journal_->complete_failed(replayed.id, "QUARANTINED", error);
+                            error, code);
+      journal_->complete_failed(replayed.id, code, error);
       metrics.add("service.jobs_quarantined");
       continue;
     }
@@ -256,7 +257,8 @@ void ServiceDaemon::handle_connection(int fd, std::uint64_t session_id) {
                                          "the %u-byte limit",
                                          frame.length,
                                          options_.max_frame_bytes),
-                              false, "FRAME_TOO_LARGE"));
+                              false,
+                              api::to_string(api::ErrorCode::kFrameTooLarge)));
         if (!frame.resynced) break;
         continue;
       }
@@ -277,7 +279,7 @@ void ServiceDaemon::handle_connection(int fd, std::uint64_t session_id) {
             str_printf("response of %zu bytes exceeds the %u-byte frame "
                        "limit",
                        dump.size(), options_.max_frame_bytes),
-            false, "RESULT_TOO_LARGE");
+            false, api::to_string(api::ErrorCode::kResultTooLarge));
         dump = response.dump();
       }
       const double t_respond0 = wall_ms_now();
@@ -345,63 +347,6 @@ Json ServiceDaemon::handle_request(const Json& request,
     telemetry_.record_admit(session_id, now);
     telemetry_.record(Stage::kAdmit, wall_ms_now() - t_admit0);
     return ok_response().set("id", id);
-  }
-
-  if (op == "analyze") {
-    // Synchronous static analysis: no simulation, so it runs inline on
-    // the session thread instead of the job queue.  Returns the v2
-    // analyzer report (diagnostics, fix-its, certified bounds) and — with
-    // "fix": true — the repair summary plus the repaired schedule's
-    // report.
-    if (!request.contains("spec")) {
-      return error_response("analyze is missing the \"spec\" field");
-    }
-    try {
-      const api::JobSpec spec = api::JobSpec::from_json(request.at("spec"));
-      spec.validate();
-      core::PowerMode mode = core::PowerMode::kDrpm;
-      if (const Json* f = request.find("mode")) {
-        if (f->as_string() == "CMTPM") {
-          mode = core::PowerMode::kTpm;
-        } else if (f->as_string() != "CMDRPM") {
-          return error_response("unknown analyze mode \"" +
-                                f->as_string() + "\"");
-        }
-      }
-      std::optional<analysis::Mutation> mutation;
-      if (const Json* f = request.find("mutate")) {
-        mutation = analysis::mutation_from_name(f->as_string());
-        if (!mutation) {
-          return error_response("unknown mutation \"" + f->as_string() +
-                                "\"");
-        }
-      }
-      const bool fix =
-          request.contains("fix") && request.at("fix").as_bool();
-      obs::MetricsRegistry::global().add("service.analyzes");
-      if (!fix) {
-        const analysis::AnalysisReport report =
-            session_.analyze(spec, mode, mutation);
-        return ok_response().set(
-            "report", Json::parse(analysis::render_json(report)));
-      }
-      const analysis::RepairOutcome outcome =
-          session_.repair(spec, mode, mutation);
-      Json ids = Json::array();
-      for (const std::string& id : outcome.applied_ids) ids.push_back(id);
-      Json repair = Json::object();
-      repair.set("rounds", outcome.rounds)
-          .set("fixits_applied", outcome.fixits_applied)
-          .set("fixits_skipped", outcome.fixits_skipped)
-          .set("converged", outcome.converged)
-          .set("applied", std::move(ids));
-      return ok_response()
-          .set("report",
-               Json::parse(analysis::render_json(outcome.final_report)))
-          .set("repair", std::move(repair));
-    } catch (const std::exception& e) {
-      return error_response(e.what());
-    }
   }
 
   if (op == "status") {
@@ -536,7 +481,8 @@ void ServiceDaemon::watchdog_loop() {
         queue_.expire_overdue(wall_ms_now(), options_.job_timeout_ms);
     for (const auto& job : expired) {
       if (journal_ != nullptr) {
-        journal_->complete_failed(job->id, "JOB_TIMEOUT", job->error);
+        journal_->complete_failed(
+            job->id, api::to_string(api::ErrorCode::kJobTimeout), job->error);
       }
       telemetry_.record(Stage::kEval, job->wall_ms);
       record_outcome(job, false);
@@ -711,7 +657,8 @@ void ServiceDaemon::run_batch_jobs(
       }
       finish_job(job, std::move(result), wall_ms_now() - job_t0);
     } catch (const std::exception& e) {
-      finish_job_failed(job, e.what(), wall_ms_now() - job_t0, "EXEC_ERROR");
+      finish_job_failed(job, e.what(), wall_ms_now() - job_t0,
+                        api::to_string(api::ErrorCode::kExecError));
     }
   }
 
@@ -741,7 +688,7 @@ void ServiceDaemon::run_batch_jobs(
         finish_job(job, std::move(result), wall_ms_now() - job_t0);
       } catch (const std::exception& e) {
         finish_job_failed(job, e.what(), wall_ms_now() - job_t0,
-                          "EXEC_ERROR");
+                          api::to_string(api::ErrorCode::kExecError));
       }
     }
   }

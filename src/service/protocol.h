@@ -21,13 +21,6 @@
 //     client-generated trace context propagated into the daemon's event
 //     tracer so one Chrome trace stitches the service lifecycle to the
 //     job's simulated-time disk tracks.
-//   {"op":"analyze","spec":{...JobSpec...}}  synchronous static analysis
-//     (no job queued): optional "mode" ("CMTPM"/"CMDRPM", default
-//     CMDRPM), "mutate" (seeded bug class) and "fix" (apply SDPM-F###
-//     fix-its to a fixed point).  Responds with "report" (the v2
-//     analyzer JSON: diagnostics, fix-its, certified energy bounds) and,
-//     with fix, a "repair" summary {rounds, fixits_applied,
-//     fixits_skipped, converged, applied}.
 //   {"op":"status","id":7}
 //   {"op":"result","id":7,"wait":true}      wait: block until terminal
 //   {"op":"cancel","id":7}
@@ -44,7 +37,10 @@
 //   {"ok":false,"error":"message","retryable":true|false}
 // "retryable":true marks backpressure (admission queue full): the job was
 // NOT admitted and the client should resubmit after a backoff.  Every
-// other error is permanent for that request.
+// other error is permanent for that request.  An "op" not listed above gets
+// {"ok":false,"error":"unknown op \"NAME\""}.  Static analysis is not a
+// daemon op: it runs in-process through api::Session::analyze/repair or
+// `sdpm_cli analyze`.
 #pragma once
 
 #include <cstdint>

@@ -140,7 +140,7 @@ std::vector<std::shared_ptr<Job>> AdmissionQueue::expire_overdue(
     job->state = JobState::kFailed;
     job->error = str_printf("job exceeded its %.0f ms deadline (ran %.0f ms)",
                             timeout_ms, elapsed);
-    job->error_code = "JOB_TIMEOUT";
+    job->error_code = api::to_string(api::ErrorCode::kJobTimeout);
     job->wall_ms = elapsed;
     --running_;
     ++failed_;

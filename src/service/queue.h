@@ -130,7 +130,9 @@ class AdmissionQueue {
   bool complete(const std::shared_ptr<Job>& job, api::JobResult result,
                 double wall_ms);
   bool fail(const std::shared_ptr<Job>& job, std::string error,
-            double wall_ms, std::string error_code = "EXEC_ERROR");
+            double wall_ms,
+            std::string error_code =
+                api::to_string(api::ErrorCode::kExecError));
 
   /// Fail every running job whose started_ms deadline has passed
   /// (now_ms - started_ms > timeout_ms) with a JOB_TIMEOUT error.

@@ -1,4 +1,4 @@
-// Structure-of-arrays hot state for the batched replay engine.
+// Structure-of-arrays hot state for the replay engine.
 //
 // The per-request replay loop touches a handful of per-disk scalars
 // (clock, mode, RPM level, head position, last completion/issue times)

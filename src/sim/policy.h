@@ -29,10 +29,11 @@ class PowerPolicy {
   virtual ~PowerPolicy() = default;
 
   /// The policy's statically dispatched replay kernel, or nullptr to use
-  /// the generic virtual-dispatch engine (the default).  Built-in final
-  /// policies return sim::replay_run<Self>; wrapper/custom policies leave
-  /// this alone.  Both engines are the same template, so the two dispatch
-  /// paths produce bit-identical reports (pinned by the equivalence
+  /// the generic virtual-dispatch engine (the default).  The simulator
+  /// picks the engine from this alone, with or without fault injection.
+  /// Built-in final policies return sim::replay_run<Self>; wrapper/custom
+  /// policies leave this alone.  Both engines are the same template, so
+  /// they produce bit-identical reports (pinned by the equivalence
   /// suite).
   virtual ReplayFn replay_kernel() const { return nullptr; }
 

@@ -1,31 +1,26 @@
-// Batched replay engine, templated over the concrete policy type.
+// Replay engine, templated over the concrete policy type.
 //
-// Both dispatch paths run THIS template:
+// Both engines run THIS template:
 //
 //   replay_run<PowerPolicy>   the generic engine — PolicyT is the abstract
 //                             base, every hook is a virtual call (wrapper
-//                             policies, fault-injected runs by default,
-//                             custom policies), and
+//                             and custom policies), and
 //   replay_run<TpmPolicy>     (etc.) the static kernels the built-in final
 //                             policies return from replay_kernel() — the
 //                             hooks devirtualize and inline into the loop.
 //
-// Because the two paths are one template instantiated twice, they execute
-// the same statements in the same order on the same doubles; the
+// Because the two engines are one template instantiated twice, they
+// execute the same statements in the same order on the same doubles; the
 // equivalence suite pins the resulting reports bit for bit.
 //
-// The loop structure itself is the tentpole optimization: items arrive in
-// blocks of SimOptions::replay_batch through RequestSource::next_batch
-// (one virtual call per block instead of per item), input validation is
-// hoisted to the block boundary, per-disk hot state is a DiskArrayState
-// (structure of arrays, disk_state.h), and the block scratch uses
-// small-buffer storage (no heap below the default batch size).
+// The loops read the trace's requests and power events by index, merged
+// on the compute timeline (a power event wins a timestamp tie).  Each
+// item's target disk is checked as it is delivered, and per-disk hot
+// state is a DiskArrayState (structure of arrays, disk_state.h).
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "obs/tracer.h"
@@ -34,15 +29,15 @@
 #include "sim/policy.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
-#include "trace/source.h"
+#include "trace/request.h"
 #include "util/error.h"
 
 namespace sdpm::sim {
 
-/// Everything a replay needs beyond the policy: the item source, the disk
+/// Everything a replay needs beyond the policy: the trace, the disk
 /// model, the options, and the already-resolved fault model and tracer.
 struct ReplayContext {
-  trace::RequestSource* source = nullptr;
+  const trace::Trace* trace = nullptr;
   const disk::DiskParameters* params = nullptr;
   const SimOptions* options = nullptr;
   FaultModel* faults = nullptr;      ///< nullptr = fault-free
@@ -51,42 +46,34 @@ struct ReplayContext {
 
 namespace detail {
 
-/// Per-block scratch with small-buffer storage: block sizes up to
-/// kReplayBatchSize live on the stack, larger (fuzzing, tuning) fall back
-/// to one heap allocation for the whole replay.
-class ReplayBatch {
- public:
-  explicit ReplayBatch(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(1, capacity)) {
-    if (capacity_ > inline_.size()) {
-      heap_ = std::make_unique<trace::TraceItem[]>(capacity_);
+/// Hand `trace`'s items to `on_power` and `on_request` in replay order:
+/// merged by compute-timeline timestamp, a power event winning a tie (it
+/// sits immediately before the iteration it annotates).  Every item's
+/// target disk is checked before delivery, so the handlers index
+/// unchecked.
+template <class OnPower, class OnRequest>
+void for_each_item(const trace::Trace& trace, OnPower&& on_power,
+                   OnRequest&& on_request) {
+  const std::vector<trace::Request>& requests = trace.requests;
+  const std::vector<trace::PowerEvent>& events = trace.power_events;
+  const int total_disks = trace.total_disks;
+  std::size_t pi = 0;
+  const auto deliver_power = [&] {
+    const trace::PowerEvent& ev = events[pi++];
+    const int d = ev.directive.disk;
+    SDPM_REQUIRE(d >= 0 && d < total_disks,
+                 "power event targets unknown disk");
+    on_power(ev);
+  };
+  for (const trace::Request& req : requests) {
+    while (pi < events.size() && events[pi].app_time_ms <= req.arrival_ms) {
+      deliver_power();
     }
+    SDPM_REQUIRE(req.disk >= 0 && req.disk < total_disks,
+                 "request targets unknown disk");
+    on_request(req);
   }
-
-  trace::TraceItem* data() { return heap_ ? heap_.get() : inline_.data(); }
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  std::size_t capacity_;
-  std::array<trace::TraceItem, kReplayBatchSize> inline_;
-  std::unique_ptr<trace::TraceItem[]> heap_;
-};
-
-/// Input validation hoisted to the block boundary: one pass checks every
-/// target disk so the replay below can index unchecked.
-inline void validate_batch(const trace::TraceItem* items, std::size_t n,
-                           int total_disks) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (items[i].kind == trace::TraceItem::Kind::kPowerEvent) {
-      const int d = items[i].power.directive.disk;
-      SDPM_REQUIRE(d >= 0 && d < total_disks,
-                   "power event targets unknown disk");
-    } else {
-      const int d = items[i].request.disk;
-      SDPM_REQUIRE(d >= 0 && d < total_disks,
-                   "request targets unknown disk");
-    }
-  }
+  while (pi < events.size()) deliver_power();
 }
 
 /// Shared replay scaffolding: disk array + units + policy attachment.
@@ -121,10 +108,9 @@ void finalize_report(PolicyT& policy, ReplayRig& rig, SimReport& report,
 
 template <class PolicyT>
 SimReport replay_closed_loop(PolicyT& policy, const ReplayContext& ctx) {
-  trace::RequestSource& source = *ctx.source;
+  const trace::Trace& trace = *ctx.trace;
   obs::EventTracer* const tracer = ctx.tracer;
-  const int total_disks = source.total_disks();
-  ReplayRig rig(ctx, total_disks);
+  ReplayRig rig(ctx, trace.total_disks);
   policy.set_tracer(tracer);
   for (DiskUnit& unit : rig.units) policy.attach(unit);
 
@@ -132,7 +118,7 @@ SimReport replay_closed_loop(PolicyT& policy, const ReplayContext& ctx) {
   report.policy_name = policy.name();
   obs::Span run_span(tracer, policy.name(), 0);
 
-  const TimeMs compute_total = source.compute_total_ms();
+  const TimeMs compute_total = trace.compute_total_ms;
   TimeMs compute_cursor = 0;  // compute-timeline position
   TimeMs app_clock = 0;       // real simulated time (compute + stalls)
   TimeMs* const last_issue = rig.state.last_issue.data();
@@ -152,20 +138,14 @@ SimReport replay_closed_loop(PolicyT& policy, const ReplayContext& ctx) {
     }
   };
 
-  ReplayBatch batch(ctx.options->replay_batch);
-  for (;;) {
-    const std::size_t n = source.next_batch(batch.data(), batch.capacity());
-    if (n == 0) break;
-    validate_batch(batch.data(), n, total_disks);
-    for (std::size_t i = 0; i < n; ++i) {
-      const trace::TraceItem& item = batch.data()[i];
-      if (item.kind == trace::TraceItem::Kind::kPowerEvent) {
-        const trace::PowerEvent& ev = item.power;
+  for_each_item(
+      trace,
+      [&](const trace::PowerEvent& ev) {
         advance_app(ev.app_time_ms);
         const std::size_t d = static_cast<std::size_t>(ev.directive.disk);
         policy.on_power_event(rig.units[d], app_clock, ev.directive);
-      } else {
-        const trace::Request& req = item.request;
+      },
+      [&](const trace::Request& req) {
         advance_app(req.arrival_ms);
         const std::size_t d = static_cast<std::size_t>(req.disk);
         DiskUnit& unit = rig.units[d];
@@ -202,9 +182,7 @@ SimReport replay_closed_loop(PolicyT& policy, const ReplayContext& ctx) {
         app_clock += stall;  // blocking only for the un-hidden remainder
         ++report.requests;
         report.bytes_transferred += req.size_bytes;
-      }
-    }
-  }
+      });
 
   // Trailing compute after the last request / power call.
   advance_app(compute_total);
@@ -221,10 +199,9 @@ SimReport replay_closed_loop(PolicyT& policy, const ReplayContext& ctx) {
 
 template <class PolicyT>
 SimReport replay_open_loop(PolicyT& policy, const ReplayContext& ctx) {
-  trace::RequestSource& source = *ctx.source;
+  const trace::Trace& trace = *ctx.trace;
   obs::EventTracer* const tracer = ctx.tracer;
-  const int total_disks = source.total_disks();
-  ReplayRig rig(ctx, total_disks);
+  ReplayRig rig(ctx, trace.total_disks);
   policy.set_tracer(tracer);
   for (DiskUnit& unit : rig.units) policy.attach(unit);
 
@@ -232,25 +209,18 @@ SimReport replay_open_loop(PolicyT& policy, const ReplayContext& ctx) {
   report.policy_name = policy.name();
   obs::Span run_span(tracer, policy.name(), 0);
 
-  // Requests and power events arrive merged by recorded timestamp; power
-  // events win ties (they precede the iteration they annotate).
-  const TimeMs compute_total = source.compute_total_ms();
+  // Requests and power events fire at their recorded timestamps.
+  const TimeMs compute_total = trace.compute_total_ms;
   const bool capture_responses = ctx.options->capture_responses;
   TimeMs end = compute_total;
 
-  ReplayBatch batch(ctx.options->replay_batch);
-  for (;;) {
-    const std::size_t n = source.next_batch(batch.data(), batch.capacity());
-    if (n == 0) break;
-    validate_batch(batch.data(), n, total_disks);
-    for (std::size_t i = 0; i < n; ++i) {
-      const trace::TraceItem& item = batch.data()[i];
-      if (item.kind == trace::TraceItem::Kind::kPowerEvent) {
-        const trace::PowerEvent& ev = item.power;
+  for_each_item(
+      trace,
+      [&](const trace::PowerEvent& ev) {
         const std::size_t d = static_cast<std::size_t>(ev.directive.disk);
         policy.on_power_event(rig.units[d], ev.app_time_ms, ev.directive);
-      } else {
-        const trace::Request& req = item.request;
+      },
+      [&](const trace::Request& req) {
         const std::size_t d = static_cast<std::size_t>(req.disk);
         DiskUnit& unit = rig.units[d];
         policy.before_service(unit, req.arrival_ms);
@@ -272,9 +242,7 @@ SimReport replay_open_loop(PolicyT& policy, const ReplayContext& ctx) {
         end = std::max(end, result.completion);
         ++report.requests;
         report.bytes_transferred += req.size_bytes;
-      }
-    }
-  }
+      });
 
   report.compute_ms = compute_total;
   report.execution_ms = end;

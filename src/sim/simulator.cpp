@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <chrono>
-#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -12,28 +11,9 @@ namespace sdpm::sim {
 
 Simulator::Simulator(const trace::Trace& trace,
                      const disk::DiskParameters& params, PowerPolicy& policy,
-                     ReplayMode mode, FaultConfig faults)
-    : trace_(&trace), params_(params), policy_(policy) {
-  options_.mode = mode;
-  options_.faults = faults;
-  SDPM_REQUIRE(trace.total_disks >= 1, "trace must name at least one disk");
-  options_.faults.validate();
-}
-
-Simulator::Simulator(const trace::Trace& trace,
-                     const disk::DiskParameters& params, PowerPolicy& policy,
                      const SimOptions& options)
-    : trace_(&trace), params_(params), policy_(policy), options_(options) {
+    : trace_(trace), params_(params), policy_(policy), options_(options) {
   SDPM_REQUIRE(trace.total_disks >= 1, "trace must name at least one disk");
-  options_.faults.validate();
-}
-
-Simulator::Simulator(trace::RequestSource& source,
-                     const disk::DiskParameters& params, PowerPolicy& policy,
-                     const SimOptions& options)
-    : source_(&source), params_(params), policy_(policy), options_(options) {
-  SDPM_REQUIRE(source.total_disks() >= 1,
-               "trace must name at least one disk");
   options_.faults.validate();
 }
 
@@ -46,44 +26,21 @@ SimReport Simulator::run() {
   FaultModel model(options_.faults);
   FaultModel* faults = options_.faults.enabled() ? &model : nullptr;
 
-  // The materialized path replays through a cursor over the trace — the
-  // cursor reproduces the historical merge of requests and power events
-  // exactly, so both paths share one replay engine.
-  std::optional<trace::TraceCursor> cursor;
-  trace::RequestSource* source = source_;
-  if (trace_ != nullptr) {
-    cursor.emplace(*trace_);
-    source = &*cursor;
-  }
-
   // Resolve the tracer exactly once per run: nullptr when absent or
   // sink-less, so every emission site below is one predictable null test.
   obs::EventTracer* tracer = obs::effective_tracer(options_.tracer);
 
   ReplayContext ctx;
-  ctx.source = source;
+  ctx.trace = &trace_;
   ctx.params = &params_;
   ctx.options = &options_;
   ctx.faults = faults;
   ctx.tracer = tracer;
 
-  // Dispatch matrix: the static kernel (replay_run<ConcretePolicy>) when
-  // the policy provides one and the mode allows it, the generic virtual
-  // engine (replay_run<PowerPolicy> — the same template) otherwise.
-  PowerPolicy::ReplayFn engine = nullptr;
-  switch (options_.dispatch) {
-    case DispatchMode::kAuto:
-      if (faults == nullptr) engine = policy_.replay_kernel();
-      break;
-    case DispatchMode::kForceKernel:
-      engine = policy_.replay_kernel();
-      SDPM_REQUIRE(engine != nullptr,
-                   "dispatch=kForceKernel but the policy has no static "
-                   "replay kernel");
-      break;
-    case DispatchMode::kForceVirtual:
-      break;
-  }
+  // The policy's static kernel (replay_run<ConcretePolicy>) when it has
+  // one, the generic virtual engine (replay_run<PowerPolicy>, the same
+  // template) otherwise.
+  PowerPolicy::ReplayFn engine = policy_.replay_kernel();
   if (engine == nullptr) engine = &replay_run<PowerPolicy>;
 
   SimReport report = engine(policy_, ctx);
@@ -103,20 +60,8 @@ SimReport Simulator::run() {
 
 SimReport simulate(const trace::Trace& trace,
                    const disk::DiskParameters& params, PowerPolicy& policy,
-                   ReplayMode mode, FaultConfig faults) {
-  return Simulator(trace, params, policy, mode, faults).run();
-}
-
-SimReport simulate(const trace::Trace& trace,
-                   const disk::DiskParameters& params, PowerPolicy& policy,
                    const SimOptions& options) {
   return Simulator(trace, params, policy, options).run();
-}
-
-SimReport simulate(trace::RequestSource& source,
-                   const disk::DiskParameters& params, PowerPolicy& policy,
-                   const SimOptions& options) {
-  return Simulator(source, params, policy, options).run();
 }
 
 }  // namespace sdpm::sim

@@ -10,10 +10,10 @@
 // RPM — pushes the application's completion time out, which is how power
 // management's performance cost (paper Fig. 4/6/8) arises.
 //
-// The replay engine consumes a trace::RequestSource — either a cursor over
-// a materialized trace::Trace or the streaming generator — so large traces
-// can be simulated with O(1) request memory.  Both delivery paths drive
-// the identical replay loop and produce bit-identical reports.
+// The input is always a materialized trace::Trace (paper Fig. 1: one
+// generated trace per scheme, fed to a trace-driven simulator).  The
+// engine is chosen from the policy alone: its static kernel when
+// replay_kernel() returns one, the generic virtual engine otherwise.
 #pragma once
 
 #include "disk/parameters.h"
@@ -21,7 +21,6 @@
 #include "sim/policy.h"
 #include "sim/report.h"
 #include "trace/request.h"
-#include "trace/source.h"
 
 namespace sdpm::obs {
 class EventTracer;
@@ -39,24 +38,6 @@ enum class ReplayMode {
   /// (classic DiskSim open-loop replay; disks queue FIFO).  Useful for
   /// replaying externally captured traces.
   kOpenLoop,
-};
-
-/// Default number of trace items pulled per RequestSource::next_batch
-/// call: one virtual delivery call amortized over a block, with the block
-/// small enough to stay resident in L1/L2.
-inline constexpr std::size_t kReplayBatchSize = 256;
-
-/// Which replay engine Simulator::run selects.
-enum class DispatchMode {
-  /// Static kernel when the policy provides one and fault injection is
-  /// off; the generic virtual engine otherwise (the default).
-  kAuto,
-  /// Always the generic virtual engine (equivalence testing, debugging).
-  kForceVirtual,
-  /// Always the policy's static kernel — throws if the policy has none.
-  /// Unlike kAuto this also takes the kernel under fault injection, which
-  /// the equivalence suite uses to pin kernel×faults behavior.
-  kForceKernel,
 };
 
 /// Replay configuration beyond the trace itself.
@@ -77,13 +58,6 @@ struct SimOptions {
   /// the only consumers, and the runner enables it for the Base replay
   /// they read.
   bool capture_busy_periods = false;
-  /// Engine selection; kAuto picks the static kernel for built-in
-  /// policies on fault-free runs and the virtual engine otherwise.
-  DispatchMode dispatch = DispatchMode::kAuto;
-  /// Items per next_batch block (clamped to >= 1).  The default balances
-  /// virtual-call amortization against scratch locality; the equivalence
-  /// suite fuzzes it — results are identical for every value.
-  std::size_t replay_batch = kReplayBatchSize;
   /// Observability tracer (not owned, may be nullptr or sink-less).  run()
   /// resolves it once via obs::effective_tracer(), so the untraced replay
   /// pays nothing beyond one null test per emission site and produces
@@ -93,31 +67,19 @@ struct SimOptions {
 
 class Simulator {
  public:
-  /// Replay a materialized trace.  `faults` selects the fault-injection
-  /// configuration; the default FaultConfig::none() reproduces the
-  /// fault-free simulator bit for bit.
+  /// Replay `trace` under `policy`.  The trace, the parameters and the
+  /// policy must outlive the simulator.
   Simulator(const trace::Trace& trace, const disk::DiskParameters& params,
-            PowerPolicy& policy, ReplayMode mode = ReplayMode::kClosedLoop,
-            FaultConfig faults = FaultConfig::none());
-
-  /// Replay a materialized trace with full options.
-  Simulator(const trace::Trace& trace, const disk::DiskParameters& params,
-            PowerPolicy& policy, const SimOptions& options);
-
-  /// Replay from a streaming source (the trace is never materialized).
-  /// The source must outlive the simulator and is consumed by run().
-  Simulator(trace::RequestSource& source, const disk::DiskParameters& params,
             PowerPolicy& policy, const SimOptions& options = {});
 
   /// Run the replay to completion and produce the report.  A Simulator is
-  /// single-shot: a second call throws sdpm::Error (the policy, fault and
-  /// request streams carry state from the first replay, so rerunning would
+  /// single-shot: a second call throws sdpm::Error (the policy and fault
+  /// streams carry state from the first replay, so rerunning would
   /// silently produce different results).
   SimReport run();
 
  private:
-  const trace::Trace* trace_ = nullptr;     // materialized path
-  trace::RequestSource* source_ = nullptr;  // streaming path
+  const trace::Trace& trace_;
   const disk::DiskParameters& params_;
   PowerPolicy& policy_;
   SimOptions options_;
@@ -126,17 +88,6 @@ class Simulator {
 
 /// Convenience: simulate `trace` under `policy` with `params`.
 SimReport simulate(const trace::Trace& trace,
-                   const disk::DiskParameters& params, PowerPolicy& policy,
-                   ReplayMode mode = ReplayMode::kClosedLoop,
-                   FaultConfig faults = FaultConfig::none());
-
-/// Convenience with full options.
-SimReport simulate(const trace::Trace& trace,
-                   const disk::DiskParameters& params, PowerPolicy& policy,
-                   const SimOptions& options);
-
-/// Convenience: consume `source` under `policy` with `params`.
-SimReport simulate(trace::RequestSource& source,
                    const disk::DiskParameters& params, PowerPolicy& policy,
                    const SimOptions& options = {});
 

@@ -622,9 +622,8 @@ int cmd_inspect(const Args& args) {
       pick_policy(args.get("policy", "Base"), base, tpm, atpm, drpm);
   std::optional<policy::ResilientPolicy> resilient;
   if (args.has("resilient")) policy = &resilient.emplace(*policy);
-  const sim::SimReport report =
-      sim::simulate(trace, config.disk, *policy,
-                    sim::ReplayMode::kClosedLoop, config.faults);
+  const sim::SimReport report = sim::simulate(
+      trace, config.disk, *policy, sim::SimOptions{.faults = config.faults});
   emit(experiments::summary_table(report, bench.name), args);
   if (args.has("per-disk")) {
     emit(experiments::per_disk_table(report), args);
@@ -735,12 +734,11 @@ int cmd_replay(const Args& args) {
   std::optional<policy::ResilientPolicy> resilient;
   if (args.has("resilient")) policy = &resilient.emplace(*policy);
 
-  const sim::ReplayMode mode = args.has("open-loop")
-                                   ? sim::ReplayMode::kOpenLoop
-                                   : sim::ReplayMode::kClosedLoop;
-  const sim::SimReport report = sim::simulate(
-      trace, device_params_from(args), *policy, mode,
-      fault_config_from(args));
+  sim::SimOptions options;
+  if (args.has("open-loop")) options.mode = sim::ReplayMode::kOpenLoop;
+  options.faults = fault_config_from(args);
+  const sim::SimReport report =
+      sim::simulate(trace, device_params_from(args), *policy, options);
 
   Table table("replay of " + args.get("in") + " under " +
               std::string(policy->name()));

@@ -51,7 +51,8 @@ std::vector<PowerEvent> power_events_of(
   return events;
 }
 
-/// Timestamp one miss exactly as the materialized generator does.
+/// Timestamp one miss: its iteration's compute time plus the overhead of
+/// every directive executed before it.
 Request request_from_miss(const MissRecord& miss, const Timeline& actual,
                           const std::vector<std::int64_t>& directive_globals,
                           const GeneratorOptions& options) {
@@ -293,64 +294,6 @@ Trace TraceGenerator::generate() const {
       obs::MetricsRegistry::global().counter("trace.generated");
   generated.fetch_add(1, std::memory_order_relaxed);
   return trace;
-}
-
-StreamingTraceSource::StreamingTraceSource(const ir::Program& program,
-                                           const layout::LayoutTable& layout,
-                                           GeneratorOptions options)
-    : options_(options),
-      actual_(Timeline::with_noise(program, options.noise, options.clock_hz)),
-      misses_(program, layout, options) {
-  program.validate();
-  const TimeMs tm = options_.power_call_overhead_ms;
-  directive_globals_ = directive_globals_of(program, actual_.space());
-  events_ = power_events_of(program, actual_, directive_globals_, tm);
-  compute_total_ =
-      actual_.total() + tm * static_cast<double>(program.directives.size());
-  total_disks_ = layout.total_disks();
-}
-
-bool StreamingTraceSource::refill() {
-  MissRecord miss;
-  if (!misses_.next(miss)) return false;
-  pending_ = request_from_miss(miss, actual_, directive_globals_, options_);
-  return true;
-}
-
-bool StreamingTraceSource::next(TraceItem& item) { return produce(item); }
-
-std::size_t StreamingTraceSource::next_batch(TraceItem* out,
-                                             std::size_t max_items) {
-  std::size_t filled = 0;
-  while (filled < max_items && produce(out[filled])) ++filled;
-  return filled;
-}
-
-bool StreamingTraceSource::produce(TraceItem& item) {
-  if (!have_pending_) have_pending_ = refill();
-  const bool have_power = pi_ < events_.size();
-  if (!have_power && !have_pending_) {
-    if (!exhausted_reported_) {
-      exhausted_reported_ = true;
-      static obs::MetricsRegistry::Counter& streamed =
-          obs::MetricsRegistry::global().counter("trace.requests_streamed");
-      streamed.fetch_add(requests_streamed_, std::memory_order_relaxed);
-    }
-    return false;
-  }
-  const bool take_power =
-      have_power &&
-      (!have_pending_ || events_[pi_].app_time_ms <= pending_.arrival_ms);
-  if (take_power) {
-    item.kind = TraceItem::Kind::kPowerEvent;
-    item.power = events_[pi_++];
-  } else {
-    item.kind = TraceItem::Kind::kRequest;
-    item.request = pending_;
-    have_pending_ = false;
-    ++requests_streamed_;
-  }
-  return true;
 }
 
 }  // namespace sdpm::trace

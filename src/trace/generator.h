@@ -7,17 +7,10 @@
 // power events, each charging its call overhead (Tm) to the compute
 // timeline.
 //
-// The generator has two delivery modes sharing one access model:
-//   TraceGenerator::generate()  materializes the full Trace (requests +
-//                               power events) — the classic path, and
-//   StreamingTraceSource        feeds the simulator one item at a time with
-//                               O(1) request memory — the streaming path,
-//                               proven bit-identical by the property tests.
-// The materialized path reads the access walk through collect_misses,
-// which memoizes it by access key: the walk reads no directive, cycle
-// count or noise value, so every trace, DAP and compiler profile of one
-// program structure shares a single walk.  The streaming path walks afresh
-// every time; it exists for traces too large to hold.
+// The generator reads the access walk through collect_misses, which
+// memoizes it by access key: the walk reads no directive, cycle count or
+// noise value, so every trace, DAP and compiler profile of one program
+// structure shares a single walk.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +23,6 @@
 #include "trace/buffer_cache.h"
 #include "trace/iteration_space.h"
 #include "trace/request.h"
-#include "trace/source.h"
 #include "trace/timeline.h"
 #include "trace/walker.h"
 #include "util/fingerprint.h"
@@ -77,13 +69,11 @@ struct MissRecord {
 
 /// Pull-based access walk + buffer cache: next() yields every miss in
 /// program order, one at a time, with memory independent of the trace
-/// length.  Shared by the materialized collect_misses and the streaming
-/// source, so the compiler's model and the "hardware" agree exactly.
-/// It hands its cache capacity to the TouchCursor, which then skips every
-/// outer sweep that provably hits the cache on each touch: such a sweep
-/// adds no miss and leaves the LRU as it was, so the miss stream is the
-/// one a touch-by-touch walk produces.  The program and layout must
-/// outlive the cursor.
+/// length; collect_misses materializes it.  It hands its cache capacity
+/// to the TouchCursor, which then skips every outer sweep that provably
+/// hits the cache on each touch: such a sweep adds no miss and leaves the
+/// LRU as it was, so the miss stream is the one a touch-by-touch walk
+/// produces.  The program and layout must outlive the cursor.
 class MissCursor {
  public:
   MissCursor(const ir::Program& program, const layout::LayoutTable& layout,
@@ -164,47 +154,6 @@ class TraceGenerator {
   const layout::LayoutTable& layout_;
   GeneratorOptions options_;
   Timeline actual_;
-};
-
-/// RequestSource that runs the generator incrementally: requests are
-/// produced on demand from the access walk, never materialized as a
-/// vector.  Power events (a handful per trace) are precomputed.  For the
-/// same (program, layout, options) the emitted stream is bit-identical to
-/// TraceCursor over TraceGenerator::generate()'s output.
-/// The program and layout must outlive the source.
-class StreamingTraceSource final : public RequestSource {
- public:
-  StreamingTraceSource(const ir::Program& program,
-                       const layout::LayoutTable& layout,
-                       GeneratorOptions options = {});
-
-  bool next(TraceItem& item) override;
-  std::size_t next_batch(TraceItem* out, std::size_t max_items) override;
-  int total_disks() const override { return total_disks_; }
-  TimeMs compute_total_ms() const override { return compute_total_; }
-
-  /// Requests emitted so far (the full request count once exhausted).
-  std::int64_t requests_streamed() const { return requests_streamed_; }
-
-  const Timeline& actual_timeline() const { return actual_; }
-
- private:
-  bool refill();
-  /// Non-virtual body shared by next() and next_batch().
-  bool produce(TraceItem& item);
-
-  GeneratorOptions options_;
-  Timeline actual_;
-  std::vector<std::int64_t> directive_globals_;
-  std::vector<PowerEvent> events_;
-  std::size_t pi_ = 0;
-  MissCursor misses_;
-  Request pending_{};
-  bool have_pending_ = false;
-  bool exhausted_reported_ = false;
-  TimeMs compute_total_ = 0;
-  int total_disks_ = 0;
-  std::int64_t requests_streamed_ = 0;
 };
 
 /// Resolve the per-array block size implied by `options` and the layout.

@@ -11,9 +11,9 @@
 // trace timestamps, DAP) observe the true program order.
 //
 // The walk has one shape: the pull-based TouchCursor, which yields one
-// touch per next() call and holds O(refs-per-nest) state.  That is what
-// lets the streaming trace pipeline feed the simulator without ever
-// materializing the full touch (or request) list.
+// touch per next() call and holds O(refs-per-nest) state, so the buffer
+// cache consumes the touches without the full touch list ever being
+// materialized.
 //
 // One loop further out the same affine reasoning proves reuse.  Given the
 // capacity of the LRU buffer cache its consumer simulates, the cursor

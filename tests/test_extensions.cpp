@@ -204,8 +204,9 @@ TEST(OpenLoop, IndependentDisksOverlapInTime) {
   t.requests.push_back(make_request(0.0, 1, 0, kib(64)));
   t.compute_total_ms = 0.0;
   policy::BasePolicy open_policy;
-  const sim::SimReport open = sim::simulate(
-      t, params(), open_policy, sim::ReplayMode::kOpenLoop);
+  const sim::SimReport open =
+      sim::simulate(t, params(), open_policy,
+                    sim::SimOptions{.mode = sim::ReplayMode::kOpenLoop});
   policy::BasePolicy closed_policy;
   const sim::SimReport closed = sim::simulate(t, params(), closed_policy);
   // Open loop: both disks serve concurrently -> completion is one service
@@ -221,7 +222,8 @@ TEST(OpenLoop, EnergyAccountingStillExhaustive) {
   t.compute_total_ms = 100.0;
   policy::BasePolicy policy;
   const sim::SimReport report =
-      sim::simulate(t, params(), policy, sim::ReplayMode::kOpenLoop);
+      sim::simulate(t, params(), policy,
+                    sim::SimOptions{.mode = sim::ReplayMode::kOpenLoop});
   for (const auto& d : report.disks) {
     EXPECT_NEAR(d.breakdown.total_ms(), report.execution_ms, 1e-6);
   }
@@ -297,7 +299,8 @@ TEST(TraceTextIo, ParsedTraceReplaysOpenLoop) {
   const trace::Trace parsed = trace::read_trace_text(buffer);
   policy::BasePolicy policy;
   const sim::SimReport report =
-      sim::simulate(parsed, params(), policy, sim::ReplayMode::kOpenLoop);
+      sim::simulate(parsed, params(), policy,
+                    sim::SimOptions{.mode = sim::ReplayMode::kOpenLoop});
   EXPECT_EQ(report.requests, 2);
   EXPECT_NEAR(report.execution_ms, 50.0, 1e-9);
 }

@@ -210,10 +210,8 @@ TEST(SimulatorFaults, SameSeedTwiceIsIdentical) {
 
   policy::TpmPolicy a;
   policy::TpmPolicy b;
-  const SimReport first = simulate(t, params(), a,
-                                   ReplayMode::kClosedLoop, fc);
-  const SimReport second = simulate(t, params(), b,
-                                    ReplayMode::kClosedLoop, fc);
+  const SimReport first = simulate(t, params(), a, SimOptions{.faults = fc});
+  const SimReport second = simulate(t, params(), b, SimOptions{.faults = fc});
   EXPECT_EQ(first.total_energy, second.total_energy);
   EXPECT_EQ(first.execution_ms, second.execution_ms);
   EXPECT_EQ(first.spin_up_retries(), second.spin_up_retries());
@@ -239,8 +237,8 @@ TEST(SimulatorFaults, FaultyRunUpholdsInvariants) {
     fc.dropped_directive_prob = 0.5;
     fc.seed = seed;
     policy::TpmPolicy policy;
-    const SimReport report = simulate(t, params(), policy,
-                                      ReplayMode::kClosedLoop, fc);
+    const SimReport report =
+        simulate(t, params(), policy, SimOptions{.faults = fc});
     check_invariants(report, params());
     EXPECT_GT(report.spin_up_retries(), 0);
     EXPECT_GT(report.media_errors(), 0);

@@ -3,6 +3,7 @@
 
 #include "policy/base.h"
 #include "policy/tpm.h"
+#include "sim/invariants.h"
 #include "sim/multi_stream.h"
 #include "sim/simulator.h"
 #include "util/error.h"
@@ -41,6 +42,7 @@ TEST(MultiStream, SingleStreamMatchesSimulator) {
   const std::vector<trace::Trace> traces = {t};
   const MultiStreamReport multi =
       simulate_streams(traces, params(), p2);
+  check_invariants(multi, params());
   EXPECT_NEAR(multi.makespan_ms, single.execution_ms, 1e-9);
   EXPECT_NEAR(multi.total_energy, single.total_energy, 1e-6);
   EXPECT_EQ(multi.streams[0].requests, 2);
@@ -53,6 +55,7 @@ TEST(MultiStream, DisjointDisksRunConcurrently) {
   const std::vector<trace::Trace> traces = {a, b};
   const MultiStreamReport report =
       simulate_streams(traces, params(), policy);
+  check_invariants(report, params());
   // Both streams finish at 100 + one service — no mutual interference.
   const TimeMs expected =
       100.0 + params().service_time(kib(64), params().max_level(), false);
@@ -67,6 +70,7 @@ TEST(MultiStream, SharedDiskContentionSerializes) {
   const std::vector<trace::Trace> traces = {a, b};
   const MultiStreamReport report =
       simulate_streams(traces, params(), policy);
+  check_invariants(report, params());
   const TimeMs service =
       params().service_time(kib(64), params().max_level(), false);
   // One of the streams queues behind the other.
@@ -82,6 +86,7 @@ TEST(MultiStream, EnergyAccountingExhaustive) {
   const std::vector<trace::Trace> traces = {a, b};
   const MultiStreamReport report =
       simulate_streams(traces, params(), policy);
+  check_invariants(report, params());
   Joules sum = 0;
   for (const auto& d : report.disks) {
     EXPECT_NEAR(d.breakdown.total_ms(), report.makespan_ms, 1e-6);
@@ -110,6 +115,7 @@ TEST(MultiStream, InterferenceSlowsTheVictim) {
   policy::BasePolicy p2;
   const std::vector<trace::Trace> both = {a, b};
   const MultiStreamReport corun = simulate_streams(both, params(), p2);
+  check_invariants(corun, params());
   EXPECT_GT(corun.streams[0].completion_ms, solo + 1.0);
 }
 
@@ -124,6 +130,7 @@ TEST(MultiStream, PoliciesSeeMergedLoad) {
   const std::vector<trace::Trace> traces = {a, b};
   const MultiStreamReport report =
       simulate_streams(traces, params(), policy);
+  check_invariants(report, params());
   EXPECT_EQ(report.disks[0].spin_downs, 0);
 
   // Alone, stream A's 16 s gaps would trigger that threshold.
@@ -131,6 +138,7 @@ TEST(MultiStream, PoliciesSeeMergedLoad) {
   const std::vector<trace::Trace> alone = {a};
   const MultiStreamReport solo =
       simulate_streams(alone, params(), solo_policy);
+  check_invariants(solo, params());
   EXPECT_GT(solo.disks[0].spin_downs, 0);
 }
 
@@ -149,6 +157,7 @@ TEST(MultiStream, StreamNamesCarriedThrough) {
   policy::BasePolicy policy;
   const MultiStreamReport report =
       simulate_streams(traces, params(), policy, names);
+  check_invariants(report, params());
   EXPECT_EQ(report.streams[0].name, "alpha");
   EXPECT_EQ(report.streams[1].name, "beta");
 }

@@ -1,6 +1,6 @@
 // Observability layer: null-tracer fast path, sink formats, byte-stable
-// exports, the bit-identical traced-vs-untraced guarantee across policies
-// and delivery paths, pre-activation accounting, and the metrics registry.
+// exports, the bit-identical traced-vs-untraced guarantee across policies,
+// pre-activation accounting, and the metrics registry.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,7 +20,6 @@
 #include "policy/tpm.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
-#include "trace/source.h"
 #include "util/json.h"
 #include "workloads/benchmarks.h"
 
@@ -179,13 +178,6 @@ void check_traced_identical(const trace::Trace& t, MakePolicy make_policy,
   // Every serviced request shows up, and state segments cover the run.
   EXPECT_EQ(sink.count(obs::EventKind::kService), traced.requests);
   EXPECT_GT(sink.count(obs::EventKind::kStateSegment), 0);
-
-  // Streaming delivery of the same trace, traced, must also agree.
-  trace::TraceCursor cursor(t);
-  auto policy_c = make_policy();
-  const sim::SimReport streamed =
-      sim::simulate(cursor, params(), policy_c, options);
-  expect_reports_bit_identical(untraced, streamed);
 }
 
 sim::SimOptions faulty_options() {

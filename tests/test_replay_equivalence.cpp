@@ -1,21 +1,14 @@
-// Replay-engine equivalence: the batched block-pull delivery and the
-// devirtualized policy kernels are pure speed — every dispatch mode,
-// batch size, and delivery path must produce bit-identical SimReports.
-//
-//   kernel vs virtual    DispatchMode::kForceKernel / kAuto against the
-//                        kForceVirtual reference, per built-in policy,
-//                        with and without fault injection, closed and
-//                        open loop, traced and untraced;
-//   batched vs scalar    RequestSource::next_batch overrides against a
-//                        wrapper that only forwards next() (inheriting
-//                        the scalar default), and batch sizes fuzzed
-//                        through SimOptions::replay_batch.
+// Replay-engine equivalence: the devirtualized policy kernels are pure
+// speed.  Each built-in policy replayed through its static kernel must
+// produce a SimReport bit-identical to the same policy wrapped in a
+// ForwardingPolicy, which has no kernel and so takes the generic virtual
+// engine — per built-in policy, with and without fault injection, closed
+// and open loop, traced and untraced.
 //
 // Every comparison is EXPECT_EQ, never NEAR.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <initializer_list>
 
 #include "core/schedule.h"
 #include "layout/layout_table.h"
@@ -28,8 +21,8 @@
 #include "policy/resilient.h"
 #include "policy/tpm.h"
 #include "sim/simulator.h"
+#include "tests/forwarding_policy.h"
 #include "trace/generator.h"
-#include "trace/source.h"
 #include "util/error.h"
 #include "workloads/benchmarks.h"
 
@@ -45,7 +38,7 @@ const disk::DiskParameters& params() {
 /// The galgel benchmark striped over 4 disks — the cheapest real trace —
 /// run through the power-call scheduler (CMDRPM) so the stream carries
 /// real power events: ProactivePolicy executes directives, the fault
-/// model can drop them, and the power-event arm of the batch loop is
+/// model can drop them, and the power-event arm of the replay loop is
 /// exercised in every cell.
 const trace::Trace& galgel_trace() {
   static const trace::Trace t = [] {
@@ -102,167 +95,97 @@ void expect_bit_identical(const sim::SimReport& a, const sim::SimReport& b) {
   }
 }
 
-/// Forwards next() only: next_batch falls back to the RequestSource
-/// default (a scalar loop), exercising the batched-vs-scalar contract.
-class ScalarOnlySource final : public trace::RequestSource {
- public:
-  explicit ScalarOnlySource(trace::RequestSource& inner) : inner_(&inner) {}
-
-  bool next(trace::TraceItem& item) override { return inner_->next(item); }
-  int total_disks() const override { return inner_->total_disks(); }
-  TimeMs compute_total_ms() const override {
-    return inner_->compute_total_ms();
-  }
-
- private:
-  trace::RequestSource* inner_;
-};
-
-/// Run the trace under a fresh policy with `options`, capturing the full
-/// response vector so the comparison covers per-request behavior.
-template <typename MakePolicy>
-sim::SimReport run(const trace::Trace& trace, MakePolicy make_policy,
-                   sim::SimOptions options, sim::DispatchMode dispatch,
-                   std::size_t batch = sim::kReplayBatchSize) {
+/// Replay the trace under a fresh Policy — bare, and so through its
+/// static kernel, or wrapped in a ForwardingPolicy and so through the
+/// virtual engine — capturing the full response vector so the comparison
+/// covers per-request behavior.
+template <class Policy, class... Args>
+sim::SimReport run(const trace::Trace& trace, sim::SimOptions options,
+                   bool virtual_engine, const Args&... args) {
   options.capture_responses = true;
-  options.dispatch = dispatch;
-  options.replay_batch = batch;
-  auto policy = make_policy();
+  if (virtual_engine) {
+    test::ForwardingPolicy<Policy> policy(args...);
+    EXPECT_EQ(policy.replay_kernel(), nullptr);
+    return sim::simulate(trace, params(), policy, options);
+  }
+  Policy policy(args...);
+  EXPECT_NE(policy.replay_kernel(), nullptr);
   return sim::simulate(trace, params(), policy, options);
 }
 
-/// The full dispatch x batch-size matrix for one (policy, options) cell:
-/// the virtual engine at the default batch is the reference; kAuto,
-/// kForceKernel (when `has_kernel`) and every fuzzed batch size must
-/// reproduce it exactly, as must the scalar-only delivery wrapper.
-template <typename MakePolicy>
-void check_matrix(const trace::Trace& trace, MakePolicy make_policy,
-                  const sim::SimOptions& options, bool has_kernel) {
-  const sim::SimReport reference =
-      run(trace, make_policy, options, sim::DispatchMode::kForceVirtual);
-
-  {
-    SCOPED_TRACE("kAuto vs kForceVirtual");
-    expect_bit_identical(
-        reference,
-        run(trace, make_policy, options, sim::DispatchMode::kAuto));
-  }
-  if (has_kernel) {
-    SCOPED_TRACE("kForceKernel vs kForceVirtual");
-    expect_bit_identical(
-        reference,
-        run(trace, make_policy, options, sim::DispatchMode::kForceKernel));
-  }
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{255}, std::size_t{256},
-                                  std::size_t{4096}}) {
-    SCOPED_TRACE("replay_batch=" + std::to_string(batch));
-    expect_bit_identical(reference, run(trace, make_policy, options,
-                                        sim::DispatchMode::kAuto, batch));
-  }
-  {
-    SCOPED_TRACE("scalar-only source");
-    trace::TraceCursor cursor(trace);
-    ScalarOnlySource scalar(cursor);
-    sim::SimOptions o = options;
-    o.capture_responses = true;
-    auto policy = make_policy();
-    expect_bit_identical(reference,
-                         sim::simulate(scalar, params(), policy, o));
-  }
+/// One (policy, options) cell: the kernel must reproduce the virtual
+/// engine's report exactly.
+template <class Policy, class... Args>
+void check_cell(const trace::Trace& trace, const sim::SimOptions& options,
+                const Args&... args) {
+  expect_bit_identical(run<Policy>(trace, options, true, args...),
+                       run<Policy>(trace, options, false, args...));
 }
 
 /// The four standard option cells: {closed, open} x {fault-free, faulty}.
-template <typename MakePolicy>
-void check_all_cells(const trace::Trace& trace, MakePolicy make_policy,
-                     bool has_kernel) {
+template <class Policy, class... Args>
+void check_all_cells(const trace::Trace& trace, const Args&... args) {
   {
     SCOPED_TRACE("closed-loop fault-free");
-    check_matrix(trace, make_policy, sim::SimOptions{}, has_kernel);
+    check_cell<Policy>(trace, sim::SimOptions{}, args...);
   }
   {
     SCOPED_TRACE("closed-loop faulty");
-    check_matrix(trace, make_policy, faulty({}), has_kernel);
+    check_cell<Policy>(trace, faulty({}), args...);
   }
   {
     SCOPED_TRACE("open-loop fault-free");
-    check_matrix(trace, make_policy, open_loop({}), has_kernel);
+    check_cell<Policy>(trace, open_loop({}), args...);
   }
   {
     SCOPED_TRACE("open-loop faulty");
-    check_matrix(trace, make_policy, open_loop(faulty({})), has_kernel);
+    check_cell<Policy>(trace, open_loop(faulty({})), args...);
   }
 }
 
 TEST(ReplayEquivalence, BasePolicy) {
-  check_all_cells(
-      galgel_trace(), [] { return policy::BasePolicy(); }, true);
+  check_all_cells<policy::BasePolicy>(galgel_trace());
 }
 
 TEST(ReplayEquivalence, TpmPolicy) {
-  check_all_cells(
-      galgel_trace(), [] { return policy::TpmPolicy(); }, true);
+  check_all_cells<policy::TpmPolicy>(galgel_trace());
 }
 
 TEST(ReplayEquivalence, AdaptiveTpmPolicy) {
-  check_all_cells(
-      galgel_trace(), [] { return policy::AdaptiveTpmPolicy(); }, true);
+  check_all_cells<policy::AdaptiveTpmPolicy>(galgel_trace());
 }
 
 TEST(ReplayEquivalence, DrpmPolicy) {
-  check_all_cells(
-      galgel_trace(), [] { return policy::DrpmPolicy(); }, true);
+  check_all_cells<policy::DrpmPolicy>(galgel_trace());
 }
 
 TEST(ReplayEquivalence, ProactivePolicyWithDirectives) {
   // galgel's compiled program inserts power calls, so the proactive
   // policy replays real directives through both engines.
-  check_all_cells(
-      galgel_trace(), [] { return policy::ProactivePolicy("CMDRPM"); },
-      true);
+  check_all_cells<policy::ProactivePolicy>(galgel_trace(), "CMDRPM");
 }
 
-// ResilientPolicy is a wrapper with no static kernel: kAuto must stay on
-// the virtual engine and still be invariant to batch size and delivery.
+// Wrapper policies have no static kernel, so the simulator replays them
+// through the virtual engine.
 TEST(ReplayEquivalence, ResilientWrapperStaysVirtual) {
-  struct ResilientTpm {
-    policy::TpmPolicy inner;
-    policy::ResilientPolicy wrapper{inner};
-    operator policy::ResilientPolicy&() { return wrapper; }
-  };
-  auto make_policy = [] { return ResilientTpm(); };
-  {
-    SCOPED_TRACE("closed-loop fault-free");
-    check_matrix(galgel_trace(), make_policy, sim::SimOptions{}, false);
-  }
-  {
-    SCOPED_TRACE("closed-loop faulty");
-    check_matrix(galgel_trace(), make_policy, faulty({}), false);
-  }
-}
-
-TEST(ReplayEquivalence, ForceKernelOnKernellessPolicyThrows) {
   policy::TpmPolicy inner;
-  policy::ResilientPolicy wrapper(inner);
-  sim::SimOptions options;
-  options.dispatch = sim::DispatchMode::kForceKernel;
-  EXPECT_THROW(sim::simulate(galgel_trace(), params(), wrapper, options),
-               Error);
+  const policy::ResilientPolicy resilient(inner);
+  EXPECT_EQ(resilient.replay_kernel(), nullptr);
+  const test::ForwardingPolicy<policy::TpmPolicy> forwarding;
+  EXPECT_EQ(forwarding.replay_kernel(), nullptr);
 }
 
 // Tracing must not perturb results in either engine: a counting sink
 // consumes every event while the reports stay bit-identical, and both
 // engines emit the same number of events.
 TEST(ReplayEquivalence, TracedKernelMatchesTracedVirtual) {
-  auto traced_run = [&](sim::DispatchMode dispatch, std::int64_t* events) {
+  auto traced_run = [&](sim::PowerPolicy& policy, std::int64_t* events) {
     obs::CountingSink sink;
     obs::EventTracer tracer;
     tracer.add_sink(sink);
     sim::SimOptions options;
     options.tracer = &tracer;
-    policy::TpmPolicy policy;
     options.capture_responses = true;
-    options.dispatch = dispatch;
     const sim::SimReport report =
         sim::simulate(galgel_trace(), params(), policy, options);
     *events = sink.total();
@@ -270,25 +193,24 @@ TEST(ReplayEquivalence, TracedKernelMatchesTracedVirtual) {
   };
   std::int64_t virtual_events = 0;
   std::int64_t kernel_events = 0;
-  const sim::SimReport virt =
-      traced_run(sim::DispatchMode::kForceVirtual, &virtual_events);
-  const sim::SimReport kern =
-      traced_run(sim::DispatchMode::kForceKernel, &kernel_events);
+  test::ForwardingPolicy<policy::TpmPolicy> forwarding;
+  const sim::SimReport virt = traced_run(forwarding, &virtual_events);
+  policy::TpmPolicy bare;
+  const sim::SimReport kern = traced_run(bare, &kernel_events);
   expect_bit_identical(virt, kern);
   EXPECT_GT(virtual_events, 0);
   EXPECT_EQ(virtual_events, kernel_events);
 }
 
-// A second benchmark (swim, 8 disks — the microbench workload) through
-// the fault-free matrix: guards against galgel-specific coincidences.
+// A second benchmark (swim, 8 disks — the microbench workload), fault
+// free: guards against galgel-specific coincidences.
 TEST(ReplayEquivalence, SwimEightDisks) {
   const workloads::Benchmark bench = workloads::make_swim();
   const layout::LayoutTable table(bench.program,
                                   layout::Striping{0, 8, kib(64)}, 8);
   trace::TraceGenerator generator(bench.program, table);
   const trace::Trace trace = generator.generate();
-  check_matrix(
-      trace, [] { return policy::DrpmPolicy(); }, sim::SimOptions{}, true);
+  check_cell<policy::DrpmPolicy>(trace, sim::SimOptions{});
 }
 
 }  // namespace

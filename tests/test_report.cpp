@@ -1,11 +1,10 @@
 // SimReport: array-wide fault-counter totals aggregate the per-disk
-// DiskReport entries, on both delivery paths and without response capture.
+// DiskReport entries, without response capture.
 #include <gtest/gtest.h>
 
 #include "policy/tpm.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
-#include "trace/source.h"
 
 namespace sdpm::sim {
 namespace {
@@ -106,26 +105,6 @@ TEST(SimReport, FaultTotalsAggregateFromSimulation) {
   // With these probabilities and 8 standby rounds the totals cannot all
   // be zero — if they are, the aggregation (or the injection) is broken.
   EXPECT_GT(retries + media + drops, 0);
-}
-
-TEST(SimReport, FaultTotalsSurviveStreamingDelivery) {
-  const trace::Trace t = gap_trace(4, 8, 30'000.0);
-
-  policy::TpmPolicy policy_a;
-  Simulator materialized(t, params(), policy_a, faulty_options());
-  const SimReport a = materialized.run();
-
-  trace::TraceCursor cursor(t);
-  policy::TpmPolicy policy_b;
-  Simulator streamed(cursor, params(), policy_b, faulty_options());
-  const SimReport b = streamed.run();
-
-  EXPECT_EQ(a.spin_up_retries(), b.spin_up_retries());
-  EXPECT_EQ(a.media_errors(), b.media_errors());
-  EXPECT_EQ(a.remapped_sectors(), b.remapped_sectors());
-  EXPECT_EQ(a.dropped_directives(), b.dropped_directives());
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_TRUE(b.responses.empty());
 }
 
 }  // namespace

@@ -163,21 +163,21 @@ TEST(ResilientPolicy, BeatsPlainProactiveUnderFaults) {
   const trace::Trace cm =
       trace::repeat_trace(runner.cm_trace(core::PowerMode::kTpm), steps);
 
-  sim::FaultConfig faults;
-  faults.spin_up_failure_prob = 0.05;
+  sim::SimOptions options;
+  options.faults.spin_up_failure_prob = 0.05;
 
   BasePolicy base;
   const sim::SimReport base_report = sim::simulate(
-      plain, config.disk, base, sim::ReplayMode::kClosedLoop, faults);
+      plain, config.disk, base, options);
 
   ProactivePolicy cmtpm("CMTPM");
   const sim::SimReport cm_report = sim::simulate(
-      cm, config.disk, cmtpm, sim::ReplayMode::kClosedLoop, faults);
+      cm, config.disk, cmtpm, options);
 
   ProactivePolicy inner("CMTPM");
   ResilientPolicy resilient(inner);
   const sim::SimReport res_report = sim::simulate(
-      cm, config.disk, resilient, sim::ReplayMode::kClosedLoop, faults);
+      cm, config.disk, resilient, options);
 
   EXPECT_LT(res_report.execution_ms, cm_report.execution_ms);
   EXPECT_LT(res_report.total_energy, base_report.total_energy);

@@ -730,6 +730,44 @@ TEST(ServiceDaemon, SurvivesMalformedAndTruncatedFrames) {
   EXPECT_TRUE(daemon.done());
 }
 
+// The daemon has no "analyze" op (static analysis runs in-process through
+// api::Session); it and any invented op get the structured unknown-op
+// error, and the connection keeps serving.
+TEST(ServiceDaemon, UnknownOpsAreRejected) {
+  DaemonOptions options;
+  options.socket_path = test_socket_path("unknown_op");
+  options.jobs = 1;
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    const int fd = raw_connect(options.socket_path);
+    const std::string spec = cheap_spec("x").canonical_json();
+    for (const std::string& request :
+         {"{\"op\":\"analyze\",\"spec\":" + spec + "}",
+          std::string("{\"op\":\"frobnicate\"}")}) {
+      SCOPED_TRACE(request);
+      write_frame(fd, request);
+      std::string payload;
+      ASSERT_TRUE(read_frame(fd, payload));
+      const Json response = Json::parse(payload);
+      EXPECT_FALSE(response.at("ok").as_bool());
+      EXPECT_NE(response.at("error").as_string().find("unknown op"),
+                std::string::npos);
+    }
+    write_frame(fd, "{\"op\":\"ping\"}");
+    std::string payload;
+    ASSERT_TRUE(read_frame(fd, payload));
+    EXPECT_TRUE(Json::parse(payload).at("ok").as_bool());
+    ::close(fd);
+  }
+  {
+    Client client(options.socket_path);
+    client.shutdown();
+  }
+  waiter.join();
+}
+
 TEST(ServiceDaemon, OverCapResultIsStructuredNotTruncated) {
   // Find the gap between "submit fits" and "result does not": the real
   // result document for this spec, measured directly.  All seven schemes

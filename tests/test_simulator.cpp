@@ -1,9 +1,15 @@
 // Closed-loop simulator: think time, blocking I/O, energy accounting.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "layout/layout_table.h"
 #include "policy/base.h"
 #include "sim/simulator.h"
+#include "tests/forwarding_policy.h"
+#include "trace/generator.h"
 #include "util/error.h"
+#include "workloads/benchmarks.h"
 
 namespace sdpm::sim {
 namespace {
@@ -94,12 +100,51 @@ TEST(Simulator, PerDiskTimeAccountingExhaustive) {
   }
 }
 
+// Every item's target disk is checked before the replay indexes by it,
+// in both loops and both engines; `sdpm_cli replay` feeds these checks
+// traces from outside the program.
 TEST(Simulator, RejectsUnknownDisk) {
-  trace::Trace t = empty_trace(2, 1'000.0);
-  t.requests.push_back(make_request(0.0, 5, 0, kib(16)));
-  policy::BasePolicy policy;
-  Simulator sim(t, params(), policy);
-  EXPECT_THROW(sim.run(), Error);
+  struct Case {
+    bool power_event;
+    int disk;
+  };
+  for (const Case c : {Case{false, 5}, Case{false, -1}, Case{false, 2},
+                       Case{true, 5}, Case{true, -1}, Case{true, 2}}) {
+    trace::Trace t = empty_trace(2, 1'000.0);
+    t.requests.push_back(make_request(0.0, 0, 0, kib(16)));
+    if (c.power_event) {
+      trace::PowerEvent ev;
+      ev.app_time_ms = 10.0;
+      ev.directive =
+          ir::PowerDirective{ir::PowerDirective::Kind::kSpinDown, c.disk, 0};
+      t.power_events.push_back(ev);
+    } else {
+      t.requests.push_back(make_request(10.0, c.disk, 0, kib(16)));
+    }
+    const std::string expected = c.power_event
+                                     ? "power event targets unknown disk"
+                                     : "request targets unknown disk";
+    for (const ReplayMode mode :
+         {ReplayMode::kClosedLoop, ReplayMode::kOpenLoop}) {
+      for (const bool virtual_engine : {false, true}) {
+        SCOPED_TRACE(expected + " " + std::to_string(c.disk) +
+                     (mode == ReplayMode::kOpenLoop ? ", open loop"
+                                                    : ", closed loop") +
+                     (virtual_engine ? ", virtual engine" : ", kernel"));
+        policy::BasePolicy base;
+        test::ForwardingPolicy<policy::BasePolicy> forwarding;
+        PowerPolicy& policy =
+            virtual_engine ? static_cast<PowerPolicy&>(forwarding) : base;
+        try {
+          simulate(t, params(), policy, SimOptions{.mode = mode});
+          ADD_FAILURE() << "no error thrown";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(Simulator, RunOnlyOnce) {
@@ -150,6 +195,23 @@ TEST(Simulator, PowerEventBeforeRequestAtSameTime) {
   ASSERT_EQ(policy.order.size(), 2u);
   EXPECT_EQ(policy.order[0], 'p');
   EXPECT_EQ(policy.order[1], 'r');
+}
+
+TEST(Simulator, ResponsesAreOptIn) {
+  // Without capture_responses the vector stays empty while the aggregate
+  // statistics are still kept.
+  const workloads::Benchmark bench = workloads::make_galgel();
+  trace::GeneratorOptions gen;
+  gen.cache_bytes = kib(512);
+  const layout::LayoutTable table(bench.program,
+                                  layout::Striping{0, 8, kib(64)}, 8);
+  const trace::Trace t =
+      trace::TraceGenerator(bench.program, table, gen).generate();
+  policy::BasePolicy policy;
+  const SimReport report = simulate(t, params(), policy);
+  EXPECT_TRUE(report.responses.empty());
+  EXPECT_GT(report.requests, 0);
+  EXPECT_GT(report.response_ms.count(), 0);
 }
 
 TEST(Simulator, ReportNamesPolicy) {
