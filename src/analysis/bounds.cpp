@@ -385,19 +385,19 @@ ScheduleCertificate certify_trace(const trace::Trace& trace,
     bill_to(d, model, compute_total);
 
     // Wasted-preactivation scan: every restore must reach a request before
-    // the next degrade or the end of the run.
+    // the next degrade or the end of the run.  Walked backwards, `used`
+    // says whether a request comes before the next degrade.
     const auto& seq = items[static_cast<std::size_t>(disk)];
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      if (seq[i].is_request || !restores(seq[i].directive, top)) continue;
-      bool used = false;
-      for (std::size_t j = i + 1; j < seq.size(); ++j) {
-        if (seq[j].is_request) {
-          used = true;
-          break;
-        }
-        if (degrades(seq[j].directive, top)) break;
+    bool used = false;
+    for (auto it = seq.rbegin(); it != seq.rend(); ++it) {
+      if (it->is_request) {
+        used = true;
+        continue;
       }
-      if (!used) d.wasted_preactivation_possible = true;
+      if (restores(it->directive, top) && !used) {
+        d.wasted_preactivation_possible = true;
+      }
+      if (degrades(it->directive, top)) used = false;
     }
 
     DiskCertificate dc;

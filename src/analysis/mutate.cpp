@@ -1,6 +1,8 @@
 #include "analysis/mutate.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "trace/iteration_space.h"
 #include "util/error.h"
@@ -16,23 +18,46 @@ int mutate_late_preactivation(core::ScheduleResult& result,
   const trace::IterationSpace space(result.program);
   const std::int64_t total = space.total();
   const int top = params.max_level();
+  // Each disk's directives as (global iteration, index), kept sorted as
+  // they move, so each gap finds its directives by binary search.
+  using Site = std::pair<std::int64_t, std::size_t>;
+  std::map<int, std::vector<Site>> sites_by_disk;
+  for (std::size_t i = 0; i < result.program.directives.size(); ++i) {
+    const ir::PlacedDirective& pd = result.program.directives[i];
+    sites_by_disk[pd.directive.disk].push_back(
+        {space.global_of(pd.point), i});
+  }
+  for (auto& [disk, sites] : sites_by_disk) {
+    std::sort(sites.begin(), sites.end());
+  }
   int moved = 0;
   for (const core::GapPlan& plan : result.plans) {
     if (!plan.acted || plan.end_iter >= total) continue;
     if (plan.end_iter <= plan.begin_iter + 1) continue;
-    for (ir::PlacedDirective& pd : result.program.directives) {
-      if (pd.directive.disk != plan.disk) continue;
-      const std::int64_t g = space.global_of(pd.point);
-      if (g < plan.begin_iter || g > plan.end_iter) continue;
+    const auto found = sites_by_disk.find(plan.disk);
+    if (found == sites_by_disk.end()) continue;
+    std::vector<Site>& sites = found->second;
+    const std::int64_t target = plan.end_iter - 1;
+    auto it = std::lower_bound(sites.begin(), sites.end(),
+                               Site{plan.begin_iter, 0});
+    while (it != sites.end() && it->first <= plan.end_iter) {
+      ir::PlacedDirective& pd = result.program.directives[it->second];
       const bool restore =
           pd.directive.kind == ir::PowerDirective::Kind::kSpinUp ||
           (pd.directive.kind == ir::PowerDirective::Kind::kSetRpm &&
            pd.directive.rpm_level == top);
-      if (!restore) continue;
-      const std::int64_t target = plan.end_iter - 1;
-      if (target <= g) continue;
+      if (!restore || target <= it->first) {
+        ++it;
+        continue;
+      }
       pd.point = space.point_of(target);
       ++moved;
+      // Re-seat the moved site at `target`; the sites it passes shift
+      // down one place, so `it` already names the next one.
+      const Site site{target, it->second};
+      const auto dest = std::upper_bound(it + 1, sites.end(), site);
+      std::rotate(it, it + 1, dest);
+      *(dest - 1) = site;
     }
   }
   result.program.sort_directives();

@@ -72,10 +72,8 @@ class MisfitPass final : public Pass {
     if (best == plan.level) return;
     const ir::Program& program = ctx.program();
     int degrade_index = -1;
-    for (const auto& ref : ctx.directives_of(disk)) {
-      if (ref.global < plan.begin_iter || ref.global > plan.end_iter) {
-        continue;
-      }
+    for (const auto& ref :
+         ctx.directives_in(disk, plan.begin_iter, plan.end_iter)) {
       const ir::PowerDirective& d =
           program.directives[static_cast<std::size_t>(ref.index)].directive;
       if (d.kind == ir::PowerDirective::Kind::kSetRpm &&
@@ -110,21 +108,14 @@ class MisfitPass final : public Pass {
     const ir::Program& program = ctx.program();
     const disk::DiskParameters& params = ctx.params();
     const int top = ctx.top_level();
-    const std::int64_t total = ctx.space().total();
-
-    std::vector<std::int64_t> active_starts;
-    for (const core::GapPlan* plan : ctx.plans_of(disk)) {
-      if (plan->end_iter < total) active_starts.push_back(plan->end_iter);
-    }
-    std::sort(active_starts.begin(), active_starts.end());
 
     bool standby = false;
     int level = top;
     TimeMs ready = 0;     // completion time of the level's transition
     int ready_level = top;
-    std::size_t next_active = 0;
 
-    auto handle_access = [&](std::int64_t a) {
+    auto handle_access = [&](const AnalysisContext::AccessPoint& access) {
+      const std::int64_t a = access.global;
       const TimeMs t0 = ctx.at(a);
       int effective = level;
       if (ready > t0 + ctx.iter_ms(a) + 1e-6) {
@@ -160,12 +151,7 @@ class MisfitPass final : public Pass {
       ready = 0;
     };
 
-    for (const auto& ref : ctx.directives_of(disk)) {
-      while (next_active < active_starts.size() &&
-             active_starts[next_active] < ref.global) {
-        handle_access(active_starts[next_active]);
-        ++next_active;
-      }
+    auto handle_directive = [&](const AnalysisContext::DirRef& ref) {
       const ir::PowerDirective& d =
           program.directives[static_cast<std::size_t>(ref.index)].directive;
       switch (d.kind) {
@@ -191,11 +177,9 @@ class MisfitPass final : public Pass {
           break;
         }
       }
-    }
-    while (next_active < active_starts.size()) {
-      handle_access(active_starts[next_active]);
-      ++next_active;
-    }
+    };
+
+    ctx.merge_walk(disk, handle_access, handle_directive);
   }
 
   /// Minimum serviceable level for the nest containing global iteration

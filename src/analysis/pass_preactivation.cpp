@@ -17,7 +17,6 @@
 // directive to the latest iteration whose wake-up still completes by the
 // access; predicted demand spin-ups (W041) carry an SDPM-F005 fix-it that
 // inserts the missing wake-up at that same latest-feasible point.
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -53,18 +52,10 @@ class PreactivationPass final : public Pass {
     const ir::Program& program = ctx.program();
     const disk::DiskParameters& params = ctx.params();
     const int top = ctx.top_level();
-    const std::int64_t total = ctx.space().total();
-
-    std::vector<std::int64_t> active_starts;
-    for (const core::GapPlan* plan : ctx.plans_of(disk)) {
-      if (plan->end_iter < total) active_starts.push_back(plan->end_iter);
-    }
-    std::sort(active_starts.begin(), active_starts.end());
 
     bool standby = false;
     int level = top;
     std::optional<Pending> pending;
-    std::size_t next_active = 0;
 
     // Latest global iteration in [`lo`, `a`] whose power call (issued at
     // at(g) + Tm) still completes a `duration`-long transition by at(a);
@@ -87,16 +78,10 @@ class PreactivationPass final : public Pass {
       return best;
     };
 
-    // First iteration of the gap plan ending at access `a` (hoists must
-    // stay inside the planned idle period).
-    auto gap_begin = [&](std::int64_t a) -> std::int64_t {
-      for (const core::GapPlan* plan : ctx.plans_of(disk)) {
-        if (plan->end_iter == a) return plan->begin_iter;
-      }
-      return 0;
-    };
-
-    auto handle_access = [&](std::int64_t a) {
+    // Hoists must stay inside the planned idle period that the access
+    // ends, so each search starts at the access point's gap_begin.
+    auto handle_access = [&](const AnalysisContext::AccessPoint& access) {
+      const std::int64_t a = access.global;
       const TimeMs t0 = ctx.at(a);
       if (pending.has_value()) {
         const TimeMs slack = ctx.iter_ms(a) + 1e-6;
@@ -110,7 +95,7 @@ class PreactivationPass final : public Pass {
                          fmt_time_ms(pending->ready - t0).c_str(),
                          static_cast<long long>(a)));
           const std::int64_t target =
-              latest_feasible(gap_begin(a), a, pending->duration);
+              latest_feasible(access.gap_begin, a, pending->duration);
           if (target >= 0 && target != pending->global) {
             core::ScheduleEdit edit;
             edit.kind = core::ScheduleEdit::Kind::kMoveDirective;
@@ -142,7 +127,7 @@ class PreactivationPass final : public Pass {
                        "iteration %lld): demand spin-up predicted",
                        disk, static_cast<long long>(a)));
         const std::int64_t target =
-            latest_feasible(gap_begin(a), a,
+            latest_feasible(access.gap_begin, a,
                             params.wake_time(params.default_park()));
         if (target >= 0) {
           core::ScheduleEdit edit;
@@ -169,12 +154,7 @@ class PreactivationPass final : public Pass {
       pending.reset();
     };
 
-    for (const auto& ref : ctx.directives_of(disk)) {
-      while (next_active < active_starts.size() &&
-             active_starts[next_active] < ref.global) {
-        handle_access(active_starts[next_active]);
-        ++next_active;
-      }
+    auto handle_directive = [&](const AnalysisContext::DirRef& ref) {
       const ir::PowerDirective& d =
           program.directives[static_cast<std::size_t>(ref.index)].directive;
       const TimeMs issue = ctx.at(ref.global) + ctx.tm();
@@ -217,11 +197,9 @@ class PreactivationPass final : public Pass {
           break;
         }
       }
-    }
-    while (next_active < active_starts.size()) {
-      handle_access(active_starts[next_active]);
-      ++next_active;
-    }
+    };
+
+    ctx.merge_walk(disk, handle_access, handle_directive);
     if (pending.has_value()) {
       waste("the program ends before the disk is used");
     }

@@ -33,7 +33,8 @@ class RedundancyPass final : public Pass {
       const auto& plans = ctx.plans_of(disk);
       const auto& dirs = ctx.directives_of(disk);
 
-      // Demand-wake-aware level/standby tracking, as in check_schedule.
+      // Demand-wake-aware level/standby tracking, as in the wellformed
+      // pass's merge walk.
       bool standby = false;
       int level = top;
       std::size_t di = 0;

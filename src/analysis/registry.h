@@ -3,8 +3,8 @@
 // The registry owns the ordered list of analysis passes and runs them over
 // one (ScheduleResult, LayoutTable, DiskParameters) triple, collecting a
 // sorted AnalysisReport.  The default registry holds every built-in pass;
-// callers that want a subset (e.g. check_schedule, which runs only the
-// well-formedness core) build their own.
+// callers that want a subset (e.g. only the well-formedness pass) build
+// their own.
 #pragma once
 
 #include <memory>

@@ -6,7 +6,7 @@
 // the paper's argument.
 #include <gtest/gtest.h>
 
-#include "analysis/verify_schedule.h"
+#include "analysis/registry.h"
 #include "core/schedule.h"
 #include "experiments/runner.h"
 #include "trace/dap.h"
@@ -37,10 +37,14 @@ TEST(PaperClaims, CompilerExtractsDapAndSchedulesBothModes) {
       so.access = config.gen;
       const core::ScheduleResult result =
           core::schedule_power_calls(b.program, table, config.disk, so);
-      EXPECT_TRUE(analysis::check_schedule(result, config.total_disks,
-                                           config.disk)
-                      .empty())
-          << name;
+      analysis::PassRegistry wellformed;
+      wellformed.add(analysis::make_wellformed_pass());
+      analysis::AnalyzeOptions options;
+      options.access = config.gen;
+      const analysis::AnalysisReport report =
+          wellformed.run(result, table, config.disk, options);
+      EXPECT_TRUE(report.diagnostics.empty())
+          << name << "\n" << analysis::render_text(report);
     }
   }
 }

@@ -1,7 +1,8 @@
 // Power-call scheduler: Eq. 1, gap planning, pre-activation placement.
 #include <gtest/gtest.h>
 
-#include "analysis/verify_schedule.h"
+#include "analysis/pass.h"
+#include "analysis/registry.h"
 #include "core/mispredict.h"
 #include "core/schedule.h"
 #include "ir/builder.h"
@@ -263,12 +264,17 @@ TEST(Schedule, RejectsBadOptions) {
                sdpm::Error);
 }
 
-// Errors reported by the collect-all well-formedness pass.
-std::vector<analysis::Diagnostic> schedule_errors(const ScheduleResult& result,
-                                                  int total_disks) {
+// Errors reported by the collect-all well-formedness pass, in the order
+// the pass reports them (program-order checks first, then disk by disk).
+std::vector<analysis::Diagnostic> schedule_errors(
+    const ScheduleResult& result, const layout::LayoutTable& table) {
+  analysis::AnalyzeOptions options;
+  options.access = drpm_options().access;
+  analysis::AnalysisContext ctx(result, table, params(), options);
+  std::vector<analysis::Diagnostic> diags;
+  analysis::make_wellformed_pass()->run(ctx, diags);
   std::vector<analysis::Diagnostic> errors;
-  for (analysis::Diagnostic& d :
-       analysis::check_schedule(result, total_disks, params())) {
+  for (analysis::Diagnostic& d : diags) {
     if (d.severity == analysis::Severity::kError) {
       errors.push_back(std::move(d));
     }
@@ -284,7 +290,7 @@ TEST(VerifySchedule, AcceptsSchedulerOutput) {
     o.mode = mode;
     const ScheduleResult result =
         schedule_power_calls(tp.program, table, params(), o);
-    EXPECT_TRUE(schedule_errors(result, 2).empty());
+    EXPECT_TRUE(schedule_errors(result, table).empty());
     EXPECT_EQ(static_cast<std::int64_t>(result.program.directives.size()),
               result.calls_inserted);
   }
@@ -303,7 +309,7 @@ TEST(VerifySchedule, RejectsDoubleSpinDown) {
     }
   }
   result.program.sort_directives();
-  const auto errors = schedule_errors(result, 2);
+  const auto errors = schedule_errors(result, table);
   ASSERT_FALSE(errors.empty());
   EXPECT_EQ(errors[0].rule, "SDPM-E004");
 }
@@ -315,7 +321,7 @@ TEST(VerifySchedule, RejectsForeignDisk) {
       schedule_power_calls(tp.program, table, params(), tpm_options());
   ASSERT_FALSE(result.program.directives.empty());
   result.program.directives[0].directive.disk = 7;
-  const auto errors = schedule_errors(result, 2);
+  const auto errors = schedule_errors(result, table);
   ASSERT_FALSE(errors.empty());
   EXPECT_EQ(errors[0].rule, "SDPM-E002");
 }
@@ -330,7 +336,7 @@ TEST(VerifySchedule, ReportsEveryViolationNotJustTheFirst) {
   ASSERT_GE(result.program.directives.size(), 2u);
   result.program.directives[0].directive.disk = 7;
   result.program.directives[1].directive.disk = 8;
-  const auto errors = schedule_errors(result, 2);
+  const auto errors = schedule_errors(result, table);
   int e002 = 0;
   for (const analysis::Diagnostic& d : errors) {
     if (d.rule == "SDPM-E002") ++e002;
@@ -350,7 +356,7 @@ TEST(VerifySchedule, RejectsDirectiveOutsideIdlePeriod) {
     plan.end_iter = 0;
   }
   bool outside = false;
-  for (const auto& d : schedule_errors(result, 2)) {
+  for (const auto& d : schedule_errors(result, table)) {
     if (d.rule == "SDPM-E003") outside = true;
   }
   EXPECT_TRUE(outside);
