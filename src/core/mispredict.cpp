@@ -17,7 +17,8 @@ MispredictStats compare_with_oracle(const std::vector<GapPlan>& plans,
       const int oracle = policy::optimal_rpm_level(actual_gap, params);
       if (oracle != plan.level) ++stats.mispredicted;
     } else {
-      const bool oracle_down = policy::tpm_gap_beneficial(actual_gap, params);
+      const bool oracle_down =
+          policy::spin_down_beneficial(actual_gap, params);
       const bool planned_down = plan.level == -1 && plan.acted;
       if (oracle_down != planned_down) ++stats.mispredicted;
     }

@@ -96,7 +96,8 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
 
       if (options.mode == PowerMode::kTpm) {
         plan.level = -1;
-        const bool beneficial = policy::tpm_gap_beneficial(discounted, params);
+        const bool beneficial =
+            policy::spin_down_beneficial(discounted, params);
         if (beneficial) {
           const std::int64_t down_site = std::min(
               snap_up(gap.lo, options.call_site_granularity), gap.hi);

@@ -67,6 +67,11 @@ bool tpm_gap_beneficial(TimeMs gap_ms, const disk::DiskParameters& params) {
   return false;
 }
 
+bool spin_down_beneficial(TimeMs gap_ms,
+                          const disk::DiskParameters& params) {
+  return park_pays_off(gap_ms, params.default_park(), params);
+}
+
 int min_serviceable_level(Bytes request_bytes, TimeMs interarrival_ms,
                           const disk::DiskParameters& params) {
   const int top = params.max_level();

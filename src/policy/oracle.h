@@ -52,8 +52,16 @@ Joules tpm_gap_energy(TimeMs gap_ms, const disk::DiskParameters& params);
 int min_serviceable_level(Bytes request_bytes, TimeMs interarrival_ms,
                           const disk::DiskParameters& params);
 
-/// True when spinning down for this gap saves energy versus idling.
+/// True when spinning down for this gap saves energy versus idling, in
+/// whichever park pays off best (the ideal ITPM's choice).
 bool tpm_gap_beneficial(TimeMs gap_ms, const disk::DiskParameters& params);
+
+/// True when a spin_down directive pays off for this gap: parking in the
+/// default park, where the directive lands, fits and saves energy.  On a
+/// one-park ladder this equals tpm_gap_beneficial; on a multi-park ladder
+/// a gap that only a shallower park can pay for does not qualify.  The
+/// CMTPM scheduler, the analyzer's W031 and the Table 3 comparison use it.
+bool spin_down_beneficial(TimeMs gap_ms, const disk::DiskParameters& params);
 
 // ---- whole-run oracles -------------------------------------------------
 

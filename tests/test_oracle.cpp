@@ -77,6 +77,28 @@ TEST(OracleGap, TpmBeneficialMatchesBreakEven) {
   EXPECT_TRUE(tpm_gap_beneficial(be * 1.01, params()));
 }
 
+// A spin_down directive parks in the default park, so only that park's
+// economics count for it.  On the one-park paper disk the two predicates
+// agree; on a multi-park preset some gaps pay off only in a shallower park.
+TEST(OracleGap, SpinDownPaysOffOnlyInTheDefaultPark) {
+  for (TimeMs gap = 10.0; gap < 200'000.0; gap *= 1.1) {
+    EXPECT_EQ(spin_down_beneficial(gap, params()),
+              tpm_gap_beneficial(gap, params()))
+        << "gap " << gap;
+  }
+  const disk::DiskParameters nvme =
+      disk::DiskParameters::preset("nvme_tiered");
+  int shallower_only = 0;
+  for (TimeMs gap = 1.0; gap < 200'000.0; gap *= 1.05) {
+    if (spin_down_beneficial(gap, nvme)) {
+      EXPECT_TRUE(tpm_gap_beneficial(gap, nvme)) << "gap " << gap;
+    } else if (tpm_gap_beneficial(gap, nvme)) {
+      ++shallower_only;
+    }
+  }
+  EXPECT_GT(shallower_only, 0);
+}
+
 TEST(OracleGap, TpmGapEnergyNeverWorseThanIdling) {
   for (const TimeMs gap : {100.0, 10'000.0, 15'000.0, 20'000.0, 100'000.0}) {
     EXPECT_LE(tpm_gap_energy(gap, params()),
