@@ -139,16 +139,9 @@ AnalyzedSchedule compiled_schedule(
     const experiments::ExperimentConfig& config,
     const workloads::Benchmark& bench, core::PowerMode mode,
     const std::optional<analysis::Mutation>& mutation) {
-  core::CompilerOptions co;
-  co.total_disks = config.total_disks;
-  co.base_striping = config.striping;
-  co.disk_params = config.disk;
-  co.access = config.gen;
-  co.call_site_granularity = config.call_site_granularity;
-  co.preactivate = config.preactivate;
-  co.tile_bytes = config.tile_bytes;
   const core::CompileOutput out =
-      core::compile(bench.program, config.transform, mode, co);
+      core::compile(bench.program, config.transform, mode,
+                    experiments::compiler_options(config));
   AnalyzedSchedule sched{
       core::ScheduleResult{out.program, out.plans, out.calls_inserted},
       out.striping};

@@ -44,17 +44,23 @@ std::vector<Scheme> all_schemes() {
           Scheme::kIdrpm, Scheme::kCmtpm, Scheme::kCmdrpm};
 }
 
+core::CompilerOptions compiler_options(const ExperimentConfig& config) {
+  core::CompilerOptions co;
+  co.total_disks = config.total_disks;
+  co.base_striping = config.striping;
+  co.disk_params = config.disk;
+  co.access = config.gen;
+  co.call_site_granularity = config.call_site_granularity;
+  co.preactivate = config.preactivate;
+  co.tile_bytes = config.tile_bytes;
+  return co;
+}
+
 Runner::Runner(const workloads::Benchmark& benchmark,
                ExperimentConfig config)
     : benchmark_(benchmark), config_(std::move(config)) {
-  core::CompilerOptions co;
-  co.total_disks = config_.total_disks;
-  co.base_striping = config_.striping;
-  co.disk_params = config_.disk;
-  co.access = config_.gen;
-  co.tile_bytes = config_.tile_bytes;
   compiled_ = core::compile(benchmark_.program, config_.transform,
-                            std::nullopt, co);
+                            std::nullopt, compiler_options(config_));
   layout_.emplace(compiled_.program, compiled_.striping,
                   config_.total_disks);
 }

@@ -71,6 +71,10 @@ struct ExperimentConfig {
   Scheme trace_scheme = Scheme::kBase;
 };
 
+/// The compiler options `config` implies: the one lowering that Runner,
+/// api::Session and the CLI's codegen compile with.
+core::CompilerOptions compiler_options(const ExperimentConfig& config);
+
 struct SchemeResult {
   Scheme scheme = Scheme::kBase;
   Joules energy_j = 0;

@@ -265,6 +265,47 @@ TEST(ServiceDaemon, EndToEndSubmitAndDrain) {
   delete late;
 }
 
+// FAILURE PATH: an evaluation that throws fails only its own job.  A block
+// size of 64 KiB + 512 B passes JobSpec::validate() but does not divide the
+// 64 KiB stripe, so trace generation throws; the failed batch is re-run job
+// by job, the bad job ends EXEC_ERROR and the good ones still complete.
+TEST(ServiceDaemon, ThrowingEvaluationFailsOnlyItsJob) {
+  DaemonOptions options;
+  options.socket_path = test_socket_path("exec_error");
+  options.max_batch = 4;
+  options.jobs = 1;
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    Client client(options.socket_path);
+    api::JobSpec bad = cheap_spec("bad-block");
+    bad.block_size = kib(64) + 512;
+    ASSERT_NO_THROW(bad.validate());
+    const std::int64_t good_a = client.submit(cheap_spec("good-a"));
+    const std::int64_t bad_id = client.submit(bad);
+    const std::int64_t good_b = client.submit(cheap_spec("good-b"));
+
+    const Json failed = client.result(bad_id, /*wait=*/true);
+    EXPECT_EQ(failed.at("state").as_string(), "failed");
+    EXPECT_EQ(failed.at("code").as_string(),
+              api::to_string(api::ErrorCode::kExecError));
+    EXPECT_NE(failed.at("error").as_string().find(
+                  "block size must divide every array's stripe size"),
+              std::string::npos)
+        << failed.at("error").as_string();
+    for (const std::int64_t id : {good_a, good_b}) {
+      EXPECT_EQ(client.result(id, /*wait=*/true).at("state").as_string(),
+                "done");
+    }
+    const Json queue = client.stats().at("queue");
+    EXPECT_EQ(queue.at("failed").as_int(), 1);
+    EXPECT_EQ(queue.at("completed").as_int(), 2);
+    client.shutdown();
+  }
+  waiter.join();
+}
+
 TEST(ServiceDaemon, DevicePresetsAndV1NotesTravelTheWire) {
   DaemonOptions options;
   options.socket_path = test_socket_path("device");
