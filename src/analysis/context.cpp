@@ -66,11 +66,7 @@ AnalysisContext::AnalysisContext(const core::ScheduleResult& result,
 }
 
 TimeMs AnalysisContext::at(std::int64_t g) const {
-  const std::int64_t clamped = std::clamp<std::int64_t>(g, 0, space_.total());
-  if (options_.estimate != nullptr) {
-    return options_.estimate->at_global(clamped);
-  }
-  return nominal_.at_global(clamped);
+  return nominal_.at_global(std::clamp<std::int64_t>(g, 0, space_.total()));
 }
 
 TimeMs AnalysisContext::iter_ms(std::int64_t g) const {
@@ -117,16 +113,6 @@ const std::vector<const core::GapPlan*>& AnalysisContext::plans_of(
 const std::vector<AnalysisContext::AccessPoint>&
 AnalysisContext::access_points_of(int disk) const {
   return accesses_by_disk_[static_cast<std::size_t>(disk)];
-}
-
-std::optional<core::PowerMode> AnalysisContext::inferred_mode() const {
-  for (const ir::PlacedDirective& pd : result_->program.directives) {
-    if (pd.directive.kind == ir::PowerDirective::Kind::kSetRpm) {
-      return core::PowerMode::kDrpm;
-    }
-    return core::PowerMode::kTpm;
-  }
-  return std::nullopt;
 }
 
 DiagLocation AnalysisContext::loc_at(std::int64_t g, int disk,

@@ -3,7 +3,7 @@
 // The analyzer consumes exactly what the compiler produced — a
 // (ScheduleResult, LayoutTable, DiskParameters) triple — and never
 // simulates.  The context is the one per-disk index every pass reads: the
-// global iteration space, the compiler's time estimate, each disk's sorted
+// global iteration space, the nominal compute timeline, each disk's sorted
 // directives, gap plans and access points with searches over them, and
 // (lazily and guarded, because a malformed program can make the access
 // model throw) the Disk Access Pattern.
@@ -31,12 +31,6 @@ struct AnalyzeOptions {
   /// Access-model options.  Must match the scheduler's, or the recomputed
   /// DAP will disagree with the plans (SDPM-E009).
   trace::GeneratorOptions access;
-  /// The time estimate the schedule was planned against.  Non-owning; when
-  /// null the nominal compute timeline is used — the same fallback as
-  /// core::schedule_power_calls.
-  const trace::TimeEstimate* estimate = nullptr;
-  /// Mirrors SchedulerOptions::safety_margin for decision replication.
-  double safety_margin = 0.25;
   /// The transformation that produced the program; selects the severity of
   /// the dependence-legality findings (error for tiled code).
   core::Transformation transform = core::Transformation::kNone;
@@ -67,11 +61,11 @@ class AnalysisContext {
 
   const trace::IterationSpace& space() const { return space_; }
 
-  /// Estimated start time of global iteration `g` (clamped to the
-  /// program).
+  /// Start time of global iteration `g` on the nominal compute timeline
+  /// (clamped to the program).
   TimeMs at(std::int64_t g) const;
 
-  /// Estimated duration of global iteration `g`.
+  /// Duration of global iteration `g` on that timeline.
   TimeMs iter_ms(std::int64_t g) const;
 
   /// The recomputed Disk Access Pattern, or nullptr when the access model
@@ -132,10 +126,6 @@ class AnalysisContext {
     }
     for (; next < accesses.size(); ++next) on_access(accesses[next]);
   }
-
-  /// Power mode implied by the directive kinds; empty when the program
-  /// carries no directives.
-  std::optional<core::PowerMode> inferred_mode() const;
 
   /// Location helper: resolve a global iteration to (nest, iteration).
   DiagLocation loc_at(std::int64_t g, int disk, int directive = -1) const;

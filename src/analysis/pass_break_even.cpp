@@ -33,7 +33,6 @@ class BreakEvenPass final : public Pass {
     const ir::Program& program = ctx.program();
     const disk::DiskParameters& params = ctx.params();
     const TimeMs break_even = params.break_even_time();
-    const std::optional<core::PowerMode> mode = ctx.inferred_mode();
 
     for (int disk = 0; disk < ctx.total_disks(); ++disk) {
       for (const core::GapPlan* plan : ctx.plans_of(disk)) {
@@ -58,12 +57,13 @@ class BreakEvenPass final : public Pass {
           }
         }
 
-        // W031: the scheduler's own profitability rule, un-acted.
-        if (plan->acted || !mode.has_value()) continue;
+        // W031: the scheduler's own profitability rule, in the mode the
+        // plan was made in, un-acted.
+        if (plan->acted) continue;
         if (plan->end_iter <= plan->begin_iter) continue;
         const TimeMs discounted =
-            plan->estimated_ms * (1.0 - ctx.options().safety_margin);
-        if (*mode == core::PowerMode::kTpm) {
+            plan->estimated_ms * (1.0 - core::kSafetyMargin);
+        if (plan->mode == core::PowerMode::kTpm) {
           if (policy::spin_down_beneficial(discounted, params)) {
             out.push_back(make_diagnostic(
                 "SDPM-W031", name(), ctx.loc_at(plan->begin_iter, disk),

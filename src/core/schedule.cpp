@@ -58,8 +58,6 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
                                     const SchedulerOptions& options) {
   SDPM_REQUIRE(options.call_site_granularity >= 1,
                "call-site granularity must be >= 1");
-  SDPM_REQUIRE(options.safety_margin >= 0.0 && options.safety_margin < 1.0,
-               "safety margin must be in [0, 1)");
   ScheduleResult result;
   result.program = program;
 
@@ -86,12 +84,13 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
     for (const Interval& gap : idle.intervals()) {
       GapPlan plan;
       plan.disk = d;
+      plan.mode = options.mode;
       plan.begin_iter = gap.lo;
       plan.end_iter = gap.hi;
       plan.estimated_ms =
           est.at_global(gap.hi) - est.at_global(gap.lo);
       const TimeMs discounted =
-          plan.estimated_ms * (1.0 - options.safety_margin);
+          plan.estimated_ms * (1.0 - kSafetyMargin);
       const bool has_next_use = gap.hi < total;
 
       if (options.mode == PowerMode::kTpm) {
@@ -106,7 +105,7 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
           if (has_next_use && options.preactivate) {
             const TimeMs lead =
                 (params.wake_time(params.default_park()) + tm) *
-                (1.0 + options.safety_margin);
+                (1.0 + kSafetyMargin);
             std::int64_t up_site =
                 latest_start_with_lead(est, gap.lo, gap.hi, lead);
             up_site = std::max(snap_down(up_site,
@@ -135,7 +134,7 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
                                ir::PowerDirective::Kind::kSetRpm, d, level});
           if (has_next_use && options.preactivate) {
             const TimeMs lead = (params.rpm_transition_time(level, top) + tm) *
-                                (1.0 + options.safety_margin);
+                                (1.0 + kSafetyMargin);
             std::int64_t up_site =
                 latest_start_with_lead(est, gap.lo, gap.hi, lead);
             up_site = std::max(snap_down(up_site,

@@ -30,12 +30,19 @@
 namespace sdpm::core {
 
 /// Which call family the compiler emits.
-enum class PowerMode {
+enum class PowerMode : std::uint8_t {
   kTpm,   ///< spin_down / spin_up (CMTPM)
   kDrpm,  ///< set_RPM (CMDRPM)
 };
 
 const char* to_string(PowerMode mode);
+
+/// Conservatism against estimation error: idle periods are discounted by
+/// this fraction when picking a power mode, and pre-activation leads are
+/// inflated by it, so a moderately mispredicted gap still hides the
+/// wake-up latency instead of stalling the application.  The analyzer's
+/// W031 replays the scheduler's decision with the same margin.
+inline constexpr double kSafetyMargin = 0.25;
 
 struct SchedulerOptions {
   PowerMode mode = PowerMode::kDrpm;
@@ -52,11 +59,6 @@ struct SchedulerOptions {
   /// profiling run, so it includes amortized I/O time).  Non-owning; when
   /// null the scheduler falls back to the nominal compute timeline.
   const trace::TimeEstimate* estimate = nullptr;
-  /// Conservatism against estimation error: idle periods are discounted by
-  /// this fraction when picking a power mode, and pre-activation leads are
-  /// inflated by it, so a moderately mispredicted gap still hides the
-  /// wake-up latency instead of stalling the application.
-  double safety_margin = 0.25;
 };
 
 /// The plan for one idle period of one disk.
@@ -69,6 +71,7 @@ struct GapPlan {
   /// top level / "no action" when the gap is too short to exploit.
   int level = 0;
   bool acted = false;           ///< true when calls were inserted
+  PowerMode mode = PowerMode::kDrpm;  ///< the mode the plan was made in
 };
 
 struct ScheduleResult {

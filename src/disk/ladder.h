@@ -95,8 +95,8 @@ struct PowerLadder {
   int window_size = 30;
   double lower_tolerance = 0.05;
   double upper_tolerance = 0.15;
-  /// Reactive idleness threshold override; < 0 = per-state timers, with
-  /// break-even as the deepest park's fallback.
+  /// Reactive TPM's threshold for a deepest park without its own timer,
+  /// and adaptive TPM's starting threshold; < 0 = the break-even time.
   TimeMs idleness_threshold = -1;
 
   /// Ascending capability: parks (deepest first), then levels (slowest

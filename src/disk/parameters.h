@@ -61,8 +61,8 @@ class DiskParameters {
   Watts park_power(int park) const {
     return state(park_index(park)).idle_power;
   }
-  /// Idleness timer of `park` (< 0 = none; reactive policies then fall
-  /// back to the break-even threshold for the default park).
+  /// Idleness timer of `park` (< 0 = none; reactive TPM then skips the
+  /// park, or parks the deepest one at effective_idleness_threshold()).
   TimeMs park_timer_ms(int park) const {
     return state(park_index(park)).timer_ms;
   }

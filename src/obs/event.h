@@ -29,12 +29,15 @@ enum class EventKind {
   /// recomputing t1 - t0 can differ in the last bits, and consumers that
   /// reconcile against EnergyBreakdown must match it exactly.
   kStateSegment,
-  /// A power command took effect on `disk` at t0.  `label` is one of
-  /// "spin_down", "spin_up", "set_rpm" (then `level` is the target).
-  /// Commands that no-op (already in the target state) are not reported.
+  /// A power command took effect on `disk` at t0.  `label` is "spin_up",
+  /// "set_rpm" (then `level` is the target) or, for a park, the park's
+  /// ladder state name ("standby" on the paper disk; "idle_b", ...,
+  /// "standby_z" on scsi_multi_idle), with `value` the park index.
+  /// Commands that no-op (already in the target state, or no ladder edge
+  /// for the move) are not reported.
   kDirective,
-  /// A spin_down / set_rpm command was silently dropped by fault injection
-  /// before reaching `disk` at t0; `label` as for kDirective.
+  /// A park / set_rpm command was silently dropped by fault injection
+  /// before reaching `disk` at t0; `label` and `value` as for kDirective.
   kDirectiveDropped,
   /// A request found `disk` in standby at t0 and paid a demand spin-up.
   kDemandSpinUp,
@@ -47,9 +50,9 @@ enum class EventKind {
   /// One serviced request on `disk`: issued at t0, completed at t1,
   /// stalling the application for `value` ms over `value2` bytes.
   kService,
-  /// A reactive policy examined the idle gap of `disk` at t0: idle for
-  /// `value` ms against a `value2` ms threshold; `label` is "spin_down"
-  /// when the timeout fired, "hold" otherwise.
+  /// A reactive TPM examined the idle gap of `disk` at t0 for one park:
+  /// idle for `value` ms against that park's `value2` ms timer; `label` is
+  /// the park's ladder state name when the timer fired, "hold" otherwise.
   kBreakEven,
   /// A DRPM window decision on `disk` at t0: the window-mean response
   /// delta was `value`; `label` is "raise", "lower" or "hold", and

@@ -102,22 +102,18 @@ void PreactivationAccountant::on_event(const Event& e) {
       break;
     }
     case EventKind::kDirective:
+      // A park needs no case of its own: before the next request it either
+      // meets another commanded spin-up (below) or forces a demand
+      // spin-up (kDemandSpinUp), and both mark the pending one wasted.
       if (label_is(e, "spin_up")) {
         ++stats_of(e.disk).issued;
         DiskState& st = state_of(e.disk);
-        // Back-to-back commanded spin-ups without an intervening request
-        // cannot happen (the second no-ops while the disk spins), so a
-        // still-pending slot here means the tracker missed a spin-down;
-        // classify the stale one as wasted to stay conservative.
+        // A commanded spin-up no-ops while the disk spins, so a
+        // still-pending slot here means the disk parked again before any
+        // request arrived: the earlier spin-up bought nothing.
         if (st.pending) ++stats_of(e.disk).wasted;
         st.pending = true;
         st.demand_since = false;
-      } else if (label_is(e, "spin_down")) {
-        DiskState& st = state_of(e.disk);
-        if (st.pending) {
-          ++stats_of(e.disk).wasted;
-          st.pending = false;
-        }
       }
       break;
     case EventKind::kDirectiveDropped:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/tracer.h"
+#include "policy/tpm.h"
 #include "sim/replay.h"
 #include "util/error.h"
 
@@ -12,7 +12,7 @@ void AdaptiveTpmPolicy::attach(sim::DiskUnit& disk) {
   SDPM_REQUIRE(options_.adjust > 1.0, "adjust factor must exceed 1");
   const TimeMs initial = options_.initial_threshold_ms >= 0
                              ? options_.initial_threshold_ms
-                             : disk.params().break_even_time();
+                             : disk.params().effective_idleness_threshold();
   threshold_[disk.id()] =
       std::clamp(initial, options_.min_threshold_ms,
                  options_.max_threshold_ms);
@@ -29,30 +29,24 @@ void AdaptiveTpmPolicy::set_threshold(int disk_id, TimeMs threshold_ms) {
 }
 
 void AdaptiveTpmPolicy::maybe_spin_down(sim::DiskUnit& disk, TimeMs now) {
-  if (disk.heading_to_standby()) return;
+  if (disk.current_park() >= 0) return;
+  const disk::DiskParameters& params = disk.params();
   TimeMs& threshold = threshold_[disk.id()];
   const TimeMs idle_start = disk.last_completion();
   const TimeMs gap = now - idle_start;
   if (tracer_ != nullptr) {
-    obs::Event ev;
-    ev.kind = obs::EventKind::kBreakEven;
-    ev.disk = disk.id();
-    ev.t0 = now;
-    ev.t1 = now;
-    ev.value = gap;
-    ev.value2 = threshold;
-    ev.label = gap > threshold ? "spin_down" : "hold";
-    tracer_->emit(ev);
+    emit_break_even(*tracer_, disk, now, gap, threshold,
+                    params.default_park());
   }
   if (gap <= threshold) return;
 
-  disk.spin_down(idle_start + threshold);
+  disk.park_to(idle_start + threshold, params.default_park());
 
   // Judge the decision against the break-even length of the *remaining*
   // idleness (the part spent after the timeout): a wake-up soon after the
   // spin-down means the threshold was too eager.
   const TimeMs standby_span = gap - threshold;
-  const TimeMs break_even = disk.params().break_even_time();
+  const TimeMs break_even = params.break_even_time();
   if (standby_span < break_even) {
     threshold = std::min(threshold * options_.adjust,
                          options_.max_threshold_ms);

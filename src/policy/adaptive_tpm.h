@@ -17,8 +17,12 @@
 
 namespace sdpm::policy {
 
+/// Adaptive TPM's knobs.  Whatever the ladder's per-park timers, it parks
+/// in the default (deepest) park.
 struct AdaptiveTpmOptions {
-  /// Initial threshold; <0 selects the disk's break-even time.
+  /// Initial threshold; <0 selects the ladder's idleness threshold (the
+  /// break-even time when the ladder sets none), as TpmPolicy's deepest
+  /// rung does.
   TimeMs initial_threshold_ms = -1.0;
   /// Threshold bounds (floor keeps the policy from thrashing on bursty
   /// request runs; ceiling keeps it responsive).

@@ -118,13 +118,6 @@ int DiskUnit::target_level() const {
   return c.level;
 }
 
-bool DiskUnit::heading_to_standby() const {
-  const DiskArrayState::Core& c = core();
-  return c.mode == DiskMode::kStandby ||
-         (c.mode == DiskMode::kTransition &&
-          trans().after_mode == DiskMode::kStandby);
-}
-
 int DiskUnit::current_park() const {
   const DiskArrayState::Core& c = core();
   if (c.mode == DiskMode::kStandby) return c.park;
@@ -229,40 +222,6 @@ TimeMs DiskUnit::faulted_service(BlockNo sector, Bytes size_bytes,
   return service * faults_->service_jitter_factor(id_);
 }
 
-void DiskUnit::spin_down(TimeMs t) {
-  if (heading_to_standby()) return;
-  if (faults_ != nullptr && faults_->drops_directive(id_)) {
-    ++dropped_directives_;
-    if (tracer_ != nullptr) {
-      obs::Event ev;
-      ev.kind = obs::EventKind::kDirectiveDropped;
-      ev.disk = id_;
-      ev.t0 = t;
-      ev.t1 = t;
-      ev.label = "spin_down";
-      tracer_->emit(ev);
-    }
-    return;
-  }
-  advance_to(std::max(t, core().clock));
-  settle();
-  if (core().mode == DiskMode::kStandby) return;
-  ++spin_downs_;
-  if (tracer_ != nullptr) {
-    obs::Event ev;
-    ev.kind = obs::EventKind::kDirective;
-    ev.disk = id_;
-    ev.t0 = core().clock;
-    ev.t1 = core().clock;
-    ev.label = "spin_down";
-    tracer_->emit(ev);
-  }
-  begin_transition(disk::PowerState::kSpinningDown,
-                   params_->park_entry_time(core().level, 0),
-                   params_->park_entry_energy(core().level, 0),
-                   DiskMode::kStandby, core().level, params_->default_park());
-}
-
 void DiskUnit::park_to(TimeMs t, int park) {
   SDPM_REQUIRE(park >= 0 && park < params_->park_count(),
                "park index out of range");
@@ -304,17 +263,12 @@ void DiskUnit::park_to(TimeMs t, int park) {
     ev.label = params_->park_name(park).c_str();
     tracer_->emit(ev);
   }
-  if (parked) {
-    begin_transition(disk::PowerState::kSpinningDown,
-                     params_->park_descent_time(c.park, park),
-                     params_->park_descent_energy(c.park, park),
-                     DiskMode::kStandby, c.level, park);
-  } else {
-    begin_transition(disk::PowerState::kSpinningDown,
-                     params_->park_entry_time(c.level, park),
-                     params_->park_entry_energy(c.level, park),
-                     DiskMode::kStandby, c.level, park);
-  }
+  begin_transition(disk::PowerState::kSpinningDown,
+                   parked ? params_->park_descent_time(c.park, park)
+                          : params_->park_entry_time(c.level, park),
+                   parked ? params_->park_descent_energy(c.park, park)
+                          : params_->park_entry_energy(c.level, park),
+                   DiskMode::kStandby, c.level, park);
 }
 
 void DiskUnit::spin_up(TimeMs t) {
@@ -341,7 +295,7 @@ void DiskUnit::spin_up(TimeMs t) {
 void DiskUnit::set_rpm_level(TimeMs t, int level) {
   SDPM_REQUIRE(level >= 0 && level < params_->rpm_level_count(),
                "RPM level out of range");
-  SDPM_REQUIRE(!heading_to_standby(),
+  SDPM_REQUIRE(current_park() < 0,
                "set_rpm_level on a standby disk (spin it up first)");
   if (target_level() == level) return;
   if (faults_ != nullptr && faults_->drops_directive(id_)) {

@@ -1,7 +1,7 @@
 // Per-disk simulation unit: power-state machine + service model + energy
 // integration.
 //
-// A DiskUnit is driven by timestamped power commands (spin_down / spin_up /
+// A DiskUnit is driven by timestamped power commands (park_to / spin_up /
 // set_rpm_level) and service calls.  Times must be non-decreasing per disk;
 // the unit lazily integrates energy from its internal clock to each new
 // timestamp, so a policy may issue a command "in the past" relative to the
@@ -88,16 +88,12 @@ class DiskUnit {
 
   // ---- power commands ----------------------------------------------------
 
-  /// Begin spinning down at `t` into the deepest park.  No-op when already
-  /// in standby.  A transition in progress completes first.  Under fault
+  /// Begin parking into `park` at `t` (park 0 is the deepest; a spin-down
+  /// directive targets params().default_park()).  No-op when the disk is
+  /// already at-or-below `park`; deepening from a shallower park follows
+  /// the ladder's park->park descent edge, and is a no-op when the ladder
+  /// has none.  A transition in progress completes first.  Under fault
   /// injection the command may be silently dropped.
-  void spin_down(TimeMs t);
-
-  /// Begin parking into `park` at `t` (ladder-backed disks; park 0 is the
-  /// deepest, so spin_down(t) == park_to(t, default park)).  No-op when the
-  /// disk is already at-or-below `park`; deepening from a shallower park
-  /// follows the ladder's park->park descent edge, and is a no-op when the
-  /// ladder has none.  Under fault injection the command may be dropped.
   void park_to(TimeMs t, int park);
 
   /// Begin spinning up at `t` (standby -> active at full RPM).  No-op when
@@ -130,9 +126,6 @@ class DiskUnit {
 
   /// RPM level the disk is at (or transitioning toward).
   int target_level() const;
-
-  /// True when in standby or spinning down toward it.
-  bool heading_to_standby() const;
 
   /// Park the disk is resident in (or transitioning toward); -1 while
   /// serviceable or heading back to a level.
@@ -168,7 +161,7 @@ class DiskUnit {
   std::int64_t media_errors() const { return media_errors_; }
   /// Sectors remapped to the spare area by this unit's media errors.
   std::int64_t remapped_sectors() const { return remapped_sectors_; }
-  /// spin_down / set_rpm_level commands that silently did not take effect.
+  /// park_to / set_rpm_level commands that silently did not take effect.
   std::int64_t dropped_directives() const { return dropped_directives_; }
 
  private:

@@ -53,7 +53,7 @@ struct FaultConfig {
   /// scaled by a uniform factor in [1 - jitter, 1 + jitter].  Must be < 1.
   double service_jitter = 0.0;
 
-  /// Probability that a spin_down / set_rpm_level command silently does not
+  /// Probability that a park_to / set_rpm_level command silently does not
   /// take effect (lost on the way to the device).  Demand spin-ups are not
   /// directives and never drop.
   double dropped_directive_prob = 0.0;

@@ -77,12 +77,13 @@
 // Every command reads the config and fault flags once, through
 // job_spec_from(): inspect/profile/dap/trace lay out the --transform
 // output as Runner does, codegen compiles for --device, and a bad value
-// is a usage error naming the JobSpec field.
-//
-// All simulating commands accept fault-injection flags (--fault-seed,
-// --fault-spinup, --fault-media, --fault-jitter, --fault-drop) and
-// inspect/replay accept --resilient to wrap the chosen policy in the
-// degrading ResilientPolicy.
+// is a usage error naming the JobSpec field.  Each command accepts only
+// the flags it reads: the config group where it builds a job from them,
+// the fault-injection group (--fault-seed, --fault-spinup, --fault-media,
+// --fault-jitter, --fault-drop, --fault-retries) where it simulates with
+// them; replay takes --device and the fault flags alone, and list and
+// device none of them.  inspect/replay accept --resilient to wrap the
+// chosen policy in the degrading ResilientPolicy.
 //
 // Exit codes: 0 success, 1 runtime error (sdpm::Error), 2 usage error
 // (unknown command / flag / malformed value, reported with the usage
@@ -94,9 +95,10 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -160,6 +162,7 @@ const char* usage_text() {
       "  dap    --benchmark NAME [config]\n"
       "  trace  --benchmark NAME [--out FILE] [config]\n"
       "  replay --in FILE [--policy P] [--open-loop] [--per-disk]\n"
+      "         [--device D] [fault]\n"
       "  bench  [--benchmark NAME] [--out FILE]\n"
       "         [--format table|csv|json|metrics] [--no-cache] [config]\n"
       "         sweep all 7 schemes x 8 configs through the batched facade\n"
@@ -187,13 +190,17 @@ const char* usage_text() {
       "         the --fail-on severity survives the baseline\n"
       "  --help / --version         print this help / the build version\n"
       "config flags: --disks N --stripe BYTES --block BYTES --cache BYTES\n"
-      "              --noise SIGMA --no-preactivate --transform T --csv\n"
-      "              --jobs N\n"
+      "              --noise SIGMA --no-preactivate --transform T\n"
       "              --device PRESET|FILE.json (a power-ladder preset name\n"
       "              from `list`, or a ladder descriptor file)\n"
+      "              on run/inspect/codegen/profile/dap/trace/analyze/\n"
+      "              client; bench takes all but --disks and --stripe\n"
       "fault flags:  --fault-seed N --fault-spinup P --fault-media P\n"
       "              --fault-jitter F --fault-drop P --fault-retries N\n"
-      "              (inspect/replay also accept --resilient)\n"
+      "              on run/inspect/replay/bench/client (inspect/replay\n"
+      "              also accept --resilient)\n"
+      "--csv         tables as CSV (run/inspect/profile/replay/bench)\n"
+      "--jobs N      worker cap of the parallel phases (run/bench)\n"
       "exit codes:   0 ok, 1 runtime error, 2 usage error, 3 analyze "
       "findings\n";
 }
@@ -267,25 +274,32 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// The flags every command's job_spec_from may read.
-const std::set<std::string>& common_flags() {
-  static const std::set<std::string> flags = {
-      "disks",      "stripe",        "block",        "cache",
-      "noise",      "no-preactivate", "transform",   "csv",
-      "jobs",       "device",        "fault-seed",   "fault-spinup",
-      "fault-media", "fault-jitter", "fault-drop",   "fault-retries"};
-  return flags;
-}
+/// A set of flags several commands read.
+using FlagGroup = std::span<const std::string_view>;
 
-/// Reject flags the command does not understand (distinct from a runtime
-/// error: a typo'd flag exits 2 with the usage text, before any work).
+/// The job's inputs, as job_spec_from reads them.
+constexpr std::string_view kConfigFlags[] = {
+    "disks", "stripe",         "block",     "cache",
+    "noise", "no-preactivate", "transform", "device"};
+/// Fault injection, as job_spec_from reads it; only commands that
+/// simulate with it take the group.
+constexpr std::string_view kFaultFlags[] = {
+    "fault-seed",   "fault-spinup", "fault-media",
+    "fault-jitter", "fault-drop",   "fault-retries"};
+
+/// Reject every flag that is neither the command's own nor in one of its
+/// groups (distinct from a runtime error: a typo'd or unread flag exits 2
+/// with the usage text, before any work).
 void require_known_flags(const std::string& command, const Args& args,
-                         std::initializer_list<const char*> extra) {
-  std::set<std::string> allowed = common_flags();
-  for (const char* flag : extra) allowed.insert(flag);
-  for (const auto& [key, value] : args.values()) {
-    if (allowed.count(key) == 0) {
-      usage("unknown flag '--" + key + "' for command '" + command + "'");
+                         std::initializer_list<std::string_view> own,
+                         std::initializer_list<FlagGroup> groups = {}) {
+  for (const auto& flag : args.values()) {
+    const auto has = [&](FlagGroup group) {
+      return std::find(group.begin(), group.end(), flag.first) != group.end();
+    };
+    if (!has(own) && std::none_of(groups.begin(), groups.end(), has)) {
+      usage("unknown flag '--" + flag.first + "' for command '" + command +
+            "'");
     }
   }
 }
@@ -448,7 +462,8 @@ int cmd_device(const Args& args) {
 int cmd_run(const Args& args) {
   require_known_flags("run", args,
                       {"benchmark", "scheme", "out", "format",
-                       "preact-report"});
+                       "preact-report", "csv", "jobs"},
+                      {kConfigFlags, kFaultFlags});
   if (!args.has("benchmark")) usage("run requires --benchmark");
   const api::JobSpec spec = job_spec_from(args);
   const bool single_scheme = spec.schemes.size() == 1;
@@ -555,7 +570,8 @@ sim::PowerPolicy* pick_policy(const std::string& name,
 
 int cmd_inspect(const Args& args) {
   require_known_flags("inspect", args,
-                      {"benchmark", "policy", "per-disk", "resilient"});
+                      {"benchmark", "policy", "per-disk", "resilient", "csv"},
+                      {kConfigFlags, kFaultFlags});
   if (!args.has("benchmark")) usage("inspect requires --benchmark");
   const workloads::Benchmark bench =
       workloads::make_benchmark(args.get("benchmark"));
@@ -587,7 +603,7 @@ int cmd_inspect(const Args& args) {
 }
 
 int cmd_codegen(const Args& args) {
-  require_known_flags("codegen", args, {"benchmark", "mode"});
+  require_known_flags("codegen", args, {"benchmark", "mode"}, {kConfigFlags});
   if (!args.has("benchmark")) usage("codegen requires --benchmark");
   const workloads::Benchmark bench =
       workloads::make_benchmark(args.get("benchmark"));
@@ -612,7 +628,7 @@ int cmd_codegen(const Args& args) {
 }
 
 int cmd_profile(const Args& args) {
-  require_known_flags("profile", args, {"benchmark"});
+  require_known_flags("profile", args, {"benchmark", "csv"}, {kConfigFlags});
   if (!args.has("benchmark")) usage("profile requires --benchmark");
   const workloads::Benchmark bench =
       workloads::make_benchmark(args.get("benchmark"));
@@ -637,7 +653,7 @@ int cmd_profile(const Args& args) {
 }
 
 int cmd_dap(const Args& args) {
-  require_known_flags("dap", args, {"benchmark"});
+  require_known_flags("dap", args, {"benchmark"}, {kConfigFlags});
   if (!args.has("benchmark")) usage("dap requires --benchmark");
   const workloads::Benchmark bench =
       workloads::make_benchmark(args.get("benchmark"));
@@ -652,7 +668,7 @@ int cmd_dap(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  require_known_flags("trace", args, {"benchmark", "out"});
+  require_known_flags("trace", args, {"benchmark", "out"}, {kConfigFlags});
   if (!args.has("benchmark")) usage("trace requires --benchmark");
   const workloads::Benchmark bench =
       workloads::make_benchmark(args.get("benchmark"));
@@ -677,7 +693,9 @@ int cmd_trace(const Args& args) {
 
 int cmd_replay(const Args& args) {
   require_known_flags("replay", args,
-                      {"in", "policy", "open-loop", "per-disk", "resilient"});
+                      {"in", "policy", "open-loop", "per-disk", "resilient",
+                       "csv", "device"},
+                      {kFaultFlags});
   if (!args.has("in")) usage("replay requires --in");
   std::ifstream in(args.get("in"));
   if (!in) usage("cannot open '" + args.get("in") + "'");
@@ -779,12 +797,21 @@ int cmd_bench_simulator(const Args& args, const std::string& format,
 }
 
 int cmd_bench(const Args& args) {
-  require_known_flags("bench", args,
-                      {"benchmark", "out", "format", "no-cache", "suite",
-                       "compare", "tolerance"});
   const std::string suite = args.get("suite", "sweep");
   if (suite != "sweep" && suite != "simulator") {
     usage("unknown --suite '" + suite + "' for bench (sweep or simulator)");
+  }
+  if (suite == "simulator") {
+    require_known_flags("bench", args,
+                        {"suite", "out", "format", "compare", "tolerance"});
+  } else {
+    // The sweep's grid sets each job's disks and stripe size.
+    require_known_flags("bench", args,
+                        {"suite", "out", "format", "compare", "tolerance",
+                         "benchmark", "no-cache", "csv", "jobs", "block",
+                         "cache", "noise", "no-preactivate", "transform",
+                         "device"},
+                        {kFaultFlags});
   }
   const double tolerance_pct = args.get_double("tolerance", 15.0);
   if (tolerance_pct < 0) usage("--tolerance must be non-negative");
@@ -918,7 +945,8 @@ int cmd_bench(const Args& args) {
 int cmd_analyze(const Args& args) {
   require_known_flags("analyze", args,
                       {"benchmark", "mode", "format", "fail-on", "baseline",
-                       "write-baseline", "mutate", "fix", "list-rules"});
+                       "write-baseline", "mutate", "fix", "list-rules"},
+                      {kConfigFlags});
   if (args.has("list-rules")) {
     for (const analysis::RuleInfo& rule : analysis::rule_catalog()) {
       std::cout << rule.id << "  " << analysis::to_string(rule.severity)
@@ -1006,7 +1034,8 @@ int cmd_client(const Args& args) {
   require_known_flags(
       "client", args,
       {"socket", "op", "id", "wait", "benchmark", "scheme", "retry-connect",
-       "trace-id", "span-id", "prometheus", "watch", "interval-ms"});
+       "trace-id", "span-id", "prometheus", "watch", "interval-ms"},
+      {kConfigFlags, kFaultFlags});
   if (!args.has("socket")) usage("client requires --socket PATH");
   const std::string op = args.get("op", "ping");
   service::ClientOptions client_options;

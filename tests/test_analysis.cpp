@@ -600,6 +600,37 @@ TEST(Rule, W031ProfitableGapUnexploited) {
   EXPECT_TRUE(report.has("SDPM-W031")) << render_text(report);
 }
 
+// W031 judges a plan in the mode the scheduler made it in, not by the
+// directives left in the program: with every directive gone and every plan
+// un-acted, each mode's own rule still flags the profitable gaps.
+TEST(Rule, W031JudgesEachPlanInItsScheduledMode) {
+  const TwoPhase tp;
+  const layout::LayoutTable table(tp.program, tp.striping, 2);
+  for (const PowerMode mode : {PowerMode::kTpm, PowerMode::kDrpm}) {
+    ScheduleResult result = scheduled(tp, table, mode);
+    int acted = 0;
+    for (GapPlan& plan : result.plans) {
+      EXPECT_EQ(plan.mode, mode);
+      if (plan.acted) ++acted;
+      plan.acted = false;
+    }
+    ASSERT_GT(acted, 0);
+    result.program.directives.clear();
+    result.calls_inserted = 0;
+    const AnalysisReport report =
+        analyze(result, table, params(), analyze_options());
+    const char* call = mode == PowerMode::kTpm ? "no spin_down acts on it"
+                                               : "no set_RPM acts on it";
+    int flagged = 0;
+    for (const Diagnostic& d : report.diagnostics) {
+      if (d.rule != "SDPM-W031") continue;
+      EXPECT_NE(d.message.find(call), std::string::npos) << d.message;
+      ++flagged;
+    }
+    EXPECT_EQ(flagged, acted) << render_text(report);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pre-activation rules (SDPM-E040, W041, W042, N043)
 

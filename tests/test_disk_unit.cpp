@@ -22,7 +22,7 @@ TEST(DiskUnit, IdleEnergyIntegration) {
 TEST(DiskUnit, TimeAccountingIsExhaustive) {
   DiskUnit unit(params(), 0);
   unit.serve(1'000.0, 0, kib(64));
-  unit.spin_down(5'000.0);
+  unit.park_to(5'000.0, params().default_park());
   unit.spin_up(20'000.0);
   unit.serve(40'000.0, 512, kib(64));
   unit.finish(60'000.0);
@@ -32,7 +32,7 @@ TEST(DiskUnit, TimeAccountingIsExhaustive) {
 
 TEST(DiskUnit, SpinDownThenStandbyEnergy) {
   DiskUnit unit(params(), 0);
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   unit.finish(10'000.0);
   const auto& b = unit.breakdown();
   EXPECT_NEAR(b.spin_down_ms, 1'500.0, 1e-9);
@@ -44,15 +44,15 @@ TEST(DiskUnit, SpinDownThenStandbyEnergy) {
 
 TEST(DiskUnit, SpinDownIsIdempotent) {
   DiskUnit unit(params(), 0);
-  unit.spin_down(0.0);
-  unit.spin_down(100.0);
-  unit.spin_down(5'000.0);
+  unit.park_to(0.0, params().default_park());
+  unit.park_to(100.0, params().default_park());
+  unit.park_to(5'000.0, params().default_park());
   EXPECT_EQ(unit.commanded_spin_downs(), 1);
 }
 
 TEST(DiskUnit, PreactivatedSpinUpHidesLatency) {
   DiskUnit unit(params(), 0);
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   unit.spin_up(5'000.0);  // completes at 15'900
   const auto result = unit.serve(20'000.0, 0, kib(64));
   EXPECT_FALSE(result.demand_spin_up);
@@ -62,7 +62,7 @@ TEST(DiskUnit, PreactivatedSpinUpHidesLatency) {
 
 TEST(DiskUnit, DemandSpinUpDelaysRequest) {
   DiskUnit unit(params(), 0);
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   const auto result = unit.serve(5'000.0, 0, kib(64));
   EXPECT_TRUE(result.demand_spin_up);
   // Spin-up starts at arrival; service only after 10.9 s.
@@ -72,7 +72,7 @@ TEST(DiskUnit, DemandSpinUpDelaysRequest) {
 
 TEST(DiskUnit, RequestDuringSpinDownWaitsOutBothTransitions) {
   DiskUnit unit(params(), 0);
-  unit.spin_down(0.0);  // until 1'500
+  unit.park_to(0.0, params().default_park());  // until 1'500
   const auto result = unit.serve(500.0, 0, kib(64));
   // Must finish spinning down, then spin up on demand.
   EXPECT_NEAR(result.start, 1'500.0 + 10'900.0, 1e-9);
@@ -147,7 +147,7 @@ TEST(DiskUnit, ChainedRpmCommandsSerialize) {
 
 TEST(DiskUnit, SetRpmOnStandbyDiskRejected) {
   DiskUnit unit(params(), 0);
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   EXPECT_THROW(unit.set_rpm_level(10'000.0, 5), Error);
 }
 
@@ -160,11 +160,11 @@ TEST(DiskUnit, TargetLevelReflectsPendingTransition) {
 
 TEST(DiskUnit, HeadingToStandby) {
   DiskUnit unit(params(), 0);
-  EXPECT_FALSE(unit.heading_to_standby());
-  unit.spin_down(0.0);
-  EXPECT_TRUE(unit.heading_to_standby());
+  EXPECT_EQ(unit.current_park(), -1);
+  unit.park_to(0.0, params().default_park());
+  EXPECT_EQ(unit.current_park(), params().default_park());
   unit.spin_up(2'000.0);
-  EXPECT_FALSE(unit.heading_to_standby());
+  EXPECT_EQ(unit.current_park(), -1);
 }
 
 TEST(DiskUnit, BusyPeriodsRecorded) {

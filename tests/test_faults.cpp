@@ -127,7 +127,7 @@ TEST(DiskUnitFaults, RetriesPayTimeEnergyAndBackoff) {
   fc.retry_backoff_factor = 2.0;
   FaultModel model(fc);
   DiskUnit unit(params(), 0, &model);
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   // Demand serve long after the spin-down transition has settled.
   const DiskUnit::ServeResult r = unit.serve(60'000.0, 0, kib(64));
   EXPECT_TRUE(r.demand_spin_up);
@@ -149,8 +149,8 @@ TEST(DiskUnitFaults, DroppedDirectiveLeavesDiskSpinning) {
   fc.dropped_directive_prob = 1.0;
   FaultModel model(fc);
   DiskUnit unit(params(), 0, &model);
-  unit.spin_down(1'000.0);
-  EXPECT_FALSE(unit.heading_to_standby());
+  unit.park_to(1'000.0, params().default_park());
+  EXPECT_EQ(unit.current_park(), -1);
   EXPECT_EQ(unit.dropped_directives(), 1);
   EXPECT_EQ(unit.commanded_spin_downs(), 0);
 }

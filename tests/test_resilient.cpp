@@ -50,7 +50,7 @@ TEST(ResilientPolicy, DemotesAfterRetriesAndMisses) {
   resilient.attach(unit);
   EXPECT_FALSE(resilient.degraded(0));
 
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   const sim::DiskUnit::ServeResult r = unit.serve(60'000.0, 0, kib(64));
   resilient.after_service(unit, r.completion, r.completion - 60'000.0);
   // 2 retries x 1.0 + 1 demand miss x 0.5 = 2.5 >= demote_score (1.0).
@@ -72,7 +72,7 @@ TEST(ResilientPolicy, RepromotesAfterStableWindow) {
   ResilientPolicy resilient(inner, options);
   resilient.attach(unit);
 
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   const sim::DiskUnit::ServeResult r = unit.serve(60'000.0, 0, kib(64));
   resilient.after_service(unit, r.completion, 0.0);
   ASSERT_TRUE(resilient.degraded(0));
@@ -102,7 +102,7 @@ TEST(ResilientPolicy, SuppressesDirectivesOnlyWhileDegraded) {
   EXPECT_EQ(inner.events, 1);
   EXPECT_EQ(resilient.suppressed_directives(), 0);
 
-  unit.spin_down(20.0);
+  unit.park_to(20.0, params().default_park());
   const sim::DiskUnit::ServeResult r = unit.serve(60'000.0, 0, kib(64));
   resilient.after_service(unit, r.completion, 0.0);
   ASSERT_TRUE(resilient.degraded(0));
@@ -126,13 +126,13 @@ TEST(ResilientPolicy, QuietScoreDecaysBeforeDemotion) {
   ResilientPolicy resilient(inner, options);
   resilient.attach(unit);
 
-  unit.spin_down(0.0);
+  unit.park_to(0.0, params().default_park());
   const sim::DiskUnit::ServeResult r1 = unit.serve(60'000.0, 0, kib(64));
   resilient.after_service(unit, r1.completion, 0.0);
   EXPECT_FALSE(resilient.degraded(0));  // 0.5 < 1.0
 
   // A long quiet stretch, then another demand miss: forgiven in between.
-  unit.spin_down(r1.completion);
+  unit.park_to(r1.completion, params().default_park());
   const sim::DiskUnit::ServeResult r2 =
       unit.serve(r1.completion + 100'000.0, 128, kib(64));
   resilient.after_service(unit, r2.completion, 0.0);
@@ -140,7 +140,7 @@ TEST(ResilientPolicy, QuietScoreDecaysBeforeDemotion) {
   EXPECT_EQ(resilient.demotions(), 0);
 
   // A second miss inside the window does accumulate: 0.5 + 0.5 demotes.
-  unit.spin_down(r2.completion);
+  unit.park_to(r2.completion, params().default_park());
   const sim::DiskUnit::ServeResult r3 =
       unit.serve(r2.completion + 15'000.0, 256, kib(64));
   resilient.after_service(unit, r3.completion, 0.0);
