@@ -28,7 +28,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -43,6 +42,7 @@
 #include "obs/tracer.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "tools/args.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -69,64 +69,33 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "";
-    }
-  }
-  for (const auto& [key, value] : flags) {
-    if (key != "clients" && key != "jobs" && key != "capacity" &&
-        key != "batch" && key != "workers" && key != "socket" &&
-        key != "out" && key != "compare" && key != "tolerance" &&
-        key != "telemetry-dump" && key != "trace-out") {
-      usage("unknown flag '--" + key + "'");
-    }
-  }
+  const tools::Args args(argc, argv, 1, usage);
+  args.allow_only({"clients", "jobs", "capacity", "batch", "workers",
+                   "socket", "out", "compare", "tolerance", "telemetry-dump",
+                   "trace-out"});
 
-  const int clients =
-      flags.count("clients") != 0 ? std::atoi(flags["clients"].c_str()) : 32;
-  const int jobs_per_client =
-      flags.count("jobs") != 0 ? std::atoi(flags["jobs"].c_str()) : 64;
+  const std::int64_t clients = args.get_int("clients", 32);
+  const std::int64_t jobs_per_client = args.get_int("jobs", 64);
   if (clients < 1) usage("--clients must be >= 1");
   if (jobs_per_client < 1) usage("--jobs must be >= 1");
-  const double tolerance =
-      flags.count("tolerance") != 0 ? std::atof(flags["tolerance"].c_str())
-                                    : 15.0;
+  const double tolerance = args.get_double("tolerance", 15.0);
 
   service::DaemonOptions options;
   options.socket_path =
-      flags.count("socket") != 0
-          ? flags["socket"]
-          : str_printf("/tmp/sdpm_bench_stress.%d.sock",
-                       static_cast<int>(::getpid()));
-  options.queue_capacity =
-      flags.count("capacity") != 0
-          ? static_cast<std::size_t>(std::atoll(flags["capacity"].c_str()))
-          : 4096;
-  if (flags.count("batch") != 0) {
-    options.max_batch =
-        static_cast<std::size_t>(std::atoll(flags["batch"].c_str()));
-  }
-  if (flags.count("workers") != 0) {
-    options.jobs = static_cast<unsigned>(std::atoi(flags["workers"].c_str()));
-  }
-  if (flags.count("telemetry-dump") != 0) {
-    options.telemetry_dump = flags["telemetry-dump"];
-  }
+      args.get("socket", str_printf("/tmp/sdpm_bench_stress.%d.sock",
+                                    static_cast<int>(::getpid())));
+  options.queue_capacity = args.get_count("capacity", 4096);
+  if (args.has("batch")) options.max_batch = args.get_count("batch", 0);
+  options.jobs = args.get_count("workers", options.jobs);
+  options.telemetry_dump = args.get("telemetry-dump");
 
   obs::EventTracer tracer;
   std::ofstream trace_file;
   std::optional<obs::ChromeTraceSink> chrome;
-  const bool traced = flags.count("trace-out") != 0;
+  const bool traced = args.has("trace-out");
   if (traced) {
-    trace_file.open(flags["trace-out"]);
-    if (!trace_file) usage("cannot open '" + flags["trace-out"] + "'");
+    trace_file.open(args.get("trace-out"));
+    if (!trace_file) usage("cannot open '" + args.get("trace-out") + "'");
     tracer.add_sink(chrome.emplace(trace_file));
     options.tracer = &tracer;
   }
@@ -215,9 +184,9 @@ int main(int argc, char** argv) {
     snap.queue_wait_p99_ms = queue_wait_p99;
 
     const std::string json = snap.to_json();
-    if (flags.count("out") != 0) {
-      std::ofstream out(flags["out"]);
-      if (!out) usage("cannot open '" + flags["out"] + "'");
+    if (args.has("out")) {
+      std::ofstream out(args.get("out"));
+      if (!out) usage("cannot open '" + args.get("out") + "'");
       out << json << "\n";
     }
     std::cout << json << "\n";
@@ -228,9 +197,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    if (flags.count("compare") != 0) {
-      std::ifstream in(flags["compare"]);
-      if (!in) usage("cannot open '" + flags["compare"] + "'");
+    if (args.has("compare")) {
+      std::ifstream in(args.get("compare"));
+      if (!in) usage("cannot open '" + args.get("compare") + "'");
       std::string text((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
       const experiments::BenchSnapshot baseline =

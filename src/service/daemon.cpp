@@ -55,7 +55,14 @@ std::int64_t require_id(const Json& request) {
 
 ServiceDaemon::ServiceDaemon(DaemonOptions options)
     : options_(std::move(options)),
-      queue_(options_.queue_capacity),
+      journal_(options_.state_dir.empty()
+                   ? nullptr
+                   : std::make_unique<Journal>(JournalOptions{
+                         .path = options_.state_dir + "/journal.bin",
+                         .fsync_each = options_.fsync_journal,
+                         .telemetry = &telemetry_,
+                     })),
+      queue_(options_.queue_capacity, journal_.get()),
       session_(api::SessionOptions{.jobs = options_.jobs}),
       start_ns_(steady_ns()) {
   SDPM_REQUIRE(!options_.socket_path.empty(),
@@ -73,16 +80,22 @@ double ServiceDaemon::wall_ms_now() const {
   return static_cast<double>(steady_ns() - start_ns_) / 1e6;
 }
 
+std::optional<api::JobResult> ServiceDaemon::load_result(
+    const ContentKey& key) {
+  const auto blob = store_->get(key);
+  if (!blob.has_value()) return std::nullopt;
+  try {
+    return api::JobResult::from_json(Json::parse(*blob));
+  } catch (const std::exception&) {
+    return std::nullopt;  // CRC-valid but unparseable: recompute
+  }
+}
+
 void ServiceDaemon::open_state() {
-  if (options_.state_dir.empty()) return;
+  if (journal_ == nullptr) return;
   store_ = std::make_unique<PersistentStore>(StoreOptions{
       .directory = options_.state_dir + "/store",
       .max_bytes = options_.store_max_bytes,
-      .telemetry = &telemetry_,
-  });
-  journal_ = std::make_unique<Journal>(JournalOptions{
-      .path = options_.state_dir + "/journal.bin",
-      .fsync_each = options_.fsync_journal,
       .telemetry = &telemetry_,
   });
   const JournalReplay replay = journal_->open();
@@ -96,55 +109,24 @@ void ServiceDaemon::open_state() {
     } catch (const std::exception&) {
       continue;  // CRC-valid but unparseable spec: nothing to re-run
     }
-
-    // A job with a done record whose result still resolves in the store
-    // is restored terminal; if the store entry was evicted or quarantined
-    // the job is simply recomputed (results are deterministic).
+    // A done job whose result still resolves in the store is restored
+    // terminal; if the store entry was evicted or quarantined the job is
+    // simply recomputed (results are deterministic).
+    std::optional<api::JobResult> result;
     if (replayed.outcome == ReplayedJob::Outcome::kDone) {
-      std::optional<std::string> blob;
-      if (const auto key = StoreKey::from_hex(replayed.store_key)) {
-        blob = store_->get(*key);
+      if (const auto key = content_key_from_hex(replayed.store_key)) {
+        result = load_result(*key);
       }
-      std::optional<api::JobResult> result;
-      if (blob.has_value()) {
-        try {
-          result = api::JobResult::from_json(Json::parse(*blob));
-        } catch (const std::exception&) {
-          // CRC-valid but unparseable payload: recompute below
-        }
-      }
-      if (result.has_value()) {
-        queue_.restore_done(replayed.id, replayed.session, std::move(spec),
-                            std::move(*result));
-        continue;
-      }
-    } else if (replayed.outcome == ReplayedJob::Outcome::kFailed) {
-      queue_.restore_failed(replayed.id, replayed.session, std::move(spec),
-                            replayed.error, replayed.error_code);
-      continue;
-    } else if (replayed.outcome == ReplayedJob::Outcome::kCancelled) {
-      queue_.restore_cancelled(replayed.id, replayed.session, std::move(spec));
-      continue;
     }
-
-    // Admitted but incomplete: re-queue exactly once — unless the journal
-    // shows the job was dispatched max_attempts times without ever
-    // completing, i.e. it keeps taking the daemon down.  Quarantine it
-    // with a structured failure instead of crash-looping.
-    if (replayed.dispatches >= options_.max_attempts) {
-      const std::string error = str_printf(
-          "job quarantined after %lld dispatch attempts without completion",
-          static_cast<long long>(replayed.dispatches));
-      const char* code = api::to_string(api::ErrorCode::kQuarantined);
-      queue_.restore_failed(replayed.id, replayed.session, std::move(spec),
-                            error, code);
-      journal_->complete_failed(replayed.id, code, error);
+    const JobState state = queue_.restore(replayed, std::move(spec),
+                                          std::move(result),
+                                          options_.max_attempts);
+    if (state == JobState::kQueued) {
+      metrics.add("service.jobs_recovered");
+    } else if (state == JobState::kFailed &&
+               replayed.outcome != ReplayedJob::Outcome::kFailed) {
       metrics.add("service.jobs_quarantined");
-      continue;
     }
-    queue_.restore_queued(replayed.id, replayed.session, std::move(spec),
-                          replayed.dispatches);
-    metrics.add("service.jobs_recovered");
   }
   if (options_.log != nullptr && replay.records > 0) {
     options_.log->info(
@@ -329,10 +311,6 @@ Json ServiceDaemon::handle_request(const Json& request,
     if (const Json* f = request.find("span_id")) {
       span_id = parse_trace_hex(f->as_string());
     }
-    // The ADMIT record needs the canonical document; capture it before the
-    // spec is moved into the queue.
-    const std::string spec_json =
-        journal_ != nullptr ? spec.canonical_json() : std::string();
     std::string error;
     bool retryable = false;
     const double now = wall_ms_now();
@@ -342,7 +320,6 @@ Json ServiceDaemon::handle_request(const Json& request,
       obs::MetricsRegistry::global().add("service.jobs_rejected");
       return error_response(error, retryable);
     }
-    if (journal_ != nullptr) journal_->admit(id, session_id, spec_json);
     obs::MetricsRegistry::global().add("service.jobs_submitted");
     telemetry_.record_admit(session_id, now);
     telemetry_.record(Stage::kAdmit, wall_ms_now() - t_admit0);
@@ -370,7 +347,6 @@ Json ServiceDaemon::handle_request(const Json& request,
     if (!queue_.cancel(id, error)) {
       return error_response(error);
     }
-    if (journal_ != nullptr) journal_->cancel(id);
     obs::MetricsRegistry::global().add("service.jobs_cancelled");
     return ok_response();
   }
@@ -452,7 +428,11 @@ Json ServiceDaemon::handle_request(const Json& request,
 
 void ServiceDaemon::dispatch_loop() {
   while (true) {
-    const auto batch = queue_.pop_batch(options_.max_batch, wall_ms_now());
+    // pop_batch journals each job's DISPATCH before the work runs: a job
+    // that takes the daemon down mid-evaluation accumulates dispatch
+    // records, which is the signal the poison-job quarantine counts.
+    const auto batch =
+        queue_.pop_batch(options_.max_batch, [this] { return wall_ms_now(); });
     if (batch.empty()) return;  // stopped, or draining with nothing left
     const double pop_ms = wall_ms_now();
     for (const auto& job : batch) {
@@ -460,113 +440,109 @@ void ServiceDaemon::dispatch_loop() {
       // spans a daemon restart and would poison the histogram.
       if (job->admit_ms >= 0) {
         telemetry_.record(Stage::kQueueWait, job->started_ms - job->admit_ms);
-        emit_stage(job, "queued", job->admit_ms, job->started_ms);
+        emit_stage(*job, "queued", job->admit_ms, job->started_ms);
       }
-    }
-    // DISPATCH is journaled before the work runs: a job that takes the
-    // daemon down mid-evaluation accumulates dispatch records, which is
-    // exactly the signal the poison-job quarantine counts at recovery.
-    if (journal_ != nullptr) {
-      for (const auto& job : batch) journal_->dispatch(job->id);
     }
     run_batch_jobs(batch, pop_ms);
   }
 }
 
 void ServiceDaemon::watchdog_loop() {
-  auto& metrics = obs::MetricsRegistry::global();
   while (!watchdog_stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     const auto expired =
         queue_.expire_overdue(wall_ms_now(), options_.job_timeout_ms);
     for (const auto& job : expired) {
-      if (journal_ != nullptr) {
-        journal_->complete_failed(
-            job->id, api::to_string(api::ErrorCode::kJobTimeout), job->error);
-      }
-      telemetry_.record(Stage::kEval, job->wall_ms);
-      record_outcome(job, false);
+      record_terminal(*job, /*done=*/false, job->wall_ms);
+      obs::MetricsRegistry::global().add("service.jobs_timed_out");
       if (options_.log != nullptr) {
         options_.log->warn("service.job_timeout",
                            Json::object()
                                .set("id", job->id)
                                .set("wall_ms", job->wall_ms));
       }
-      metrics.add("service.jobs_failed");
-      metrics.add("service.jobs_timed_out");
     }
   }
 }
 
 void ServiceDaemon::finish_job(const std::shared_ptr<Job>& job,
-                               api::JobResult result, double wall_ms) {
+                               JobOutcome outcome, double wall_ms) {
+  const bool done = outcome.result.has_value();
+  // A job the watchdog timed out first drops its late outcome.
+  if (queue_.finish(job, std::move(outcome), wall_ms)) {
+    record_terminal(*job, done, wall_ms);
+  }
+}
+
+void ServiceDaemon::record_terminal(const Job& job, bool done,
+                                    double wall_ms) {
   auto& metrics = obs::MetricsRegistry::global();
-  // The store is written before the journal's COMPLETE record so the
-  // record's key always resolves after a crash between the two.
-  std::string store_key_hex;
-  if (store_ != nullptr) {
-    const StoreKey key = fingerprint_bytes(job->spec.canonical_json());
-    store_->put(key, result.to_json().dump());
-    store_key_hex = key.hex();
+  if (done) {
+    metrics.add("service.jobs_completed");
+    metrics.observe("service.job_wall_ms", wall_ms);
+  } else {
+    metrics.add("service.jobs_failed");
   }
-  if (!queue_.complete(job, std::move(result), wall_ms)) {
-    return;  // the watchdog timed this job out first; drop the late result
-  }
-  if (journal_ != nullptr) journal_->complete_done(job->id, store_key_hex);
-  metrics.add("service.jobs_completed");
-  metrics.observe("service.job_wall_ms", wall_ms);
   telemetry_.record(Stage::kEval, wall_ms);
   const double now = wall_ms_now();
   emit_stage(job, "eval", now - wall_ms, now);
-  record_outcome(job, true);
-}
-
-void ServiceDaemon::finish_job_failed(const std::shared_ptr<Job>& job,
-                                      std::string error, double wall_ms,
-                                      const char* code) {
-  if (!queue_.fail(job, error, wall_ms, code)) return;
-  if (journal_ != nullptr) journal_->complete_failed(job->id, code, error);
-  obs::MetricsRegistry::global().add("service.jobs_failed");
-  telemetry_.record(Stage::kEval, wall_ms);
-  const double now = wall_ms_now();
-  emit_stage(job, "eval", now - wall_ms, now);
-  record_outcome(job, false);
-}
-
-void ServiceDaemon::record_outcome(const std::shared_ptr<Job>& job, bool ok) {
   // Journal-recovered jobs (admit_ms == -1) have no admission timestamp on
   // this daemon's clock; their e2e latency is undefined and not recorded.
-  if (job->admit_ms < 0) return;
-  const double now = wall_ms_now();
-  telemetry_.record_outcome(job->session, now - job->admit_ms, ok, now);
+  if (job.admit_ms >= 0) {
+    telemetry_.record_outcome(job.session, now - job.admit_ms, done, now);
+  }
 }
 
-void ServiceDaemon::emit_stage(const std::shared_ptr<Job>& job,
-                               const char* stage, double t0, double t1) {
+void ServiceDaemon::emit_stage(const Job& job, const char* stage, double t0,
+                               double t1) {
   obs::EventTracer* tracer = obs::effective_tracer(options_.tracer);
-  if (tracer == nullptr || job->trace_id == 0) return;
+  if (tracer == nullptr || job.trace_id == 0) return;
   obs::Event e;
   e.kind = obs::EventKind::kServiceStage;
   e.t0 = t0;
   e.t1 = t1;
   e.label = stage;
-  e.value = static_cast<double>(job->id);
+  e.value = static_cast<double>(job.id);
   // One Chrome-trace lane per client connection keeps concurrent clients'
   // lifecycles visually separate without unbounded tids.
-  e.level = static_cast<int>(job->session % 64);
-  e.trace_id = job->trace_id;
+  e.level = static_cast<int>(job.session % 64);
+  e.trace_id = job.trace_id;
   tracer->emit(e);
+}
+
+JobOutcome ServiceDaemon::save_result(const Job& job,
+                                      api::JobResult result) {
+  // The store is written before the queue journals COMPLETE, so the
+  // record's key always resolves after a crash between the two.
+  if (store_ != nullptr) {
+    try {
+      store_->put(job.key, result.to_json().dump());
+    } catch (const std::exception& e) {
+      return JobOutcome::failed(api::to_string(api::ErrorCode::kExecError),
+                                e.what());
+    }
+  }
+  return JobOutcome::done(std::move(result));
+}
+
+JobOutcome ServiceDaemon::run_one(const Job& job,
+                                  const api::RunHooks& hooks) {
+  try {
+    return save_result(job, session_.run(job.spec, hooks));
+  } catch (const std::exception& e) {
+    return JobOutcome::failed(api::to_string(api::ErrorCode::kExecError),
+                              e.what());
+  }
 }
 
 void ServiceDaemon::run_batch_jobs(
     const std::vector<std::shared_ptr<Job>>& batch, double pop_ms) {
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.observe("service.batch_size", static_cast<double>(batch.size()));
+  obs::MetricsRegistry::global().observe("service.batch_size",
+                                         static_cast<double>(batch.size()));
   obs::EventTracer* tracer = obs::effective_tracer(options_.tracer);
 
   const double t0 = wall_ms_now();
-  // pop -> evaluation start: the DISPATCH journaling window, charged once
-  // per job in the batch.
+  // pop -> evaluation start, charged once per job in the batch.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     telemetry_.record(Stage::kDispatch, t0 - pop_ms);
   }
@@ -586,30 +562,10 @@ void ServiceDaemon::run_batch_jobs(
   misses.reserve(batch.size());
   for (const auto& job : batch) {
     std::optional<api::JobResult> cached;
-    if (store_ != nullptr) {
-      const StoreKey key = fingerprint_bytes(job->spec.canonical_json());
-      if (const auto blob = store_->get(key)) {
-        try {
-          cached = api::JobResult::from_json(Json::parse(*blob));
-        } catch (const std::exception&) {
-          // CRC-valid but unparseable: recompute.
-        }
-      }
-    }
+    if (store_ != nullptr) cached = load_result(job->key);
     if (cached.has_value()) {
-      const double wall = wall_ms_now() - t0;
-      if (queue_.complete(job, std::move(*cached), wall)) {
-        if (journal_ != nullptr) {
-          journal_->complete_done(
-              job->id, fingerprint_bytes(job->spec.canonical_json()).hex());
-        }
-        metrics.add("service.jobs_completed");
-        metrics.observe("service.job_wall_ms", wall);
-        telemetry_.record(Stage::kEval, wall);
-        const double now = wall_ms_now();
-        emit_stage(job, "eval", now - wall, now);
-        record_outcome(job, true);
-      }
+      finish_job(job, JobOutcome::done(std::move(*cached)),
+                 wall_ms_now() - t0);
     } else {
       misses.push_back(job);
     }
@@ -627,68 +583,61 @@ void ServiceDaemon::run_batch_jobs(
       continue;
     }
     const double job_t0 = wall_ms_now();
-    try {
-      api::RunHooks hooks;
-      hooks.replay_tracer = tracer;
-      if (job->spec.schemes.size() == 1) {
-        const auto scheme = api::scheme_from_name(job->spec.schemes.front());
-        if (scheme.has_value() && *scheme != experiments::Scheme::kItpm &&
-            *scheme != experiments::Scheme::kIdrpm) {
-          hooks.trace_scheme = *scheme;  // oracle schemes cannot replay
-        }
+    api::RunHooks hooks;
+    hooks.replay_tracer = tracer;
+    if (job->spec.schemes.size() == 1) {
+      const auto scheme = api::scheme_from_name(job->spec.schemes.front());
+      if (scheme.has_value() && *scheme != experiments::Scheme::kItpm &&
+          *scheme != experiments::Scheme::kIdrpm) {
+        hooks.trace_scheme = *scheme;  // oracle schemes cannot replay
       }
-      api::JobResult result = session_.run(job->spec, hooks);
-      // Stitch marker: a simulated-clock span carrying the client's
-      // trace id over the traced scheme's execution window is what links
-      // the wall-time service lane (same trace_id) to the disk tracks.
-      if (hooks.trace_scheme.has_value() && !result.schemes.empty()) {
-        obs::Event begin;
-        begin.kind = obs::EventKind::kSpanBegin;
-        begin.t0 = 0;
-        begin.t1 = 0;
-        begin.label = job->label.c_str();
-        begin.trace_id = job->trace_id;
-        tracer->emit(begin);
-        obs::Event end = begin;
-        end.kind = obs::EventKind::kSpanEnd;
-        end.t0 = result.schemes.front().execution_ms;
-        end.t1 = end.t0;
-        tracer->emit(end);
-      }
-      finish_job(job, std::move(result), wall_ms_now() - job_t0);
-    } catch (const std::exception& e) {
-      finish_job_failed(job, e.what(), wall_ms_now() - job_t0,
-                        api::to_string(api::ErrorCode::kExecError));
     }
+    JobOutcome outcome = run_one(*job, hooks);
+    // Stitch marker: a simulated-clock span carrying the client's trace id
+    // over the traced scheme's execution window is what links the
+    // wall-time service lane (same trace_id) to the disk tracks.
+    if (hooks.trace_scheme.has_value() && outcome.result.has_value() &&
+        !outcome.result->schemes.empty()) {
+      obs::Event begin;
+      begin.kind = obs::EventKind::kSpanBegin;
+      begin.t0 = 0;
+      begin.t1 = 0;
+      begin.label = job->label.c_str();
+      begin.trace_id = job->trace_id;
+      tracer->emit(begin);
+      obs::Event end = begin;
+      end.kind = obs::EventKind::kSpanEnd;
+      end.t0 = outcome.result->schemes.front().execution_ms;
+      end.t1 = end.t0;
+      tracer->emit(end);
+    }
+    finish_job(job, std::move(outcome), wall_ms_now() - job_t0);
   }
 
-  bool batched_ok = true;
   if (!plain.empty()) {
+    std::vector<api::JobResult> results;
+    bool batched_ok = true;
     try {
       std::vector<api::JobSpec> specs;
       specs.reserve(plain.size());
       for (const auto& job : plain) specs.push_back(job->spec);
-      std::vector<api::JobResult> results = session_.run_batch(specs);
-      const double wall = wall_ms_now() - t0;
-      for (std::size_t i = 0; i < plain.size(); ++i) {
-        finish_job(plain[i], std::move(results[i]), wall);
-      }
+      results = session_.run_batch(specs);
     } catch (const std::exception&) {
       batched_ok = false;
     }
-  }
-
-  if (!batched_ok) {
-    // The sweep failed as a whole; re-run per job so the error lands on
-    // the job that caused it and the rest of the batch still completes.
-    for (const auto& job : plain) {
-      const double job_t0 = wall_ms_now();
-      try {
-        api::JobResult result = session_.run(job->spec);
-        finish_job(job, std::move(result), wall_ms_now() - job_t0);
-      } catch (const std::exception& e) {
-        finish_job_failed(job, e.what(), wall_ms_now() - job_t0,
-                          api::to_string(api::ErrorCode::kExecError));
+    if (batched_ok) {
+      const double wall = wall_ms_now() - t0;
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        finish_job(plain[i], save_result(*plain[i], std::move(results[i])),
+                   wall);
+      }
+    } else {
+      // The sweep failed as a whole; re-run per job so the error lands on
+      // the job that caused it and the rest of the batch still completes.
+      for (const auto& job : plain) {
+        const double job_t0 = wall_ms_now();
+        JobOutcome outcome = run_one(*job, {});
+        finish_job(job, std::move(outcome), wall_ms_now() - job_t0);
       }
     }
   }

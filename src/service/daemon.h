@@ -135,24 +135,24 @@ class ServiceDaemon {
   void dump_telemetry();
   void run_batch_jobs(const std::vector<std::shared_ptr<Job>>& batch,
                       double pop_ms);
+  JobOutcome run_one(const Job& job, const api::RunHooks& hooks);
+  JobOutcome save_result(const Job& job, api::JobResult result);
+  std::optional<api::JobResult> load_result(const ContentKey& key);
   Json handle_request(const Json& request, std::uint64_t session_id);
   double wall_ms_now() const;
   void close_listener();
   void open_state();  ///< open store + journal, replay, restore the queue
-  void finish_job(const std::shared_ptr<Job>& job, api::JobResult result,
+  void finish_job(const std::shared_ptr<Job>& job, JobOutcome outcome,
                   double wall_ms);
-  void finish_job_failed(const std::shared_ptr<Job>& job, std::string error,
-                         double wall_ms, const char* code);
-  void record_outcome(const std::shared_ptr<Job>& job, bool ok);
-  void emit_stage(const std::shared_ptr<Job>& job, const char* stage,
-                  double t0, double t1);
+  void record_terminal(const Job& job, bool done, double wall_ms);
+  void emit_stage(const Job& job, const char* stage, double t0, double t1);
 
   DaemonOptions options_;
+  ServiceTelemetry telemetry_;
+  std::unique_ptr<Journal> journal_;  ///< written only through queue_
   AdmissionQueue queue_;
   api::Session session_;
-  ServiceTelemetry telemetry_;
   std::unique_ptr<PersistentStore> store_;
-  std::unique_ptr<Journal> journal_;
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::thread dispatch_thread_;

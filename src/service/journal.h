@@ -32,8 +32,9 @@
 // keep_terminal terminal jobs), so the journal stays bounded across
 // restarts instead of growing forever.
 //
-// All appends are serialized by an internal mutex; handlers, the
-// dispatcher and the watchdog append concurrently.
+// All appends are serialized by an internal mutex.  The AdmissionQueue
+// is the daemon's only writer: it appends inside its own critical
+// sections, so each job's records follow the order of its transitions.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,8 @@ bool is_terminal(JobState state) {
          state == JobState::kCancelled;
 }
 
-AdmissionQueue::AdmissionQueue(std::size_t capacity) : capacity_(capacity) {
+AdmissionQueue::AdmissionQueue(std::size_t capacity, Journal* journal)
+    : capacity_(capacity), journal_(journal) {
   SDPM_REQUIRE(capacity_ > 0, "admission queue capacity must be positive");
 }
 
@@ -29,6 +30,13 @@ std::int64_t AdmissionQueue::submit(std::uint64_t session, api::JobSpec spec,
                                     std::string& error, bool& retryable,
                                     double now_ms, std::uint64_t trace_id,
                                     std::uint64_t span_id) {
+  // The ADMIT document and its key are built before the lock is taken.
+  std::string spec_json;
+  ContentKey key;
+  if (journal_ != nullptr) {
+    spec_json = spec.canonical_json();
+    key = fingerprint_bytes(spec_json);
+  }
   std::lock_guard lock(mutex_);
   if (draining_ || stopped_) {
     error = "daemon is draining; admission is closed";
@@ -43,8 +51,10 @@ std::int64_t AdmissionQueue::submit(std::uint64_t session, api::JobSpec spec,
     ++rejected_;
     return 0;
   }
+  if (journal_ != nullptr) journal_->admit(next_id_, session, spec_json);
   auto job = std::make_shared<Job>();
   job->id = next_id_++;
+  job->key = key;
   job->session = session;
   job->spec = std::move(spec);
   job->label = job->spec.display_label();
@@ -59,8 +69,8 @@ std::int64_t AdmissionQueue::submit(std::uint64_t session, api::JobSpec spec,
   return job->id;
 }
 
-std::vector<std::shared_ptr<Job>> AdmissionQueue::pop_batch(std::size_t max,
-                                                            double now_ms) {
+std::vector<std::shared_ptr<Job>> AdmissionQueue::pop_batch(
+    std::size_t max, const std::function<double()>& clock) {
   std::unique_lock lock(mutex_);
   work_cv_.wait(lock, [this] {
     if (stopped_) return true;
@@ -74,57 +84,70 @@ std::vector<std::shared_ptr<Job>> AdmissionQueue::pop_batch(std::size_t max,
   // Round-robin: walk sessions in id order starting strictly after the
   // session the previous rotation ended at, taking one job per session per
   // rotation until `max` jobs are in hand or the queue is empty.
-  while (batch.size() < max && queued_ > 0) {
+  const std::uint64_t rr_start = rr_cursor_;
+  while (batch.size() < max && batch.size() < queued_) {
     auto it = pending_.upper_bound(rr_cursor_);
     if (it == pending_.end()) it = pending_.begin();
     rr_cursor_ = it->first;
     std::deque<std::shared_ptr<Job>>& line = it->second;
-    std::shared_ptr<Job> job = line.front();
+    batch.push_back(line.front());
     line.pop_front();
     if (line.empty()) pending_.erase(it);
-    --queued_;
-    ++running_;
+  }
+  if (journal_ != nullptr) {
+    try {
+      for (const auto& job : batch) journal_->dispatch(job->id);
+    } catch (...) {
+      // Put the batch back as it was.  The DISPATCH records already
+      // written over-count these jobs' attempts by one, as a crash between
+      // journaling and evaluation would.
+      for (auto job = batch.rbegin(); job != batch.rend(); ++job) {
+        pending_[(*job)->session].push_front(*job);
+      }
+      rr_cursor_ = rr_start;
+      throw;
+    }
+  }
+  const double now_ms = clock ? clock() : -1;
+  for (const auto& job : batch) {
     job->state = JobState::kRunning;
     job->dispatch_seq = next_dispatch_seq_++;
     job->started_ms = now_ms;
     ++job->runs;
-    batch.push_back(std::move(job));
   }
+  queued_ -= batch.size();
+  running_ += batch.size();
   return batch;
 }
 
-bool AdmissionQueue::complete(const std::shared_ptr<Job>& job,
-                              api::JobResult result, double wall_ms) {
-  std::lock_guard lock(mutex_);
-  SDPM_REQUIRE(job->state != JobState::kQueued,
-               "complete() on a job that was never dispatched");
-  // The watchdog (or a concurrent cancel during recovery) may have beaten
-  // a slow worker to the terminal transition; the late result is dropped.
-  if (is_terminal(job->state)) return false;
-  job->state = JobState::kDone;
-  job->result = std::move(result);
-  job->wall_ms = wall_ms;
+void AdmissionQueue::finish_locked(Job& job, JobOutcome outcome,
+                                   double wall_ms) {
+  const bool done = outcome.result.has_value();
+  if (journal_ != nullptr) {
+    if (done) {
+      journal_->complete_done(job.id, to_hex(job.key));
+    } else {
+      journal_->complete_failed(job.id, outcome.error_code, outcome.error);
+    }
+  }
+  job.state = done ? JobState::kDone : JobState::kFailed;
+  job.result = std::move(outcome.result);
+  job.error = std::move(outcome.error);
+  job.error_code = std::move(outcome.error_code);
+  job.wall_ms = wall_ms;
   --running_;
-  ++completed_;
-  done_cv_.notify_all();
-  work_cv_.notify_all();  // drained_locked() may have become true
-  return true;
+  ++(done ? completed_ : failed_);
 }
 
-bool AdmissionQueue::fail(const std::shared_ptr<Job>& job, std::string error,
-                          double wall_ms, std::string error_code) {
+bool AdmissionQueue::finish(const std::shared_ptr<Job>& job,
+                            JobOutcome outcome, double wall_ms) {
   std::lock_guard lock(mutex_);
   SDPM_REQUIRE(job->state != JobState::kQueued,
-               "fail() on a job that was never dispatched");
+               "finish() on a job that was never dispatched");
   if (is_terminal(job->state)) return false;
-  job->state = JobState::kFailed;
-  job->error = std::move(error);
-  job->error_code = std::move(error_code);
-  job->wall_ms = wall_ms;
-  --running_;
-  ++failed_;
+  finish_locked(*job, std::move(outcome), wall_ms);
   done_cv_.notify_all();
-  work_cv_.notify_all();
+  work_cv_.notify_all();  // drained_locked() may have become true
   return true;
 }
 
@@ -137,13 +160,13 @@ std::vector<std::shared_ptr<Job>> AdmissionQueue::expire_overdue(
     if (job->started_ms < 0) continue;  // dispatcher opted out of deadlines
     const double elapsed = now_ms - job->started_ms;
     if (elapsed <= timeout_ms) continue;
-    job->state = JobState::kFailed;
-    job->error = str_printf("job exceeded its %.0f ms deadline (ran %.0f ms)",
-                            timeout_ms, elapsed);
-    job->error_code = api::to_string(api::ErrorCode::kJobTimeout);
-    job->wall_ms = elapsed;
-    --running_;
-    ++failed_;
+    finish_locked(*job,
+                  JobOutcome::failed(
+                      api::to_string(api::ErrorCode::kJobTimeout),
+                      str_printf("job exceeded its %.0f ms deadline (ran "
+                                 "%.0f ms)",
+                                 timeout_ms, elapsed)),
+                  elapsed);
     ++timed_out_;
     expired.push_back(job);
   }
@@ -154,63 +177,56 @@ std::vector<std::shared_ptr<Job>> AdmissionQueue::expire_overdue(
   return expired;
 }
 
-std::shared_ptr<Job> AdmissionQueue::restore_locked(std::int64_t id,
-                                                    std::uint64_t session,
-                                                    api::JobSpec spec) {
-  SDPM_REQUIRE(id > 0, "restored job ids must be positive");
-  SDPM_REQUIRE(jobs_.find(id) == jobs_.end(),
+JobState AdmissionQueue::restore(const ReplayedJob& replayed,
+                                 api::JobSpec spec,
+                                 std::optional<api::JobResult> result,
+                                 std::int64_t max_attempts) {
+  std::lock_guard lock(mutex_);
+  SDPM_REQUIRE(replayed.id > 0, "restored job ids must be positive");
+  SDPM_REQUIRE(jobs_.find(replayed.id) == jobs_.end(),
                "restore of a job id that already exists");
   auto job = std::make_shared<Job>();
-  job->id = id;
-  job->session = session;
+  job->id = replayed.id;
+  job->session = replayed.session;
   job->spec = std::move(spec);
   job->label = job->spec.display_label();
-  jobs_.emplace(id, job);
-  if (next_id_ <= id) next_id_ = id + 1;
+  if (journal_ != nullptr) job->key = fingerprint_bytes(replayed.spec_json);
+  job->runs = replayed.dispatches;
+  using Outcome = ReplayedJob::Outcome;
+  if (replayed.outcome == Outcome::kCancelled) {
+    job->state = JobState::kCancelled;
+    ++cancelled_;
+  } else if (replayed.outcome == Outcome::kFailed) {
+    job->state = JobState::kFailed;
+    job->error = replayed.error;
+    job->error_code = replayed.error_code;
+    ++failed_;
+  } else if (replayed.outcome == Outcome::kDone && result.has_value()) {
+    job->state = JobState::kDone;
+    job->result = std::move(result);
+    ++completed_;
+  } else if (replayed.dispatches >= max_attempts) {
+    // It keeps taking the daemon down: a structured failure instead of a
+    // crash loop.
+    job->error = str_printf(
+        "job quarantined after %lld dispatch attempts without completion",
+        static_cast<long long>(replayed.dispatches));
+    job->error_code = api::to_string(api::ErrorCode::kQuarantined);
+    if (journal_ != nullptr) {
+      journal_->complete_failed(job->id, job->error_code, job->error);
+    }
+    job->state = JobState::kFailed;
+    ++failed_;
+  } else {
+    pending_[job->session].push_back(job);
+    ++queued_;
+    ++recovered_;
+    work_cv_.notify_all();
+  }
+  jobs_.emplace(job->id, job);
+  if (next_id_ <= job->id) next_id_ = job->id + 1;
   ++submitted_;
-  return job;
-}
-
-std::int64_t AdmissionQueue::restore_queued(std::int64_t id,
-                                            std::uint64_t session,
-                                            api::JobSpec spec,
-                                            std::int64_t prior_runs) {
-  std::lock_guard lock(mutex_);
-  auto job = restore_locked(id, session, std::move(spec));
-  job->runs = prior_runs;
-  pending_[session].push_back(job);
-  ++queued_;
-  ++recovered_;
-  work_cv_.notify_all();
-  return job->id;
-}
-
-void AdmissionQueue::restore_done(std::int64_t id, std::uint64_t session,
-                                  api::JobSpec spec, api::JobResult result) {
-  std::lock_guard lock(mutex_);
-  auto job = restore_locked(id, session, std::move(spec));
-  job->state = JobState::kDone;
-  job->result = std::move(result);
-  ++completed_;
-}
-
-void AdmissionQueue::restore_failed(std::int64_t id, std::uint64_t session,
-                                    api::JobSpec spec, std::string error,
-                                    std::string error_code) {
-  std::lock_guard lock(mutex_);
-  auto job = restore_locked(id, session, std::move(spec));
-  job->state = JobState::kFailed;
-  job->error = std::move(error);
-  job->error_code = std::move(error_code);
-  ++failed_;
-}
-
-void AdmissionQueue::restore_cancelled(std::int64_t id, std::uint64_t session,
-                                       api::JobSpec spec) {
-  std::lock_guard lock(mutex_);
-  auto job = restore_locked(id, session, std::move(spec));
-  job->state = JobState::kCancelled;
-  ++cancelled_;
+  return job->state;
 }
 
 bool AdmissionQueue::cancel(std::int64_t id, std::string& error) {
@@ -226,6 +242,7 @@ bool AdmissionQueue::cancel(std::int64_t id, std::string& error) {
                        static_cast<long long>(id), to_string(job.state));
     return false;
   }
+  if (journal_ != nullptr) journal_->cancel(id);
   auto line = pending_.find(job.session);
   if (line != pending_.end()) {
     auto& deque = line->second;

@@ -24,11 +24,20 @@
 // admitted still runs to a terminal state; wait_drained() returns only
 // when no queued or running job remains, which is what makes the drain
 // lossless.
+//
+// JOURNAL: with a Journal attached, the queue is its only writer of
+// transition records.  submit, pop_batch, cancel, finish, expire_overdue
+// and restore append ADMIT, DISPATCH, CANCEL and COMPLETE inside the
+// critical section that makes the transition visible, before the state
+// changes: a job's records land in the order of its transitions, and an
+// append that throws leaves the transition undone and reaches the caller.
+// The journal's own lock nests inside the queue's.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,6 +47,8 @@
 
 #include "api/job_result.h"
 #include "api/job_spec.h"
+#include "service/journal.h"
+#include "util/fingerprint.h"
 
 namespace sdpm::service {
 
@@ -55,14 +66,14 @@ struct Job {
   std::string label;  ///< stable copy of spec.display_label()
   JobState state = JobState::kQueued;
   std::string error;                    ///< kFailed only
-  std::string error_code;               ///< kFailed only; api::ErrorCode wire string
+  std::string error_code;  ///< kFailed only; api::ErrorCode wire string
   std::optional<api::JobResult> result; ///< kDone only
   std::int64_t dispatch_seq = -1;  ///< order handed to the dispatcher
   /// Times dispatched, INCLUDING dispatches in previous daemon lives
-  /// recovered from the journal; at most 1 within a single life.  The
-  /// daemon quarantines jobs whose count reaches its attempt budget.
+  /// recovered from the journal; at most 1 within a single life.
+  /// restore() quarantines jobs whose count reaches the attempt budget.
   std::int64_t runs = 0;
-  double started_ms = -1;  ///< wall ms when popped; -1 = never dispatched
+  double started_ms = -1;  ///< wall ms when popped; -1 = no deadline
   double wall_ms = 0;
   /// Wall ms when admitted; -1 for jobs recovered from the journal (their
   /// admission happened in a prior daemon life, so queue-wait/e2e stages
@@ -72,6 +83,30 @@ struct Job {
   /// immutable afterwards.
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
+  /// fingerprint_bytes of the spec's canonical JSON, the document ADMIT
+  /// carries: the result store's key and the COMPLETE record's payload.
+  /// Set at admission or restore when the queue journals.
+  ContentKey key;
+};
+
+/// How a dispatched job ended: done with a result, or failed with an
+/// error and its api::ErrorCode wire string.
+struct JobOutcome {
+  std::optional<api::JobResult> result;
+  std::string error;
+  std::string error_code;
+
+  static JobOutcome done(api::JobResult result) {
+    JobOutcome outcome;
+    outcome.result = std::move(result);
+    return outcome;
+  }
+  static JobOutcome failed(std::string error_code, std::string error) {
+    JobOutcome outcome;
+    outcome.error = std::move(error);
+    outcome.error_code = std::move(error_code);
+    return outcome;
+  }
 };
 
 /// Copyable view of one job for responses (no locking hazards).
@@ -103,61 +138,63 @@ struct QueueStats {
 
 class AdmissionQueue {
  public:
-  explicit AdmissionQueue(std::size_t capacity);
+  /// `journal` (not owned; null = no durability) must be open before the
+  /// first transition and outlive the queue's last one.
+  explicit AdmissionQueue(std::size_t capacity, Journal* journal = nullptr);
 
-  /// Admit a job for `session`.  Returns the job id (> 0), or 0 with
-  /// `error`/`retryable` set: retryable=true is backpressure (queue full),
-  /// retryable=false means admission is closed (draining).  `now_ms`
-  /// (when >= 0) stamps admit_ms for the queue-wait/e2e telemetry stages;
-  /// `trace_id`/`span_id` carry the client's trace context.
+  /// Admit a job for `session`, journaling ADMIT first.  Returns the job
+  /// id (> 0), or 0 with `error`/`retryable` set: retryable=true is
+  /// backpressure (queue full), retryable=false means admission is closed
+  /// (draining).  `now_ms` (when >= 0) stamps admit_ms for the
+  /// queue-wait/e2e telemetry stages; `trace_id`/`span_id` carry the
+  /// client's trace context.
   std::int64_t submit(std::uint64_t session, api::JobSpec spec,
                       std::string& error, bool& retryable,
                       double now_ms = -1, std::uint64_t trace_id = 0,
                       std::uint64_t span_id = 0);
 
   /// Pop up to `max` jobs (state -> kRunning) in round-robin session
-  /// order.  Blocks until work is available; returns an empty vector when
-  /// the queue is stopped, or when draining and nothing is left to pop.
-  /// `now_ms` (when >= 0) stamps each popped job's started_ms so the
-  /// deadline watchdog can expire overruns.
-  std::vector<std::shared_ptr<Job>> pop_batch(std::size_t max,
-                                              double now_ms = -1);
+  /// order, journaling one DISPATCH per job first; when an append throws,
+  /// every job of the batch stays queued.  Blocks until work is
+  /// available; returns an empty vector when the queue is stopped, or
+  /// when draining and nothing is left to pop.  `clock` (when set) is
+  /// read once the batch is in hand and stamps each popped job's
+  /// started_ms, so the deadline watchdog times the job's run and not the
+  /// dispatcher's idle wait before it.
+  std::vector<std::shared_ptr<Job>> pop_batch(
+      std::size_t max, const std::function<double()>& clock = {});
 
-  /// Mark a popped job terminal.  Notifies result waiters.  Returns false
-  /// — dropping the result/error — when the job is already terminal: the
-  /// watchdog may have timed a job out while a worker was still computing
-  /// it, and the first terminal transition wins.
-  bool complete(const std::shared_ptr<Job>& job, api::JobResult result,
-                double wall_ms);
-  bool fail(const std::shared_ptr<Job>& job, std::string error,
-            double wall_ms,
-            std::string error_code =
-                api::to_string(api::ErrorCode::kExecError));
+  /// The one terminal transition of a dispatched job: done when `outcome`
+  /// holds a result, failed otherwise.  Journals COMPLETE, then notifies
+  /// result waiters.  Returns false — journaling nothing and dropping the
+  /// outcome — when the job is already terminal: the watchdog may have
+  /// timed a job out while a worker was still computing it, and the first
+  /// terminal transition wins.
+  bool finish(const std::shared_ptr<Job>& job, JobOutcome outcome,
+              double wall_ms);
 
   /// Fail every running job whose started_ms deadline has passed
-  /// (now_ms - started_ms > timeout_ms) with a JOB_TIMEOUT error.
-  /// Returns the expired jobs so the caller can journal them.
+  /// (now_ms - started_ms > timeout_ms) with a JOB_TIMEOUT error, through
+  /// the same terminal transition.  Returns the expired jobs.
   std::vector<std::shared_ptr<Job>> expire_overdue(double now_ms,
                                                    double timeout_ms);
 
   /// Startup recovery: re-insert a job replayed from the journal under its
-  /// original id.  restore_queued() puts it back in the pending queue
-  /// (carrying `prior_runs` dispatches from previous daemon lives); the
-  /// terminal flavors record the historical outcome so it stays queryable.
-  /// All bump the id allocator past `id`.  Recovery runs before the
-  /// dispatcher starts, so these never race pop_batch.
-  std::int64_t restore_queued(std::int64_t id, std::uint64_t session,
-                              api::JobSpec spec, std::int64_t prior_runs);
-  void restore_done(std::int64_t id, std::uint64_t session, api::JobSpec spec,
-                    api::JobResult result);
-  void restore_failed(std::int64_t id, std::uint64_t session,
-                      api::JobSpec spec, std::string error,
-                      std::string error_code);
-  void restore_cancelled(std::int64_t id, std::uint64_t session,
-                         api::JobSpec spec);
+  /// original id and bump the id allocator past it.  A cancelled or failed
+  /// job is restored terminal, and so is a done job whose stored `result`
+  /// the caller found.  Any other job (incomplete, or done with its result
+  /// lost) re-queues carrying its journaled dispatches, unless it has been
+  /// dispatched `max_attempts` times without completing: that poison job
+  /// is failed with QUARANTINED instead, and the verdict is journaled so
+  /// later lives restore it without another attempt.  Recovery runs
+  /// before the dispatcher starts.  Returns the restored state.
+  JobState restore(const ReplayedJob& replayed, api::JobSpec spec,
+                   std::optional<api::JobResult> result,
+                   std::int64_t max_attempts);
 
-  /// Cancel a queued job.  Fails (returning false with `error` set) when
-  /// the job is unknown, already running, or terminal.
+  /// Cancel a queued job, journaling CANCEL first.  Fails (returning false
+  /// with `error` set) when the job is unknown, already running, or
+  /// terminal.
   bool cancel(std::int64_t id, std::string& error);
 
   /// Snapshot a job; empty optional for unknown ids.
@@ -187,10 +224,10 @@ class AdmissionQueue {
  private:
   JobSnapshot snapshot_locked(const Job& job) const;
   bool drained_locked() const;
-  std::shared_ptr<Job> restore_locked(std::int64_t id, std::uint64_t session,
-                                      api::JobSpec spec);
+  void finish_locked(Job& job, JobOutcome outcome, double wall_ms);
 
   const std::size_t capacity_;
+  Journal* const journal_;
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< dispatcher side
   std::condition_variable done_cv_;   ///< waiters: results, drain

@@ -100,72 +100,7 @@ std::optional<std::string> read_file(const std::string& path) {
   return data;
 }
 
-char hex_digit(unsigned v) {
-  return static_cast<char>(v < 10 ? '0' + v : 'a' + (v - 10));
-}
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return 10 + (c - 'a');
-  if (c >= 'A' && c <= 'F') return 10 + (c - 'A');
-  return -1;
-}
-
-std::string hex_u64(std::uint64_t v) {
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = hex_digit(v & 0xfu);
-    v >>= 4;
-  }
-  return out;
-}
-
 }  // namespace
-
-std::string StoreKey::hex() const { return hex_u64(hi) + hex_u64(lo); }
-
-std::optional<StoreKey> StoreKey::from_hex(std::string_view hex) {
-  if (hex.size() != 32) return std::nullopt;
-  StoreKey key;
-  for (int i = 0; i < 32; ++i) {
-    const int v = hex_value(hex[static_cast<std::size_t>(i)]);
-    if (v < 0) return std::nullopt;
-    if (i < 16) {
-      key.hi = (key.hi << 4) | static_cast<std::uint64_t>(v);
-    } else {
-      key.lo = (key.lo << 4) | static_cast<std::uint64_t>(v);
-    }
-  }
-  return key;
-}
-
-StoreKey fingerprint_bytes(std::string_view bytes) {
-  // The byte length is mixed first so "a" + "" and "" + "a" cannot collide
-  // via padding.
-  Fingerprint fp;
-  fp.mix(static_cast<std::uint64_t>(bytes.size()));
-  std::size_t i = 0;
-  while (i + 8 <= bytes.size()) {
-    std::uint64_t word = 0;
-    for (int k = 0; k < 8; ++k) {
-      word |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(bytes[i + static_cast<std::size_t>(k)]))
-              << (8 * k);
-    }
-    fp.mix(word);
-    i += 8;
-  }
-  std::uint64_t tail = 0;
-  for (int k = 0; i + static_cast<std::size_t>(k) < bytes.size(); ++k) {
-    tail |= static_cast<std::uint64_t>(
-                static_cast<unsigned char>(bytes[i + static_cast<std::size_t>(k)]))
-            << (8 * k);
-  }
-  fp.mix(tail);
-  // StoreKey prints the first lane first.
-  const ContentKey key = fp.key();
-  return StoreKey{key.lo, key.hi};
-}
 
 PersistentStore::PersistentStore(StoreOptions options)
     : options_(std::move(options)) {
@@ -179,7 +114,7 @@ PersistentStore::PersistentStore(StoreOptions options)
   // most-recent at the front.  Stale temp files from a crashed writer are
   // removed; anything else unrecognized is left alone.
   struct Found {
-    StoreKey key;
+    ContentKey key;
     std::int64_t bytes = 0;
     std::int64_t mtime = 0;
     std::string name;  // mtime tie-breaker: deterministic order
@@ -198,7 +133,7 @@ PersistentStore::PersistentStore(StoreOptions options)
       continue;
     }
     if (name.size() != 36 || name.substr(32) != ".bin") continue;
-    const auto key = StoreKey::from_hex(name.substr(0, 32));
+    const auto key = content_key_from_hex(name.substr(0, 32));
     if (!key.has_value()) continue;
     struct stat st{};
     if (::stat(path.c_str(), &st) != 0) continue;
@@ -221,11 +156,11 @@ PersistentStore::PersistentStore(StoreOptions options)
   publish_gauges_locked();
 }
 
-std::string PersistentStore::object_path(const StoreKey& key) const {
-  return options_.directory + "/objects/" + key.hex() + ".bin";
+std::string PersistentStore::object_path(const ContentKey& key) const {
+  return options_.directory + "/objects/" + to_hex(key) + ".bin";
 }
 
-std::optional<std::string> PersistentStore::get(const StoreKey& key) {
+std::optional<std::string> PersistentStore::get(const ContentKey& key) {
   const StageTimer timer(options_.telemetry, Stage::kStoreGet);
   std::lock_guard lock(mutex_);
   auto& metrics = obs::MetricsRegistry::global();
@@ -256,7 +191,7 @@ std::optional<std::string> PersistentStore::get(const StoreKey& key) {
   return data->substr(kHeaderBytes);
 }
 
-void PersistentStore::put(const StoreKey& key, std::string_view value) {
+void PersistentStore::put(const ContentKey& key, std::string_view value) {
   const StageTimer timer(options_.telemetry, Stage::kStorePut);
   std::lock_guard lock(mutex_);
   const auto existing = index_.find(key);
@@ -292,7 +227,7 @@ void PersistentStore::put(const StoreKey& key, std::string_view value) {
   if (!ok || ::rename(temp.c_str(), object_path(key).c_str()) != 0) {
     ::unlink(temp.c_str());
     throw Error(str_printf("store: cannot write entry %s: %s",
-                           key.hex().c_str(), std::strerror(errno)));
+                           to_hex(key).c_str(), std::strerror(errno)));
   }
 
   lru_.push_front(Entry{key, static_cast<std::int64_t>(value.size())});
@@ -302,15 +237,15 @@ void PersistentStore::put(const StoreKey& key, std::string_view value) {
   publish_gauges_locked();
 }
 
-bool PersistentStore::contains(const StoreKey& key) const {
+bool PersistentStore::contains(const ContentKey& key) const {
   std::lock_guard lock(mutex_);
   return index_.count(key) > 0;
 }
 
-void PersistentStore::quarantine_locked(const StoreKey& key) {
+void PersistentStore::quarantine_locked(const ContentKey& key) {
   const std::string path = object_path(key);
   const std::string corrupt =
-      options_.directory + "/objects/" + key.hex() + ".corrupt";
+      options_.directory + "/objects/" + to_hex(key) + ".corrupt";
   if (::rename(path.c_str(), corrupt.c_str()) != 0) {
     ::unlink(path.c_str());  // rename failed (e.g. ENOENT): best effort
   }
@@ -320,7 +255,7 @@ void PersistentStore::quarantine_locked(const StoreKey& key) {
   publish_gauges_locked();
 }
 
-void PersistentStore::erase_index_locked(const StoreKey& key) {
+void PersistentStore::erase_index_locked(const ContentKey& key) {
   const auto it = index_.find(key);
   if (it == index_.end()) return;
   bytes_ -= it->second->bytes;
@@ -330,7 +265,7 @@ void PersistentStore::erase_index_locked(const StoreKey& key) {
 
 void PersistentStore::evict_to_budget_locked() {
   while (bytes_ > options_.max_bytes && !lru_.empty()) {
-    const StoreKey victim = lru_.back().key;
+    const ContentKey victim = lru_.back().key;
     ::unlink(object_path(victim).c_str());
     erase_index_locked(victim);
     ++evictions_;

@@ -1,10 +1,10 @@
 // Persistent content-addressed store: the durable layer under the
 // in-memory TraceCache/result path of sdpm_serviced.
 //
-// Entries are keyed by a 128-bit content fingerprint (util/fingerprint.h,
-// the mixer behind experiments::TraceKey, applied to a job's canonical
-// JSON) and live as individual files under
-// `<dir>/objects/<32-hex>.bin`.  Three durability properties the store
+// Entries are keyed by a 128-bit ContentKey (util/fingerprint.h: the mixer
+// behind experiments::TraceKey, applied by fingerprint_bytes to a job's
+// canonical JSON) and live as individual files under
+// `<dir>/objects/<to_hex(key)>.bin`.  Three durability properties the store
 // tests pin down:
 //
 //   ATOMICITY    a put writes to a temp file in the same directory and
@@ -32,27 +32,11 @@
 #include <string>
 #include <string_view>
 
+#include "util/fingerprint.h"
+
 namespace sdpm::service {
 
 class ServiceTelemetry;
-
-/// 128-bit content key, printed as 32 lowercase hex digits.
-struct StoreKey {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-
-  friend bool operator==(const StoreKey&, const StoreKey&) = default;
-  friend auto operator<=>(const StoreKey&, const StoreKey&) = default;
-
-  std::string hex() const;
-  /// Parse 32 hex digits; empty optional on malformed input.
-  static std::optional<StoreKey> from_hex(std::string_view hex);
-};
-
-/// Fingerprint arbitrary bytes (a JobSpec's canonical JSON) into a
-/// StoreKey with the same Fingerprint mixer as the trace cache's TraceKey,
-/// so the service and the trace layer share one keying discipline.
-StoreKey fingerprint_bytes(std::string_view bytes);
 
 struct StoreOptions {
   std::string directory;                       ///< created if missing
@@ -84,34 +68,34 @@ class PersistentStore {
 
   /// The payload stored under `key`, or nullopt on a miss.  A corrupt
   /// entry is quarantined and reported as a miss.
-  std::optional<std::string> get(const StoreKey& key);
+  std::optional<std::string> get(const ContentKey& key);
 
   /// Store `value` under `key` (no-op when the key is already present —
   /// content-addressed entries never change).  Values larger than the
   /// whole budget are skipped.  Evicts LRU entries to stay within budget.
-  void put(const StoreKey& key, std::string_view value);
+  void put(const ContentKey& key, std::string_view value);
 
-  bool contains(const StoreKey& key) const;
+  bool contains(const ContentKey& key) const;
 
   StoreStats stats() const;
   const std::string& directory() const { return options_.directory; }
 
  private:
   struct Entry {
-    StoreKey key;
+    ContentKey key;
     std::int64_t bytes = 0;
   };
 
-  std::string object_path(const StoreKey& key) const;
-  void quarantine_locked(const StoreKey& key);
-  void erase_index_locked(const StoreKey& key);
+  std::string object_path(const ContentKey& key) const;
+  void quarantine_locked(const ContentKey& key);
+  void erase_index_locked(const ContentKey& key);
   void evict_to_budget_locked();
   void publish_gauges_locked() const;
 
   StoreOptions options_;
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  // front = most recently used
-  std::map<StoreKey, std::list<Entry>::iterator> index_;
+  std::map<ContentKey, std::list<Entry>::iterator> index_;
   std::int64_t bytes_ = 0;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

@@ -93,7 +93,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -130,6 +129,7 @@
 #include "policy/tpm.h"
 #include "service/client.h"
 #include "sim/simulator.h"
+#include "tools/args.h"
 #include "trace/dap.h"
 #include "trace/generator.h"
 #include "trace/text_io.h"
@@ -143,6 +143,7 @@
 namespace {
 
 using namespace sdpm;
+using tools::Args;
 
 const char* usage_text() {
   return
@@ -210,69 +211,6 @@ const char* usage_text() {
   std::cerr << usage_text();
   std::exit(2);
 }
-
-/// Tiny flag parser: --key value and boolean --key.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::string get(const std::string& key,
-                  const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    std::size_t pos = 0;
-    std::int64_t value = 0;
-    try {
-      value = std::stoll(it->second, &pos);
-    } catch (const std::exception&) {
-      pos = std::string::npos;
-    }
-    if (pos != it->second.size()) {
-      usage("--" + key + " expects an integer, got '" + it->second + "'");
-    }
-    return value;
-  }
-
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(it->second, &pos);
-    } catch (const std::exception&) {
-      pos = std::string::npos;
-    }
-    if (pos != it->second.size()) {
-      usage("--" + key + " expects a number, got '" + it->second + "'");
-    }
-    return value;
-  }
-
-  /// All parsed flags (for per-command validation).
-  const std::map<std::string, std::string>& values() const { return values_; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// A set of flags several commands read.
 using FlagGroup = std::span<const std::string_view>;
@@ -1178,10 +1116,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    const Args args(argc, argv, 2);
-    if (args.has("jobs")) {
-      set_default_jobs(static_cast<unsigned>(args.get_int("jobs", 0)));
-    }
+    const Args args(argc, argv, 2, usage);
+    if (args.has("jobs")) set_default_jobs(args.get_count("jobs", 0));
     if (command == "list") {
       require_known_flags("list", args, {});
       return cmd_list();

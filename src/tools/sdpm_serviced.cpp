@@ -40,7 +40,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -48,6 +47,7 @@
 #include "obs/sinks.h"
 #include "obs/tracer.h"
 #include "service/daemon.h"
+#include "tools/args.h"
 #include "util/error.h"
 
 namespace {
@@ -69,71 +69,46 @@ using namespace sdpm;
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "";
-    }
-  }
-  for (const auto& [key, value] : flags) {
-    if (key != "socket" && key != "capacity" && key != "batch" &&
-        key != "jobs" && key != "trace-out" && key != "trace-format" &&
-        key != "state-dir" && key != "job-timeout-ms" &&
-        key != "max-attempts" && key != "store-max-bytes" &&
-        key != "fsync-journal" && key != "log-json" &&
-        key != "telemetry-dump" && key != "telemetry-interval-ms") {
-      usage("unknown flag '--" + key + "'");
-    }
-  }
-  if (flags.count("socket") == 0 || flags["socket"].empty()) {
-    usage("--socket PATH is required");
-  }
+  const tools::Args args(argc, argv, 1, usage);
+  args.allow_only({"socket", "capacity", "batch", "jobs", "trace-out",
+                   "trace-format", "state-dir", "job-timeout-ms",
+                   "max-attempts", "store-max-bytes", "fsync-journal",
+                   "log-json", "telemetry-dump", "telemetry-interval-ms"});
+  if (args.get("socket").empty()) usage("--socket PATH is required");
 
   service::DaemonOptions options;
-  options.socket_path = flags["socket"];
-  if (flags.count("capacity") != 0) {
-    options.queue_capacity =
-        static_cast<std::size_t>(std::atoll(flags["capacity"].c_str()));
+  options.socket_path = args.get("socket");
+  if (args.has("capacity")) {
+    options.queue_capacity = args.get_count("capacity", 0);
+    if (options.queue_capacity < 1) usage("--capacity must be >= 1");
   }
-  if (flags.count("batch") != 0) {
-    options.max_batch =
-        static_cast<std::size_t>(std::atoll(flags["batch"].c_str()));
+  if (args.has("batch")) {
+    options.max_batch = args.get_count("batch", 0);
+    if (options.max_batch < 1) usage("--batch must be >= 1");
   }
-  if (flags.count("jobs") != 0) {
-    options.jobs = static_cast<unsigned>(std::atoi(flags["jobs"].c_str()));
+  options.jobs = args.get_count("jobs", options.jobs);
+  if (args.has("state-dir")) {
+    options.state_dir = args.get("state-dir");
+    if (options.state_dir.empty()) usage("--state-dir needs a directory");
   }
-  if (flags.count("state-dir") != 0) {
-    if (flags["state-dir"].empty()) usage("--state-dir needs a directory");
-    options.state_dir = flags["state-dir"];
+  options.job_timeout_ms =
+      args.get_double("job-timeout-ms", options.job_timeout_ms);
+  if (options.job_timeout_ms < 0) usage("--job-timeout-ms must be >= 0");
+  options.max_attempts =
+      static_cast<int>(args.get_int("max-attempts", options.max_attempts));
+  if (options.max_attempts < 1) usage("--max-attempts must be >= 1");
+  options.store_max_bytes =
+      args.get_int("store-max-bytes", options.store_max_bytes);
+  if (options.store_max_bytes < 1) usage("--store-max-bytes must be >= 1");
+  options.fsync_journal = args.has("fsync-journal");
+  if (args.has("telemetry-dump")) {
+    options.telemetry_dump = args.get("telemetry-dump");
+    if (options.telemetry_dump.empty()) usage("--telemetry-dump needs a path");
   }
-  if (flags.count("job-timeout-ms") != 0) {
-    options.job_timeout_ms = std::atof(flags["job-timeout-ms"].c_str());
-    if (options.job_timeout_ms < 0) usage("--job-timeout-ms must be >= 0");
-  }
-  if (flags.count("max-attempts") != 0) {
-    options.max_attempts = std::atoi(flags["max-attempts"].c_str());
-    if (options.max_attempts < 1) usage("--max-attempts must be >= 1");
-  }
-  if (flags.count("store-max-bytes") != 0) {
-    options.store_max_bytes = std::atoll(flags["store-max-bytes"].c_str());
-    if (options.store_max_bytes < 1) usage("--store-max-bytes must be >= 1");
-  }
-  if (flags.count("fsync-journal") != 0) options.fsync_journal = true;
-  if (flags.count("telemetry-dump") != 0) {
-    if (flags["telemetry-dump"].empty()) usage("--telemetry-dump needs a path");
-    options.telemetry_dump = flags["telemetry-dump"];
-  }
-  if (flags.count("telemetry-interval-ms") != 0) {
-    options.telemetry_interval_ms =
-        std::atof(flags["telemetry-interval-ms"].c_str());
-    if (options.telemetry_interval_ms <= 0) {
-      usage("--telemetry-interval-ms must be > 0");
-    }
+  options.telemetry_interval_ms =
+      args.get_double("telemetry-interval-ms", options.telemetry_interval_ms);
+  if (options.telemetry_interval_ms <= 0) {
+    usage("--telemetry-interval-ms must be > 0");
   }
 
   // Observability: job spans stream as JSONL (or a chrome://tracing file)
@@ -142,12 +117,10 @@ int main(int argc, char** argv) {
   std::ofstream trace_file;
   std::optional<obs::JsonlSink> jsonl;
   std::optional<obs::ChromeTraceSink> chrome;
-  if (flags.count("trace-out") != 0) {
-    trace_file.open(flags["trace-out"]);
-    if (!trace_file) usage("cannot open '" + flags["trace-out"] + "'");
-    const std::string format = flags.count("trace-format") != 0
-                                   ? flags["trace-format"]
-                                   : std::string("jsonl");
+  if (args.has("trace-out")) {
+    trace_file.open(args.get("trace-out"));
+    if (!trace_file) usage("cannot open '" + args.get("trace-out") + "'");
+    const std::string format = args.get("trace-format", "jsonl");
     if (format == "jsonl") {
       tracer.add_sink(jsonl.emplace(trace_file));
     } else if (format == "chrome") {
@@ -156,20 +129,21 @@ int main(int argc, char** argv) {
       usage("--trace-format must be jsonl or chrome");
     }
     options.tracer = &tracer;
-  } else if (flags.count("trace-format") != 0) {
+  } else if (args.has("trace-format")) {
     usage("--trace-format needs --trace-out");
   }
 
   // Structured JSONL lifecycle log: a file, or stderr with "-".
   std::ofstream log_file;
   std::optional<obs::StructuredLog> log;
-  if (flags.count("log-json") != 0) {
-    if (flags["log-json"].empty()) usage("--log-json needs FILE or -");
-    if (flags["log-json"] == "-") {
+  if (args.has("log-json")) {
+    const std::string log_path = args.get("log-json");
+    if (log_path.empty()) usage("--log-json needs FILE or -");
+    if (log_path == "-") {
       log.emplace(std::cerr);
     } else {
-      log_file.open(flags["log-json"], std::ios::app);
-      if (!log_file) usage("cannot open '" + flags["log-json"] + "'");
+      log_file.open(log_path, std::ios::app);
+      if (!log_file) usage("cannot open '" + log_path + "'");
       log.emplace(log_file);
     }
     options.log = &*log;

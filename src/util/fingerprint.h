@@ -3,15 +3,19 @@
 // One streaming mixer keys every content-addressed cache in the system:
 // the access walk's miss memo (trace::access_key_of), the trace cache
 // (experiments::trace_key_of, the access key extended with timing fields)
-// and the service's persistent result store (service::fingerprint_bytes).
+// and the service's persistent result store (fingerprint_bytes below).
 // Two SplitMix64-style lanes with different constants each absorb every
 // word.  Not cryptographic: collision resistance around 2^-128 is ample
 // for caches of tens of entries.
 #pragma once
 
 #include <bit>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 
 namespace sdpm {
 
@@ -21,6 +25,7 @@ struct ContentKey {
   std::uint64_t hi = 0;
 
   friend bool operator==(const ContentKey&, const ContentKey&) = default;
+  friend auto operator<=>(const ContentKey&, const ContentKey&) = default;
 };
 
 struct ContentKeyHash {
@@ -58,5 +63,17 @@ class Fingerprint {
   std::uint64_t a_ = 0x243f6a8885a308d3ULL;
   std::uint64_t b_ = 0x13198a2e03707344ULL;
 };
+
+/// Fingerprint arbitrary bytes (a JobSpec's canonical JSON is the result
+/// store's key).  The length is mixed first, so a prefix padded with zero
+/// bytes does not collide with itself.
+ContentKey fingerprint_bytes(std::string_view bytes);
+
+/// 32 lowercase hex digits, the first lane (`lo`) first: the spelling of
+/// store file names and of the journal's COMPLETE records.
+std::string to_hex(const ContentKey& key);
+
+/// Parse to_hex's spelling (either case); empty on any other input.
+std::optional<ContentKey> content_key_from_hex(std::string_view hex);
 
 }  // namespace sdpm

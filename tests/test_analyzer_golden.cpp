@@ -22,8 +22,8 @@
 #include "analysis/repair.h"
 #include "api/job_spec.h"
 #include "api/session.h"
-#include "service/store.h"
 #include "util/error.h"
+#include "util/fingerprint.h"
 #include "util/json.h"
 
 namespace sdpm {
@@ -103,7 +103,7 @@ void expect_report(const std::string& what, const Json& want,
         << what << ": " << field << " golden 0, now " << value;
   }
   EXPECT_EQ(want.at("fingerprint").as_string(),
-            service::fingerprint_bytes(analysis::render_json(report)).hex())
+            to_hex(fingerprint_bytes(analysis::render_json(report))))
       << what << ": render_json fingerprint";
 }
 

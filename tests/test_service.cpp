@@ -5,14 +5,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 
 #include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -108,7 +113,8 @@ TEST(AdmissionQueue, LifecycleIsExactlyOnce) {
   auto batch = queue.pop_batch(4);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0]->runs, 1);
-  queue.complete(batch[0], dummy_result(batch[0]->spec), 1.5);
+  EXPECT_TRUE(queue.finish(
+      batch[0], JobOutcome::done(dummy_result(batch[0]->spec)), 1.5));
 
   const auto snap = queue.snapshot(id);
   ASSERT_TRUE(snap.has_value());
@@ -176,7 +182,7 @@ TEST(AdmissionQueue, DrainIsLossless) {
       for (const auto& job : batch) {
         EXPECT_EQ(job->runs, 1);
         dispatched.fetch_add(1);
-        queue.complete(job, dummy_result(job->spec), 0.1);
+        queue.finish(job, JobOutcome::done(dummy_result(job->spec)), 0.1);
       }
     }
   });
@@ -391,7 +397,7 @@ TEST(AdmissionQueue, WatchdogExpiresOverdueAndDropsLateResults) {
   queue.submit(1, cheap_spec("slow-a"), error, retryable);
   queue.submit(2, cheap_spec("slow-b"), error, retryable);
 
-  auto batch = queue.pop_batch(2, /*now_ms=*/100.0);
+  auto batch = queue.pop_batch(2, [] { return 100.0; });
   ASSERT_EQ(batch.size(), 2u);
 
   // Within the deadline nothing expires.
@@ -413,47 +419,102 @@ TEST(AdmissionQueue, WatchdogExpiresOverdueAndDropsLateResults) {
   // The worker that was still computing those jobs eventually reports in;
   // its late transitions are dropped, not fatal, and the first terminal
   // state wins.
-  EXPECT_FALSE(queue.complete(batch[0], dummy_result(batch[0]->spec), 9.0));
-  EXPECT_FALSE(queue.fail(batch[1], "late failure", 9.0));
+  EXPECT_FALSE(queue.finish(
+      batch[0], JobOutcome::done(dummy_result(batch[0]->spec)), 9.0));
+  EXPECT_FALSE(queue.finish(
+      batch[1], JobOutcome::failed("EXEC_ERROR", "late failure"), 9.0));
   EXPECT_EQ(queue.snapshot(batch[0]->id)->state, JobState::kFailed);
   EXPECT_EQ(queue.snapshot(batch[1]->id)->error_code, "JOB_TIMEOUT");
   EXPECT_EQ(queue.stats().completed, 0);
   queue.stop();
 }
 
+// A job's deadline runs from its pop, not from when the dispatcher began
+// waiting: a job admitted after a long idle spell is not overdue.
+TEST(AdmissionQueue, StartStampIsReadAfterTheWait) {
+  AdmissionQueue queue(4);
+  std::atomic<double> now{0};
+  std::vector<std::shared_ptr<Job>> batch;
+  std::thread dispatcher([&] {
+    batch = queue.pop_batch(1, [&] { return now.load(); });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  now = 1000;
+  std::string error;
+  bool retryable = false;
+  queue.submit(1, cheap_spec("late-arrival"), error, retryable);
+  dispatcher.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0]->started_ms, 1000);
+  EXPECT_TRUE(queue.expire_overdue(1100, 500).empty());
+  queue.stop();
+}
+
+ReplayedJob replayed_job(std::int64_t id, std::uint64_t session,
+                         ReplayedJob::Outcome outcome,
+                         std::int64_t dispatches = 0) {
+  ReplayedJob job;
+  job.id = id;
+  job.session = session;
+  job.outcome = outcome;
+  job.dispatches = dispatches;
+  return job;
+}
+
 TEST(AdmissionQueue, RestoreRebuildsAPriorLife) {
+  using Outcome = ReplayedJob::Outcome;
   AdmissionQueue queue(8);
-  queue.restore_done(3, 1, cheap_spec("was-done"),
-                     dummy_result(cheap_spec("was-done")));
-  queue.restore_failed(4, 1, cheap_spec("was-failed"), "boom", "EXEC_ERROR");
-  queue.restore_cancelled(5, 1, cheap_spec("was-cancelled"));
-  queue.restore_queued(6, 2, cheap_spec("was-queued"), /*prior_runs=*/2);
+  EXPECT_EQ(queue.restore(replayed_job(3, 1, Outcome::kDone, 1),
+                          cheap_spec("was-done"),
+                          dummy_result(cheap_spec("was-done")), 3),
+            JobState::kDone);
+  ReplayedJob failed = replayed_job(4, 1, Outcome::kFailed, 1);
+  failed.error = "boom";
+  failed.error_code = "EXEC_ERROR";
+  EXPECT_EQ(queue.restore(failed, cheap_spec("was-failed"), std::nullopt, 3),
+            JobState::kFailed);
+  EXPECT_EQ(queue.restore(replayed_job(5, 1, Outcome::kCancelled),
+                          cheap_spec("was-cancelled"), std::nullopt, 3),
+            JobState::kCancelled);
+  EXPECT_EQ(queue.restore(replayed_job(6, 2, Outcome::kIncomplete, 2),
+                          cheap_spec("was-queued"), std::nullopt, 3),
+            JobState::kQueued);
+  // Three dispatches without a completion: the poison job is quarantined.
+  EXPECT_EQ(queue.restore(replayed_job(7, 2, Outcome::kIncomplete, 3),
+                          cheap_spec("poison"), std::nullopt, 3),
+            JobState::kFailed);
+  // A done job whose stored result is lost is recomputed.
+  EXPECT_EQ(queue.restore(replayed_job(8, 1, Outcome::kDone, 1),
+                          cheap_spec("lost"), std::nullopt, 3),
+            JobState::kQueued);
 
   QueueStats stats = queue.stats();
   EXPECT_EQ(stats.completed, 1);
-  EXPECT_EQ(stats.failed, 1);
+  EXPECT_EQ(stats.failed, 2);
   EXPECT_EQ(stats.cancelled, 1);
-  EXPECT_EQ(stats.depth, 1u);
-  EXPECT_EQ(stats.recovered, 1);
-  EXPECT_EQ(stats.submitted, 4);
+  EXPECT_EQ(stats.depth, 2u);
+  EXPECT_EQ(stats.recovered, 2);
+  EXPECT_EQ(stats.submitted, 6);
 
   EXPECT_EQ(queue.snapshot(3)->state, JobState::kDone);
   EXPECT_TRUE(queue.snapshot(3)->result.has_value());
   EXPECT_EQ(queue.snapshot(4)->error_code, "EXEC_ERROR");
   EXPECT_EQ(queue.snapshot(5)->state, JobState::kCancelled);
+  EXPECT_EQ(queue.snapshot(7)->error_code, "QUARANTINED");
 
   // The id allocator starts past every restored id.
   std::string error;
   bool retryable = false;
-  EXPECT_EQ(queue.submit(1, cheap_spec("fresh"), error, retryable), 7);
+  EXPECT_EQ(queue.submit(1, cheap_spec("fresh"), error, retryable), 9);
 
   // A re-queued job carries its dispatch history into the next run.
-  auto batch = queue.pop_batch(4, 0.0);
-  ASSERT_EQ(batch.size(), 2u);
-  const auto recovered =
-      batch[0]->id == 6 ? batch[0] : batch[1];
-  EXPECT_EQ(recovered->id, 6);
-  EXPECT_EQ(recovered->runs, 3);  // 2 prior lives + this dispatch
+  auto batch = queue.pop_batch(4, [] { return 0.0; });
+  ASSERT_EQ(batch.size(), 3u);
+  std::map<std::int64_t, std::int64_t> runs;
+  for (const auto& job : batch) runs[job->id] = job->runs;
+  EXPECT_EQ(runs[6], 3);  // 2 prior lives + this dispatch
+  EXPECT_EQ(runs[8], 2);
+  EXPECT_EQ(runs[9], 1);
   queue.stop();
 }
 
@@ -558,6 +619,238 @@ TEST(ServiceDaemon, ResultsSurviveRestartWithoutRecompute) {
   }
   waiter.join();
   std::filesystem::remove_all(state_dir);
+}
+
+// A clean shutdown leaves nothing to re-run.  Store hits reach their
+// terminal state within microseconds of admission, the tightest race
+// between a job's ADMIT and COMPLETE records: a COMPLETE journaled ahead
+// of its ADMIT is dropped by replay, and the restart re-queues a job its
+// client already saw done.  1,001 jobs stay under the journal's
+// keep_terminal of 1,024, so compaction drops none of them.
+TEST(ServiceDaemon, CleanRestartRequeuesNothing) {
+  const std::string state_dir = test_state_dir("clean_restart");
+  DaemonOptions options;
+  options.queue_capacity = 1024;
+  options.jobs = 2;
+  options.state_dir = state_dir;
+  options.socket_path = test_socket_path("clean_restart1");
+  constexpr int kClients = 4;
+  constexpr int kHitsPerClient = 250;
+  std::vector<std::int64_t> ids;
+  {
+    ServiceDaemon daemon(options);
+    daemon.start();
+    std::thread waiter([&] { daemon.wait(); });
+    Client client(options.socket_path);
+    const std::int64_t computed = client.submit(cheap_spec("restart"));
+    EXPECT_EQ(client.result(computed, true).at("state").as_string(), "done");
+    ids.push_back(computed);
+
+    std::vector<std::vector<std::int64_t>> hits(kClients);
+    std::vector<std::thread> submitters;
+    for (int c = 0; c < kClients; ++c) {
+      submitters.emplace_back([&, c] {
+        Client submitter(options.socket_path);
+        for (int i = 0; i < kHitsPerClient; ++i) {
+          const std::int64_t id = submitter.submit(cheap_spec("restart"));
+          submitter.result(id, /*wait=*/true);
+          hits[static_cast<std::size_t>(c)].push_back(id);
+        }
+      });
+    }
+    for (std::thread& t : submitters) t.join();
+    for (const auto& line : hits) {
+      ids.insert(ids.end(), line.begin(), line.end());
+    }
+    EXPECT_EQ(client.stats().at("store").at("hits").as_int(),
+              kClients * kHitsPerClient);
+    client.shutdown();
+    waiter.join();
+  }
+  ASSERT_EQ(ids.size(), 1u + kClients * kHitsPerClient);
+
+  options.socket_path = test_socket_path("clean_restart2");
+  ServiceDaemon daemon(options);
+  daemon.start();
+  const QueueStats stats = daemon.queue().stats();
+  EXPECT_EQ(stats.recovered, 0);
+  EXPECT_EQ(stats.completed, static_cast<std::int64_t>(ids.size()));
+  int not_done = 0;
+  for (const std::int64_t id : ids) {
+    const auto snap = daemon.queue().snapshot(id);
+    if (!snap.has_value() || snap->state != JobState::kDone) ++not_done;
+  }
+  EXPECT_EQ(not_done, 0);
+  daemon.request_shutdown();
+  daemon.wait();
+  std::filesystem::remove_all(state_dir);
+}
+
+/// Each record's (type, job id) in file order, read straight from the
+/// bytes: Journal::open() would fold and compact them.
+std::vector<std::pair<JournalRecordType, std::int64_t>> journal_records(
+    const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto be = [&](std::size_t at, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v = (v << 8) | static_cast<unsigned char>(data[at + i]);
+    }
+    return v;
+  };
+  std::vector<std::pair<JournalRecordType, std::int64_t>> records;
+  // 8-byte file magic, then u32 body length | u32 crc | u8 type | u64 id.
+  for (std::size_t at = 8; at + 17 <= data.size(); at += 8 + be(at, 4)) {
+    records.emplace_back(static_cast<JournalRecordType>(be(at + 8, 1)),
+                         static_cast<std::int64_t>(be(at + 9, 8)));
+  }
+  return records;
+}
+
+// JOURNAL ORDER: the queue writes every transition record itself, so each
+// job's records follow its transitions, and a late result that loses to
+// the watchdog writes nothing.
+TEST(AdmissionQueue, JournalsEachTransitionInOrder) {
+  using Type = JournalRecordType;
+  const std::string dir = test_state_dir("queue_journal");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/journal.bin";
+  std::int64_t done = 0, failed = 0, cancelled = 0, late = 0;
+  {
+    Journal journal(JournalOptions{.path = path});
+    journal.open();
+    AdmissionQueue queue(8, &journal);
+    std::string error;
+    bool retryable = false;
+    done = queue.submit(1, cheap_spec("done"), error, retryable);
+    failed = queue.submit(2, cheap_spec("failed"), error, retryable);
+    cancelled = queue.submit(1, cheap_spec("cancelled"), error, retryable);
+    EXPECT_TRUE(queue.cancel(cancelled, error));
+    const auto batch = queue.pop_batch(4, [] { return 100.0; });
+    ASSERT_EQ(batch.size(), 2u);
+    const auto& done_job = batch[0]->id == done ? batch[0] : batch[1];
+    const auto& failed_job = batch[0]->id == done ? batch[1] : batch[0];
+    EXPECT_TRUE(queue.finish(
+        done_job, JobOutcome::done(dummy_result(done_job->spec)), 1));
+    EXPECT_TRUE(queue.finish(
+        failed_job, JobOutcome::failed("EXEC_ERROR", "boom"), 1));
+
+    late = queue.submit(3, cheap_spec("late"), error, retryable);
+    const auto overdue = queue.pop_batch(1, [] { return 100.0; });
+    ASSERT_EQ(overdue.size(), 1u);
+    EXPECT_EQ(queue.expire_overdue(5200.0, 5000.0).size(), 1u);
+    const std::int64_t appends = journal.stats().appends;
+    EXPECT_FALSE(queue.finish(
+        overdue[0], JobOutcome::done(dummy_result(overdue[0]->spec)), 9.0));
+    EXPECT_EQ(journal.stats().appends, appends);
+    queue.stop();
+  }
+
+  std::map<std::int64_t, std::vector<Type>> by_job;
+  for (const auto& [type, id] : journal_records(path)) {
+    by_job[id].push_back(type);
+  }
+  const std::vector<Type> ran = {Type::kAdmit, Type::kDispatch,
+                                 Type::kComplete};
+  EXPECT_EQ(by_job[done], ran);
+  EXPECT_EQ(by_job[failed], ran);
+  EXPECT_EQ(by_job[late], ran);
+  EXPECT_EQ(by_job[cancelled],
+            (std::vector<Type>{Type::kAdmit, Type::kCancel}));
+  EXPECT_EQ(by_job.size(), 4u);
+
+  // Replay folds the same file into each job's outcome; a done job's
+  // COMPLETE names its store key.
+  Journal reopened(JournalOptions{.path = path});
+  const JournalReplay replay = reopened.open();
+  ASSERT_EQ(replay.jobs.size(), 4u);
+  std::map<std::int64_t, ReplayedJob> replayed;
+  for (const ReplayedJob& job : replay.jobs) replayed.emplace(job.id, job);
+  EXPECT_EQ(replayed[done].outcome, ReplayedJob::Outcome::kDone);
+  EXPECT_EQ(replayed[done].store_key,
+            to_hex(fingerprint_bytes(cheap_spec("done").canonical_json())));
+  EXPECT_EQ(replayed[failed].error_code, "EXEC_ERROR");
+  EXPECT_EQ(replayed[cancelled].outcome, ReplayedJob::Outcome::kCancelled);
+  EXPECT_EQ(replayed[late].error_code, "JOB_TIMEOUT");
+  EXPECT_EQ(replayed[late].dispatches, 1);
+  reopened.close();
+  std::filesystem::remove_all(dir);
+}
+
+/// While alive, no file of this process may grow past `path`'s current
+/// size: the journal's next write fails with EFBIG, as on a full disk.
+class JournalFull {
+ public:
+  explicit JournalFull(const std::string& path) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved_;
+    cap.rlim_cur = static_cast<rlim_t>(std::filesystem::file_size(path));
+    ::setrlimit(RLIMIT_FSIZE, &cap);
+  }
+  ~JournalFull() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = nullptr;
+};
+
+// A transition whose record cannot be written does not happen: the append
+// error reaches the caller and the queue is as it was.
+TEST(AdmissionQueue, FailedAppendLeavesTheTransitionUndone) {
+  const std::string dir = test_state_dir("queue_append_error");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/journal.bin";
+  Journal journal(JournalOptions{.path = path});
+  journal.open();
+  AdmissionQueue queue(8, &journal);
+  std::string error;
+  bool retryable = false;
+  queue.submit(1, cheap_spec("running"), error, retryable);
+  const auto running = queue.pop_batch(1);
+  ASSERT_EQ(running.size(), 1u);
+  const std::int64_t queued =
+      queue.submit(2, cheap_spec("queued"), error, retryable);
+  {
+    const JournalFull full(path);
+    EXPECT_THROW(queue.submit(1, cheap_spec("refused"), error, retryable),
+                 sdpm::Error);
+    EXPECT_THROW(queue.cancel(queued, error), sdpm::Error);
+    EXPECT_THROW(queue.pop_batch(4), sdpm::Error);
+    EXPECT_THROW(queue.finish(running[0],
+                              JobOutcome::done(dummy_result(running[0]->spec)),
+                              1.0),
+                 sdpm::Error);
+  }
+  QueueStats stats = queue.stats();
+  EXPECT_EQ(stats.submitted, 2);
+  EXPECT_EQ(stats.depth, 1u);
+  EXPECT_EQ(stats.running, 1u);
+  EXPECT_EQ(stats.cancelled, 0);
+  EXPECT_EQ(queue.snapshot(queued)->state, JobState::kQueued);
+  EXPECT_EQ(running[0]->state, JobState::kRunning);
+  EXPECT_EQ(journal.stats().appends, 3);
+
+  // With the disk writable again the same transitions go through, and
+  // the refused admission consumed no id.
+  EXPECT_EQ(queue.submit(1, cheap_spec("admitted"), error, retryable), 3);
+  const auto popped = queue.pop_batch(4);
+  ASSERT_EQ(popped.size(), 2u);
+  // The rotation resumes after session 1, as if the refused pop had not
+  // happened.
+  EXPECT_EQ(popped[0]->id, queued);
+  EXPECT_EQ(popped[1]->id, 3);
+  EXPECT_TRUE(queue.finish(running[0],
+                           JobOutcome::done(dummy_result(running[0]->spec)),
+                           1.0));
+  queue.stop();
+  journal.close();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceDaemon, QuarantinesPoisonJobsAtRecovery) {
@@ -1064,6 +1357,77 @@ TEST(ServiceDaemon, StatsReportJournalCounters) {
     client.shutdown();
   }
   waiter.join();
+  std::filesystem::remove_all(state_dir);
+}
+
+// The status op reads the job table without waiting.
+TEST(ServiceDaemon, StatusReportsQueuedThenDone) {
+  DaemonOptions options;
+  options.socket_path = test_socket_path("status");
+  options.jobs = 1;
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    Client client(options.socket_path);
+    daemon.queue().pause(true);
+    const std::int64_t id = client.submit(cheap_spec("status"));
+    const Json queued = client.status(id);
+    EXPECT_EQ(queued.at("id").as_int(), id);
+    EXPECT_EQ(queued.at("label").as_string(), "status");
+    EXPECT_EQ(queued.at("state").as_string(), "queued");
+    EXPECT_FALSE(queued.contains("result"));
+
+    daemon.queue().pause(false);
+    client.result(id, /*wait=*/true);
+    const Json done = client.status(id);
+    EXPECT_EQ(done.at("state").as_string(), "done");
+    EXPECT_TRUE(done.contains("result"));
+    EXPECT_THROW(client.status(id + 100), sdpm::Error);
+    client.shutdown();
+  }
+  waiter.join();
+}
+
+// --telemetry-dump: the periodic file always parses, and the snapshot
+// written at shutdown has seen every job.
+TEST(ServiceDaemon, TelemetryDumpCountsEveryJob) {
+  const std::string state_dir = test_state_dir("telemetry_dump");
+  std::filesystem::create_directories(state_dir);
+  DaemonOptions options;
+  options.socket_path = test_socket_path("telemetry_dump");
+  options.jobs = 2;
+  options.telemetry_dump = state_dir + "/telemetry.json";
+  options.telemetry_interval_ms = 10;
+  const auto read_dump = [&] {
+    std::ifstream in(options.telemetry_dump);
+    std::stringstream text;
+    text << in.rdbuf();
+    return Json::parse(text.str());
+  };
+  constexpr int kJobs = 3;
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    Client client(options.socket_path);
+    for (int i = 0; i < kJobs; ++i) {
+      client.result(client.submit(cheap_spec("dump-" + std::to_string(i))),
+                    /*wait=*/true);
+    }
+    for (int spin = 0; spin < 500; ++spin) {
+      if (std::filesystem::exists(options.telemetry_dump)) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    const bool dumped = std::filesystem::exists(options.telemetry_dump);
+    EXPECT_TRUE(dumped);
+    if (dumped) {
+      EXPECT_TRUE(read_dump().at("stages").contains("e2e"));
+    }
+    client.shutdown();
+  }
+  waiter.join();
+  EXPECT_EQ(read_dump().at("stages").at("e2e").at("count").as_int(), kJobs);
   std::filesystem::remove_all(state_dir);
 }
 

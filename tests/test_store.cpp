@@ -23,19 +23,33 @@ std::string temp_store(const char* tag) {
 }
 
 TEST(StoreKey, HexRoundTrips) {
-  const StoreKey key{0x0123456789abcdefull, 0xfedcba9876543210ull};
-  EXPECT_EQ(key.hex(), "0123456789abcdeffedcba9876543210");
-  const auto parsed = StoreKey::from_hex(key.hex());
+  const ContentKey key{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  EXPECT_EQ(to_hex(key), "0123456789abcdeffedcba9876543210");
+  const auto parsed = content_key_from_hex(to_hex(key));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, key);
+  EXPECT_EQ(content_key_from_hex("0123456789ABCDEFFEDCBA9876543210"), key);
 
-  EXPECT_FALSE(StoreKey::from_hex("too-short").has_value());
-  EXPECT_FALSE(StoreKey::from_hex(std::string(32, 'g')).has_value());
+  EXPECT_FALSE(content_key_from_hex("too-short").has_value());
+  EXPECT_FALSE(content_key_from_hex(std::string(32, 'g')).has_value());
+}
+
+// Store file names and the journal's COMPLETE records carry this spelling,
+// so entries written by an earlier build must keep resolving.
+TEST(StoreKey, HexSpellingIsPinned) {
+  EXPECT_EQ(to_hex(fingerprint_bytes("job-1")),
+            "e7b8934acc580469653ce345a43e0ea5");
+  const std::string dir = temp_store("spelling");
+  PersistentStore store(StoreOptions{.directory = dir});
+  store.put(fingerprint_bytes("job-1"), "payload");
+  EXPECT_TRUE(
+      fs::exists(dir + "/objects/e7b8934acc580469653ce345a43e0ea5.bin"));
+  fs::remove_all(dir);
 }
 
 TEST(StoreKey, FingerprintSeparatesInputs) {
-  const StoreKey a = fingerprint_bytes("{\"benchmark\":\"galgel\"}");
-  const StoreKey b = fingerprint_bytes("{\"benchmark\":\"mesa\"}");
+  const ContentKey a = fingerprint_bytes("{\"benchmark\":\"galgel\"}");
+  const ContentKey b = fingerprint_bytes("{\"benchmark\":\"mesa\"}");
   EXPECT_NE(a, b);
   EXPECT_EQ(a, fingerprint_bytes("{\"benchmark\":\"galgel\"}"));
   // Length is mixed in: a prefix does not collide with its extension.
@@ -46,7 +60,7 @@ TEST(StoreKey, FingerprintSeparatesInputs) {
 TEST(PersistentStore, RoundTripsAndCountsHits) {
   const std::string dir = temp_store("roundtrip");
   PersistentStore store(StoreOptions{.directory = dir});
-  const StoreKey key = fingerprint_bytes("job-1");
+  const ContentKey key = fingerprint_bytes("job-1");
 
   EXPECT_FALSE(store.get(key).has_value());
   store.put(key, "payload-1");
@@ -68,7 +82,7 @@ TEST(PersistentStore, RoundTripsAndCountsHits) {
 
 TEST(PersistentStore, EntriesSurviveReopen) {
   const std::string dir = temp_store("reopen");
-  const StoreKey key = fingerprint_bytes("durable-job");
+  const ContentKey key = fingerprint_bytes("durable-job");
   {
     PersistentStore store(StoreOptions{.directory = dir});
     store.put(key, "survives the restart");
@@ -83,13 +97,13 @@ TEST(PersistentStore, EntriesSurviveReopen) {
 
 TEST(PersistentStore, CorruptEntryIsQuarantinedAndMissed) {
   const std::string dir = temp_store("corrupt");
-  const StoreKey key = fingerprint_bytes("rot-victim");
+  const ContentKey key = fingerprint_bytes("rot-victim");
   {
     PersistentStore store(StoreOptions{.directory = dir});
     store.put(key, "about to rot");
   }
   // Flip a payload bit on disk.
-  const fs::path object = fs::path(dir) / "objects" / (key.hex() + ".bin");
+  const fs::path object = fs::path(dir) / "objects" / (to_hex(key) + ".bin");
   ASSERT_TRUE(fs::exists(object));
   {
     std::fstream file(object, std::ios::binary | std::ios::in | std::ios::out);
@@ -108,7 +122,8 @@ TEST(PersistentStore, CorruptEntryIsQuarantinedAndMissed) {
   EXPECT_EQ(stats.entries, 0u);
   // The bad bytes are preserved for forensics, out of the object namespace.
   EXPECT_FALSE(fs::exists(object));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "objects" / (key.hex() + ".corrupt")));
+  EXPECT_TRUE(
+      fs::exists(fs::path(dir) / "objects" / (to_hex(key) + ".corrupt")));
   // A fresh put under the same key works again.
   reopened.put(key, "recomputed");
   EXPECT_EQ(*reopened.get(key), "recomputed");
@@ -119,9 +134,9 @@ TEST(PersistentStore, EvictsLeastRecentlyUsedAtBudget) {
   const std::string dir = temp_store("lru");
   // Budget fits exactly two 8-byte payloads.
   PersistentStore store(StoreOptions{.directory = dir, .max_bytes = 16});
-  const StoreKey a = fingerprint_bytes("a");
-  const StoreKey b = fingerprint_bytes("b");
-  const StoreKey c = fingerprint_bytes("c");
+  const ContentKey a = fingerprint_bytes("a");
+  const ContentKey b = fingerprint_bytes("b");
+  const ContentKey c = fingerprint_bytes("c");
   store.put(a, "payloadA");
   store.put(b, "payloadB");
   EXPECT_TRUE(store.get(a).has_value());  // a is now more recent than b
