@@ -107,9 +107,8 @@ std::vector<JobResult> Session::run_batch(const std::vector<JobSpec>& specs) {
     cells.push_back(std::move(cell));
   }
 
-  experiments::SweepEngine engine(options_.jobs);
-  engine.set_tracer(options_.sweep_tracer);
-  const std::vector<experiments::SweepCellResult> sweep = engine.run(cells);
+  const std::vector<experiments::SweepCellResult> sweep =
+      experiments::SweepEngine(options_.jobs).run(cells);
 
   std::vector<JobResult> results;
   results.reserve(specs.size());

@@ -38,9 +38,6 @@ struct SessionOptions {
   /// process state, and a Session only opts out, it does not override
   /// another component's opt-out).
   bool use_cache = true;
-  /// Cell-lifecycle tracer for batched runs (not owned; see
-  /// SweepEngine::set_tracer).
-  obs::EventTracer* sweep_tracer = nullptr;
 };
 
 /// Per-run observability hooks for run(): attach `replay_tracer` to the

@@ -3,14 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
 
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "util/once.h"
 #include "util/thread_pool.h"
 
@@ -34,24 +29,6 @@ std::vector<SweepCellResult> SweepEngine::run(
   std::vector<CellState> state(cells.size());
   std::vector<std::function<void()>> tasks;
 
-  // Worker-lane bookkeeping for the optional cell-lifecycle tracing: the
-  // first task a pool thread runs claims the next dense lane index.
-  obs::EventTracer* tracer = obs::effective_tracer(tracer_);
-  const auto run_started = std::chrono::steady_clock::now();
-  std::mutex lane_mutex;
-  std::map<std::thread::id, int> lanes;
-  const auto wall_ms = [run_started] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - run_started)
-        .count();
-  };
-  const auto lane_of = [&lane_mutex, &lanes] {
-    std::lock_guard lock(lane_mutex);
-    return lanes.emplace(std::this_thread::get_id(),
-                         static_cast<int>(lanes.size()))
-        .first->second;
-  };
-
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const SweepCell& cell = cells[c];
     const std::vector<Scheme> schemes =
@@ -61,22 +38,8 @@ std::vector<SweepCellResult> SweepEngine::run(
 
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       const Scheme scheme = schemes[s];
-      tasks.push_back([&cells, &results, &state, c, s, scheme, tracer,
-                       &wall_ms, &lane_of] {
+      tasks.push_back([&cells, &results, &state, c, s, scheme] {
         const auto started = std::chrono::steady_clock::now();
-        std::string task_label;
-        int lane = 0;
-        if (tracer != nullptr) {
-          task_label = cells[c].label + "/" + to_string(scheme);
-          lane = lane_of();
-          obs::Event ev;
-          ev.kind = obs::EventKind::kCellBegin;
-          ev.t0 = wall_ms();
-          ev.t1 = ev.t0;
-          ev.value = lane;
-          ev.label = task_label.c_str();
-          tracer->emit(ev);
-        }
         CellState& st = state[c];
         st.once.call([&] {
           st.runner = std::make_unique<Runner>(cells[c].benchmark,
@@ -88,15 +51,6 @@ std::vector<SweepCellResult> SweepEngine::run(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - started);
         st.task_us.fetch_add(us.count(), std::memory_order_relaxed);
-        if (tracer != nullptr) {
-          obs::Event ev;
-          ev.kind = obs::EventKind::kCellEnd;
-          ev.t0 = wall_ms();
-          ev.t1 = ev.t0;
-          ev.value = lane;
-          ev.label = task_label.c_str();
-          tracer->emit(ev);
-        }
       });
     }
   }

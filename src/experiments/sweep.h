@@ -48,13 +48,6 @@ class SweepEngine {
   /// `jobs == 0` uses default_jobs() (SDPM_JOBS / --jobs / hardware).
   explicit SweepEngine(unsigned jobs = 0);
 
-  /// Attach an observability tracer (not owned).  The engine emits a
-  /// kCellBegin/kCellEnd pair per (cell, scheme) task, timestamped in wall
-  /// milliseconds since run() started and tagged with a dense worker-lane
-  /// index — a utilization timeline of the pool, not a deterministic
-  /// artifact (unlike everything the simulator emits).
-  void set_tracer(obs::EventTracer* tracer) { tracer_ = tracer; }
-
   /// Evaluate every cell; results are ordered exactly as `cells`, with
   /// each cell's results in its scheme order.  Each cell also counts into
   /// the metrics registry ("sweep.cells_completed", and its wall time into
@@ -65,7 +58,6 @@ class SweepEngine {
 
  private:
   unsigned jobs_;
-  obs::EventTracer* tracer_ = nullptr;
 };
 
 /// Convenience: one cell per benchmark, all seven schemes, shared config.

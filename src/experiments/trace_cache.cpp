@@ -1,24 +1,17 @@
 #include "experiments/trace_cache.h"
 
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 
 namespace sdpm::experiments {
 
 namespace {
 
-void note_lookup(obs::EventTracer* tracer, bool hit) {
+void note_lookup(bool hit) {
   static obs::MetricsRegistry::Counter& hits =
       obs::MetricsRegistry::global().counter("trace_cache.hits");
   static obs::MetricsRegistry::Counter& misses =
       obs::MetricsRegistry::global().counter("trace_cache.misses");
   (hit ? hits : misses).fetch_add(1, std::memory_order_relaxed);
-  if (tracer != nullptr) {
-    obs::Event ev;
-    ev.kind = hit ? obs::EventKind::kCacheHit : obs::EventKind::kCacheMiss;
-    ev.label = "trace_cache";
-    tracer->emit(ev);
-  }
 }
 
 }  // namespace
@@ -70,7 +63,7 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
     const auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      note_lookup(tracer_, /*hit=*/true);
+      note_lookup(/*hit=*/true);
       return it->second->trace;
     }
   }
@@ -84,7 +77,7 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
 
   std::lock_guard lock(mutex_);
   if (!enabled_) return trace;
-  note_lookup(tracer_, /*hit=*/false);
+  note_lookup(/*hit=*/false);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -98,11 +91,6 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
     lru_.pop_back();
   }
   return trace;
-}
-
-void TraceCache::set_tracer(obs::EventTracer* tracer) {
-  std::lock_guard lock(mutex_);
-  tracer_ = obs::effective_tracer(tracer);
 }
 
 void TraceCache::set_enabled(bool enabled) {

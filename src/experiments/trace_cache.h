@@ -36,10 +36,6 @@
 #include "trace/request.h"
 #include "util/fingerprint.h"
 
-namespace sdpm::obs {
-class EventTracer;
-}
-
 namespace sdpm::experiments {
 
 /// 128-bit content fingerprint of a (program, layout, options) triple.
@@ -69,10 +65,6 @@ class TraceCache {
       const ir::Program& program, const layout::LayoutTable& layout,
       const trace::GeneratorOptions& options);
 
-  /// Attach an observability tracer (not owned, nullptr detaches): lookups
-  /// then emit kCacheHit / kCacheMiss events labelled "trace_cache".
-  void set_tracer(obs::EventTracer* tracer);
-
   /// Toggle caching (enabled by default).  Disabling also clears the cache
   /// and bypasses the process-wide access memo, so benchmarks of the
   /// uncached path start cold and walk on every call.
@@ -91,7 +83,6 @@ class TraceCache {
   };
 
   mutable std::mutex mutex_;
-  obs::EventTracer* tracer_ = nullptr;
   bool enabled_ = true;
   std::size_t capacity_;
   std::list<Entry> lru_;  // front = most recently used

@@ -2,11 +2,10 @@
 //
 // Every event is timestamped in *simulated* milliseconds (the replay's
 // app/disk clocks), never wall-clock time, so a fixed-seed run produces a
-// byte-identical event stream on every machine.  The one exception is the
-// sweep-cell lifecycle pair, whose timestamps are wall milliseconds since
-// the sweep started (cells run on pool workers; there is no shared
-// simulated clock across cells) — consumers that require determinism
-// should ignore those two kinds.
+// byte-identical event stream on every machine.  The one exception is
+// kServiceStage, stamped in wall milliseconds since the daemon started
+// (the service layer has no simulated clock) — consumers that require
+// determinism should ignore that kind.
 //
 // Event is a flat POD rather than a variant: the tracer fast path copies
 // it by value, sinks switch on `kind`, and unused fields stay at their
@@ -58,23 +57,16 @@ enum class EventKind {
   /// delta was `value`; `label` is "raise", "lower" or "hold", and
   /// `level` is the resulting target level.
   kRpmWindow,
-  /// A content-keyed cache lookup (`label` names the cache) hit or missed.
-  kCacheHit,
-  kCacheMiss,
-  /// Sweep-cell task lifecycle: `label` is "cell/scheme", `value` is the
-  /// dense worker-lane index, t0 is wall ms since the sweep started.
-  kCellBegin,
-  kCellEnd,
   /// Scoped span delimiters (`label` names the span), e.g. one "run" span
   /// wrapping each simulation on the simulated clock.
   kSpanBegin,
   kSpanEnd,
   /// One service-lifecycle stage of a daemon job: [t0, t1] are wall ms
-  /// since the daemon started (like the sweep-cell pair, there is no
-  /// simulated clock at the service layer), `label` is the stage
-  /// ("queued", "eval", ...), `value` is the job id and `level` the
-  /// client lane.  Carries `trace_id` so the wall-time service lane can
-  /// be stitched to the simulated-time disk tracks of the same job.
+  /// since the daemon started (there is no simulated clock at the service
+  /// layer), `label` is the stage ("queued", "eval", ...), `value` is the
+  /// job id and `level` the client lane.  Carries `trace_id` so the
+  /// wall-time service lane can be stitched to the simulated-time disk
+  /// tracks of the same job.
   kServiceStage,
 };
 

@@ -125,26 +125,6 @@ void ChromeTraceSink::on_event(const Event& e) {
                       tid, ts_us(e.t0).c_str(), escape(e.label).c_str(),
                       num(e.value).c_str(), e.level));
       break;
-    case EventKind::kCacheHit:
-    case EventKind::kCacheMiss:
-      app_track_ = true;
-      push(str_printf("{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":%s,"
-                      "\"s\":\"t\",\"name\":\"%s:%s\",\"cat\":\"cache\","
-                      "\"args\":{}}",
-                      ts_us(e.t0).c_str(), to_string(e.kind),
-                      escape(e.label).c_str()));
-      break;
-    case EventKind::kCellBegin:
-    case EventKind::kCellEnd: {
-      const int lane = static_cast<int>(e.value);
-      sweep_tids_.insert(lane);
-      push(str_printf("{\"ph\":\"%s\",\"pid\":2,\"tid\":%d,\"ts\":%s,"
-                      "\"name\":\"%s\",\"cat\":\"sweep\"}",
-                      e.kind == EventKind::kCellBegin ? "B" : "E",
-                      1000 + lane, ts_us(e.t0).c_str(),
-                      escape(e.label).c_str()));
-      break;
-    }
     case EventKind::kSpanBegin:
     case EventKind::kSpanEnd:
       app_track_ = true;
@@ -198,17 +178,6 @@ void ChromeTraceSink::close() {
                          "\"name\":\"thread_name\","
                          "\"args\":{\"name\":\"disk %d\"}}",
                          tid, tid - 1));
-  }
-  if (!sweep_tids_.empty()) {
-    emit_line("{\"ph\":\"M\",\"pid\":2,\"tid\":1000,"
-              "\"name\":\"process_name\","
-              "\"args\":{\"name\":\"sweep (wall time)\"}}");
-    for (const int lane : sweep_tids_) {
-      emit_line(str_printf("{\"ph\":\"M\",\"pid\":2,\"tid\":%d,"
-                           "\"name\":\"thread_name\","
-                           "\"args\":{\"name\":\"worker %d\"}}",
-                           1000 + lane, lane));
-    }
   }
   if (!service_tids_.empty()) {
     emit_line("{\"ph\":\"M\",\"pid\":3,\"tid\":3000,"

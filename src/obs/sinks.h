@@ -38,12 +38,10 @@ class JsonlSink final : public EventSink {
 /// Track layout: pid 1 is the simulation in *simulated* time — tid 0 is
 /// the application track (run spans), tid d+1 is disk d (state segments
 /// and services as complete events, directives/faults/decisions as instant
-/// events).  pid 2 is the sweep in wall time — one track per worker lane
-/// carrying cell begin/end pairs.  pid 3 is the service in wall time — one
-/// track per client lane carrying job lifecycle stages, each stamped with
-/// the client's trace_id so it can be stitched to the pid-1 simulated-time
-/// run of the same job.  Thread-name metadata for every track is emitted
-/// on close.
+/// events).  pid 3 is the service in wall time — one track per client lane
+/// carrying job lifecycle stages, each stamped with the client's trace_id
+/// so it can be stitched to the pid-1 simulated-time run of the same job.
+/// Thread-name metadata for every track is emitted on close.
 class ChromeTraceSink final : public EventSink {
  public:
   explicit ChromeTraceSink(std::ostream& os) : os_(os) {}
@@ -57,7 +55,6 @@ class ChromeTraceSink final : public EventSink {
   std::ostream& os_;
   std::vector<std::string> events_;
   std::set<int> disk_tids_;     ///< disk tracks seen (tid = disk + 1)
-  std::set<int> sweep_tids_;    ///< sweep worker lanes seen
   std::set<int> service_tids_;  ///< service client lanes seen (pid 3)
   bool app_track_ = false;    ///< tid 0 used (spans / global events)
   bool closed_ = false;

@@ -22,14 +22,6 @@ const char* to_string(EventKind kind) {
       return "break_even";
     case EventKind::kRpmWindow:
       return "rpm_window";
-    case EventKind::kCacheHit:
-      return "cache_hit";
-    case EventKind::kCacheMiss:
-      return "cache_miss";
-    case EventKind::kCellBegin:
-      return "cell_begin";
-    case EventKind::kCellEnd:
-      return "cell_end";
     case EventKind::kSpanBegin:
       return "span_begin";
     case EventKind::kSpanEnd:

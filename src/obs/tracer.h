@@ -8,8 +8,9 @@
 // observe; they can never steer the replay).
 //
 // emit() is serialized by a mutex: a tracer may be shared by concurrent
-// sweep workers.  Within one simulation emission order is the replay
-// order, which is what makes the exported streams deterministic.
+// threads (the daemon's connection handlers and workers).  Within one
+// simulation emission order is the replay order, which is what makes the
+// exported streams deterministic.
 #pragma once
 
 #include <cstdint>

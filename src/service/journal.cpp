@@ -227,14 +227,14 @@ JournalReplay Journal::open() {
   }
 
   // Compact: rewrite live state (incomplete jobs, plus the newest
-  // keep_terminal terminal jobs) atomically, then open for append.
+  // kTerminalJobsKept terminal jobs) atomically, then open for append.
   std::size_t terminal_count = 0;
   for (const ReplayedJob& job : replay.jobs) {
     if (job.outcome != ReplayedJob::Outcome::kIncomplete) ++terminal_count;
   }
   std::size_t drop_terminal =
-      terminal_count > options_.keep_terminal
-          ? terminal_count - options_.keep_terminal
+      terminal_count > kTerminalJobsKept
+          ? terminal_count - kTerminalJobsKept
           : 0;  // jobs are in admission order: drop the oldest first
 
   const std::string temp = options_.path + ".tmp";

@@ -28,15 +28,16 @@
 //     PersistentStore, addressed by the COMPLETE record's store key).
 //
 // open() replays, then COMPACTS: the file is atomically rewritten to hold
-// only live state (every incomplete job, and the most recent
-// keep_terminal terminal jobs), so the journal stays bounded across
-// restarts instead of growing forever.
+// only live state (every incomplete job, and the newest kTerminalJobsKept
+// terminal jobs), so the journal stays bounded across restarts instead of
+// growing forever.
 //
 // All appends are serialized by an internal mutex.  The AdmissionQueue
 // is the daemon's only writer: it appends inside its own critical
 // sections, so each job's records follow the order of its transitions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -45,6 +46,12 @@
 namespace sdpm::service {
 
 class ServiceTelemetry;
+
+/// Terminal jobs that stay queryable by id: the newest this many by id.
+/// The admission queue evicts older ones from its job table and the
+/// journal's compaction drops them, so an id gets the same answer before
+/// and after a restart.
+inline constexpr std::size_t kTerminalJobsKept = 1024;
 
 enum class JournalRecordType : std::uint8_t {
   kAdmit = 1,
@@ -79,9 +86,6 @@ struct JournalOptions {
   /// fsync after every append.  Off by default: the chaos model is a
   /// crashed/SIGKILLed daemon (page cache survives), not a power cut.
   bool fsync_each = false;
-  /// Terminal jobs kept through compaction, newest first; bounds the
-  /// journal across restarts while keeping recent results queryable.
-  std::size_t keep_terminal = 1024;
   /// When set (not owned), every append self-times into the
   /// journal_append stage (and the fsync portion into journal_fsync).
   ServiceTelemetry* telemetry = nullptr;

@@ -114,9 +114,9 @@ std::vector<std::shared_ptr<Job>> AdmissionQueue::pop_batch(
     job->dispatch_seq = next_dispatch_seq_++;
     job->started_ms = now_ms;
     ++job->runs;
+    running_.emplace(job->id, job);
   }
   queued_ -= batch.size();
-  running_ += batch.size();
   return batch;
 }
 
@@ -135,8 +135,18 @@ void AdmissionQueue::finish_locked(Job& job, JobOutcome outcome,
   job.error = std::move(outcome.error);
   job.error_code = std::move(outcome.error_code);
   job.wall_ms = wall_ms;
-  --running_;
+  running_.erase(job.id);
   ++(done ? completed_ : failed_);
+  evict_locked();
+}
+
+void AdmissionQueue::evict_locked() {
+  if (jobs_.size() - queued_ - running_.size() <= kTerminalJobsKept) return;
+  // Ids ascend: the first terminal entry is the oldest.  Only queued and
+  // running jobs, bounded by the capacity and the batches, come before it.
+  auto it = jobs_.begin();
+  while (!is_terminal(it->second->state)) ++it;
+  jobs_.erase(it);
 }
 
 bool AdmissionQueue::finish(const std::shared_ptr<Job>& job,
@@ -155,8 +165,9 @@ std::vector<std::shared_ptr<Job>> AdmissionQueue::expire_overdue(
     double now_ms, double timeout_ms) {
   std::lock_guard lock(mutex_);
   std::vector<std::shared_ptr<Job>> expired;
-  for (auto& [id, job] : jobs_) {
-    if (job->state != JobState::kRunning) continue;
+  for (auto it = running_.begin(); it != running_.end();) {
+    // Held by value: finish_locked erases the job's entry.
+    const std::shared_ptr<Job> job = (it++)->second;
     if (job->started_ms < 0) continue;  // dispatcher opted out of deadlines
     const double elapsed = now_ms - job->started_ms;
     if (elapsed <= timeout_ms) continue;
@@ -224,6 +235,7 @@ JobState AdmissionQueue::restore(const ReplayedJob& replayed,
     work_cv_.notify_all();
   }
   jobs_.emplace(job->id, job);
+  evict_locked();
   if (next_id_ <= job->id) next_id_ = job->id + 1;
   ++submitted_;
   return job->state;
@@ -257,6 +269,7 @@ bool AdmissionQueue::cancel(std::int64_t id, std::string& error) {
   job.state = JobState::kCancelled;
   --queued_;
   ++cancelled_;
+  evict_locked();  // may evict this job: `job` is not read below
   done_cv_.notify_all();
   work_cv_.notify_all();
   return true;
@@ -287,7 +300,7 @@ std::optional<JobSnapshot> AdmissionQueue::wait_terminal(std::int64_t id) {
   std::unique_lock lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return std::nullopt;
-  const std::shared_ptr<Job>& job = it->second;
+  const std::shared_ptr<Job> job = it->second;  // outlives an eviction
   done_cv_.wait(lock,
                 [this, &job] { return stopped_ || is_terminal(job->state); });
   return snapshot_locked(*job);
@@ -306,7 +319,7 @@ bool AdmissionQueue::draining() const {
 }
 
 bool AdmissionQueue::drained_locked() const {
-  return draining_ && queued_ == 0 && running_ == 0;
+  return draining_ && queued_ == 0 && running_.empty();
 }
 
 void AdmissionQueue::wait_drained() {
@@ -331,7 +344,7 @@ QueueStats AdmissionQueue::stats() const {
   std::lock_guard lock(mutex_);
   QueueStats stats;
   stats.depth = queued_;
-  stats.running = running_;
+  stats.running = running_.size();
   stats.capacity = capacity_;
   stats.submitted = submitted_;
   stats.completed = completed_;

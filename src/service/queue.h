@@ -16,8 +16,11 @@
 //   LIFECYCLE      every admitted job is exactly-once: it moves through
 //                  queued -> running -> done|failed, or queued ->
 //                  cancelled, and is handed to the dispatcher at most
-//                  once.  Terminal jobs stay queryable by id for the
-//                  daemon's lifetime.
+//                  once.  Queued and running jobs, and the newest
+//                  kTerminalJobsKept terminal jobs by id, stay queryable;
+//                  an older terminal job is evicted and its id answers
+//                  as unknown, as it does after a restart (the journal's
+//                  compaction keeps the same window).
 //
 // Draining (the SIGTERM path) closes admission — further submits are
 // rejected as non-retryable "draining" — while everything already
@@ -175,7 +178,8 @@ class AdmissionQueue {
 
   /// Fail every running job whose started_ms deadline has passed
   /// (now_ms - started_ms > timeout_ms) with a JOB_TIMEOUT error, through
-  /// the same terminal transition.  Returns the expired jobs.
+  /// the same terminal transition.  Walks the running jobs only.  Returns
+  /// the expired jobs.
   std::vector<std::shared_ptr<Job>> expire_overdue(double now_ms,
                                                    double timeout_ms);
 
@@ -202,7 +206,8 @@ class AdmissionQueue {
 
   /// Block until `id` reaches a terminal state (or the queue stops, in
   /// which case the job is returned in whatever state it is in).  Empty
-  /// optional for unknown ids.
+  /// optional for unknown ids.  The waiter holds the job itself, so it
+  /// reads the terminal state even when the job is evicted meanwhile.
   std::optional<JobSnapshot> wait_terminal(std::int64_t id);
 
   /// Close admission; already-admitted jobs still run.
@@ -225,19 +230,23 @@ class AdmissionQueue {
   JobSnapshot snapshot_locked(const Job& job) const;
   bool drained_locked() const;
   void finish_locked(Job& job, JobOutcome outcome, double wall_ms);
+  /// Evict the oldest terminal job once more than kTerminalJobsKept are
+  /// held; called after each transition to a terminal state.
+  void evict_locked();
 
   const std::size_t capacity_;
   Journal* const journal_;
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< dispatcher side
   std::condition_variable done_cv_;   ///< waiters: results, drain
-  std::map<std::int64_t, std::shared_ptr<Job>> jobs_;  ///< all ever admitted
+  /// Queued, running and the newest kTerminalJobsKept terminal jobs.
+  std::map<std::int64_t, std::shared_ptr<Job>> jobs_;
+  std::map<std::int64_t, std::shared_ptr<Job>> running_;
   std::map<std::uint64_t, std::deque<std::shared_ptr<Job>>> pending_;
   std::uint64_t rr_cursor_ = 0;  ///< session id the last pop ended at
   std::int64_t next_id_ = 1;
   std::int64_t next_dispatch_seq_ = 0;
   std::size_t queued_ = 0;
-  std::size_t running_ = 0;
   std::int64_t submitted_ = 0;
   std::int64_t completed_ = 0;
   std::int64_t failed_ = 0;

@@ -7,8 +7,8 @@
 // read once at report time.  DiskArrayState splits the two: the hot
 // scalars live here, packed contiguously and sized to the array's disk
 // count, while DiskUnit keeps the cold accounting.  A standalone DiskUnit
-// (tests, the multi-stream harness) owns a one-slot DiskArrayState of its
-// own, so the split is invisible outside the simulator.
+// (tests) owns a one-slot DiskArrayState of its own, so the split is
+// invisible outside the simulator.
 //
 // LevelTable caches the per-level physics the hot loop reads (idle/active
 // power, rotational latency, transfer rate, park powers, average seek

@@ -1,51 +1,11 @@
 #include "sim/multi_stream.h"
 
 #include <algorithm>
-#include <limits>
 
+#include "sim/replay.h"
 #include "util/error.h"
 
 namespace sdpm::sim {
-
-namespace {
-
-/// Closed-loop replay state of one stream.
-struct Stream {
-  const trace::Trace* trace = nullptr;
-  std::size_t next_request = 0;
-  std::size_t next_power = 0;
-  TimeMs compute_cursor = 0;  ///< position on the stream's compute timeline
-  TimeMs app_clock = 0;       ///< simulated wall clock of this stream
-  bool finished = false;
-
-  /// Compute-timeline timestamp of the next event (request or power call),
-  /// or the trailing compute end when both are exhausted.
-  TimeMs next_event_compute_time(bool* is_power) const {
-    const bool have_req = next_request < trace->requests.size();
-    const bool have_pow = next_power < trace->power_events.size();
-    if (have_pow &&
-        (!have_req || trace->power_events[next_power].app_time_ms <=
-                          trace->requests[next_request].arrival_ms)) {
-      *is_power = true;
-      return trace->power_events[next_power].app_time_ms;
-    }
-    if (have_req) {
-      *is_power = false;
-      return trace->requests[next_request].arrival_ms;
-    }
-    *is_power = false;
-    return trace->compute_total_ms;  // trailing compute only
-  }
-
-  /// Wall-clock time at which the next event becomes ready.
-  TimeMs ready_time() const {
-    bool is_power = false;
-    const TimeMs t = next_event_compute_time(&is_power);
-    return app_clock + std::max(0.0, t - compute_cursor);
-  }
-};
-
-}  // namespace
 
 MultiStreamReport simulate_streams(std::span<const trace::Trace> traces,
                                    const disk::DiskParameters& params,
@@ -53,93 +13,22 @@ MultiStreamReport simulate_streams(std::span<const trace::Trace> traces,
                                    std::span<const std::string> names,
                                    FaultConfig faults) {
   SDPM_REQUIRE(!traces.empty(), "need at least one stream");
-  const int disks = traces[0].total_disks;
-  for (const trace::Trace& t : traces) {
-    SDPM_REQUIRE(t.total_disks == disks,
-                 "all streams must share the disk array");
-  }
+  const int disks = traces.front().total_disks;
+  SDPM_REQUIRE(std::all_of(traces.begin(), traces.end(),
+                           [disks](const trace::Trace& t) {
+                             return t.total_disks == disks;
+                           }),
+               "all streams must share the disk array");
   faults.validate();
   FaultModel fault_model(faults);
-  FaultModel* fault_ptr = faults.enabled() ? &fault_model : nullptr;
+  // Every disk report carries its busy periods.
+  const SimOptions options{.capture_busy_periods = true};
 
-  std::vector<DiskUnit> units;
-  units.reserve(static_cast<std::size_t>(disks));
-  for (int d = 0; d < disks; ++d) units.emplace_back(params, d, fault_ptr);
-  for (DiskUnit& unit : units) policy.attach(unit);
-
-  MultiStreamReport report;
-  report.streams.resize(traces.size());
-  std::vector<Stream> streams(traces.size());
-  for (std::size_t s = 0; s < traces.size(); ++s) {
-    streams[s].trace = &traces[s];
-    report.streams[s].name =
-        s < names.size() ? names[s] : "stream" + std::to_string(s);
-    report.streams[s].compute_ms = traces[s].compute_total_ms;
-  }
-
-  // Event loop: always advance the stream whose next event is ready
-  // earliest in wall-clock time.  Serving a request only ever delays the
-  // served stream, so this greedy order is the global arrival order.
-  for (;;) {
-    std::size_t best = streams.size();
-    TimeMs best_ready = std::numeric_limits<TimeMs>::infinity();
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      if (streams[s].finished) continue;
-      const TimeMs ready = streams[s].ready_time();
-      if (ready < best_ready) {
-        best_ready = ready;
-        best = s;
-      }
-    }
-    if (best == streams.size()) break;  // all finished
-
-    Stream& stream = streams[best];
-    bool is_power = false;
-    const TimeMs event_compute = stream.next_event_compute_time(&is_power);
-    // Think up to the event.
-    stream.app_clock += std::max(0.0, event_compute - stream.compute_cursor);
-    stream.compute_cursor = std::max(stream.compute_cursor, event_compute);
-
-    if (is_power) {
-      const trace::PowerEvent& ev =
-          stream.trace->power_events[stream.next_power++];
-      SDPM_REQUIRE(ev.directive.disk >= 0 && ev.directive.disk < disks,
-                   "power event targets unknown disk");
-      policy.on_power_event(units[static_cast<std::size_t>(ev.directive.disk)],
-                            stream.app_clock, ev.directive);
-      continue;
-    }
-    if (stream.next_request < stream.trace->requests.size()) {
-      const trace::Request& req =
-          stream.trace->requests[stream.next_request++];
-      SDPM_REQUIRE(req.disk >= 0 && req.disk < disks,
-                   "request targets unknown disk");
-      DiskUnit& unit = units[static_cast<std::size_t>(req.disk)];
-      policy.before_service(unit, stream.app_clock);
-      const DiskUnit::ServeResult result = unit.serve(
-          stream.app_clock, req.start_sector, req.size_bytes, req.kind);
-      const TimeMs response = result.completion - stream.app_clock;
-      report.streams[best].response_ms.add(response);
-      ++report.streams[best].requests;
-      policy.after_service(unit, result.completion, response);
-      stream.app_clock = result.completion;  // blocking I/O
-      continue;
-    }
-    // Trailing compute consumed: the stream is done.
-    stream.finished = true;
-    report.streams[best].completion_ms = stream.app_clock;
-    report.makespan_ms = std::max(report.makespan_ms, stream.app_clock);
-  }
-
-  report.disks.reserve(units.size());
-  for (DiskUnit& unit : units) {
-    policy.finalize(unit, report.makespan_ms);
-    unit.finish(report.makespan_ms);
-    DiskReport dr = make_disk_report(unit);
-    report.total_energy += dr.breakdown.total_j();
-    report.disks.push_back(std::move(dr));
-  }
-  return report;
+  ReplayContext ctx;
+  ctx.params = &params;
+  ctx.options = &options;
+  ctx.faults = faults.enabled() ? &fault_model : nullptr;
+  return detail::replay_streams<PowerPolicy>(policy, ctx, traces, names);
 }
 
 }  // namespace sdpm::sim

@@ -4,12 +4,16 @@
 // several applications against the same disk array, which is the setting
 // the reactive DRPM scheme was originally designed for.  This simulator
 // replays several closed-loop traces concurrently: each stream computes,
-// blocks on its own requests, and contends with the other streams for the
-// shared disks (FIFO per disk).  Power policies see the merged request
+// blocks on its own requests (issued ahead by their prefetch leads, as in
+// the single-trace closed loop), and contends with the other streams for
+// the shared disks (FIFO per disk).  Power policies see the merged request
 // stream, so reactive schemes adapt to the combined load while
 // compiler-directed schedules — planned per program in isolation — reveal
 // how much interference their predictions tolerate
-// (`bench_ablation_multiprogram`).
+// (`bench_ablation_multiprogram`).  The streams run on the replay engine's
+// disk array and service step (sim/replay.h), through the generic
+// virtual-dispatch hooks; one stream replays bit for bit as `simulate`'s
+// closed loop does.
 #pragma once
 
 #include <span>

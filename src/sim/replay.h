@@ -1,31 +1,33 @@
 // Replay engine, templated over the concrete policy type.
 //
-// Both engines run THIS template:
+// Both engines run THIS template: replay_run<PowerPolicy>, the generic
+// engine whose every hook is a virtual call (wrapper and custom policies,
+// and simulate_streams), and replay_run<TpmPolicy> etc., the static
+// kernels the built-in final policies return from replay_kernel(), whose
+// hooks devirtualize and inline into the loop.  Being one template, the
+// two execute the same statements in the same order on the same doubles;
+// the equivalence suite pins their reports bit for bit.
 //
-//   replay_run<PowerPolicy>   the generic engine — PolicyT is the abstract
-//                             base, every hook is a virtual call (wrapper
-//                             and custom policies), and
-//   replay_run<TpmPolicy>     (etc.) the static kernels the built-in final
-//                             policies return from replay_kernel() — the
-//                             hooks devirtualize and inline into the loop.
-//
-// Because the two engines are one template instantiated twice, they
-// execute the same statements in the same order on the same doubles; the
-// equivalence suite pins the resulting reports bit for bit.
-//
-// The loops read the trace's requests and power events by index, merged
-// on the compute timeline (a power event wins a timestamp tie).  Each
-// item's target disk is checked as it is delivered, and per-disk hot
-// state is a DiskArrayState (structure of arrays, disk_state.h).
+// Every driver shares the item merge (ItemCursor) and the ReplayRig: one
+// DiskArrayState (disk_state.h) with the units as its slots, power-event
+// delivery and the per-request service step.  A driver decides only when
+// each item is due and how each application's clock moves: the closed
+// loop steps one Application, the open loop delivers every item at its
+// recorded timestamp, and replay_streams moves whichever of several
+// Applications is due first.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "obs/tracer.h"
 #include "sim/disk_state.h"
 #include "sim/disk_unit.h"
+#include "sim/multi_stream.h"
 #include "sim/policy.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -46,210 +48,242 @@ struct ReplayContext {
 
 namespace detail {
 
-/// Hand `trace`'s items to `on_power` and `on_request` in replay order:
-/// merged by compute-timeline timestamp, a power event winning a tie (it
-/// sits immediately before the iteration it annotates).  Every item's
-/// target disk is checked before delivery, so the handlers index
-/// unchecked.
-template <class OnPower, class OnRequest>
-void for_each_item(const trace::Trace& trace, OnPower&& on_power,
-                   OnRequest&& on_request) {
-  const std::vector<trace::Request>& requests = trace.requests;
-  const std::vector<trace::PowerEvent>& events = trace.power_events;
-  const int total_disks = trace.total_disks;
-  std::size_t pi = 0;
-  const auto deliver_power = [&] {
-    const trace::PowerEvent& ev = events[pi++];
-    const int d = ev.directive.disk;
-    SDPM_REQUIRE(d >= 0 && d < total_disks,
-                 "power event targets unknown disk");
-    on_power(ev);
-  };
-  for (const trace::Request& req : requests) {
-    while (pi < events.size() && events[pi].app_time_ms <= req.arrival_ms) {
-      deliver_power();
+/// One trace's items in replay order: requests and power events merged on
+/// the compute timeline, a power event winning a tie (it sits immediately
+/// before the iteration it annotates).  Every item's target disk is
+/// checked before delivery, so the handlers index unchecked.
+class ItemCursor {
+ public:
+  explicit ItemCursor(const trace::Trace& trace)
+      : req_(trace.requests.data()),
+        req_end_(req_ + trace.requests.size()),
+        ev_(trace.power_events.data()),
+        ev_end_(ev_ + trace.power_events.size()),
+        disks_(trace.total_disks),
+        compute_end_(trace.compute_total_ms) {}
+
+  /// Compute-timeline stamp of the next item; the trace's compute end once
+  /// every item is delivered.
+  TimeMs next_time() const {
+    if (power_next()) return ev_->app_time_ms;
+    return req_ != req_end_ ? req_->arrival_ms : compute_end_;
+  }
+
+  /// Hand the next item to `on_power` or `on_request`; false when every
+  /// item has been delivered.
+  template <class OnPower, class OnRequest>
+  bool deliver(OnPower&& on_power, OnRequest&& on_request) {
+    if (power_next()) {
+      const trace::PowerEvent& ev = *ev_++;
+      SDPM_REQUIRE(ev.directive.disk >= 0 && ev.directive.disk < disks_,
+                   "power event targets unknown disk");
+      on_power(ev);
+      return true;
     }
-    SDPM_REQUIRE(req.disk >= 0 && req.disk < total_disks,
+    if (req_ == req_end_) return false;
+    const trace::Request& req = *req_++;
+    SDPM_REQUIRE(req.disk >= 0 && req.disk < disks_,
                  "request targets unknown disk");
     on_request(req);
-  }
-  while (pi < events.size()) deliver_power();
-}
-
-/// Shared replay scaffolding: disk array + units + policy attachment.
-struct ReplayRig {
-  ReplayRig(const ReplayContext& ctx, int total_disks)
-      : state(total_disks, *ctx.params) {
-    units.reserve(static_cast<std::size_t>(total_disks));
-    for (int d = 0; d < total_disks; ++d) {
-      units.emplace_back(state, d, *ctx.params, d, ctx.faults);
-      units.back().set_tracer(ctx.tracer);
-      units.back().set_capture_busy(ctx.options->capture_busy_periods);
-    }
+    return true;
   }
 
-  DiskArrayState state;
-  std::vector<DiskUnit> units;
+ private:
+  bool power_next() const {
+    return ev_ != ev_end_ &&
+           (req_ == req_end_ || ev_->app_time_ms <= req_->arrival_ms);
+  }
+
+  const trace::Request* req_;
+  const trace::Request* req_end_;
+  const trace::PowerEvent* ev_;
+  const trace::PowerEvent* ev_end_;
+  int disks_;
+  TimeMs compute_end_;
 };
 
-/// Finalize energy at `end` and assemble the per-disk reports.
+/// The disk array every driver replays on, the policy attached to each
+/// unit, and the two steps every driver shares.
 template <class PolicyT>
-void finalize_report(PolicyT& policy, ReplayRig& rig, SimReport& report,
-                     TimeMs end) {
-  report.disks.reserve(rig.units.size());
-  for (DiskUnit& unit : rig.units) {
-    policy.finalize(unit, end);
-    unit.finish(end);
-    DiskReport dr = make_disk_report(unit);
-    report.total_energy += dr.breakdown.total_j();
-    report.disks.push_back(std::move(dr));
-  }
-}
-
-template <class PolicyT>
-SimReport replay_closed_loop(PolicyT& policy, const ReplayContext& ctx) {
-  const trace::Trace& trace = *ctx.trace;
-  obs::EventTracer* const tracer = ctx.tracer;
-  ReplayRig rig(ctx, trace.total_disks);
-  policy.set_tracer(tracer);
-  for (DiskUnit& unit : rig.units) policy.attach(unit);
-
-  SimReport report;
-  report.policy_name = policy.name();
-  obs::Span run_span(tracer, policy.name(), 0);
-
-  const TimeMs compute_total = trace.compute_total_ms;
-  TimeMs compute_cursor = 0;  // compute-timeline position
-  TimeMs app_clock = 0;       // real simulated time (compute + stalls)
-  TimeMs* const last_issue = rig.state.last_issue.data();
-  const bool capture_responses = ctx.options->capture_responses;
-
-  // Think time is the delta between consecutive compute-timeline stamps;
-  // a run of same-timestamp items advances nothing, so the guard below
-  // batches it away.  (The monotonicity assert matches the historical
-  // behavior in debug builds.)
-  const auto advance_app = [&](TimeMs compute_time) {
-    if (compute_time > compute_cursor) {
-      app_clock += compute_time - compute_cursor;
-      compute_cursor = compute_time;
-    } else {
-      SDPM_ASSERT(compute_time >= compute_cursor - 1e-9,
-                  "compute timeline must be monotone");
+class ReplayRig {
+ public:
+  ReplayRig(PolicyT& policy, const ReplayContext& ctx, int total_disks)
+      : policy_(policy),
+        tracer_(ctx.tracer),
+        capture_responses_(ctx.options->capture_responses),
+        state_(total_disks, *ctx.params) {
+    units_.reserve(static_cast<std::size_t>(total_disks));
+    for (int d = 0; d < total_disks; ++d) {
+      units_.emplace_back(state_, d, *ctx.params, d, ctx.faults);
+      units_.back().set_tracer(tracer_);
+      units_.back().set_capture_busy(ctx.options->capture_busy_periods);
     }
+    policy_.set_tracer(tracer_);
+    for (DiskUnit& unit : units_) policy_.attach(unit);
+  }
+
+  /// The application executes a compiler-inserted power call at `now`.
+  void power(const trace::PowerEvent& ev, TimeMs now) {
+    policy_.on_power_event(units_[static_cast<std::size_t>(ev.directive.disk)],
+                           now, ev.directive);
+  }
+
+  struct Service {
+    TimeMs completion = 0;
+    TimeMs stall = 0;  ///< how long the application waits past its demand
   };
 
-  for_each_item(
-      trace,
-      [&](const trace::PowerEvent& ev) {
-        advance_app(ev.app_time_ms);
-        const std::size_t d = static_cast<std::size_t>(ev.directive.disk);
-        policy.on_power_event(rig.units[d], app_clock, ev.directive);
-      },
-      [&](const trace::Request& req) {
-        advance_app(req.arrival_ms);
-        const std::size_t d = static_cast<std::size_t>(req.disk);
-        DiskUnit& unit = rig.units[d];
-        // With a prefetch lead, the request was issued that much earlier
-        // and its service overlaps the preceding compute; the application
-        // only stalls for whatever remains at demand time.  The issue time
-        // never precedes this disk's previous issue (per-disk FIFO
-        // ordering).
-        TimeMs issue = app_clock;
-        if (req.prefetch_lead_ms > 0) {
-          issue = std::max(app_clock - req.prefetch_lead_ms, last_issue[d]);
-          issue = std::min(issue, app_clock);
-          last_issue[d] = issue;
-        } else {
-          last_issue[d] = app_clock;
-        }
-        policy.before_service(unit, issue);
-        const DiskUnit::ServeResult result =
-            unit.serve(issue, req.start_sector, req.size_bytes, req.kind);
-        const TimeMs stall = std::max(0.0, result.completion - app_clock);
-        report.response_ms.add(stall);
-        if (capture_responses) report.responses.push_back(stall);
-        if (tracer != nullptr) {
-          obs::Event ev;
-          ev.kind = obs::EventKind::kService;
-          ev.disk = req.disk;
-          ev.t0 = issue;
-          ev.t1 = result.completion;
-          ev.value = stall;
-          ev.value2 = static_cast<double>(req.size_bytes);
-          tracer->emit(ev);
-        }
-        policy.after_service(unit, result.completion, stall);
-        app_clock += stall;  // blocking only for the un-hidden remainder
-        ++report.requests;
-        report.bytes_transferred += req.size_bytes;
-      });
+  /// The service step for `req`, which the application demands at
+  /// `demand`.  With a prefetch lead the request was issued that much
+  /// earlier and its service overlaps the preceding compute; the issue
+  /// never precedes this disk's previous issue (per-disk FIFO ordering).
+  /// The application stalls only for whatever remains at demand time:
+  /// that stall is tallied into `tally` and reported to the policy.
+  Service request(const trace::Request& req, TimeMs demand,
+                  SimReport& tally) {
+    const std::size_t d = static_cast<std::size_t>(req.disk);
+    DiskUnit& unit = units_[d];
+    TimeMs& last_issue = state_.last_issue[d];
+    TimeMs issue = demand;
+    if (req.prefetch_lead_ms > 0) {
+      issue = std::max(demand - req.prefetch_lead_ms, last_issue);
+      issue = std::min(issue, demand);
+    }
+    last_issue = issue;
+    policy_.before_service(unit, issue);
+    const DiskUnit::ServeResult result =
+        unit.serve(issue, req.start_sector, req.size_bytes, req.kind);
+    const TimeMs stall = std::max(0.0, result.completion - demand);
+    tally.response_ms.add(stall);
+    if (capture_responses_) tally.responses.push_back(stall);
+    if (tracer_ != nullptr) {
+      obs::Event ev;
+      ev.kind = obs::EventKind::kService;
+      ev.disk = req.disk;
+      ev.t0 = issue;
+      ev.t1 = result.completion;
+      ev.value = stall;
+      ev.value2 = static_cast<double>(req.size_bytes);
+      tracer_->emit(ev);
+    }
+    policy_.after_service(unit, result.completion, stall);
+    ++tally.requests;
+    tally.bytes_transferred += req.size_bytes;
+    return {result.completion, stall};
+  }
 
-  // Trailing compute after the last request / power call.
-  advance_app(compute_total);
-  const TimeMs end = app_clock;
+  /// Finalize energy at `end` and assemble the per-disk reports.
+  template <class Report>
+  void finalize(Report& report, TimeMs end) {
+    report.disks.reserve(units_.size());
+    for (DiskUnit& unit : units_) {
+      policy_.finalize(unit, end);
+      unit.finish(end);
+      DiskReport dr = make_disk_report(unit);
+      report.total_energy += dr.breakdown.total_j();
+      report.disks.push_back(std::move(dr));
+    }
+  }
 
-  report.compute_ms = compute_total;
-  report.execution_ms = end;
-  report.io_stall_ms = end - compute_total;
+ private:
+  PolicyT& policy_;
+  obs::EventTracer* const tracer_;
+  const bool capture_responses_;
+  DiskArrayState state_;
+  std::vector<DiskUnit> units_;
+};
 
-  finalize_report(policy, rig, report, end);
-  run_span.end(end);
-  return report;
-}
+/// One closed-loop application, the paper's model: a single thread that
+/// computes for the deltas between its trace's compute-timeline stamps and
+/// blocks on each request for its stall.  Its requests tally into `tally`.
+class Application {
+ public:
+  explicit Application(const trace::Trace& trace) : items_(trace) {}
 
+  /// Simulated time at which the next item is due — the end of the
+  /// trailing compute once every item is delivered, +inf once finished.
+  TimeMs due() const {
+    if (finished_) return std::numeric_limits<TimeMs>::infinity();
+    return clock_ + std::max(0.0, items_.next_time() - compute_);
+  }
+
+  /// Simulated time: compute plus stalls.
+  TimeMs clock() const { return clock_; }
+
+  /// Think up to the next item and deliver it through `rig`.  Once every
+  /// item is delivered, think through the trailing compute and return
+  /// false.
+  template <class PolicyT>
+  bool step(ReplayRig<PolicyT>& rig) {
+    finished_ = !items_.deliver(
+        [&](const trace::PowerEvent& ev) {
+          think_to(ev.app_time_ms);
+          rig.power(ev, clock_);
+        },
+        [&](const trace::Request& req) {
+          think_to(req.arrival_ms);
+          clock_ += rig.request(req, clock_, tally).stall;
+        });
+    if (finished_) think_to(items_.next_time());
+    return !finished_;
+  }
+
+  SimReport tally;
+
+ private:
+  /// A run of same-timestamp items advances nothing.  (The monotonicity
+  /// assert matches the historical behavior in debug builds.)
+  void think_to(TimeMs compute_time) {
+    if (compute_time > compute_) {
+      clock_ += compute_time - compute_;
+      compute_ = compute_time;
+    } else {
+      SDPM_ASSERT(compute_time >= compute_ - 1e-9,
+                  "compute timeline must be monotone");
+    }
+  }
+
+  ItemCursor items_;
+  TimeMs compute_ = 0;  ///< compute-timeline position
+  TimeMs clock_ = 0;
+  bool finished_ = false;
+};
+
+/// simulate_streams' driver (sim/multi_stream.h): one Application per
+/// trace on one disk array.  The application whose next item is due
+/// earliest moves first: serving a request only ever delays the
+/// application it serves, so this greedy order is the global arrival
+/// order.
 template <class PolicyT>
-SimReport replay_open_loop(PolicyT& policy, const ReplayContext& ctx) {
-  const trace::Trace& trace = *ctx.trace;
-  obs::EventTracer* const tracer = ctx.tracer;
-  ReplayRig rig(ctx, trace.total_disks);
-  policy.set_tracer(tracer);
-  for (DiskUnit& unit : rig.units) policy.attach(unit);
-
-  SimReport report;
-  report.policy_name = policy.name();
-  obs::Span run_span(tracer, policy.name(), 0);
-
-  // Requests and power events fire at their recorded timestamps.
-  const TimeMs compute_total = trace.compute_total_ms;
-  const bool capture_responses = ctx.options->capture_responses;
-  TimeMs end = compute_total;
-
-  for_each_item(
-      trace,
-      [&](const trace::PowerEvent& ev) {
-        const std::size_t d = static_cast<std::size_t>(ev.directive.disk);
-        policy.on_power_event(rig.units[d], ev.app_time_ms, ev.directive);
-      },
-      [&](const trace::Request& req) {
-        const std::size_t d = static_cast<std::size_t>(req.disk);
-        DiskUnit& unit = rig.units[d];
-        policy.before_service(unit, req.arrival_ms);
-        const DiskUnit::ServeResult result = unit.serve(
-            req.arrival_ms, req.start_sector, req.size_bytes, req.kind);
-        const TimeMs response = result.completion - req.arrival_ms;
-        report.response_ms.add(response);
-        if (capture_responses) report.responses.push_back(response);
-        if (tracer != nullptr) {
-          obs::Event ev;
-          ev.kind = obs::EventKind::kService;
-          ev.disk = req.disk;
-          ev.t0 = req.arrival_ms;
-          ev.t1 = result.completion;
-          ev.value = response;
-          ev.value2 = static_cast<double>(req.size_bytes);
-          tracer->emit(ev);
-        }
-        end = std::max(end, result.completion);
-        ++report.requests;
-        report.bytes_transferred += req.size_bytes;
-      });
-
-  report.compute_ms = compute_total;
-  report.execution_ms = end;
-  report.io_stall_ms = end - compute_total;
-
-  finalize_report(policy, rig, report, end);
-  run_span.end(end);
+MultiStreamReport replay_streams(PolicyT& policy, const ReplayContext& ctx,
+                                 std::span<const trace::Trace> traces,
+                                 std::span<const std::string> names) {
+  ReplayRig<PolicyT> rig(policy, ctx, traces.front().total_disks);
+  std::vector<Application> apps(traces.begin(), traces.end());
+  for (;;) {
+    Application* next = nullptr;
+    TimeMs earliest = std::numeric_limits<TimeMs>::infinity();
+    for (Application& app : apps) {
+      const TimeMs due = app.due();
+      if (due < earliest) {
+        earliest = due;
+        next = &app;
+      }
+    }
+    if (next == nullptr) break;
+    next->step(rig);
+  }
+  MultiStreamReport report;
+  for (std::size_t s = 0; s < apps.size(); ++s) {
+    StreamReport& stream = report.streams.emplace_back();
+    stream.name = s < names.size() ? names[s] : "stream" + std::to_string(s);
+    stream.completion_ms = apps[s].clock();
+    stream.compute_ms = traces[s].compute_total_ms;
+    stream.requests = apps[s].tally.requests;
+    stream.response_ms = apps[s].tally.response_ms;
+    report.makespan_ms = std::max(report.makespan_ms, stream.completion_ms);
+  }
+  rig.finalize(report, report.makespan_ms);
   return report;
 }
 
@@ -261,9 +295,36 @@ SimReport replay_open_loop(PolicyT& policy, const ReplayContext& ctx) {
 template <class PolicyT>
 SimReport replay_run(PowerPolicy& base, const ReplayContext& ctx) {
   PolicyT& policy = static_cast<PolicyT&>(base);
-  return ctx.options->mode == ReplayMode::kClosedLoop
-             ? detail::replay_closed_loop<PolicyT>(policy, ctx)
-             : detail::replay_open_loop<PolicyT>(policy, ctx);
+  const trace::Trace& trace = *ctx.trace;
+  detail::ReplayRig<PolicyT> rig(policy, ctx, trace.total_disks);
+  obs::Span run_span(ctx.tracer, policy.name(), 0);
+  SimReport report;
+  TimeMs end = trace.compute_total_ms;
+  if (ctx.options->mode == ReplayMode::kClosedLoop) {
+    // One application needs no choice of which moves next.
+    detail::Application app(trace);
+    while (app.step(rig)) {
+    }
+    end = app.clock();
+    report = std::move(app.tally);
+  } else {
+    // Every item is due at its recorded timestamp, whatever the disks do.
+    detail::ItemCursor items(trace);
+    while (items.deliver(
+        [&](const trace::PowerEvent& ev) { rig.power(ev, ev.app_time_ms); },
+        [&](const trace::Request& req) {
+          end = std::max(
+              end, rig.request(req, req.arrival_ms, report).completion);
+        })) {
+    }
+  }
+  report.policy_name = policy.name();
+  report.compute_ms = trace.compute_total_ms;
+  report.execution_ms = end;
+  report.io_stall_ms = end - trace.compute_total_ms;
+  rig.finalize(report, end);
+  run_span.end(end);
+  return report;
 }
 
 }  // namespace sdpm::sim

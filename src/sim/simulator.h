@@ -36,7 +36,9 @@ enum class ReplayMode {
   kClosedLoop,
   /// Requests fire at their recorded timestamps regardless of completion
   /// (classic DiskSim open-loop replay; disks queue FIFO).  Useful for
-  /// replaying externally captured traces.
+  /// replaying externally captured traces.  The service step is the
+  /// closed loop's: each response, measured from the recorded timestamp,
+  /// reaches the policy's after_service.
   kOpenLoop,
 };
 

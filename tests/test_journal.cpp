@@ -173,25 +173,29 @@ TEST(Journal, DispatchCountsAccumulateAcrossLives) {
 
 TEST(Journal, CompactionDropsOldestTerminalJobs) {
   const std::string path = temp_journal("compact");
+  const auto terminal = static_cast<std::int64_t>(kTerminalJobsKept) + 2;
   {
     Journal journal(JournalOptions{.path = path});
     journal.open();
-    for (std::int64_t id = 1; id <= 6; ++id) {
+    for (std::int64_t id = 1; id <= terminal + 2; ++id) {
       journal.admit(id, 1, "{}");
       journal.dispatch(id);
-      if (id <= 4) journal.complete_done(id, std::string(32, 'a'));
+      if (id <= terminal) journal.complete_done(id, std::string(32, 'a'));
     }
   }
-  Journal reopened(JournalOptions{.path = path, .keep_terminal = 2});
+  Journal reopened(JournalOptions{.path = path});
   const JournalReplay replay = reopened.open();
-  // 4 terminal jobs, budget 2: the two oldest (1, 2) are compacted away;
-  // both incomplete jobs (5, 6) always survive.
-  ASSERT_EQ(replay.jobs.size(), 4u);
-  EXPECT_EQ(replay.jobs[0].id, 3);
-  EXPECT_EQ(replay.jobs[1].id, 4);
-  EXPECT_EQ(replay.jobs[2].id, 5);
-  EXPECT_EQ(replay.jobs[3].id, 6);
-  EXPECT_EQ(replay.jobs[2].outcome, ReplayedJob::Outcome::kIncomplete);
+  // Two terminal jobs past the window: the two oldest (1, 2) are compacted
+  // away; both incomplete jobs (the last two) always survive.
+  ASSERT_EQ(replay.jobs.size(), kTerminalJobsKept + 2);
+  EXPECT_EQ(replay.jobs.front().id, 3);
+  EXPECT_EQ(replay.jobs[kTerminalJobsKept - 1].id, terminal);
+  EXPECT_EQ(replay.jobs[kTerminalJobsKept - 1].outcome,
+            ReplayedJob::Outcome::kDone);
+  EXPECT_EQ(replay.jobs[kTerminalJobsKept].id, terminal + 1);
+  EXPECT_EQ(replay.jobs[kTerminalJobsKept].outcome,
+            ReplayedJob::Outcome::kIncomplete);
+  EXPECT_EQ(replay.jobs.back().id, terminal + 2);
   fs::remove(path);
 }
 

@@ -1,12 +1,22 @@
 // Multi-stream (multiprogrammed) simulation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/schedule.h"
+#include "experiments/runner.h"
+#include "layout/layout_table.h"
 #include "policy/base.h"
+#include "policy/drpm.h"
+#include "policy/proactive.h"
 #include "policy/tpm.h"
 #include "sim/invariants.h"
 #include "sim/multi_stream.h"
 #include "sim/simulator.h"
+#include "trace/generator.h"
 #include "util/error.h"
+#include "workloads/benchmarks.h"
 
 namespace sdpm::sim {
 namespace {
@@ -34,18 +44,99 @@ trace::Trace stream_with_requests(int disk, std::vector<TimeMs> arrivals,
   return t;
 }
 
-TEST(MultiStream, SingleStreamMatchesSimulator) {
-  const trace::Trace t = stream_with_requests(0, {10.0, 50.0}, 100.0);
-  policy::BasePolicy p1;
-  const SimReport single = simulate(t, params(), p1);
-  policy::BasePolicy p2;
+/// `bench` on the default 8-disk array with a 5 ms prefetch lead: its
+/// plain trace, or with `scheduled` the trace of its CMDRPM schedule.
+trace::Trace prefetched_trace(const std::string& bench, bool scheduled) {
+  const experiments::ExperimentConfig config;
+  const workloads::Benchmark b = workloads::make_benchmark(bench);
+  const layout::LayoutTable table(b.program, config.striping,
+                                  config.total_disks);
+  trace::GeneratorOptions gen = config.gen;
+  gen.prefetch_lead_ms = 5.0;
+  if (!scheduled) {
+    return trace::TraceGenerator(b.program, table, gen).generate();
+  }
+  core::SchedulerOptions so;
+  so.access = config.gen;
+  const core::ScheduleResult schedule =
+      core::schedule_power_calls(b.program, table, config.disk, so);
+  return trace::TraceGenerator(schedule.program, table, gen).generate();
+}
+
+/// One stream replays exactly as the simulator's closed loop does.  The
+/// invariants are checked unless `check` is false: DRPM on swim with a
+/// 5 ms lead ends the run inside an idle step's RPM shift, and the
+/// simulator's own report fails them just as the stream's does.
+void expect_single_stream_matches(const trace::Trace& t,
+                                  PowerPolicy& for_simulate,
+                                  PowerPolicy& for_streams,
+                                  bool check = true) {
+  const SimReport single = simulate(
+      t, params(), for_simulate, SimOptions{.capture_busy_periods = true});
   const std::vector<trace::Trace> traces = {t};
   const MultiStreamReport multi =
-      simulate_streams(traces, params(), p2);
-  check_invariants(multi, params());
-  EXPECT_NEAR(multi.makespan_ms, single.execution_ms, 1e-9);
-  EXPECT_NEAR(multi.total_energy, single.total_energy, 1e-6);
-  EXPECT_EQ(multi.streams[0].requests, 2);
+      simulate_streams(traces, params(), for_streams);
+  if (check) check_invariants(multi, params());
+  EXPECT_EQ(multi.makespan_ms, single.execution_ms);
+  EXPECT_EQ(multi.streams[0].completion_ms, single.execution_ms);
+  EXPECT_EQ(multi.total_energy, single.total_energy);
+  EXPECT_EQ(multi.streams[0].requests, single.requests);
+  EXPECT_EQ(multi.streams[0].response_ms.sum(), single.response_ms.sum());
+  EXPECT_EQ(multi.streams[0].response_ms.max(), single.response_ms.max());
+  ASSERT_EQ(multi.disks.size(), single.disks.size());
+  for (std::size_t d = 0; d < multi.disks.size(); ++d) {
+    const DiskReport& a = multi.disks[d];
+    const DiskReport& b = single.disks[d];
+    EXPECT_EQ(a.breakdown.total_j(), b.breakdown.total_j()) << "disk " << d;
+    EXPECT_EQ(a.level_residency_ms, b.level_residency_ms) << "disk " << d;
+    EXPECT_EQ(a.services, b.services) << "disk " << d;
+    EXPECT_EQ(a.rpm_transitions, b.rpm_transitions) << "disk " << d;
+    EXPECT_EQ(a.spin_downs, b.spin_downs) << "disk " << d;
+    ASSERT_EQ(a.busy_periods.size(), b.busy_periods.size()) << "disk " << d;
+    for (std::size_t i = 0; i < a.busy_periods.size(); ++i) {
+      ASSERT_EQ(a.busy_periods[i].start, b.busy_periods[i].start);
+      ASSERT_EQ(a.busy_periods[i].completion, b.busy_periods[i].completion);
+    }
+  }
+}
+
+TEST(MultiStream, SingleStreamMatchesSimulator) {
+  {
+    const trace::Trace t = stream_with_requests(0, {10.0, 50.0}, 100.0);
+    policy::BasePolicy p1;
+    policy::BasePolicy p2;
+    expect_single_stream_matches(t, p1, p2);
+  }
+  // Generated traces with a prefetch lead, so the stream's stalls are what
+  // remains of each service at demand time, and under every kind of
+  // policy: none, reactive spin-down, reactive RPM windows and the
+  // compiler's directives.
+  for (const char* bench : {"swim", "galgel"}) {
+    SCOPED_TRACE(bench);
+    const trace::Trace plain = prefetched_trace(bench, false);
+    {
+      policy::BasePolicy p1;
+      policy::BasePolicy p2;
+      expect_single_stream_matches(plain, p1, p2);
+    }
+    {
+      policy::TpmPolicy p1;
+      policy::TpmPolicy p2;
+      expect_single_stream_matches(plain, p1, p2);
+    }
+    {
+      policy::DrpmPolicy p1;
+      policy::DrpmPolicy p2;
+      expect_single_stream_matches(plain, p1, p2, /*check=*/false);
+    }
+    {
+      const trace::Trace scheduled = prefetched_trace(bench, true);
+      ASSERT_FALSE(scheduled.power_events.empty());
+      policy::ProactivePolicy p1("CMDRPM");
+      policy::ProactivePolicy p2("CMDRPM");
+      expect_single_stream_matches(scheduled, p1, p2);
+    }
+  }
 }
 
 TEST(MultiStream, DisjointDisksRunConcurrently) {

@@ -3,6 +3,7 @@
 // pre-activation accounting, and the metrics registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "util/json.h"
+#include "util/strings.h"
 #include "workloads/benchmarks.h"
 
 namespace sdpm {
@@ -253,7 +255,7 @@ TEST(JsonlSink, EscapesLabel) {
   std::ostringstream os;
   obs::JsonlSink sink(os);
   obs::Event e;
-  e.kind = obs::EventKind::kCacheHit;
+  e.kind = obs::EventKind::kDirective;
   e.label = "a\"b\\c";
   sink.on_event(e);
   EXPECT_NE(os.str().find("\"label\":\"a\\\"b\\\\c\""), std::string::npos);
@@ -359,6 +361,167 @@ TEST(TimelineCsvSink, MergesAndCoversTheRun) {
   // digits, so ~1e-3 ms of absolute slack at a ~2e5 ms run length.
   EXPECT_NEAR(cursor[0], report.execution_ms, 1e-2);
   EXPECT_NEAR(cursor[1], report.execution_ms, 1e-2);
+}
+
+// ---------------------------------------------------------------------------
+// Reactive DRPM in both loops
+
+/// One RPM-window decision per full window after the first, which only sets
+/// the reference: every serviced request must reach the policy.
+std::int64_t expected_windows(const sim::SimReport& report) {
+  std::int64_t windows = 0;
+  for (const sim::DiskReport& d : report.disks) {
+    windows +=
+        std::max<std::int64_t>(0, d.services / params().window_size() - 1);
+  }
+  return windows;
+}
+
+TEST(TracedDrpm, DecidesEveryWindowInBothLoops) {
+  const workloads::Benchmark bench = workloads::make_swim();
+  const layout::LayoutTable table(bench.program, layout::Striping{}, 8);
+  const trace::Trace t = trace::TraceGenerator(bench.program, table).generate();
+  for (const sim::ReplayMode mode :
+       {sim::ReplayMode::kClosedLoop, sim::ReplayMode::kOpenLoop}) {
+    SCOPED_TRACE(mode == sim::ReplayMode::kOpenLoop ? "open loop"
+                                                    : "closed loop");
+    obs::CountingSink sink;
+    obs::EventTracer tracer;
+    tracer.add_sink(sink);
+    policy::DrpmPolicy policy;
+    const sim::SimReport report = sim::simulate(
+        t, params(), policy, sim::SimOptions{.mode = mode, .tracer = &tracer});
+    EXPECT_GT(sink.count(obs::EventKind::kRpmWindow), 0);
+    EXPECT_EQ(sink.count(obs::EventKind::kRpmWindow), expected_windows(report));
+  }
+}
+
+/// Reactive DRPM that also executes the trace's compiler directives, so
+/// one run parks a disk (its wake retries failed spin-ups), hits media
+/// errors and decides RPM windows.  No idle steps: a parked disk must not
+/// be asked for an RPM change.
+class DirectedDrpm final : public sim::PowerPolicy {
+ public:
+  void set_tracer(obs::EventTracer* tracer) override {
+    drpm_.set_tracer(tracer);
+  }
+  void attach(sim::DiskUnit& disk) override { drpm_.attach(disk); }
+  void after_service(sim::DiskUnit& disk, TimeMs completion,
+                     TimeMs response_ms) override {
+    drpm_.after_service(disk, completion, response_ms);
+  }
+  void on_power_event(sim::DiskUnit& disk, TimeMs now,
+                      const ir::PowerDirective& directive) override {
+    directives_.on_power_event(disk, now, directive);
+  }
+  const char* name() const override { return "DRPM"; }
+
+ private:
+  policy::DrpmPolicy drpm_{0.0};
+  policy::ProactivePolicy directives_;
+};
+
+/// The args of every `kind` event: each JSONL line's `value` (and `level`
+/// and `label` for RPM windows), and each Chrome record's args, in order.
+struct FaultArgs {
+  std::vector<std::string> jsonl;
+  std::vector<std::string> chrome;
+};
+
+FaultArgs fault_args(const std::string& jsonl, const std::string& chrome,
+                     const std::string& kind) {
+  FaultArgs args;
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    const Json e = Json::parse(line);
+    if (e.at("kind").as_string() != kind) continue;
+    std::string row = str_printf("%.9g", e.at("value").as_double());
+    if (kind == "rpm_window") {
+      row = e.at("label").as_string() + " " + row + " " +
+            std::to_string(e.at("level").as_int());
+    }
+    args.jsonl.push_back(row);
+  }
+  const Json trace = Json::parse(chrome);
+  for (const Json& e : trace.at("traceEvents").as_array()) {
+    const std::string& name = e.at("name").as_string();
+    if (name.rfind(kind, 0) != 0) continue;
+    const Json& a = e.at("args");
+    if (kind == "spin_up_retry") {
+      args.chrome.push_back(str_printf("%.9g", a.at("backoff_ms").as_double()));
+    } else if (kind == "media_error") {
+      args.chrome.push_back(str_printf("%.9g", a.at("new_remap").as_double()));
+    } else {
+      args.chrome.push_back(name.substr(kind.size() + 1) + " " +
+                            str_printf("%.9g", a.at("delta").as_double()) +
+                            " " + std::to_string(a.at("level").as_int()));
+    }
+  }
+  return args;
+}
+
+// Both sinks render the fault and decision events with their args: one
+// disk serves 90 requests, is parked by a directive, and wakes 30 s later
+// with every spin-up attempt failing up to the retry cap.
+TEST(TracedDrpm, FaultEventsCarryTheirArgs) {
+  trace::Trace t;
+  t.total_disks = 1;
+  for (int i = 0; i < 180; ++i) {
+    const TimeMs at = i < 90 ? 10.0 * i : 30'000.0 + 10.0 * i;
+    t.requests.push_back(make_request(at, 0, 1'000 * i, kib(64)));
+  }
+  t.power_events.push_back(
+      make_power(1'000.0, ir::PowerDirective::Kind::kSpinDown, 0));
+  t.compute_total_ms = 40'000.0;
+  sim::SimOptions options;
+  options.faults.spin_up_failure_prob = 1.0;
+  options.faults.media_error_prob = 0.2;
+  options.faults.seed = 7;
+  for (const sim::ReplayMode mode :
+       {sim::ReplayMode::kClosedLoop, sim::ReplayMode::kOpenLoop}) {
+    SCOPED_TRACE(mode == sim::ReplayMode::kOpenLoop ? "open loop"
+                                                    : "closed loop");
+    std::ostringstream jsonl;
+    std::ostringstream chrome;
+    obs::JsonlSink jsonl_sink(jsonl);
+    obs::ChromeTraceSink chrome_sink(chrome);
+    obs::EventTracer tracer;
+    tracer.add_sink(jsonl_sink);
+    tracer.add_sink(chrome_sink);
+    options.mode = mode;
+    options.tracer = &tracer;
+    DirectedDrpm policy;
+    const sim::SimReport report = sim::simulate(t, params(), policy, options);
+    tracer.close();
+
+    const FaultArgs retries =
+        fault_args(jsonl.str(), chrome.str(), "spin_up_retry");
+    ASSERT_EQ(static_cast<std::int64_t>(retries.jsonl.size()),
+              report.spin_up_retries());
+    EXPECT_EQ(retries.jsonl.size(),
+              static_cast<std::size_t>(options.faults.max_spin_up_retries));
+    EXPECT_EQ(retries.chrome, retries.jsonl);
+    for (std::size_t k = 0; k < retries.jsonl.size(); ++k) {
+      // Each failed attempt backs off base * factor^k before the next.
+      EXPECT_EQ(retries.jsonl[k],
+                str_printf("%.9g", 100.0 * static_cast<double>(1 << k)));
+    }
+
+    const FaultArgs media =
+        fault_args(jsonl.str(), chrome.str(), "media_error");
+    ASSERT_EQ(static_cast<std::int64_t>(media.jsonl.size()),
+              report.media_errors());
+    EXPECT_GT(media.jsonl.size(), 0u);
+    EXPECT_EQ(media.chrome, media.jsonl);
+    // Every request names a fresh sector, so each error remaps anew.
+    for (const std::string& remap : media.jsonl) EXPECT_EQ(remap, "1");
+
+    const FaultArgs windows =
+        fault_args(jsonl.str(), chrome.str(), "rpm_window");
+    EXPECT_EQ(static_cast<std::int64_t>(windows.jsonl.size()),
+              expected_windows(report));
+    EXPECT_EQ(windows.chrome, windows.jsonl);
+  }
 }
 
 // ---------------------------------------------------------------------------

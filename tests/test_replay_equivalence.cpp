@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <vector>
 
 #include "core/schedule.h"
 #include "layout/layout_table.h"
@@ -20,6 +21,7 @@
 #include "policy/proactive.h"
 #include "policy/resilient.h"
 #include "policy/tpm.h"
+#include "sim/multi_stream.h"
 #include "sim/simulator.h"
 #include "tests/forwarding_policy.h"
 #include "trace/generator.h"
@@ -163,6 +165,31 @@ TEST(ReplayEquivalence, ProactivePolicyWithDirectives) {
   // galgel's compiled program inserts power calls, so the proactive
   // policy replays real directives through both engines.
   check_all_cells<policy::ProactivePolicy>(galgel_trace(), "CMDRPM");
+}
+
+// Every driver reports each service to the policy once, before and
+// after, and delivers each power event once: closed loop, open loop and
+// two streams of the same trace on one array.
+TEST(ReplayEquivalence, EveryDriverCallsEachHookOncePerItem) {
+  const trace::Trace& trace = galgel_trace();
+  const auto requests = trace.request_count();
+  const auto events = static_cast<std::int64_t>(trace.power_events.size());
+  for (const sim::ReplayMode mode :
+       {sim::ReplayMode::kClosedLoop, sim::ReplayMode::kOpenLoop}) {
+    SCOPED_TRACE(mode == sim::ReplayMode::kOpenLoop ? "open loop"
+                                                    : "closed loop");
+    test::ForwardingPolicy<policy::ProactivePolicy> policy("CMDRPM");
+    sim::simulate(trace, params(), policy, sim::SimOptions{.mode = mode});
+    EXPECT_EQ(policy.counts().before_service, requests);
+    EXPECT_EQ(policy.counts().after_service, requests);
+    EXPECT_EQ(policy.counts().power_events, events);
+  }
+  test::ForwardingPolicy<policy::ProactivePolicy> policy("CMDRPM");
+  const std::vector<trace::Trace> streams = {trace, trace};
+  sim::simulate_streams(streams, params(), policy);
+  EXPECT_EQ(policy.counts().before_service, 2 * requests);
+  EXPECT_EQ(policy.counts().after_service, 2 * requests);
+  EXPECT_EQ(policy.counts().power_events, 2 * events);
 }
 
 // Wrapper policies have no static kernel, so the simulator replays them

@@ -625,8 +625,8 @@ TEST(ServiceDaemon, ResultsSurviveRestartWithoutRecompute) {
 // terminal state within microseconds of admission, the tightest race
 // between a job's ADMIT and COMPLETE records: a COMPLETE journaled ahead
 // of its ADMIT is dropped by replay, and the restart re-queues a job its
-// client already saw done.  1,001 jobs stay under the journal's
-// keep_terminal of 1,024, so compaction drops none of them.
+// client already saw done.  1,001 jobs stay under kTerminalJobsKept
+// (1,024), so neither the queue nor the journal's compaction drops any.
 TEST(ServiceDaemon, CleanRestartRequeuesNothing) {
   const std::string state_dir = test_state_dir("clean_restart");
   DaemonOptions options;
@@ -683,6 +683,87 @@ TEST(ServiceDaemon, CleanRestartRequeuesNothing) {
   EXPECT_EQ(not_done, 0);
   daemon.request_shutdown();
   daemon.wait();
+  std::filesystem::remove_all(state_dir);
+}
+
+/// The message a daemon op's error carries; empty when the op succeeds.
+template <class Op>
+std::string daemon_error(Op op) {
+  try {
+    op();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The job table keeps queued and running jobs plus the newest
+// kTerminalJobsKept terminal jobs by id.  Six jobs past the window, the
+// oldest six ids answer "no such job" to every op, and they answer the
+// same after a restart: the journal's compaction keeps the same window.
+TEST(ServiceDaemon, JobTableKeepsTheNewestTerminalJobs) {
+  const std::string state_dir = test_state_dir("job_window");
+  DaemonOptions options;
+  options.jobs = 2;
+  options.state_dir = state_dir;
+  constexpr std::int64_t kEvicted = 6;
+  const std::int64_t jobs =
+      static_cast<std::int64_t>(kTerminalJobsKept) + kEvicted;
+
+  const auto expect_window = [&](ServiceDaemon& daemon, Client& client) {
+    std::int64_t held = 0;
+    for (std::int64_t id = 1; id <= jobs; ++id) {
+      const auto snap = daemon.queue().snapshot(id);
+      EXPECT_EQ(snap.has_value(), id > kEvicted) << "job " << id;
+      if (snap.has_value()) {
+        EXPECT_EQ(snap->state, JobState::kDone) << "job " << id;
+        ++held;
+      }
+    }
+    EXPECT_EQ(held, static_cast<std::int64_t>(kTerminalJobsKept));
+    EXPECT_NE(daemon_error([&] { client.status(1); }).find("no such job"),
+              std::string::npos);
+    EXPECT_NE(daemon_error([&] { client.result(1, /*wait=*/false); })
+                  .find("no such job"),
+              std::string::npos);
+    EXPECT_NE(daemon_error([&] { client.result(1, /*wait=*/true); })
+                  .find("no such job"),
+              std::string::npos);
+    EXPECT_NE(daemon_error([&] { client.cancel(1); }).find("no such job"),
+              std::string::npos);
+    EXPECT_EQ(client.status(jobs).at("state").as_string(), "done");
+    EXPECT_EQ(client.result(jobs, /*wait=*/false).at("state").as_string(),
+              "done");
+  };
+
+  options.socket_path = test_socket_path("job_window1");
+  {
+    ServiceDaemon daemon(options);
+    daemon.start();
+    std::thread waiter([&] { daemon.wait(); });
+    Client client(options.socket_path);
+    for (std::int64_t i = 1; i <= jobs; ++i) {
+      EXPECT_EQ(client.submit(cheap_spec("window")), i);
+      EXPECT_EQ(client.result(i, /*wait=*/true).at("state").as_string(),
+                "done");
+    }
+    expect_window(daemon, client);
+    EXPECT_EQ(daemon.queue().stats().completed, jobs);
+    client.shutdown();
+    waiter.join();
+  }
+
+  options.socket_path = test_socket_path("job_window2");
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    Client client(options.socket_path);
+    expect_window(daemon, client);
+    EXPECT_EQ(daemon.queue().stats().recovered, 0);
+    client.shutdown();
+  }
+  waiter.join();
   std::filesystem::remove_all(state_dir);
 }
 

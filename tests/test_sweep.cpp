@@ -9,8 +9,6 @@
 #include "experiments/runner.h"
 #include "experiments/sweep.h"
 #include "obs/metrics.h"
-#include "obs/sinks.h"
-#include "obs/tracer.h"
 #include "util/error.h"
 #include "util/units.h"
 #include "workloads/benchmarks.h"
@@ -165,34 +163,6 @@ TEST(SweepEngine, MetricsAdvanceBySnapshotDiff) {
   EXPECT_EQ(cell_wall(after).count - cell_wall(before).count, n_cells);
   EXPECT_GE(cell_wall(after).sum - cell_wall(before).sum, 0.0);
   EXPECT_GT(delta("trace_cache.hits") + delta("trace_cache.misses"), 0);
-}
-
-TEST(SweepEngine, TracerSeesEveryCellLifecycle) {
-  const std::vector<SweepCell> cells = two_cells();
-  obs::CountingSink sink;
-  obs::EventTracer tracer;
-  tracer.add_sink(sink);
-  SweepEngine engine(2);
-  engine.set_tracer(&tracer);
-
-  const auto traced = engine.run(cells);
-  tracer.close();
-  // One begin/end pair per (cell, scheme) task; empty cell.schemes means
-  // all seven schemes.
-  const auto expected_tasks =
-      static_cast<std::int64_t>(cells.size() * all_schemes().size());
-  EXPECT_EQ(sink.count(obs::EventKind::kCellBegin), expected_tasks);
-  EXPECT_EQ(sink.count(obs::EventKind::kCellEnd), expected_tasks);
-
-  // Tracing must not perturb the sweep's numeric results.
-  const auto untraced = SweepEngine(2).run(cells);
-  ASSERT_EQ(traced.size(), untraced.size());
-  for (std::size_t c = 0; c < traced.size(); ++c) {
-    ASSERT_EQ(traced[c].results.size(), untraced[c].results.size());
-    for (std::size_t s = 0; s < traced[c].results.size(); ++s) {
-      expect_same_result(traced[c].results[s], untraced[c].results[s]);
-    }
-  }
 }
 
 }  // namespace
