@@ -46,7 +46,10 @@ int main() {
   }
 
   api::Session session;
-  const std::vector<api::JobResult> sweep = session.run_batch(specs);
+  std::vector<api::JobResult> sweep;
+  for (const api::JobSlot& slot : session.run_batch(specs)) {
+    sweep.push_back(slot.value());
+  }
 
   std::vector<double> sums(transforms.size() * schemes.size(), 0.0);
   std::size_t cell_index = 0;

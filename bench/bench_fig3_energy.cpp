@@ -27,7 +27,10 @@ int main() {
     specs.push_back(api::JobSpecBuilder(name).label(name).build());
   }
   api::Session session;
-  const std::vector<api::JobResult> sweep = session.run_batch(specs);
+  std::vector<api::JobResult> sweep;
+  for (const api::JobSlot& slot : session.run_batch(specs)) {
+    sweep.push_back(slot.value());
+  }
 
   std::vector<double> sums(experiments::all_schemes().size(), 0.0);
   for (const api::JobResult& cell : sweep) {

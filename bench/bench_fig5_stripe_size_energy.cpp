@@ -3,10 +3,11 @@
 // defaults).  Each row is normalized against the Base scheme at the same
 // stripe size.
 #include <algorithm>
+#include <exception>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "experiments/runner.h"
+#include "experiments/sweep.h"
 #include "util/strings.h"
 
 int main() {
@@ -20,20 +21,26 @@ int main() {
   header.push_back("Base (J)");
   table.set_header(header);
 
-  workloads::Benchmark swim = workloads::make_swim();
+  const workloads::Benchmark swim = workloads::make_swim();
+  // One sweep dispatch: every (stripe size, scheme) pair is one task.
+  std::vector<experiments::SweepCell> cells;
   for (const Bytes stripe : {kib(16), kib(32), kib(64), kib(128), kib(256)}) {
-    experiments::ExperimentConfig config;
-    config.striping.stripe_size = stripe;
+    experiments::SweepCell& cell = cells.emplace_back();
+    cell.label = fmt_bytes(stripe);
+    cell.benchmark = swim;
+    cell.config.striping.stripe_size = stripe;
     // The application's I/O granularity stays fixed at the default 64 KB
     // request size; the stripe size only changes how requests map to disks
     // (larger stripes send more consecutive requests to the same disk).
-    config.gen.block_size = std::min<Bytes>(kib(64), stripe);
-    experiments::Runner runner(swim, config);
-    std::vector<std::string> row = {fmt_bytes(stripe)};
-    for (const auto& result : runner.run_all()) {
+    cell.config.gen.block_size = std::min<Bytes>(kib(64), stripe);
+  }
+  for (const auto& cell : experiments::SweepEngine().run(cells)) {
+    if (cell.error) std::rethrow_exception(cell.error);
+    std::vector<std::string> row = {cell.label};
+    for (const auto& result : cell.results) {
       row.push_back(fmt_double(result.normalized_energy, 3));
     }
-    row.push_back(fmt_double(runner.base_report().total_energy, 1));
+    row.push_back(fmt_double(cell.results.front().energy_j, 1));  // Base
     table.add_row(row);
   }
   bench::emit(table);

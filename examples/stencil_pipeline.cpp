@@ -68,7 +68,8 @@ int main() {
   Table table("stencil pipeline under the seven schemes");
   table.set_header({"Scheme", "Energy (J)", "Norm. energy", "Exec (s)",
                     "Norm. time", "Mispredict %"});
-  for (const auto& result : runner.run_all()) {
+  for (const experiments::Scheme scheme : experiments::all_schemes()) {
+    const experiments::SchemeResult result = runner.run(scheme);
     table.add_row({
         experiments::to_string(result.scheme),
         fmt_double(result.energy_j, 1),

@@ -274,32 +274,19 @@ ScheduleCertificate certify_trace(const trace::Trace& trace,
   TimeMs stall_lo_total = 0;
   TimeMs stall_hi_total = 0;
 
-  // Merge requests and power events by compute timestamp; power events win
-  // ties — the same order the replay's item stream delivers.
-  std::size_t ri = 0;
-  std::size_t pi = 0;
-  const auto& reqs = trace.requests;
-  const auto& events = trace.power_events;
-  while (ri < reqs.size() || pi < events.size()) {
-    const bool take_power =
-        pi < events.size() &&
-        (ri >= reqs.size() || events[pi].app_time_ms <= reqs[ri].arrival_ms);
-    if (take_power) {
-      const trace::PowerEvent& ev = events[pi++];
-      const int disk = ev.directive.disk;
-      SDPM_REQUIRE(disk >= 0 && disk < disks,
-                   "certify_trace: power event targets unknown disk");
-      AbstractDisk& d = state[static_cast<std::size_t>(disk)];
-      bill_to(d, model, ev.app_time_ms);
-      apply_directive(d, model, ev.app_time_ms, ev.directive);
-      items[static_cast<std::size_t>(disk)].push_back(
-          DiskItem{false, ev.directive});
-      continue;
-    }
-    const trace::Request& req = reqs[ri++];
+  // Walk requests and power events in the replay's order (the one item
+  // merge, which also rejects an item naming an unknown disk).
+  trace::ItemCursor cursor(trace);
+  const auto on_power = [&](const trace::PowerEvent& ev) {
+    const int disk = ev.directive.disk;
+    AbstractDisk& d = state[static_cast<std::size_t>(disk)];
+    bill_to(d, model, ev.app_time_ms);
+    apply_directive(d, model, ev.app_time_ms, ev.directive);
+    items[static_cast<std::size_t>(disk)].push_back(
+        DiskItem{false, ev.directive});
+  };
+  const auto on_request = [&](const trace::Request& req) {
     const int disk = req.disk;
-    SDPM_REQUIRE(disk >= 0 && disk < disks,
-                 "certify_trace: request targets unknown disk");
     const TimeMs t = req.arrival_ms;
     AbstractDisk& d = state[static_cast<std::size_t>(disk)];
     bill_to(d, model, t);
@@ -368,6 +355,8 @@ ScheduleCertificate certify_trace(const trace::Trace& trace,
     d.pending.clear();
     d.chain_ready = 0;
     items[static_cast<std::size_t>(disk)].push_back(DiskItem{true, {}});
+  };
+  while (cursor.deliver(on_power, on_request)) {
   }
 
   ScheduleCertificate cert;

@@ -276,7 +276,7 @@ std::string render_json(const AnalysisReport& report) {
   out += "\"passes\":[";
   for (std::size_t i = 0; i < passes.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + json_escape(passes[i]) + "\"";
+    out.append("\"").append(json_escape(passes[i])).append("\"");
   }
   out += "],";
   if (report.certificate.has_value()) {

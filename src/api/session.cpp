@@ -1,13 +1,11 @@
 #include "api/session.h"
 
-#include <chrono>
 #include <utility>
 
 #include "analysis/bounds.h"
 #include "experiments/sweep.h"
 #include "experiments/trace_cache.h"
 #include "obs/metrics.h"
-#include "obs/sim_metrics.h"
 #include "util/error.h"
 #include "workloads/benchmarks.h"
 
@@ -36,7 +34,52 @@ bool is_oracle(experiments::Scheme scheme) {
          scheme == experiments::Scheme::kIdrpm;
 }
 
+/// The sweep cell that evaluates `spec` with `hooks` attached.
+experiments::SweepCell cell_for(const JobSpec& spec, const RunHooks& hooks) {
+  experiments::SweepCell cell;
+  cell.label = spec.display_label();
+  cell.benchmark = workloads::make_benchmark(spec.benchmark);
+  cell.config = spec.to_config();
+  // An empty scheme list means "all seven" in both vocabularies, so the
+  // resolved list only needs spelling out when explicit.
+  if (!spec.schemes.empty()) cell.schemes = spec.resolved_schemes();
+  cell.record_base_metrics = hooks.record_base_metrics;
+  if (hooks.replay_tracer != nullptr) {
+    experiments::Scheme traced;
+    if (hooks.trace_scheme.has_value()) {
+      traced = *hooks.trace_scheme;
+    } else {
+      SDPM_REQUIRE(cell.schemes.size() == 1,
+                   "a replay tracer needs a single scheme (a multi-scheme "
+                   "run would interleave unrelated replays)");
+      traced = cell.schemes.front();
+    }
+    SDPM_REQUIRE(!is_oracle(traced),
+                 std::string(experiments::to_string(traced)) +
+                     " is an analytic oracle with no replay to trace");
+    cell.config.tracer = hooks.replay_tracer;
+    cell.config.trace_scheme = traced;
+  }
+  return cell;
+}
+
 }  // namespace
+
+const JobResult& JobSlot::value() const {
+  if (error) std::rethrow_exception(error);
+  return *result;
+}
+
+std::string JobSlot::error_message() const {
+  if (!error) return {};
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
 
 Session::Session(SessionOptions options) : options_(options) {
   if (!options_.use_cache) {
@@ -45,85 +88,47 @@ Session::Session(SessionOptions options) : options_(options) {
 }
 
 JobResult Session::run(const JobSpec& spec, const RunHooks& hooks) {
-  experiments::ExperimentConfig config = spec.to_config();
-  const std::vector<experiments::Scheme> schemes = spec.resolved_schemes();
-
-  if (hooks.replay_tracer != nullptr) {
-    experiments::Scheme traced;
-    if (hooks.trace_scheme.has_value()) {
-      traced = *hooks.trace_scheme;
-    } else {
-      SDPM_REQUIRE(schemes.size() == 1,
-                   "a replay tracer needs a single scheme (a multi-scheme "
-                   "run would interleave unrelated replays)");
-      traced = schemes.front();
-    }
-    SDPM_REQUIRE(!is_oracle(traced),
-                 std::string(experiments::to_string(traced)) +
-                     " is an analytic oracle with no replay to trace");
-    config.tracer = hooks.replay_tracer;
-    config.trace_scheme = traced;
-  }
-
-  const auto started = std::chrono::steady_clock::now();
-  const workloads::Benchmark bench =
-      workloads::make_benchmark(spec.benchmark);
-  experiments::Runner runner(bench, config);
-  JobResult result = result_shell(spec);
-  if (spec.schemes.empty()) {
-    // All seven: fan over the pool exactly like a sweep cell would.
-    for (const experiments::SchemeResult& r : runner.run_all()) {
-      result.schemes.push_back(outcome_from(r));
-    }
-  } else {
-    for (const experiments::Scheme scheme : schemes) {
-      result.schemes.push_back(outcome_from(runner.run(scheme)));
-    }
-  }
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - started)
-                       .count();
-  if (hooks.record_base_metrics) {
-    obs::record_report_metrics(obs::MetricsRegistry::global(),
-                               runner.base_report());
-  }
-  obs::MetricsRegistry::global().add("api.jobs");
-  return result;
+  return run_batch({spec}, hooks).front().value();
 }
 
-std::vector<JobResult> Session::run_batch(const std::vector<JobSpec>& specs) {
+std::vector<JobSlot> Session::run_batch(const std::vector<JobSpec>& specs,
+                                        const RunHooks& hooks) {
+  SDPM_REQUIRE(hooks.replay_tracer == nullptr || specs.size() <= 1,
+               "a replay tracer needs a one-job dispatch (two jobs' replays "
+               "would interleave)");
+  // A spec that cannot become a cell fails its own slot and stays out of
+  // the sweep; `job_of` maps each cell back to its job.
+  std::vector<JobSlot> slots(specs.size());
   std::vector<experiments::SweepCell> cells;
-  cells.reserve(specs.size());
-  for (const JobSpec& spec : specs) {
-    experiments::SweepCell cell;
-    cell.label = spec.display_label();
-    cell.benchmark = workloads::make_benchmark(spec.benchmark);
-    cell.config = spec.to_config();
-    // An empty scheme list means "all seven" in both vocabularies, so the
-    // resolved list only needs spelling out when explicit.
-    for (const std::string& name : spec.schemes) {
-      cell.schemes.push_back(*scheme_from_name(name));
+  std::vector<std::size_t> job_of;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    try {
+      cells.push_back(cell_for(specs[i], hooks));
+      job_of.push_back(i);
+    } catch (...) {
+      slots[i].error = std::current_exception();
     }
-    cells.push_back(std::move(cell));
   }
 
   const std::vector<experiments::SweepCellResult> sweep =
       experiments::SweepEngine(options_.jobs).run(cells);
-
-  std::vector<JobResult> results;
-  results.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    JobResult result = result_shell(specs[i]);
-    for (const experiments::SchemeResult& r : sweep[i].results) {
+  for (std::size_t c = 0; c < sweep.size(); ++c) {
+    JobSlot& slot = slots[job_of[c]];
+    if (sweep[c].error) {
+      slot.error = sweep[c].error;
+      continue;
+    }
+    JobResult result = result_shell(specs[job_of[c]]);
+    for (const experiments::SchemeResult& r : sweep[c].results) {
       result.schemes.push_back(outcome_from(r));
     }
-    result.wall_ms = sweep[i].wall_ms;
-    results.push_back(std::move(result));
+    result.wall_ms = sweep[c].wall_ms;
+    slot.result = std::move(result);
   }
   obs::MetricsRegistry::global().add("api.jobs",
                                      static_cast<std::int64_t>(specs.size()));
   obs::MetricsRegistry::global().add("api.batches");
-  return results;
+  return slots;
 }
 
 namespace {

@@ -3,10 +3,10 @@
 //
 // A Session owns the execution resources a caller needs to evaluate
 // JobSpecs: the worker count, the process-wide TraceCache policy, and the
-// optional observability hooks.  Every tool in the repo — sdpm_cli
-// run/bench/analyze, the figure benches, and the sdpm_serviced daemon —
-// goes through this facade; Runner, SweepEngine, SimOptions and friends
-// are implementation details behind it.
+// optional observability hooks.  sdpm_cli run/bench/analyze, the JobSpec
+// benches and the sdpm_serviced daemon evaluate jobs through this facade.
+// run() and run_batch() are one dispatch: every job becomes one
+// SweepEngine cell, and each job's result or error lands in its own slot.
 //
 // Determinism contract: run(), run_batch() and a serial per-scheme Runner
 // evaluation all produce bit-identical JobResults for the same spec —
@@ -14,7 +14,9 @@
 // evaluation writes into position-indexed slots (see SweepEngine).
 #pragma once
 
+#include <exception>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/mutate.h"
@@ -40,9 +42,11 @@ struct SessionOptions {
   bool use_cache = true;
 };
 
-/// Per-run observability hooks for run(): attach `replay_tracer` to the
+/// Observability hooks for one dispatch: attach `replay_tracer` to the
 /// replay of `trace_scheme` (required to be a single non-oracle scheme by
-/// the same rule the CLI enforces; validation throws otherwise).
+/// the same rule the CLI enforces; the job fails otherwise).  A replay
+/// tracer needs a one-job dispatch, so that two jobs' replay events never
+/// interleave.
 struct RunHooks {
   obs::EventTracer* replay_tracer = nullptr;
   std::optional<experiments::Scheme> trace_scheme;
@@ -52,19 +56,35 @@ struct RunHooks {
   bool record_base_metrics = false;
 };
 
+/// One job's slot of a dispatch: its result, or the located error its
+/// evaluation threw.  Exactly one of the two is set.
+struct JobSlot {
+  std::optional<JobResult> result;
+  std::exception_ptr error;
+
+  /// The result; rethrows the job's own error when it failed.
+  const JobResult& value() const;
+  /// The error's message; empty when the job completed.
+  std::string error_message() const;
+};
+
 class Session {
  public:
   explicit Session(SessionOptions options = {});
 
-  /// Evaluate one job: every resolved scheme, in the spec's order.
+  /// Evaluate one job: every resolved scheme, in the spec's order.  A
+  /// one-job run_batch() that throws the job's error.
   JobResult run(const JobSpec& spec) { return run(spec, RunHooks{}); }
   JobResult run(const JobSpec& spec, const RunHooks& hooks);
 
   /// Evaluate a batch as ONE sweep dispatch: all (job, scheme) tasks fan
-  /// out over one thread pool, so a slow job cannot serialize the tail and
-  /// repeated (program, layout, options) cells hit the shared TraceCache.
-  /// Results are ordered exactly as `specs`.
-  std::vector<JobResult> run_batch(const std::vector<JobSpec>& specs);
+  /// out over one pool of `jobs` workers, so a slow job cannot serialize
+  /// the tail and repeated (program, layout, options) cells hit the shared
+  /// TraceCache.  Slots are ordered exactly as `specs`; a job that throws
+  /// fails only its own slot.  Throws only for a replay tracer attached to
+  /// more than one job.
+  std::vector<JobSlot> run_batch(const std::vector<JobSpec>& specs,
+                                 const RunHooks& hooks = {});
 
   /// Statically analyze the compiled power-call schedule of `spec` for
   /// `mode` (no simulation).  `mutation` seeds a known bug class first —

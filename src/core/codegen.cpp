@@ -100,7 +100,7 @@ std::string emit_pseudo_source(const ir::Program& program,
       for (const ir::ArrayRef& ref : stmt.refs) {
         std::string text = program.array(ref.array).name;
         for (const ir::AffineExpr& sub : ref.subscripts) {
-          text += "[" + sub.to_string(names) + "]";
+          text.append("[").append(sub.to_string(names)).append("]");
         }
         (ref.kind == ir::AccessKind::kWrite ? lhs : rhs).push_back(text);
       }

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <functional>
 
 #include "core/mispredict.h"
 #include "core/schedule.h"
@@ -15,7 +14,6 @@
 #include "policy/tpm.h"
 #include "sim/simulator.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace sdpm::experiments {
 
@@ -65,13 +63,13 @@ Runner::Runner(const workloads::Benchmark& benchmark,
                   config_.total_disks);
 }
 
+const trace::Trace& Runner::trace() {
+  trace_once_.call([this] { trace_ = generate_actual(compiled_.program); });
+  return *trace_;
+}
+
 void Runner::ensure_base() {
   base_once_.call([this] {
-    trace::GeneratorOptions gen = config_.gen;
-    gen.noise = config_.actual_noise;
-    trace_ = TraceCache::global().get_or_generate(compiled_.program,
-                                                  *layout_, gen);
-
     policy::BasePolicy policy;
     sim::SimOptions options;
     options.mode = sim::ReplayMode::kClosedLoop;
@@ -82,18 +80,13 @@ void Runner::ensure_base() {
     options.capture_responses = true;
     options.capture_busy_periods = true;
     options.tracer = tracer_for(Scheme::kBase);
-    base_ = sim::simulate(*trace_, config_.disk, policy, options);
+    base_ = sim::simulate(trace(), config_.disk, policy, options);
   });
 }
 
 const sim::SimReport& Runner::base_report() {
   ensure_base();
   return *base_;
-}
-
-const trace::Trace& Runner::trace() {
-  ensure_base();
-  return *trace_;
 }
 
 core::ScheduleResult Runner::schedule_cm(core::PowerMode mode) {
@@ -231,24 +224,6 @@ SchemeResult Runner::run(Scheme scheme) {
   result.normalized_energy = result.energy_j / base_->total_energy;
   result.normalized_time = result.execution_ms / base_->execution_ms;
   return result;
-}
-
-std::vector<SchemeResult> Runner::run_all() {
-  // Materialize the shared prerequisite once, then fan the seven schemes
-  // over a transient pool.  Each task writes its own slot, so the result
-  // order (and every value — all randomness is seed-keyed) matches the
-  // serial evaluation exactly.
-  ensure_base();
-  const std::vector<Scheme> schemes = all_schemes();
-  std::vector<SchemeResult> results(schemes.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(schemes.size());
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    tasks.push_back(
-        [this, &results, &schemes, i] { results[i] = run(schemes[i]); });
-  }
-  run_parallel(std::move(tasks));
-  return results;
 }
 
 }  // namespace sdpm::experiments

@@ -109,7 +109,9 @@ class Runner {
   /// The Base simulation (runs lazily, cached).
   const sim::SimReport& base_report();
 
-  /// The generated trace without power calls (shared by Base/TPM/DRPM).
+  /// The production-run trace without power calls (shared by
+  /// Base/TPM/DRPM): the compiled program on its layout under the actual
+  /// noise, from the TraceCache.  Generated on first use; needs no Base run.
   const trace::Trace& trace();
 
   /// The re-generated trace with the compiler's power calls inserted for
@@ -119,15 +121,8 @@ class Runner {
                         std::int64_t* calls_inserted = nullptr);
 
   /// Evaluate one scheme.  Thread-safe: independent schemes may run
-  /// concurrently on pool workers.
+  /// concurrently on pool workers (SweepEngine fans them out).
   SchemeResult run(Scheme scheme);
-
-  /// Evaluate all seven schemes, fanned over a thread pool (default_jobs()
-  /// workers) with results in presentation order — bit-identical to a
-  /// serial evaluation.
-  std::vector<SchemeResult> run_all();
-
-  const ExperimentConfig& config() const { return config_; }
 
  private:
   void ensure_base();
@@ -152,8 +147,9 @@ class Runner {
   ExperimentConfig config_;
   core::CompileOutput compiled_;
   std::optional<layout::LayoutTable> layout_;
-  OnceState base_once_;  // a failed Base run rethrows to every caller
+  OnceState trace_once_;  // a failed generation rethrows to every caller
   std::shared_ptr<const trace::Trace> trace_;  // without power calls
+  OnceState base_once_;   // likewise for the Base run
   std::optional<sim::SimReport> base_;
   mutable std::mutex timeline_mutex_;
   mutable std::map<std::pair<std::uint64_t, std::uint64_t>,

@@ -56,7 +56,8 @@ std::string AffineExpr::to_string(
   for (std::size_t k = 0; k < coefs.size(); ++k) {
     if (coefs[k] == 0) continue;
     const std::string name =
-        k < loop_names.size() ? loop_names[k] : "i" + std::to_string(k);
+        k < loop_names.size() ? loop_names[k]
+                               : std::string("i").append(std::to_string(k));
     if (!first) os << (coefs[k] > 0 ? "+" : "");
     if (coefs[k] == 1) {
       os << name;

@@ -73,7 +73,7 @@ NestBuilder& NestBuilder::stmt(Cycles cycles, std::string label) {
   Statement s;
   s.cycles = cycles;
   s.label = label.empty()
-                ? "s" + std::to_string(pending_.size() + 1)
+                ? std::string("s").append(std::to_string(pending_.size() + 1))
                 : std::move(label);
   pending_.emplace_back(std::move(s), std::vector<std::vector<SymExpr>>{});
   pending_kinds_.emplace_back();

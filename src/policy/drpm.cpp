@@ -9,7 +9,8 @@ void DrpmPolicy::attach(sim::DiskUnit& disk) {
   state_.emplace(disk.id(), DiskState{});
 }
 
-void DrpmPolicy::apply_idle_steps(sim::DiskUnit& disk, TimeMs now) const {
+void DrpmPolicy::apply_idle_steps(sim::DiskUnit& disk, TimeMs now,
+                                  bool settle_by_now) const {
   if (idle_step_ms_ <= 0) return;
   const TimeMs idle_start = disk.last_completion();
   // One step per full idle_step_ms of observed idleness, each applied at
@@ -17,17 +18,21 @@ void DrpmPolicy::apply_idle_steps(sim::DiskUnit& disk, TimeMs now) const {
   int level = disk.target_level();
   for (TimeMs t = idle_start + idle_step_ms_; t <= now && level > 0;
        t += idle_step_ms_) {
+    if (settle_by_now &&
+        t + disk.params().rpm_transition_time(level, level - 1) > now) {
+      break;
+    }
     --level;
     disk.set_rpm_level(t, level);
   }
 }
 
 void DrpmPolicy::before_service(sim::DiskUnit& disk, TimeMs now) {
-  apply_idle_steps(disk, now);
+  apply_idle_steps(disk, now, /*settle_by_now=*/false);
 }
 
 void DrpmPolicy::finalize(sim::DiskUnit& disk, TimeMs end) {
-  apply_idle_steps(disk, end);
+  apply_idle_steps(disk, end, /*settle_by_now=*/true);
 }
 
 void DrpmPolicy::after_service(sim::DiskUnit& disk, TimeMs completion,

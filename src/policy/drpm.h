@@ -44,7 +44,11 @@ class DrpmPolicy final : public sim::PowerPolicy {
   ReplayFn replay_kernel() const override;
 
  private:
-  void apply_idle_steps(sim::DiskUnit& disk, TimeMs now) const;
+  /// Take the idle steps due by `now`.  With `settle_by_now` (at the run's
+  /// end), only those whose RPM shift also completes by `now`: the run's
+  /// time buckets end at its end.
+  void apply_idle_steps(sim::DiskUnit& disk, TimeMs now,
+                        bool settle_by_now) const;
 
   struct DiskState {
     double window_sum = 0;

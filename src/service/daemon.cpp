@@ -525,16 +525,6 @@ JobOutcome ServiceDaemon::save_result(const Job& job,
   return JobOutcome::done(std::move(result));
 }
 
-JobOutcome ServiceDaemon::run_one(const Job& job,
-                                  const api::RunHooks& hooks) {
-  try {
-    return save_result(job, session_.run(job.spec, hooks));
-  } catch (const std::exception& e) {
-    return JobOutcome::failed(api::to_string(api::ErrorCode::kExecError),
-                              e.what());
-  }
-}
-
 void ServiceDaemon::run_batch_jobs(
     const std::vector<std::shared_ptr<Job>>& batch, double pop_ms) {
   obs::MetricsRegistry::global().observe("service.batch_size",
@@ -557,88 +547,77 @@ void ServiceDaemon::run_batch_jobs(
 
   // Persistent-store fast path: a job whose result survives from a prior
   // daemon life (or an identical earlier job) completes without touching
-  // the simulator.  Only the misses go to the batch sweep.
-  std::vector<std::shared_ptr<Job>> misses;
-  misses.reserve(batch.size());
+  // the simulator.  The misses go to the Session.
+  struct Dispatch {
+    std::vector<std::shared_ptr<Job>> jobs;
+    api::RunHooks hooks;
+  };
+  std::vector<Dispatch> dispatches;
+  Dispatch shared;
   for (const auto& job : batch) {
     std::optional<api::JobResult> cached;
     if (store_ != nullptr) cached = load_result(job->key);
     if (cached.has_value()) {
       finish_job(job, JobOutcome::done(std::move(*cached)),
                  wall_ms_now() - t0);
-    } else {
-      misses.push_back(job);
-    }
-  }
-
-  // A traced job (client-supplied trace_id, tracer attached) runs on its
-  // own with the replay tracer hooked up, so its simulated-time disk
-  // tracks land in the same event stream as its wall-time service lane.
-  // Everything else goes through the shared batch sweep.
-  std::vector<std::shared_ptr<Job>> plain;
-  plain.reserve(misses.size());
-  for (const auto& job : misses) {
-    if (tracer == nullptr || job->trace_id == 0) {
-      plain.push_back(job);
       continue;
     }
-    const double job_t0 = wall_ms_now();
-    api::RunHooks hooks;
-    hooks.replay_tracer = tracer;
-    if (job->spec.schemes.size() == 1) {
-      const auto scheme = api::scheme_from_name(job->spec.schemes.front());
-      if (scheme.has_value() && *scheme != experiments::Scheme::kItpm &&
-          *scheme != experiments::Scheme::kIdrpm) {
-        hooks.trace_scheme = *scheme;  // oracle schemes cannot replay
-      }
+    // A traced job (client-supplied trace_id, tracer attached) that names
+    // one replayable scheme dispatches alone with the replay tracer hooked
+    // up, so its simulated-time disk tracks land in the same event stream
+    // as its wall-time service lane and no other job's replay interleaves.
+    // Everything else shares one dispatch.
+    std::optional<experiments::Scheme> scheme;
+    if (tracer != nullptr && job->trace_id != 0 &&
+        job->spec.schemes.size() == 1) {
+      scheme = api::scheme_from_name(job->spec.schemes.front());
     }
-    JobOutcome outcome = run_one(*job, hooks);
-    // Stitch marker: a simulated-clock span carrying the client's trace id
-    // over the traced scheme's execution window is what links the
-    // wall-time service lane (same trace_id) to the disk tracks.
-    if (hooks.trace_scheme.has_value() && outcome.result.has_value() &&
-        !outcome.result->schemes.empty()) {
-      obs::Event begin;
-      begin.kind = obs::EventKind::kSpanBegin;
-      begin.t0 = 0;
-      begin.t1 = 0;
-      begin.label = job->label.c_str();
-      begin.trace_id = job->trace_id;
-      tracer->emit(begin);
-      obs::Event end = begin;
-      end.kind = obs::EventKind::kSpanEnd;
-      end.t0 = outcome.result->schemes.front().execution_ms;
-      end.t1 = end.t0;
-      tracer->emit(end);
-    }
-    finish_job(job, std::move(outcome), wall_ms_now() - job_t0);
-  }
-
-  if (!plain.empty()) {
-    std::vector<api::JobResult> results;
-    bool batched_ok = true;
-    try {
-      std::vector<api::JobSpec> specs;
-      specs.reserve(plain.size());
-      for (const auto& job : plain) specs.push_back(job->spec);
-      results = session_.run_batch(specs);
-    } catch (const std::exception&) {
-      batched_ok = false;
-    }
-    if (batched_ok) {
-      const double wall = wall_ms_now() - t0;
-      for (std::size_t i = 0; i < plain.size(); ++i) {
-        finish_job(plain[i], save_result(*plain[i], std::move(results[i])),
-                   wall);
-      }
+    if (scheme.has_value() && *scheme != experiments::Scheme::kItpm &&
+        *scheme != experiments::Scheme::kIdrpm) {
+      dispatches.push_back({{job}, {.replay_tracer = tracer,
+                                    .trace_scheme = scheme}});
     } else {
-      // The sweep failed as a whole; re-run per job so the error lands on
-      // the job that caused it and the rest of the batch still completes.
-      for (const auto& job : plain) {
-        const double job_t0 = wall_ms_now();
-        JobOutcome outcome = run_one(*job, {});
-        finish_job(job, std::move(outcome), wall_ms_now() - job_t0);
+      shared.jobs.push_back(job);
+    }
+  }
+  if (!shared.jobs.empty()) dispatches.push_back(std::move(shared));
+
+  // Each job's slot maps straight to its outcome.
+  for (const Dispatch& dispatch : dispatches) {
+    const double d0 = wall_ms_now();
+    std::vector<api::JobSpec> specs;
+    for (const auto& job : dispatch.jobs) specs.push_back(job->spec);
+    std::vector<api::JobSlot> slots = session_.run_batch(specs, dispatch.hooks);
+    const double wall = wall_ms_now() - d0;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const std::shared_ptr<Job>& job = dispatch.jobs[i];
+      if (slots[i].error) {
+        finish_job(job,
+                   JobOutcome::failed(
+                       api::to_string(api::ErrorCode::kExecError),
+                       slots[i].error_message()),
+                   wall);
+        continue;
       }
+      api::JobResult& result = *slots[i].result;
+      if (dispatch.hooks.replay_tracer != nullptr) {
+        // Stitch marker: a simulated-clock span carrying the client's
+        // trace id over the traced scheme's execution window is what links
+        // the wall-time service lane (same trace_id) to the disk tracks.
+        obs::Event begin;
+        begin.kind = obs::EventKind::kSpanBegin;
+        begin.t0 = 0;
+        begin.t1 = 0;
+        begin.label = job->label.c_str();
+        begin.trace_id = job->trace_id;
+        tracer->emit(begin);
+        obs::Event end = begin;
+        end.kind = obs::EventKind::kSpanEnd;
+        end.t0 = result.schemes.front().execution_ms;
+        end.t1 = end.t0;
+        tracer->emit(end);
+      }
+      finish_job(job, save_result(*job, std::move(result)), wall);
     }
   }
 

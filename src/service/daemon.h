@@ -8,11 +8,12 @@
 //                      ops (result with wait) only block their own
 //                      connection.
 //   dispatcher thread  pops admission-queue batches and evaluates each
-//                      batch as ONE api::Session::run_batch sweep dispatch,
-//                      so compatible cells share the process-wide TraceCache
-//                      and the thread pool.  When a batch throws, the
-//                      dispatcher falls back to per-job Session::run so the
-//                      failure is attributed to the job that caused it and
+//                      batch's store misses as ONE api::Session::run_batch
+//                      sweep dispatch, so compatible cells share the
+//                      process-wide TraceCache and the thread pool (a
+//                      traced job dispatches alone through the same call).
+//                      Each job's slot maps straight to its outcome: done,
+//                      or EXEC_ERROR with the error its evaluation threw;
 //                      the rest of the batch still completes.
 //
 // Shutdown: request_drain() closes admission but keeps serving queries;
@@ -135,7 +136,6 @@ class ServiceDaemon {
   void dump_telemetry();
   void run_batch_jobs(const std::vector<std::shared_ptr<Job>>& batch,
                       double pop_ms);
-  JobOutcome run_one(const Job& job, const api::RunHooks& hooks);
   JobOutcome save_result(const Job& job, api::JobResult result);
   std::optional<api::JobResult> load_result(const ContentKey& key);
   Json handle_request(const Json& request, std::uint64_t session_id);

@@ -8,7 +8,8 @@
 // two execute the same statements in the same order on the same doubles;
 // the equivalence suite pins their reports bit for bit.
 //
-// Every driver shares the item merge (ItemCursor) and the ReplayRig: one
+// Every driver shares the item merge (trace::ItemCursor, which the
+// certifier walks too) and the ReplayRig: one
 // DiskArrayState (disk_state.h) with the units as its slots, power-event
 // delivery and the per-request service step.  A driver decides only when
 // each item is due and how each application's clock moves: the closed
@@ -47,60 +48,6 @@ struct ReplayContext {
 };
 
 namespace detail {
-
-/// One trace's items in replay order: requests and power events merged on
-/// the compute timeline, a power event winning a tie (it sits immediately
-/// before the iteration it annotates).  Every item's target disk is
-/// checked before delivery, so the handlers index unchecked.
-class ItemCursor {
- public:
-  explicit ItemCursor(const trace::Trace& trace)
-      : req_(trace.requests.data()),
-        req_end_(req_ + trace.requests.size()),
-        ev_(trace.power_events.data()),
-        ev_end_(ev_ + trace.power_events.size()),
-        disks_(trace.total_disks),
-        compute_end_(trace.compute_total_ms) {}
-
-  /// Compute-timeline stamp of the next item; the trace's compute end once
-  /// every item is delivered.
-  TimeMs next_time() const {
-    if (power_next()) return ev_->app_time_ms;
-    return req_ != req_end_ ? req_->arrival_ms : compute_end_;
-  }
-
-  /// Hand the next item to `on_power` or `on_request`; false when every
-  /// item has been delivered.
-  template <class OnPower, class OnRequest>
-  bool deliver(OnPower&& on_power, OnRequest&& on_request) {
-    if (power_next()) {
-      const trace::PowerEvent& ev = *ev_++;
-      SDPM_REQUIRE(ev.directive.disk >= 0 && ev.directive.disk < disks_,
-                   "power event targets unknown disk");
-      on_power(ev);
-      return true;
-    }
-    if (req_ == req_end_) return false;
-    const trace::Request& req = *req_++;
-    SDPM_REQUIRE(req.disk >= 0 && req.disk < disks_,
-                 "request targets unknown disk");
-    on_request(req);
-    return true;
-  }
-
- private:
-  bool power_next() const {
-    return ev_ != ev_end_ &&
-           (req_ == req_end_ || ev_->app_time_ms <= req_->arrival_ms);
-  }
-
-  const trace::Request* req_;
-  const trace::Request* req_end_;
-  const trace::PowerEvent* ev_;
-  const trace::PowerEvent* ev_end_;
-  int disks_;
-  TimeMs compute_end_;
-};
 
 /// The disk array every driver replays on, the policy attached to each
 /// unit, and the two steps every driver shares.
@@ -243,7 +190,7 @@ class Application {
     }
   }
 
-  ItemCursor items_;
+  trace::ItemCursor items_;
   TimeMs compute_ = 0;  ///< compute-timeline position
   TimeMs clock_ = 0;
   bool finished_ = false;
@@ -309,7 +256,7 @@ SimReport replay_run(PowerPolicy& base, const ReplayContext& ctx) {
     report = std::move(app.tally);
   } else {
     // Every item is due at its recorded timestamp, whatever the disks do.
-    detail::ItemCursor items(trace);
+    trace::ItemCursor items(trace);
     while (items.deliver(
         [&](const trace::PowerEvent& ev) { rig.power(ev, ev.app_time_ms); },
         [&](const trace::Request& req) {

@@ -116,7 +116,6 @@
 #include "experiments/runner.h"
 #include "experiments/sweep.h"
 #include "experiments/trace_cache.h"
-#include "layout/layout_table.h"
 #include "obs/metrics.h"
 #include "obs/preactivation.h"
 #include "obs/sim_metrics.h"
@@ -131,7 +130,6 @@
 #include "sim/simulator.h"
 #include "tools/args.h"
 #include "trace/dap.h"
-#include "trace/generator.h"
 #include "trace/text_io.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -312,15 +310,6 @@ api::JobSpec job_spec_from(const Args& args) {
     usage(e.what());
   }
   return spec;
-}
-
-/// `bench` after the configured transformation, with the per-array
-/// striping to lay it out with (no power calls), as Runner compiles it.
-core::CompileOutput compiled_program(
-    const workloads::Benchmark& bench,
-    const experiments::ExperimentConfig& config) {
-  return core::compile(bench.program, config.transform, std::nullopt,
-                       experiments::compiler_options(config));
 }
 
 void emit(const Table& table, const Args& args) {
@@ -515,13 +504,8 @@ int cmd_inspect(const Args& args) {
       workloads::make_benchmark(args.get("benchmark"));
   const experiments::ExperimentConfig config =
       job_spec_from(args).to_config();
-  const core::CompileOutput compiled = compiled_program(bench, config);
-  const layout::LayoutTable table =
-      compiled.make_layout_table(config.total_disks);
-  trace::GeneratorOptions gen = config.gen;
-  gen.noise = config.actual_noise;
-  trace::TraceGenerator generator(compiled.program, table, gen);
-  const trace::Trace trace = generator.generate();
+  experiments::Runner runner(bench, config);
+  const trace::Trace& trace = runner.trace();
 
   policy::BasePolicy base;
   policy::TpmPolicy tpm;
@@ -572,20 +556,12 @@ int cmd_profile(const Args& args) {
       workloads::make_benchmark(args.get("benchmark"));
   const experiments::ExperimentConfig config =
       job_spec_from(args).to_config();
-  const core::CompileOutput compiled = compiled_program(bench, config);
-  const layout::LayoutTable table =
-      compiled.make_layout_table(config.total_disks);
-  trace::GeneratorOptions gen = config.gen;
-  gen.noise = config.actual_noise;
-  trace::TraceGenerator generator(compiled.program, table, gen);
-  const trace::Trace trace = generator.generate();
-  policy::BasePolicy policy;
-  sim::SimOptions options;
-  options.capture_responses = true;      // the per-nest profile needs them
-  options.capture_busy_periods = true;   // the idle-gap table walks them
-  const sim::SimReport report =
-      sim::simulate(trace, config.disk, policy, options);
-  emit(experiments::per_nest_profile(compiled.program, trace, report), args);
+  // The Base run captures the responses the per-nest profile needs and the
+  // busy periods the idle-gap table walks.
+  experiments::Runner runner(bench, config);
+  const sim::SimReport& report = runner.base_report();
+  emit(experiments::per_nest_profile(runner.program(), runner.trace(), report),
+       args);
   emit(experiments::idle_gap_table(report, config.disk), args);
   return 0;
 }
@@ -597,7 +573,9 @@ int cmd_dap(const Args& args) {
       workloads::make_benchmark(args.get("benchmark"));
   const experiments::ExperimentConfig config =
       job_spec_from(args).to_config();
-  const core::CompileOutput compiled = compiled_program(bench, config);
+  const core::CompileOutput compiled =
+      core::compile(bench.program, config.transform, std::nullopt,
+                    experiments::compiler_options(config));
   const auto dap = trace::DiskAccessPattern::analyze(
       compiled.program, compiled.make_layout_table(config.total_disks),
       config.gen);
@@ -612,11 +590,9 @@ int cmd_trace(const Args& args) {
       workloads::make_benchmark(args.get("benchmark"));
   const experiments::ExperimentConfig config =
       job_spec_from(args).to_config();
-  const core::CompileOutput compiled = compiled_program(bench, config);
-  const layout::LayoutTable table =
-      compiled.make_layout_table(config.total_disks);
-  trace::TraceGenerator generator(compiled.program, table, config.gen);
-  const trace::Trace trace = generator.generate();
+  // The production-run trace `run` replays, actual noise included.
+  experiments::Runner runner(bench, config);
+  const trace::Trace& trace = runner.trace();
   if (args.has("out")) {
     std::ofstream out(args.get("out"));
     if (!out) usage("cannot open '" + args.get("out") + "'");
@@ -796,12 +772,14 @@ int cmd_bench(const Args& args) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   const obs::MetricsRegistry::Snapshot before = metrics.snapshot();
   const auto started = std::chrono::steady_clock::now();
-  const std::vector<api::JobResult> results = session.run_batch(specs);
+  const std::vector<api::JobSlot> results = session.run_batch(specs);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - started)
           .count();
   const obs::MetricsRegistry::Snapshot after = metrics.snapshot();
+  // A failed cell fails the sweep with its own located error (exit 1).
+  for (const api::JobSlot& slot : results) (void)slot.value();
   const unsigned jobs = default_jobs();
 
   // Primary output stream: --out or stdout.
@@ -865,7 +843,8 @@ int cmd_bench(const Args& args) {
     header.push_back(std::string(experiments::to_string(s)) + " E");
   }
   table.set_header(header);
-  for (const api::JobResult& cell : results) {
+  for (const api::JobSlot& slot : results) {
+    const api::JobResult& cell = *slot.result;
     std::vector<std::string> row = {cell.label, fmt_double(cell.wall_ms, 1)};
     for (const api::SchemeOutcome& r : cell.schemes) {
       row.push_back(fmt_double(r.normalized_energy, 3));

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ir/program.h"
+#include "util/error.h"
 #include "util/units.h"
 
 namespace sdpm::trace {
@@ -56,6 +57,62 @@ struct Trace {
 
   /// Write in a DiskSim-like text format: one request per line.
   void write_text(std::ostream& os) const;
+};
+
+/// One trace's items in replay order: requests and power events merged on
+/// the compute timeline, a power event winning a tie (it sits immediately
+/// before the iteration it annotates).  Every item's target disk is
+/// checked before delivery, so the handlers index unchecked.  The one
+/// merge: every replay driver (sim/replay.h) and the certifier
+/// (analysis::certify_trace) walk a trace with it.
+class ItemCursor {
+ public:
+  explicit ItemCursor(const Trace& trace)
+      : req_(trace.requests.data()),
+        req_end_(req_ + trace.requests.size()),
+        ev_(trace.power_events.data()),
+        ev_end_(ev_ + trace.power_events.size()),
+        disks_(trace.total_disks),
+        compute_end_(trace.compute_total_ms) {}
+
+  /// Compute-timeline stamp of the next item; the trace's compute end once
+  /// every item is delivered.
+  TimeMs next_time() const {
+    if (power_next()) return ev_->app_time_ms;
+    return req_ != req_end_ ? req_->arrival_ms : compute_end_;
+  }
+
+  /// Hand the next item to `on_power` or `on_request`; false when every
+  /// item has been delivered.
+  template <class OnPower, class OnRequest>
+  bool deliver(OnPower&& on_power, OnRequest&& on_request) {
+    if (power_next()) {
+      const PowerEvent& ev = *ev_++;
+      SDPM_REQUIRE(ev.directive.disk >= 0 && ev.directive.disk < disks_,
+                   "power event targets unknown disk");
+      on_power(ev);
+      return true;
+    }
+    if (req_ == req_end_) return false;
+    const Request& req = *req_++;
+    SDPM_REQUIRE(req.disk >= 0 && req.disk < disks_,
+                 "request targets unknown disk");
+    on_request(req);
+    return true;
+  }
+
+ private:
+  bool power_next() const {
+    return ev_ != ev_end_ &&
+           (req_ == req_end_ || ev_->app_time_ms <= req_->arrival_ms);
+  }
+
+  const Request* req_;
+  const Request* req_end_;
+  const PowerEvent* ev_;
+  const PowerEvent* ev_end_;
+  int disks_;
+  TimeMs compute_end_;
 };
 
 /// Concatenate `timesteps` copies of `trace` on the compute timeline —

@@ -1,6 +1,5 @@
-// Minimal work-queue thread pool used by the experiment runner and the
-// sweep engine to evaluate independent (benchmark, scheme, configuration)
-// cells in parallel.
+// Minimal work-queue thread pool used by the sweep engine to evaluate
+// independent (benchmark, scheme, configuration) cells in parallel.
 //
 // The discrete-event simulator itself stays single-threaded for determinism;
 // parallelism lives strictly at the granularity of independent simulations.

@@ -54,7 +54,8 @@ ir::Program make_synthetic(const SyntheticOptions& options) {
                             ? ir::StorageLayout::kColMajor
                             : ir::StorageLayout::kRowMajor;
     const ir::ArrayId id =
-        pb.array("A" + std::to_string(a), {rows, cols}, 8, layout);
+        pb.array(std::string("A").append(std::to_string(a)), {rows, cols},
+                 8, layout);
     arrays.push_back(ArrayInfo{id, rows, cols});
   }
 

@@ -189,10 +189,44 @@ TEST(Session, BatchMatchesSerialRuns) {
   specs.push_back(JobSpecBuilder("mesa").scheme("Base").disks(4).build());
 
   Session session;
-  const std::vector<JobResult> batch = session.run_batch(specs);
+  const std::vector<JobSlot> batch = session.run_batch(specs);
   ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(batch[i], session.run(specs[i])) << specs[i].display_label();
+    EXPECT_EQ(batch[i].value(), session.run(specs[i]))
+        << specs[i].display_label();
+  }
+}
+
+TEST(Session, BatchFailsOnlyTheJobThatThrew) {
+  // A block size that passes validate() but cannot divide the 64 KB stripe
+  // throws inside evaluation.  The error lands in that job's slot, the
+  // other jobs complete as if run alone, and run() throws the same error.
+  JobSpec bad = JobSpecBuilder("galgel").scheme("Base").build();
+  bad.block_size = 64 * 1024 + 512;
+  ASSERT_NO_THROW(bad.validate());
+  const std::vector<JobSpec> specs = {
+      JobSpecBuilder("galgel").scheme("TPM").build(), bad,
+      JobSpecBuilder("galgel").scheme("DRPM").build()};
+
+  Session session(SessionOptions{.jobs = 2});
+  const std::vector<JobSlot> batch = session.run_batch(specs);
+  ASSERT_EQ(batch.size(), specs.size());
+  ASSERT_TRUE(batch[1].error);
+  EXPECT_FALSE(batch[1].result.has_value());
+  EXPECT_NE(batch[1].error_message().find("block size must divide"),
+            std::string::npos)
+      << batch[1].error_message();
+  for (const std::size_t i : {0u, 2u}) {
+    ASSERT_FALSE(batch[i].error) << batch[i].error_message();
+    EXPECT_TRUE(batch[i].error_message().empty());
+    EXPECT_EQ(batch[i].value(), session.run(specs[i]));
+    EXPECT_GT(batch[i].value().wall_ms, 0.0);
+  }
+  try {
+    (void)session.run(bad);
+    ADD_FAILURE() << "no error thrown";
+  } catch (const sdpm::Error& e) {
+    EXPECT_EQ(e.what(), batch[1].error_message());
   }
 }
 

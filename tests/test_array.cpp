@@ -9,7 +9,7 @@ namespace {
 
 Array make_array(StorageLayout layout) {
   Array a;
-  a.name = "U";
+  a.name = std::string("U");
   a.extents = {4, 6};
   a.element_size = 8;
   a.layout = layout;

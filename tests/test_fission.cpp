@@ -22,7 +22,7 @@ struct Figure9 {
     ProgramBuilder pb("figure9");
     for (int k = 0; k < 10; ++k) {
       u[static_cast<std::size_t>(k)] =
-          pb.array("U" + std::to_string(k + 1), {1024});
+          pb.array(std::string("U").append(std::to_string(k + 1)), {1024});
     }
     // nest1: s1 couples U1,U2; s2 couples U3,U4; s3 couples U6,U7.
     pb.nest("nest1")
@@ -203,7 +203,8 @@ TEST(Fission, MoreGroupsThanDisksFallsBack) {
   ProgramBuilder pb2("many");
   std::vector<ArrayId> arrays2;
   for (int k = 0; k < 4; ++k) {
-    arrays2.push_back(pb2.array("A" + std::to_string(k), {8192}));
+    arrays2.push_back(
+        pb2.array(std::string("A").append(std::to_string(k)), {8192}));
   }
   auto nb2 = pb2.nest("n");
   nb2.loop("i", 0, 8192);

@@ -63,20 +63,18 @@ trace::Trace prefetched_trace(const std::string& bench, bool scheduled) {
   return trace::TraceGenerator(schedule.program, table, gen).generate();
 }
 
-/// One stream replays exactly as the simulator's closed loop does.  The
-/// invariants are checked unless `check` is false: DRPM on swim with a
-/// 5 ms lead ends the run inside an idle step's RPM shift, and the
-/// simulator's own report fails them just as the stream's does.
+/// One stream replays exactly as the simulator's closed loop does, and
+/// both reports satisfy the invariants.
 void expect_single_stream_matches(const trace::Trace& t,
                                   PowerPolicy& for_simulate,
-                                  PowerPolicy& for_streams,
-                                  bool check = true) {
+                                  PowerPolicy& for_streams) {
   const SimReport single = simulate(
       t, params(), for_simulate, SimOptions{.capture_busy_periods = true});
   const std::vector<trace::Trace> traces = {t};
   const MultiStreamReport multi =
       simulate_streams(traces, params(), for_streams);
-  if (check) check_invariants(multi, params());
+  check_invariants(single, params());
+  check_invariants(multi, params());
   EXPECT_EQ(multi.makespan_ms, single.execution_ms);
   EXPECT_EQ(multi.streams[0].completion_ms, single.execution_ms);
   EXPECT_EQ(multi.total_energy, single.total_energy);
@@ -127,7 +125,7 @@ TEST(MultiStream, SingleStreamMatchesSimulator) {
     {
       policy::DrpmPolicy p1;
       policy::DrpmPolicy p2;
-      expect_single_stream_matches(plain, p1, p2, /*check=*/false);
+      expect_single_stream_matches(plain, p1, p2);
     }
     {
       const trace::Trace scheduled = prefetched_trace(bench, true);

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "experiments/runner.h"
+#include "experiments/sweep.h"
 #include "util/error.h"
 
 namespace sdpm::experiments {
@@ -69,10 +70,13 @@ TEST_P(SchemeOrderingTest, PaperFigure3And4Shape) {
 }
 
 TEST(Runner, RunAllCoversSevenSchemes) {
-  workloads::Benchmark b = workloads::make_galgel();
-  ExperimentConfig config;
-  Runner runner(b, config);
-  const auto results = runner.run_all();
+  // A sweep cell with no scheme list runs all seven, in the paper's order.
+  SweepCell cell;
+  cell.benchmark = workloads::make_galgel();
+  const auto sweep = SweepEngine().run({cell});
+  ASSERT_EQ(sweep.size(), 1u);
+  ASSERT_FALSE(sweep[0].error);
+  const auto& results = sweep[0].results;
   ASSERT_EQ(results.size(), 7u);
   EXPECT_EQ(results[0].scheme, Scheme::kBase);
   EXPECT_EQ(results[6].scheme, Scheme::kCmdrpm);

@@ -25,6 +25,7 @@
 
 #include "api/job_spec.h"
 #include "api/session.h"
+#include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "obs/tracer.h"
 #include "service/client.h"
@@ -168,7 +169,8 @@ TEST(AdmissionQueue, DrainIsLossless) {
   for (int i = 0; i < 10; ++i) {
     const std::uint64_t session = 1 + static_cast<std::uint64_t>(i % 3);
     const std::int64_t id = queue.submit(
-        session, cheap_spec("j" + std::to_string(i)), error, retryable);
+        session, cheap_spec(std::string("j").append(std::to_string(i))),
+        error, retryable);
     ASSERT_GT(id, 0);
     admitted.push_back(id);
   }
@@ -273,8 +275,8 @@ TEST(ServiceDaemon, EndToEndSubmitAndDrain) {
 
 // FAILURE PATH: an evaluation that throws fails only its own job.  A block
 // size of 64 KiB + 512 B passes JobSpec::validate() but does not divide the
-// 64 KiB stripe, so trace generation throws; the failed batch is re-run job
-// by job, the bad job ends EXEC_ERROR and the good ones still complete.
+// 64 KiB stripe, so trace generation throws; the error stays in the bad
+// job's slot, it ends EXEC_ERROR and the good ones still complete.
 TEST(ServiceDaemon, ThrowingEvaluationFailsOnlyItsJob) {
   DaemonOptions options;
   options.socket_path = test_socket_path("exec_error");
@@ -310,6 +312,84 @@ TEST(ServiceDaemon, ThrowingEvaluationFailsOnlyItsJob) {
     client.shutdown();
   }
   waiter.join();
+}
+
+// One dispatch evaluates a batch with a failing job: three good galgel jobs
+// simulate Base plus their scheme once each (6 runs), and the bad job's
+// trace generation throws before any run.  Nothing is evaluated twice.
+TEST(ServiceDaemon, FailingJobCostsItsBatchNoRerun) {
+  DaemonOptions options;
+  options.socket_path = test_socket_path("one_dispatch");
+  options.max_batch = 4;
+  options.jobs = 1;
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    Client client(options.socket_path);
+    api::JobSpec bad = cheap_spec("bad-block");
+    bad.block_size = kib(64) + 512;
+    ASSERT_NO_THROW(bad.validate());
+    daemon.queue().pause(true);
+    std::vector<std::int64_t> good;
+    for (const char* scheme : {"TPM", "DRPM", "CMDRPM"}) {
+      good.push_back(
+          client.submit(api::JobSpecBuilder("galgel").scheme(scheme).build()));
+    }
+    const std::int64_t bad_id = client.submit(bad);
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+    const std::int64_t before = metrics.snapshot().counter("sim.simulations");
+    daemon.queue().pause(false);
+
+    const Json failed = client.result(bad_id, /*wait=*/true);
+    EXPECT_EQ(failed.at("state").as_string(), "failed");
+    EXPECT_EQ(failed.at("code").as_string(),
+              api::to_string(api::ErrorCode::kExecError));
+    EXPECT_NE(failed.at("error").as_string().find(
+                  "block size must divide every array's stripe size"),
+              std::string::npos)
+        << failed.at("error").as_string();
+    for (const std::int64_t id : good) {
+      EXPECT_EQ(client.result(id, /*wait=*/true).at("state").as_string(),
+                "done");
+    }
+    EXPECT_EQ(metrics.snapshot().counter("sim.simulations") - before, 6);
+    client.shutdown();
+  }
+  waiter.join();
+}
+
+// A client trace id on a job with no single replayable scheme (all seven,
+// or an analytic oracle) traces the service lane only; the job completes.
+TEST(ServiceDaemon, TracedJobWithoutOneReplayCompletes) {
+  obs::CountingSink sink;
+  obs::EventTracer tracer;
+  tracer.add_sink(sink);
+  DaemonOptions options;
+  options.socket_path = test_socket_path("traced_multi");
+  options.jobs = 2;
+  options.tracer = &tracer;
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    Client client(options.socket_path);
+    TraceContext trace;
+    trace.trace_id = 0x5eedull;
+    trace.span_id = 1;
+    for (const api::JobSpec& spec :
+         {api::JobSpecBuilder("galgel").build(),
+          api::JobSpecBuilder("galgel").scheme("ITPM").build()}) {
+      const std::int64_t id = client.submit(spec, 8, trace);
+      const Json done = client.result(id, /*wait=*/true);
+      EXPECT_EQ(done.at("state").as_string(), "done")
+          << done.dump();
+    }
+    client.shutdown();
+  }
+  waiter.join();
+  tracer.close();
+  EXPECT_GT(sink.total(), 0);
 }
 
 TEST(ServiceDaemon, DevicePresetsAndV1NotesTravelTheWire) {
@@ -1105,7 +1185,7 @@ TEST(ServiceDaemon, SurvivesMalformedAndTruncatedFrames) {
   huge_device += "]}";
   {
     const int fd = raw_connect(options.socket_path);
-    for (const std::string bad :
+    for (const std::string& bad :
          {std::string("this is not json"), std::string("[1,2,3"),
           std::string("{\"no_op\":true}"), std::string("{\"op\":42}"),
           std::string("\x00\xff\x7f garbage \x01", 12),
@@ -1129,7 +1209,7 @@ TEST(ServiceDaemon, SurvivesMalformedAndTruncatedFrames) {
 
   // Torn frames: announce more than is sent, then hang up mid-frame.  The
   // daemon drops that connection and nothing else.
-  for (const std::string torn :
+  for (const std::string& torn :
        {be32(100) + std::string(10, 'y'), be32(1), std::string("\x00", 1),
         std::string("ABC")}) {
     const int fd = raw_connect(options.socket_path);

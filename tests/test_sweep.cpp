@@ -1,9 +1,11 @@
 // SweepEngine: parallel sweeps must be bit-identical to serial Runner
-// evaluation, deterministic across repeats, and must surface cell failures
-// as exceptions.
+// evaluation, deterministic across repeats, and must keep a failed cell's
+// error in that cell's slot while every other cell completes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <exception>
+#include <string>
 #include <vector>
 
 #include "experiments/runner.h"
@@ -92,18 +94,22 @@ TEST(SweepEngine, ExplicitSchemeSubsetIsHonored) {
 }
 
 TEST(SweepEngine, RunAllMatchesSerialSchemes) {
-  // Runner::run_all fans over the pool internally; its results must be
-  // indistinguishable from a serial scheme loop on a fresh Runner.
-  const workloads::Benchmark bench = workloads::make_galgel();
-  const ExperimentConfig config = fast_config();
-  Runner pooled(bench, config);
-  const std::vector<SchemeResult> all = pooled.run_all();
+  // A one-cell sweep over all seven schemes (what Session::run dispatches)
+  // fans the schemes over the pool; its results must be indistinguishable
+  // from a serial scheme loop on a fresh Runner.
+  SweepCell cell;
+  cell.label = "galgel";
+  cell.benchmark = workloads::make_galgel();
+  cell.config = fast_config();
+  const std::vector<SweepCellResult> sweep = SweepEngine().run({cell});
+  ASSERT_EQ(sweep.size(), 1u);
+  ASSERT_FALSE(sweep[0].error);
 
-  Runner serial(bench, config);
+  Runner serial(cell.benchmark, cell.config);
   const std::vector<Scheme> schemes = all_schemes();
-  ASSERT_EQ(all.size(), schemes.size());
+  ASSERT_EQ(sweep[0].results.size(), schemes.size());
   for (std::size_t s = 0; s < schemes.size(); ++s) {
-    expect_same_result(all[s], serial.run(schemes[s]));
+    expect_same_result(sweep[0].results[s], serial.run(schemes[s]));
   }
 }
 
@@ -117,21 +123,53 @@ TEST(SweepEngine, CellsForBenchmarksCoversAllSchemes) {
   }
 }
 
-TEST(SweepEngine, CellFailurePropagatesFromRun) {
-  // A block size that does not divide the stripe size makes trace
-  // generation throw inside the pool task; run() must rethrow it.
+TEST(SweepEngine, CellFailureStaysInItsSlot) {
+  // A block size that passes validation but does not divide the stripe
+  // size makes trace generation throw inside the bad cell's tasks.  The
+  // error stays in that cell's slot; the good cell completes and equals a
+  // lone run of it.
   SweepCell bad;
   bad.label = "bad";
   bad.benchmark = workloads::make_galgel();
   bad.config = fast_config();
   bad.config.gen.block_size = kib(64) + 512;  // does not divide 64 KB
+  bad.schemes = {Scheme::kBase, Scheme::kTpm};
   SweepCell good;
   good.label = "good";
   good.benchmark = workloads::make_galgel();
   good.config = fast_config();
-  good.schemes = {Scheme::kBase};
-  SweepEngine engine(2);
-  EXPECT_THROW(engine.run({bad, good}), Error);
+  good.schemes = {Scheme::kBase, Scheme::kDrpm, Scheme::kCmdrpm};
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const obs::MetricsRegistry::Snapshot before = metrics.snapshot();
+  const std::vector<SweepCellResult> sweep = SweepEngine(2).run({bad, good});
+  const obs::MetricsRegistry::Snapshot after = metrics.snapshot();
+  ASSERT_EQ(sweep.size(), 2u);
+
+  ASSERT_TRUE(sweep[0].error);
+  EXPECT_TRUE(sweep[0].results.empty());
+  std::string message;
+  try {
+    std::rethrow_exception(sweep[0].error);
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("block size must divide"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(".cpp:"), std::string::npos) << message;
+
+  EXPECT_FALSE(sweep[1].error);
+  const std::vector<SweepCellResult> lone = SweepEngine(1).run({good});
+  ASSERT_FALSE(lone[0].error);
+  ASSERT_EQ(sweep[1].results.size(), good.schemes.size());
+  ASSERT_EQ(lone[0].results.size(), good.schemes.size());
+  for (std::size_t s = 0; s < good.schemes.size(); ++s) {
+    expect_same_result(sweep[1].results[s], lone[0].results[s]);
+  }
+  // Only the completed cell counts as completed.
+  EXPECT_EQ(after.counter("sweep.cells_completed") -
+                before.counter("sweep.cells_completed"),
+            1);
 }
 
 TEST(SweepEngine, JobsAreConfigurable) {
