@@ -6,6 +6,7 @@
 #include "policy/drpm.h"
 #include "policy/proactive.h"
 #include "policy/tpm.h"
+#include "sim/invariants.h"
 #include "sim/simulator.h"
 
 namespace sdpm::policy {
@@ -97,6 +98,25 @@ TEST(DrpmPolicy, NoIdleSteppingWhenDisabled) {
   DrpmPolicy policy(0.0);
   const sim::SimReport report = sim::simulate(t, params(), policy);
   EXPECT_EQ(report.disks[0].rpm_transitions, 0);  // too few for a window
+}
+
+// An idle step due at the run's end is taken only when its RPM shift
+// (5 ms per step on the paper disk) completes inside the run, so every
+// disk's time buckets end where the run ends.
+TEST(DrpmPolicy, IdleStepsAtTheEndSettleInsideTheRun) {
+  for (const TimeMs trailing : {1'000.0, 1'002.0, 1'005.5}) {
+    SCOPED_TRACE(trailing);
+    trace::Trace t;
+    t.total_disks = 1;
+    trace::Request r;
+    r.size_bytes = kib(64);
+    t.requests = {r};
+    t.compute_total_ms = trailing;  // idle from the one service to the end
+    DrpmPolicy policy(500.0);
+    const sim::SimReport report = sim::simulate(t, params(), policy);
+    EXPECT_NO_THROW(sim::check_invariants(report, params()));
+    EXPECT_EQ(report.disks[0].rpm_transitions, trailing > 1'005.0 ? 2 : 1);
+  }
 }
 
 TEST(DrpmPolicy, WindowHeuristicStepsDownOnStableResponses) {
