@@ -5,13 +5,17 @@
 namespace sdpm::core {
 
 MispredictStats compare_with_oracle(const std::vector<GapPlan>& plans,
-                                    const trace::TimeEstimate& actual,
+                                    const trace::StallAwareTimeline& actual,
                                     const disk::DiskParameters& params,
                                     PowerMode mode) {
   MispredictStats stats;
+  // The scheduler's plans come disk-major, each disk's gaps in increasing
+  // order; a cursor restarts by itself where a plan goes back.
+  trace::StallAwareTimeline::Cursor gap_begin(actual);
+  trace::StallAwareTimeline::Cursor gap_end(actual);
   for (const GapPlan& plan : plans) {
-    const TimeMs actual_gap = actual.at_global(plan.end_iter) -
-                              actual.at_global(plan.begin_iter);
+    const TimeMs actual_gap =
+        gap_end.at(plan.end_iter) - gap_begin.at(plan.begin_iter);
     ++stats.gaps;
     if (mode == PowerMode::kDrpm) {
       const int oracle = policy::optimal_rpm_level(actual_gap, params);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/schedule.h"
-#include "trace/timeline.h"
+#include "trace/stall_aware.h"
 
 namespace sdpm::core {
 
@@ -29,7 +29,7 @@ struct MispredictStats {
 /// the actual timeline.  `mode` selects the decision being compared: the
 /// RPM level (DRPM) or the spin-down decision (TPM).
 MispredictStats compare_with_oracle(const std::vector<GapPlan>& plans,
-                                    const trace::TimeEstimate& actual,
+                                    const trace::StallAwareTimeline& actual,
                                     const disk::DiskParameters& params,
                                     PowerMode mode);
 

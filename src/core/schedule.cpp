@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "policy/oracle.h"
-#include "trace/timeline.h"
+#include "trace/stall_aware.h"
 #include "util/error.h"
 
 namespace sdpm::core {
@@ -20,26 +20,6 @@ std::int64_t preactivation_distance(TimeMs t_su_ms, TimeMs s_ms,
 }
 
 namespace {
-
-/// Latest global iteration g in [lo, hi] whose estimated remaining time to
-/// `hi` is at least `lead_ms` (binary search on the monotone timeline).
-std::int64_t latest_start_with_lead(const trace::TimeEstimate& est,
-                                    std::int64_t lo, std::int64_t hi,
-                                    TimeMs lead_ms) {
-  const TimeMs deadline = est.at_global(hi);
-  if (deadline - est.at_global(lo) < lead_ms) return lo;
-  std::int64_t a = lo;  // invariant: satisfies the lead
-  std::int64_t b = hi;  // invariant: does not (or is the deadline itself)
-  while (b - a > 1) {
-    const std::int64_t mid = a + (b - a) / 2;
-    if (deadline - est.at_global(mid) >= lead_ms) {
-      a = mid;
-    } else {
-      b = mid;
-    }
-  }
-  return a;
-}
 
 std::int64_t snap_down(std::int64_t g, std::int64_t granularity) {
   return granularity <= 1 ? g : (g / granularity) * granularity;
@@ -63,12 +43,13 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
 
   const trace::DiskAccessPattern dap =
       trace::DiskAccessPattern::analyze(program, layout, options.access);
-  const trace::Timeline nominal(program, options.access.clock_hz);
-  const trace::TimeEstimate& est =
+  const trace::StallAwareTimeline nominal(
+      trace::Timeline(program, options.access.clock_hz));
+  const trace::StallAwareTimeline& est =
       options.estimate != nullptr ? *options.estimate : nominal;
-  SDPM_REQUIRE(est.total_iterations() == nominal.space().total(),
+  const trace::IterationSpace& space = nominal.compute().space();
+  SDPM_REQUIRE(est.total_iterations() == space.total(),
                "estimate timeline does not match the program");
-  const trace::IterationSpace& space = nominal.space();
   const std::int64_t total = space.total();
   const int top = params.max_level();
   const TimeMs tm = options.access.power_call_overhead_ms;
@@ -80,6 +61,10 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
   };
 
   for (int d = 0; d < dap.disk_count(); ++d) {
+    // A disk's gaps come in increasing order, so two forward cursors read
+    // both ends of every gap without searching the timeline.
+    trace::StallAwareTimeline::Cursor gap_begin(est);
+    trace::StallAwareTimeline::Cursor gap_end(est);
     const IntervalSet idle = dap.idle_periods(d);
     for (const Interval& gap : idle.intervals()) {
       GapPlan plan;
@@ -87,8 +72,7 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
       plan.mode = options.mode;
       plan.begin_iter = gap.lo;
       plan.end_iter = gap.hi;
-      plan.estimated_ms =
-          est.at_global(gap.hi) - est.at_global(gap.lo);
+      plan.estimated_ms = gap_end.at(gap.hi) - gap_begin.at(gap.lo);
       const TimeMs discounted =
           plan.estimated_ms * (1.0 - kSafetyMargin);
       const bool has_next_use = gap.hi < total;
@@ -107,7 +91,7 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
                 (params.wake_time(params.default_park()) + tm) *
                 (1.0 + kSafetyMargin);
             std::int64_t up_site =
-                latest_start_with_lead(est, gap.lo, gap.hi, lead);
+                est.latest_start(gap_begin, gap_end, lead);
             up_site = std::max(snap_down(up_site,
                                          options.call_site_granularity),
                                down_site);
@@ -136,7 +120,7 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
             const TimeMs lead = (params.rpm_transition_time(level, top) + tm) *
                                 (1.0 + kSafetyMargin);
             std::int64_t up_site =
-                latest_start_with_lead(est, gap.lo, gap.hi, lead);
+                est.latest_start(gap_begin, gap_end, lead);
             up_site = std::max(snap_down(up_site,
                                          options.call_site_granularity),
                                down_site);

@@ -26,6 +26,7 @@
 #include "layout/layout_table.h"
 #include "trace/dap.h"
 #include "trace/generator.h"
+#include "trace/stall_aware.h"
 
 namespace sdpm::core {
 
@@ -57,8 +58,9 @@ struct SchedulerOptions {
   bool preactivate = true;
   /// The compiler's *measured* per-iteration timing (paper: gethrtime on a
   /// profiling run, so it includes amortized I/O time).  Non-owning; when
-  /// null the scheduler falls back to the nominal compute timeline.
-  const trace::TimeEstimate* estimate = nullptr;
+  /// null the scheduler falls back to the nominal compute timeline, a
+  /// StallAwareTimeline with no requests.
+  const trace::StallAwareTimeline* estimate = nullptr;
 };
 
 /// The plan for one idle period of one disk.

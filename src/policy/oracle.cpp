@@ -33,12 +33,25 @@ Joules drpm_gap_energy(TimeMs gap_ms, int level,
 }
 
 int optimal_rpm_level(TimeMs gap_ms, const disk::DiskParameters& params) {
-  const int top = params.max_level();
-  int best = top;
-  Joules best_energy = drpm_gap_energy(gap_ms, top, params);
-  for (int level = top - 1; level >= 0; --level) {
-    if (!drpm_level_feasible(gap_ms, level, params)) break;
-    const Joules e = drpm_gap_energy(gap_ms, level, params);
+  SDPM_REQUIRE(gap_ms >= 0, "negative gap");
+  // One pass down the ladder: each level's two shifts are read once and
+  // serve both the round-trip test of drpm_level_feasible and the energy
+  // of drpm_gap_energy, evaluated with their expressions in their order.
+  const disk::PowerLadder& ladder = params.ladder();
+  const auto states = static_cast<std::size_t>(ladder.state_count());
+  const auto top = static_cast<std::size_t>(ladder.top_state());
+  const int parks = params.park_count();  // level l is state parks + l
+  int best = params.max_level();
+  Joules best_energy =
+      joules_from_watt_ms(ladder.states[top].idle_power, gap_ms);
+  for (int level = best - 1; level >= 0; --level) {
+    const auto state = static_cast<std::size_t>(parks + level);
+    const disk::LadderEdge& down = ladder.edges[top * states + state];
+    const disk::LadderEdge& up = ladder.edges[state * states + top];
+    if (!(down.time_ms + up.time_ms <= gap_ms)) break;
+    const Joules e = down.energy_j + up.energy_j +
+                     joules_from_watt_ms(ladder.states[state].idle_power,
+                                         gap_ms - down.time_ms - up.time_ms);
     if (e < best_energy - 1e-12) {
       best_energy = e;
       best = level;

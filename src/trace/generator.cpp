@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -9,15 +10,6 @@
 namespace sdpm::trace {
 
 namespace {
-
-/// Each directive executed before global iteration g shifts all later
-/// compute times by Tm.
-TimeMs overhead_before(const std::vector<std::int64_t>& directive_globals,
-                       TimeMs tm, std::int64_t g) {
-  const auto it = std::upper_bound(directive_globals.begin(),
-                                   directive_globals.end(), g);
-  return tm * static_cast<double>(it - directive_globals.begin());
-}
 
 /// Global coordinates of the program's power directives, in program order.
 std::vector<std::int64_t> directive_globals_of(const ir::Program& program,
@@ -34,33 +26,29 @@ std::vector<std::int64_t> directive_globals_of(const ir::Program& program,
 
 /// A power event fires at its iteration's compute time plus the overhead
 /// of every directive executed before it (directives at the same point run
-/// in program order, each paying Tm).
+/// in program order, each paying Tm).  The directives are sorted, so one
+/// forward walk over the nests times them all.
 std::vector<PowerEvent> power_events_of(
     const ir::Program& program, const Timeline& actual,
     const std::vector<std::int64_t>& directive_globals, TimeMs tm) {
   std::vector<PowerEvent> events;
   events.reserve(program.directives.size());
+  Timeline::Cursor clock(actual);
   for (std::size_t i = 0; i < program.directives.size(); ++i) {
     PowerEvent ev;
     ev.global_iter = directive_globals[i];
-    ev.app_time_ms =
-        actual.at_global(ev.global_iter) + tm * static_cast<double>(i);
+    ev.app_time_ms = clock.at(ev.global_iter) + tm * static_cast<double>(i);
     ev.directive = program.directives[i].directive;
     events.push_back(ev);
   }
   return events;
 }
 
-/// Timestamp one miss: its iteration's compute time plus the overhead of
-/// every directive executed before it.
-Request request_from_miss(const MissRecord& miss, const Timeline& actual,
-                          const std::vector<std::int64_t>& directive_globals,
+/// The request of one miss arriving at `arrival_ms`.
+Request request_from_miss(const MissRecord& miss, TimeMs arrival_ms,
                           const GeneratorOptions& options) {
   Request r;
-  r.arrival_ms = actual.at_global(miss.global_iter) +
-                 overhead_before(directive_globals,
-                                 options.power_call_overhead_ms,
-                                 miss.global_iter);
+  r.arrival_ms = arrival_ms;
   r.disk = miss.disk;
   r.start_sector = miss.start_sector;
   r.size_bytes = miss.size_bytes;
@@ -282,9 +270,26 @@ Trace TraceGenerator::generate() const {
   const std::shared_ptr<const std::vector<MissRecord>> misses =
       collect_misses(program_, layout_, options_);
   trace.requests.reserve(misses->size());
+  // A miss arrives at its iteration's compute time plus the overhead of
+  // every directive executed before it (those at or before its iteration).
+  // Misses come in program order, so one forward walk over the nests and
+  // the directives times them all.
+  Timeline::Cursor clock(actual_);
+  std::size_t directives_before = 0;
+  std::int64_t previous_iter = 0;
   for (const MissRecord& miss : *misses) {
-    trace.requests.push_back(
-        request_from_miss(miss, actual_, directive_globals, options_));
+    SDPM_REQUIRE(miss.global_iter >= previous_iter,
+                 "misses must come in program order: iteration " +
+                     std::to_string(miss.global_iter) + " after " +
+                     std::to_string(previous_iter));
+    previous_iter = miss.global_iter;
+    while (directives_before < directive_globals.size() &&
+           directive_globals[directives_before] <= miss.global_iter) {
+      ++directives_before;
+    }
+    const TimeMs arrival = clock.at(miss.global_iter) +
+                           tm * static_cast<double>(directives_before);
+    trace.requests.push_back(request_from_miss(miss, arrival, options_));
     trace.bytes_transferred += miss.size_bytes;
   }
 

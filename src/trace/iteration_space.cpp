@@ -33,13 +33,14 @@ std::int64_t IterationSpace::global_of(const ir::IterationPoint& point) const {
 
 ir::IterationPoint IterationSpace::point_of(std::int64_t g) const {
   SDPM_REQUIRE(g >= 0 && g <= total_, "global iteration out of range");
-  if (g == total_) {
-    const int last = nest_count() - 1;
-    return ir::IterationPoint{last, total_ - nest_begin(last)};
-  }
-  const auto it = std::upper_bound(begin_.begin(), begin_.end(), g) - 1;
-  const int nest = static_cast<int>(it - begin_.begin());
-  return ir::IterationPoint{nest, g - *it};
+  const int nest = nest_of(g, 0, nest_count() - 1);
+  return ir::IterationPoint{nest, g - nest_begin(nest)};
+}
+
+int IterationSpace::nest_of(std::int64_t g, int first, int last) const {
+  const auto it = std::upper_bound(begin_.begin() + first,
+                                   begin_.begin() + last + 1, g);
+  return static_cast<int>(it - begin_.begin()) - 1;
 }
 
 }  // namespace sdpm::trace

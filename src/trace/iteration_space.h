@@ -36,6 +36,11 @@ class IterationSpace {
   /// nest.
   ir::IterationPoint point_of(std::int64_t g) const;
 
+  /// The nest point_of(g) picks (the last nest beginning at or before g,
+  /// so an empty nest never holds g), searching only nests [first, last],
+  /// which must hold it.
+  int nest_of(std::int64_t g, int first, int last) const;
+
  private:
   std::vector<std::int64_t> begin_;  // per nest
   std::int64_t total_ = 0;

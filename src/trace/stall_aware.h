@@ -17,6 +17,7 @@
 // derived during DAP analysis, priced at a measured average response time.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,8 +25,39 @@
 
 namespace sdpm::trace {
 
-class StallAwareTimeline final : public TimeEstimate {
+class StallAwareTimeline {
  public:
+  /// A forward walk over one timeline: at(g) for non-decreasing g equals
+  /// at_global(g) bit for bit, in amortized O(1).  It steps a nest index
+  /// and a request index instead of searching every request: the request
+  /// index gallops (1, 2, 4, ... requests ahead, then a search of the last
+  /// stride), so a read that moves past d requests costs O(log d), within
+  /// a constant of one search of the whole vector.  The caller owns the
+  /// cursor and the timeline stays immutable, so cursors on one timeline
+  /// may run on different threads.  A g below the previous one restarts
+  /// the walk, so any order of reads is correct and only a forward order
+  /// is fast.
+  class Cursor {
+   public:
+    explicit Cursor(const StallAwareTimeline& timeline)
+        : timeline_(&timeline), compute_(timeline.compute_) {}
+
+    TimeMs at(std::int64_t g);
+
+    /// The last g read, and t(g) there.
+    std::int64_t position() const { return g_; }
+    TimeMs time() const { return t_; }
+
+   private:
+    friend class StallAwareTimeline;
+
+    const StallAwareTimeline* timeline_;
+    Timeline::Cursor compute_;
+    std::int64_t g_ = 0;
+    std::size_t before_ = 0;  // requests issued strictly before g_
+    TimeMs t_ = 0;
+  };
+
   /// `miss_iters` is the (sorted, possibly repeating) global iteration of
   /// every disk request; `responses` the per-request stall times, aligned
   /// with `miss_iters`.
@@ -36,10 +68,26 @@ class StallAwareTimeline final : public TimeEstimate {
   StallAwareTimeline(Timeline compute, std::vector<std::int64_t> miss_iters,
                      TimeMs avg_response_ms);
 
-  TimeMs at_global(std::int64_t g) const override;
-  std::int64_t total_iterations() const override {
+  /// The compute timeline alone, with no requests: t(g) is its compute
+  /// time plus 0.0, which is the compute time itself.
+  explicit StallAwareTimeline(Timeline compute);
+
+  /// Time at which global iteration `g` begins (non-decreasing in g).
+  TimeMs at_global(std::int64_t g) const;
+
+  /// One past the last global iteration.
+  std::int64_t total_iterations() const {
     return compute_.total_iterations();
   }
+
+  /// The latest g in [from.position(), to.position()) whose remaining
+  /// time t(to) - t(g) is at least `lead_ms`, or from.position() when
+  /// none is: the pre-activation site of a gap read by `from` and `to`.
+  /// t never decreases as g grows, so the condition holds on a prefix of
+  /// the range and this bisection returns the one answer.  Each probe
+  /// searches only the nests and requests between the two cursors.
+  std::int64_t latest_start(const Cursor& from, const Cursor& to,
+                            TimeMs lead_ms) const;
 
   const Timeline& compute() const { return compute_; }
 
@@ -49,6 +97,12 @@ class StallAwareTimeline final : public TimeEstimate {
   }
 
  private:
+  /// `compute_time` plus the stalls of the first `before` requests: the
+  /// one expression every read of t(g) goes through.
+  TimeMs with_stalls(TimeMs compute_time, std::size_t before) const {
+    return compute_time + (before == 0 ? 0.0 : cum_stall_[before - 1]);
+  }
+
   Timeline compute_;
   std::vector<std::int64_t> miss_iters_;  // sorted
   std::vector<TimeMs> cum_stall_;         // prefix sums, same length

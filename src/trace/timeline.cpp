@@ -58,6 +58,19 @@ TimeMs Timeline::at_global(std::int64_t g) const {
   return at(space_.point_of(g));
 }
 
+TimeMs Timeline::Cursor::at(std::int64_t g) {
+  const IterationSpace& space = timeline_->space_;
+  SDPM_REQUIRE(g >= 0 && g <= space.total(), "global iteration out of range");
+  if (g < g_) nest_ = 0;
+  g_ = g;
+  const int last = space.nest_count() - 1;
+  if (nest_ < last && space.nest_begin(nest_ + 1) <= g) {
+    nest_ = space.nest_of(g, nest_ + 1, last);
+  }
+  return timeline_->at(
+      ir::IterationPoint{nest_, g - space.nest_begin(nest_)});
+}
+
 TimeMs Timeline::per_iteration_ms(int n) const {
   SDPM_REQUIRE(n >= 0 && n < static_cast<int>(per_iter_ms_.size()),
                "nest index out of range");

@@ -34,24 +34,30 @@ struct CycleNoise {
   static CycleNoise paper_default() { return CycleNoise{0.20, 0x5d9f00d5ULL}; }
 };
 
-/// Abstract "when does iteration g happen" mapping, monotone in g.  The
-/// power-call scheduler plans against this interface; implementations are
-/// the pure-compute Timeline and the StallAwareTimeline that also accounts
-/// for the I/O stalls the compiler knows about.
-class TimeEstimate {
- public:
-  virtual ~TimeEstimate() = default;
-
-  /// Time at which global iteration `g` begins (monotone in g).
-  virtual TimeMs at_global(std::int64_t g) const = 0;
-
-  /// One past the last global iteration.
-  virtual std::int64_t total_iterations() const = 0;
-};
-
 /// Maps iteration points to cumulative compute time (no I/O stalls).
-class Timeline final : public TimeEstimate {
+class Timeline {
  public:
+  /// A forward walk over one timeline: at(g) for non-decreasing g equals
+  /// at_global(g) bit for bit, but steps a nest index instead of searching
+  /// every nest.  The caller owns the cursor and the timeline stays
+  /// immutable, so cursors on one timeline may run on different threads.
+  /// A g below the previous one restarts the walk at the first nest.
+  class Cursor {
+   public:
+    explicit Cursor(const Timeline& timeline) : timeline_(&timeline) {}
+
+    TimeMs at(std::int64_t g);
+
+    /// The nest of the last g read, as IterationSpace::point_of picks it
+    /// (0 before the first read).
+    int nest() const { return nest_; }
+
+   private:
+    const Timeline* timeline_;
+    std::int64_t g_ = 0;
+    int nest_ = 0;
+  };
+
   /// Nominal timeline (multiplier 1 per nest).
   Timeline(const ir::Program& program, double clock_hz = kDefaultClockHz);
 
@@ -68,9 +74,10 @@ class Timeline final : public TimeEstimate {
   TimeMs at(const ir::IterationPoint& point) const;
 
   /// Compute-time at the global iteration coordinate `g`.
-  TimeMs at_global(std::int64_t g) const override;
+  TimeMs at_global(std::int64_t g) const;
 
-  std::int64_t total_iterations() const override { return space_.total(); }
+  /// One past the last global iteration.
+  std::int64_t total_iterations() const { return space_.total(); }
 
   /// Duration of one iteration of nest `n`.
   TimeMs per_iteration_ms(int n) const;

@@ -1,6 +1,10 @@
 // Oracle (ITPM/IDRPM) per-gap primitives and whole-run post-processing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "policy/base.h"
 #include "policy/oracle.h"
 #include "sim/simulator.h"
@@ -69,6 +73,55 @@ TEST(OracleGap, OptimalLevelMonotoneInGap) {
     EXPECT_LE(level, prev) << "gap " << gap;
     prev = level;
   }
+}
+
+/// Reference level choice: per level, a feasibility call, then an energy
+/// call that checks feasibility again.
+int two_call_level(TimeMs gap_ms, const disk::DiskParameters& p) {
+  const int top = p.max_level();
+  int best = top;
+  Joules best_energy = drpm_gap_energy(gap_ms, top, p);
+  for (int level = top - 1; level >= 0; --level) {
+    if (!drpm_level_feasible(gap_ms, level, p)) break;
+    const Joules e = drpm_gap_energy(gap_ms, level, p);
+    if (e < best_energy - 1e-12) {
+      best_energy = e;
+      best = level;
+    }
+  }
+  return best;
+}
+
+TEST(OracleGap, OnePassLevelEqualsTheTwoCallLoop) {
+  const TimeMs inf = std::numeric_limits<double>::infinity();
+  for (const char* preset :
+       {"ultrastar_36z15", "scsi_multi_idle", "nvme_tiered"}) {
+    const disk::DiskParameters p = disk::DiskParameters::preset(preset);
+    const int top = p.max_level();
+    std::vector<TimeMs> gaps = {0.0, std::numeric_limits<double>::denorm_min(),
+                                1e-9, 1e300, inf};
+    // Each level's round trip, where it becomes feasible, +- 1 ulp.
+    for (int level = 0; level < top; ++level) {
+      const TimeMs round_trip =
+          p.rpm_transition_time(top, level) + p.rpm_transition_time(level, top);
+      gaps.push_back(std::nextafter(round_trip, 0.0));
+      gaps.push_back(round_trip);
+      gaps.push_back(std::nextafter(round_trip, inf));
+    }
+    // Densely past the deepest round trip, then geometrically to ~3 h.
+    const TimeMs deepest =
+        p.rpm_transition_time(top, 0) + p.rpm_transition_time(0, top);
+    for (TimeMs gap = 0.0; gap < 4.0 * deepest + 100.0; gap += 1.0 / 7.0) {
+      gaps.push_back(gap);
+    }
+    for (TimeMs gap = 1.0; gap < 1e7; gap *= 1.001) gaps.push_back(gap);
+    for (const TimeMs gap : gaps) {
+      ASSERT_EQ(optimal_rpm_level(gap, p), two_call_level(gap, p))
+          << preset << " gap " << gap;
+    }
+  }
+  EXPECT_THROW(optimal_rpm_level(-1.0, params()), sdpm::Error);
+  EXPECT_THROW(optimal_rpm_level(std::nan(""), params()), sdpm::Error);
 }
 
 TEST(OracleGap, TpmBeneficialMatchesBreakEven) {

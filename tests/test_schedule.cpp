@@ -159,7 +159,7 @@ TEST(Schedule, DrpmLevelsMatchOracleOnExactEstimates) {
       schedule_power_calls(tp.program, table, params(), drpm_options());
   // With the nominal timeline as both estimate and actual, the scheduler's
   // choices are exactly the oracle's.
-  const trace::Timeline nominal(tp.program);
+  const trace::StallAwareTimeline nominal{trace::Timeline(tp.program)};
   const MispredictStats stats = compare_with_oracle(
       result.plans, nominal, params(), PowerMode::kDrpm);
   EXPECT_EQ(stats.mispredicted, 0);
@@ -171,8 +171,8 @@ TEST(Schedule, MispredictsAppearWithNoisyActual) {
   const layout::LayoutTable table(tp.program, tp.striping, 2);
   const ScheduleResult result =
       schedule_power_calls(tp.program, table, params(), drpm_options());
-  const trace::Timeline noisy = trace::Timeline::with_noise(
-      tp.program, trace::CycleNoise{0.8, 123});
+  const trace::StallAwareTimeline noisy{trace::Timeline::with_noise(
+      tp.program, trace::CycleNoise{0.8, 123})};
   const MispredictStats stats =
       compare_with_oracle(result.plans, noisy, params(), PowerMode::kDrpm);
   EXPECT_GT(stats.percent(), 0.0);

@@ -1,10 +1,18 @@
-// Timeline, IterationSpace, CycleNoise, and StallAwareTimeline.
+// Timeline, IterationSpace, CycleNoise, StallAwareTimeline and the
+// forward cursors over them.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "ir/builder.h"
 #include "trace/stall_aware.h"
 #include "trace/timeline.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace sdpm::trace {
 namespace {
@@ -139,6 +147,173 @@ TEST(StallAware, RejectsUnsortedOrMismatched) {
   EXPECT_THROW(StallAwareTimeline(compute, {1, 2},
                                   std::vector<TimeMs>{1}),
                Error);
+}
+
+// ---- forward cursors ------------------------------------------------------
+
+/// A program of up to 12 nests with random trip counts, a quarter of them
+/// empty, and random per-iteration cycles.  Built without validation, which
+/// rejects empty nests.
+ir::Program random_program(SplitMix64& rng) {
+  ir::Program p;
+  p.name = "random";
+  const int nests = 1 + static_cast<int>(rng.next_below(12));
+  for (int n = 0; n < nests; ++n) {
+    ir::LoopNest nest;
+    nest.name = std::string("n").append(std::to_string(n));
+    const auto trips = rng.next_below(4) == 0
+                           ? std::int64_t{0}
+                           : 1 + static_cast<std::int64_t>(rng.next_below(60));
+    nest.loops.push_back(ir::Loop{"i", 0, trips, 1});
+    nest.body.push_back(
+        ir::Statement{"s", {}, 100.0 + rng.next_double() * 1e6});
+    p.nests.push_back(nest);
+  }
+  return p;
+}
+
+/// A measured timeline over `p`: noisy compute plus up to 60 requests,
+/// often at repeated iterations, each stalling 0, a few ms or 1e12 ms.
+StallAwareTimeline random_timeline(const ir::Program& p, SplitMix64& rng) {
+  Timeline compute = Timeline::with_noise(p, CycleNoise{0.3, rng.next_u64()});
+  const std::int64_t total = compute.total_iterations();
+  std::vector<std::int64_t> iters;
+  std::vector<TimeMs> responses;
+  const std::uint64_t requests = total == 0 ? 0 : rng.next_below(61);
+  for (std::uint64_t i = 0; i < requests; ++i) {
+    const bool repeat = !iters.empty() && rng.next_below(3) == 0;
+    iters.push_back(repeat ? iters.back()
+                           : static_cast<std::int64_t>(rng.next_below(
+                                 static_cast<std::uint64_t>(total))));
+    const std::uint64_t kind = rng.next_below(4);
+    responses.push_back(kind == 0   ? 0.0
+                        : kind == 1 ? 1e12
+                                    : rng.next_double() * 20.0);
+  }
+  std::sort(iters.begin(), iters.end());
+  return StallAwareTimeline(std::move(compute), std::move(iters), responses);
+}
+
+std::uint64_t bits(TimeMs t) { return std::bit_cast<std::uint64_t>(t); }
+
+/// Reference pre-activation search: a bisection over [lo, hi] that reads
+/// every probe through at_global.
+std::int64_t reference_latest_start(const StallAwareTimeline& est,
+                                    std::int64_t lo, std::int64_t hi,
+                                    TimeMs lead_ms) {
+  const TimeMs deadline = est.at_global(hi);
+  if (deadline - est.at_global(lo) < lead_ms) return lo;
+  std::int64_t a = lo;
+  std::int64_t b = hi;
+  while (b - a > 1) {
+    const std::int64_t mid = a + (b - a) / 2;
+    if (deadline - est.at_global(mid) >= lead_ms) {
+      a = mid;
+    } else {
+      b = mid;
+    }
+  }
+  return a;
+}
+
+TEST(TimelineCursor, EqualsAtGlobalBitForBit) {
+  SplitMix64 rng(0x71e11e);
+  for (int trial = 0; trial < 300; ++trial) {
+    const ir::Program p = random_program(rng);
+    const StallAwareTimeline sa = random_timeline(p, rng);
+    const std::int64_t total = sa.total_iterations();
+    // Every g from 0 to total (so every nest boundary), each read twice.
+    StallAwareTimeline::Cursor cursor(sa);
+    Timeline::Cursor compute(sa.compute());
+    for (std::int64_t g = 0; g <= total; ++g) {
+      for (int again = 0; again < 2; ++again) {
+        ASSERT_EQ(bits(cursor.at(g)), bits(sa.at_global(g)))
+            << "trial " << trial << " g " << g;
+        ASSERT_EQ(cursor.position(), g);
+        ASSERT_EQ(bits(cursor.time()), bits(sa.at_global(g)));
+        ASSERT_EQ(bits(compute.at(g)), bits(sa.compute().at_global(g)))
+            << "trial " << trial << " g " << g;
+        ASSERT_EQ(compute.nest(), sa.compute().space().point_of(g).nest_index);
+      }
+    }
+    // Strides and jumps back, which restart the walk.
+    for (int read = 0; read < 50; ++read) {
+      const auto g = static_cast<std::int64_t>(
+          rng.next_below(static_cast<std::uint64_t>(total) + 1));
+      ASSERT_EQ(bits(cursor.at(g)), bits(sa.at_global(g)))
+          << "trial " << trial << " random g " << g;
+    }
+  }
+}
+
+TEST(TimelineCursor, RejectsIterationsOutsideTheProgram) {
+  const ir::Program p = two_nest_program();
+  const StallAwareTimeline sa(Timeline(p, 750e6), {3}, 1.0);
+  StallAwareTimeline::Cursor cursor(sa);
+  EXPECT_THROW(cursor.at(-1), Error);
+  EXPECT_THROW(cursor.at(sa.total_iterations() + 1), Error);
+}
+
+TEST(TimelineCursor, NoRequestsIsTheComputeTimeline) {
+  const ir::Program p = two_nest_program();
+  const Timeline compute(p, 750e6);
+  const StallAwareTimeline nominal(compute);
+  StallAwareTimeline::Cursor cursor(nominal);
+  for (std::int64_t g = 0; g <= compute.total_iterations(); ++g) {
+    EXPECT_EQ(bits(cursor.at(g)), bits(compute.at_global(g)));
+  }
+  EXPECT_EQ(nominal.total_stall_ms(), 0.0);
+}
+
+TEST(TimelineCursor, LatestStartMatchesTheSearchOverAtGlobal) {
+  SplitMix64 rng(0x1ead);
+  for (int trial = 0; trial < 300; ++trial) {
+    const ir::Program p = random_program(rng);
+    const StallAwareTimeline sa = random_timeline(p, rng);
+    const std::int64_t total = sa.total_iterations();
+    if (total == 0) continue;
+    // Increasing disjoint gaps, read the way the scheduler reads a disk's
+    // gaps: one cursor at each end, both only moving forward.
+    StallAwareTimeline::Cursor from(sa);
+    StallAwareTimeline::Cursor to(sa);
+    std::int64_t lo = static_cast<std::int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(total)));
+    while (lo < total) {
+      const std::int64_t hi =
+          rng.next_below(3) == 0
+              ? lo + 1
+              : lo + 1 +
+                    static_cast<std::int64_t>(rng.next_below(
+                        static_cast<std::uint64_t>(total - lo)));
+      const TimeMs span = to.at(hi) - from.at(lo);
+      // A lead equal to the remaining time at the gap's middle sits on
+      // the boundary of the condition.
+      const TimeMs exact =
+          sa.at_global(hi) - sa.at_global(lo + (hi - lo) / 2);
+      for (const TimeMs lead : {-1.0, 0.0, span * rng.next_double(), exact,
+                                span, span + 1.0, 1e300}) {
+        ASSERT_EQ(sa.latest_start(from, to, lead),
+                  reference_latest_start(sa, lo, hi, lead))
+            << "trial " << trial << " gap [" << lo << ", " << hi
+            << ") lead " << lead;
+      }
+      lo = hi + static_cast<std::int64_t>(rng.next_below(4));
+    }
+  }
+}
+
+TEST(TimelineCursor, LatestStartRejectsForeignOrCrossedCursors) {
+  const ir::Program p = two_nest_program();
+  const StallAwareTimeline sa(Timeline(p, 750e6), {3}, 1.0);
+  const StallAwareTimeline other(Timeline(p, 750e6), {3}, 1.0);
+  StallAwareTimeline::Cursor from(sa);
+  StallAwareTimeline::Cursor to(sa);
+  StallAwareTimeline::Cursor foreign(other);
+  from.at(20);
+  to.at(10);
+  foreign.at(40);
+  EXPECT_THROW(sa.latest_start(from, to, 0.0), Error);
+  EXPECT_THROW(sa.latest_start(to, foreign, 0.0), Error);
 }
 
 }  // namespace
