@@ -75,25 +75,32 @@ MissCursor::MissCursor(const ir::Program& program,
                        const layout::LayoutTable& layout,
                        const GeneratorOptions& options)
     : layout_(&layout), options_(options), space_(program),
-      cache_(options.cache_bytes),
+      geometry_(program.arrays.size()), cache_(options.cache_bytes),
       cursor_(
-          program,
-          [this](ir::ArrayId a) {
-            return block_size_for(*layout_, a, options_);
-          },
+          program, [this](ir::ArrayId a) { return block_size_of(a); },
           options.cache_bytes) {
   SDPM_REQUIRE(layout.array_count() == program.arrays.size(),
                "layout table does not match program arrays");
 }
 
+Bytes MissCursor::block_size_of(ir::ArrayId array) {
+  Geometry& g = geometry_[static_cast<std::size_t>(array)];
+  if (g.block_size == 0) {
+    g.block_size = block_size_for(*layout_, array, options_);
+    g.file_size = layout_->layout_of(array).file_size();
+  }
+  return g.block_size;
+}
+
 bool MissCursor::next(MissRecord& out) {
   BlockTouch touch;
   while (cursor_.next(touch)) {
-    const Bytes bs = block_size_for(*layout_, touch.array, options_);
-    const Bytes file_size = layout_->layout_of(touch.array).file_size();
-    const Bytes begin = touch.block * bs;
-    const Bytes length = std::min(bs, file_size - begin);
-    if (cache_.access(touch.array, touch.block, length)) continue;
+    const CacheBlock* anchor = cursor_.anchor();
+    if (cache_.hit(touch.array, touch.block, anchor)) continue;
+    const Geometry& g = geometry_[static_cast<std::size_t>(touch.array)];
+    const Bytes begin = touch.block * g.block_size;
+    const Bytes length = std::min(g.block_size, g.file_size - begin);
+    cache_.insert(touch.array, touch.block, length, anchor);
 
     // A block never spans disks: block size divides the stripe size.
     const layout::PhysicalLocation loc = layout_->locate(touch.array, begin);
@@ -234,9 +241,12 @@ std::shared_ptr<const std::vector<MissRecord>> collect_misses(
       obs::MetricsRegistry::global().counter("trace.walks_run");
   static obs::MetricsRegistry::Counter& sweeps_skipped =
       obs::MetricsRegistry::global().counter("trace.sweeps_skipped");
+  static obs::MetricsRegistry::Counter& sweeps_pinned =
+      obs::MetricsRegistry::global().counter("trace.sweeps_pinned");
   walks_run.fetch_add(1, std::memory_order_relaxed);
   sweeps_skipped.fetch_add(cursor.sweeps_skipped(),
                            std::memory_order_relaxed);
+  sweeps_pinned.fetch_add(cursor.sweeps_pinned(), std::memory_order_relaxed);
   memo.insert(key, misses);
   return misses;
 }

@@ -71,9 +71,13 @@ struct MissRecord {
 /// program order, one at a time, with memory independent of the trace
 /// length; collect_misses materializes it.  It hands its cache capacity
 /// to the TouchCursor, which then skips every outer sweep that provably
-/// hits the cache on each touch: such a sweep adds no miss and leaves the
-/// LRU as it was, so the miss stream is the one a touch-by-touch walk
-/// produces.  The program and layout must outlive the cursor.
+/// hits the cache on each touch — such a sweep adds no miss and leaves the
+/// LRU as it was — and pins every sweep whose touches after trip 0
+/// provably hit, yielding only its trip-0 touches with the LRU position
+/// that keeps the cache as the whole sweep would leave it.  So the miss
+/// stream is the one a touch-by-touch walk produces.  Each array's block
+/// size and file size are resolved once per walk, when a nest first names
+/// the array.  The program and layout must outlive the cursor.
 class MissCursor {
  public:
   MissCursor(const ir::Program& program, const layout::LayoutTable& layout,
@@ -88,10 +92,21 @@ class MissCursor {
   /// Outer sweeps the walk has skipped as all-hit repeats so far.
   std::int64_t sweeps_skipped() const { return cursor_.sweeps_skipped(); }
 
+  /// Outer sweeps the walk has walked pinned so far.
+  std::int64_t sweeps_pinned() const { return cursor_.sweeps_pinned(); }
+
  private:
+  /// An array's block size and file size; block_size 0 until resolved.
+  struct Geometry {
+    Bytes block_size = 0;
+    Bytes file_size = 0;
+  };
+  Bytes block_size_of(ir::ArrayId array);
+
   const layout::LayoutTable* layout_;
   GeneratorOptions options_;
   IterationSpace space_;
+  std::vector<Geometry> geometry_;  // per array
   BufferCache cache_;
   TouchCursor cursor_;
 };
@@ -122,8 +137,8 @@ inline constexpr std::size_t kAccessMemoCapacity = 8;
 /// thread-safe LRU of kAccessMemoCapacity entries; a hit returns the misses
 /// a fresh walk of the same key produces.  A walk that throws is not
 /// memoized.  Each walk actually run counts into the metrics registry's
-/// "trace.walks_run", and the sweeps it skipped into
-/// "trace.sweeps_skipped".
+/// "trace.walks_run", the sweeps it skipped into "trace.sweeps_skipped"
+/// and the sweeps it pinned into "trace.sweeps_pinned".
 std::shared_ptr<const std::vector<MissRecord>> collect_misses(
     const ir::Program& program, const layout::LayoutTable& layout,
     const GeneratorOptions& options);

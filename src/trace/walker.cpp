@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <queue>
+#include <functional>
 #include <vector>
 
 #include "util/error.h"
@@ -26,6 +26,11 @@ struct RefInfo {
   /// in *bytes*.
   std::vector<Bytes> outer_coef;  // per loop, bytes per iterator unit
   Bytes const_bytes = 0;
+  /// Byte-offset delta from one outer sweep to the next inside the
+  /// innermost outer loop (0 in a one-deep nest).
+  Bytes sweep_stride = 0;
+  /// Whether another reference of the nest names the same array.
+  bool shares_array = false;
 };
 
 /// A lazy stream of block-entry events for one reference within one inner
@@ -95,12 +100,14 @@ struct HeapEntry {
 // walk — ref table, ref streams, the inner-sweep merge heap, and the outer
 // odometer — so next() replays the original loop structure one emission at
 // a time and yields the identical touch order, less the sweeps that
-// start_sweep proves to be all-hit repeats when given a cache capacity.
+// start_sweep proves to be all-hit repeats and the touches of pinned
+// sweeps that provably hit, when given a cache capacity.
 struct TouchCursor::Impl {
   const ir::Program* program = nullptr;
   BlockSizeFn block_size_of;
   Bytes capacity = 0;        // LRU capacity for the sweep skip; 0 = off
   std::int64_t skipped = 0;  // outer sweeps skipped so far
+  std::int64_t pinned = 0;   // outer sweeps walked pinned so far
 
   int nest = 0;  // current nest index; nest_count() when done
 
@@ -111,10 +118,14 @@ struct TouchCursor::Impl {
   std::vector<std::int64_t> value;  // outer odometer iterator values
   std::int64_t inner_trips = 0;
   std::int64_t outer_total = 0;
-  std::int64_t o = 0;  // current outer sweep index
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap;
+  std::int64_t o = 0;    // current outer sweep index
+  std::int64_t run = 0;  // sweeps after o that skip as one run
+  /// (p4): the one multi-block reference of the last sweep not skipped,
+  /// or -1 when it had none or several.
+  int sole_multi_ref = -1;
+  bool pinned_sweep = false;  // the sweep in the heap is pinned
+  CacheBlock anchor;          // where a pinned sweep's touches go
+  std::vector<HeapEntry> heap;  // min-heap under std::greater
 
   int nest_count() const {
     return static_cast<int>(program->nests.size());
@@ -164,6 +175,15 @@ struct TouchCursor::Impl {
         info.inner_stride =
             info.outer_coef[static_cast<std::size_t>(depth - 1)] *
             inner.step;
+        if (depth >= 2) {
+          const auto k = static_cast<std::size_t>(depth - 2);
+          info.sweep_stride = info.outer_coef[k] * nest_ir.loops[k].step;
+        }
+        for (RefInfo& other : refs) {
+          if (other.array != info.array) continue;
+          other.shares_array = true;
+          info.shares_array = true;
+        }
         refs.push_back(std::move(info));
       }
     }
@@ -180,6 +200,8 @@ struct TouchCursor::Impl {
 
     outer_total = nest_ir.iteration_count() / inner_trips;
     o = 0;
+    run = 0;
+    sole_multi_ref = -1;
     if (outer_total > 0) start_sweep();
   }
 
@@ -197,14 +219,38 @@ struct TouchCursor::Impl {
   ///   (d) the capacity is nonzero and the summed ranges fit in it.
   /// After a sweep whose distinct blocks fit, all of them are resident, so
   /// replaying the same sequence hits every time and leaves the recency
-  /// order as it was.  Each check is O(refs) and enumerates no touch.
+  /// order as it was.
+  ///
+  /// A sweep o > 0 that is not skipped is pinned — it queues only each
+  /// reference's trip-0 touch, each placed right below `anchor` — when
+  ///   (p1) the capacity is nonzero and the summed ranges fit in it;
+  ///   (p2) exactly one reference R spans more than one block, and
+  ///        |R's stride| <= its block size;
+  ///   (p3) R keeps its block range;
+  ///   (p4) the last sweep not skipped had R as its one multi-block
+  ///        reference (it has sweep o's ranges, so by (p1) and (p2) it fit
+  ///        and R entered its blocks in order);
+  ///   (p5) no other reference of the nest names R's array.
+  /// By (p1), (p2) and (p4), the blocks R entered after trip 0 of that
+  /// sweep are the LRU's most recent entries, in entry order, and sweep o
+  /// re-enters them in that order (p3) after all its trip-0 touches, every
+  /// one a hit: the insertions evict from the tail and, as the sweep fits,
+  /// never reach them, and no trip-0 touch lands on one of them (p5).  So
+  /// they end on top in the same order, with the trip-0 touches right below
+  /// in touch order; `anchor` is the deepest of them, the block R enters
+  /// first after trip 0.  Every miss comes from a trip-0 touch.
+  ///
+  /// Each check is O(refs) and enumerates no touch; so is skip_run(), which
+  /// then counts the following sweeps that the checks would skip.
   void start_sweep() {
     const ir::LoopNest& nest_ir =
         program->nests[static_cast<std::size_t>(nest)];
     const int depth = nest_ir.depth();
-    heap = {};
+    heap.clear();
     bool same_ranges = true;
     int multi_block = 0;
+    int multi_ref = -1;
+    bool multi_same_range = false;
     bool multi_moved = false;
     bool moved_in_order = true;
     Bytes footprint = 0;
@@ -225,9 +271,12 @@ struct TouchCursor::Impl {
       RefStream& stream = streams[i];
       const std::int64_t lo = std::min(a, last) / info.block_size;
       const std::int64_t hi = std::max(a, last) / info.block_size;
-      same_ranges = same_ranges && lo == stream.lo && hi == stream.hi;
+      const bool same_range = lo == stream.lo && hi == stream.hi;
+      same_ranges = same_ranges && same_range;
       if (hi > lo) {
         ++multi_block;
+        multi_ref = static_cast<int>(i);
+        multi_same_range = same_range;
         if (a != stream.base) {
           multi_moved = true;
           moved_in_order = moved_in_order &&
@@ -239,21 +288,94 @@ struct TouchCursor::Impl {
       stream.lo = lo;
       stream.hi = hi;
     }
-    if (o > 0 && same_ranges &&                   // (a)
-        (multi_block <= 1 || !multi_moved) &&     // (b)
-        moved_in_order &&                         // (c)
-        capacity > 0 && footprint <= capacity) {  // (d)
+    const bool fits = capacity > 0 && footprint <= capacity;
+    run = skip_run(fits, multi_block);
+    if (o > 0 && same_ranges &&                // (a)
+        (multi_block <= 1 || !multi_moved) &&  // (b)
+        moved_in_order && fits) {              // (c), (d)
       ++skipped;
       return;
+    }
+    const bool one_in_order =
+        multi_block == 1 &&
+        std::abs(refs[static_cast<std::size_t>(multi_ref)].inner_stride) <=
+            refs[static_cast<std::size_t>(multi_ref)].block_size;
+    pinned_sweep = o > 0 && fits && one_in_order &&    // (p1), (p2)
+                   multi_same_range &&                 // (p3)
+                   sole_multi_ref == multi_ref &&      // (p4)
+                   !refs[static_cast<std::size_t>(multi_ref)]
+                        .shares_array;                 // (p5)
+    sole_multi_ref = multi_block == 1 ? multi_ref : -1;
+    if (pinned_sweep) {
+      ++pinned;
+      const RefStream& r = streams[static_cast<std::size_t>(multi_ref)];
+      anchor = CacheBlock{r.info->array,
+                          r.info->inner_stride > 0 ? r.lo + 1 : r.hi - 1};
     }
     for (std::size_t i = 0; i < refs.size(); ++i) {
       RefStream& stream = streams[i];
       stream.start(stream.base, inner_trips);
       if (!stream.exhausted) {
-        heap.push(HeapEntry{stream.next_trip, stream.info->statement,
-                            stream.info->ref_index, i});
+        heap.push_back(HeapEntry{stream.next_trip, stream.info->statement,
+                                 stream.info->ref_index, i});
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }
     }
+  }
+
+  /// How many sweeps after sweep o the checks (a)-(d) would skip, in
+  /// O(refs).  Inside the innermost outer loop each base moves by its
+  /// sweep_stride per sweep, so (b)-(d) hold for every following sweep or
+  /// for none, and the offsets are linear in the sweep count: a reference
+  /// keeps its block range and stays inside its array up to a bound that
+  /// its first and last offsets give.  The run ends at that loop's last
+  /// trip, and before the first sweep that would leave an array, which
+  /// start_sweep then rejects with the located error.
+  std::int64_t skip_run(bool fits, int multi_block) const {
+    const std::size_t depth = trip.size();
+    if (depth < 2 || !fits) return 0;
+    const std::size_t k = depth - 2;
+    const ir::LoopNest& nest_ir =
+        program->nests[static_cast<std::size_t>(nest)];
+    std::int64_t n = nest_ir.loops[k].trip_count() - 1 - trip[k];
+    for (const RefStream& stream : streams) {
+      const RefInfo& info = *stream.info;
+      const Bytes c = info.sweep_stride;
+      if (c == 0) continue;
+      const Bytes bs = info.block_size;
+      if (stream.hi > stream.lo &&
+          (multi_block > 1 || std::abs(info.inner_stride) > bs)) {
+        return 0;  // (b), (c)
+      }
+      const Bytes last = stream.base + info.inner_stride * (inner_trips - 1);
+      const Bytes low = std::min(stream.base, last);
+      const Bytes high = std::max(stream.base, last);
+      if (c > 0) {
+        const Bytes top = std::min((stream.hi + 1) * bs, info.file_size) - 1;
+        n = std::min({n, ((stream.lo + 1) * bs - 1 - low) / c,
+                      (top - high) / c});
+      } else {
+        n = std::min({n, (low - stream.lo * bs) / -c,
+                      (high - stream.hi * bs) / -c});
+      }
+    }
+    return n;
+  }
+
+  /// Step over the run's sweeps: each would touch nothing, so only the
+  /// odometer, the bases and the counts move.
+  void skip_run_sweeps() {
+    const ir::LoopNest& nest_ir =
+        program->nests[static_cast<std::size_t>(nest)];
+    const std::size_t k = trip.size() - 2;
+    trip[k] += run;
+    value[k] += run * nest_ir.loops[k].step;
+    for (RefStream& stream : streams) {
+      stream.base += run * stream.info->sweep_stride;
+    }
+    o += run;
+    skipped += run;
+    run = 0;
   }
 
   /// Advance the outer odometer (innermost outer loop fastest).
@@ -277,8 +399,9 @@ struct TouchCursor::Impl {
     for (;;) {
       if (nest >= nest_count()) return false;
       if (!heap.empty()) {
-        const HeapEntry top = heap.top();
-        heap.pop();
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        const HeapEntry top = heap.back();
+        heap.pop_back();
         RefStream& stream = streams[top.stream];
         const RefInfo& info = *stream.info;
         out.nest = nest;
@@ -287,13 +410,16 @@ struct TouchCursor::Impl {
         out.block = stream.current_block;
         out.kind = info.kind;
         out.statement = info.statement;
+        if (pinned_sweep) return true;  // its trip-0 touch is its last
         stream.advance();
         if (!stream.exhausted) {
-          heap.push(HeapEntry{stream.next_trip, info.statement,
-                              info.ref_index, top.stream});
+          heap.push_back(HeapEntry{stream.next_trip, info.statement,
+                                   info.ref_index, top.stream});
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
         return true;
       }
+      if (run > 0) skip_run_sweeps();
       if (o + 1 < outer_total) {
         advance_outer();
         ++o;
@@ -322,6 +448,12 @@ TouchCursor& TouchCursor::operator=(TouchCursor&&) noexcept = default;
 
 bool TouchCursor::next(BlockTouch& out) { return impl_->next(out); }
 
+const CacheBlock* TouchCursor::anchor() const {
+  return impl_->pinned_sweep ? &impl_->anchor : nullptr;
+}
+
 std::int64_t TouchCursor::sweeps_skipped() const { return impl_->skipped; }
+
+std::int64_t TouchCursor::sweeps_pinned() const { return impl_->pinned; }
 
 }  // namespace sdpm::trace

@@ -19,7 +19,10 @@
 // capacity of the LRU buffer cache its consumer simulates, the cursor
 // skips every outer sweep that provably replays the previous sweep's
 // (array, block) sequence and hits that cache on every touch; such a sweep
-// would change neither the cache nor the miss stream.  See DESIGN.md §9.
+// would change neither the cache nor the miss stream.  It jumps over a run
+// of such sweeps in one step, and it walks a sweep whose one multi-block
+// reference repeats itself through its trip-0 touches alone ("pinned").
+// See DESIGN.md §9.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +30,7 @@
 #include <memory>
 
 #include "ir/program.h"
+#include "trace/buffer_cache.h"
 #include "util/units.h"
 
 namespace sdpm::trace {
@@ -56,9 +60,13 @@ using BlockSizeFn = std::function<Bytes(ir::ArrayId)>;
 /// outer sweep o > 0 whose touches provably repeat sweep o-1's (array,
 /// block) sequence and all hit that cache: every reference keeps its block
 /// range, the merged order cannot change, and the summed ranges fit in the
-/// capacity.  Only a consumer that simulates exactly such a cache — and
-/// reads nothing of a hit — may pass a capacity; any other consumer would
-/// silently lose touches.
+/// capacity.  It also pins each sweep whose one multi-block reference
+/// provably re-enters, all hits, the blocks it entered after trip 0 in the
+/// previous sweep: a pinned sweep yields only its trip-0 touches, and
+/// anchor() says where each goes in the LRU.  Only a consumer that
+/// simulates exactly such a cache — reads nothing of a hit and places
+/// every touch as anchor() says — may pass a capacity; any other consumer
+/// would silently lose touches.
 class TouchCursor {
  public:
   TouchCursor(const ir::Program& program, BlockSizeFn block_size_of,
@@ -71,8 +79,16 @@ class TouchCursor {
   /// Advance to the next touch; returns false when the walk is complete.
   bool next(BlockTouch& out);
 
+  /// Where the touch next() last yielded goes in the LRU: null for the
+  /// front, else the resident block it goes right below (a pinned sweep's
+  /// touch; never without a cache capacity).
+  const CacheBlock* anchor() const;
+
   /// Outer sweeps left out so far (always 0 without a cache capacity).
   std::int64_t sweeps_skipped() const;
+
+  /// Outer sweeps walked pinned so far (always 0 without a cache capacity).
+  std::int64_t sweeps_pinned() const;
 
  private:
   struct Impl;

@@ -1,7 +1,12 @@
 // BufferCache: LRU semantics and byte budgeting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "reference_lru.h"
 #include "trace/buffer_cache.h"
+#include "util/rng.h"
 
 namespace sdpm::trace {
 namespace {
@@ -82,14 +87,6 @@ TEST(BufferCache, WorkingSetThatFitsStaysResident) {
   EXPECT_EQ(cache.hits(), 8);
 }
 
-TEST(BufferCache, Clear) {
-  BufferCache cache(1024);
-  cache.access(0, 0, 64);
-  cache.clear();
-  EXPECT_EQ(cache.bytes_used(), 0);
-  EXPECT_FALSE(cache.access(0, 0, 64));
-}
-
 TEST(BufferCache, VariableBlockSizesEvictUntilFit) {
   BufferCache cache(1000);
   cache.access(0, 0, 400);
@@ -97,6 +94,66 @@ TEST(BufferCache, VariableBlockSizesEvictUntilFit) {
   cache.access(0, 2, 900);  // must evict both
   EXPECT_EQ(cache.bytes_used(), 900);
   EXPECT_FALSE(cache.access(0, 0, 400));
+}
+
+TEST(BufferCache, AnchorPlacesRightBelowIt) {
+  BufferCache cache(3 * 64);
+  cache.access(0, 0, 64);
+  cache.access(0, 1, 64);  // order: 1 0
+  const CacheBlock anchor{0, 1};
+  cache.access(0, 2, 64, &anchor);  // 1 2 0
+  cache.access(0, 3, 64);           // 3 1 2; evicts 0
+  EXPECT_FALSE(cache.access(0, 0, 64));  // 0 3 1; evicts 2, not 1
+  EXPECT_TRUE(cache.access(0, 1, 64));
+  EXPECT_FALSE(cache.access(0, 2, 64));
+}
+
+TEST(BufferCache, MatchesTheReferenceLru) {
+  // Seeded sequences of (array, block, bytes) over a dense key space: each
+  // cache holds about 40 entries of up to 256 keys, so the index grows
+  // past its first size and keys collide in it, and the constant
+  // evictions delete keys from the middle of probe runs.  A step reads a
+  // variable size, an exact fit of the capacity or an oversize block, and
+  // goes to the front or below an anchor that may or may not be resident,
+  // or may be the touched block itself.
+  for (const Bytes capacity : {Bytes{0}, Bytes{64}, Bytes{1000},
+                               Bytes{4096}, mib(1)}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::string label = "capacity " + std::to_string(capacity) +
+                                ", seed " + std::to_string(seed);
+      SplitMix64 rng(seed * 1'000'003 + static_cast<std::uint64_t>(capacity));
+      BufferCache cache(capacity);
+      test::ReferenceLru reference(capacity);
+      const auto max_bytes =
+          static_cast<std::uint64_t>(std::max<Bytes>(1, capacity / 20));
+      std::int64_t hits = 0;
+      constexpr int kSteps = 20'000;
+      for (int step = 0; step < kSteps; ++step) {
+        const auto array = static_cast<ir::ArrayId>(rng.next_below(4));
+        const auto block = static_cast<std::int64_t>(rng.next_below(64));
+        Bytes bytes = 1 + static_cast<Bytes>(rng.next_below(max_bytes));
+        const std::uint64_t size_kind = rng.next_below(100);
+        if (size_kind == 0) bytes = capacity;                  // exact fit
+        if (size_kind == 1) bytes = capacity + 1 + (step % 7);  // oversize
+        CacheBlock anchor{static_cast<ir::ArrayId>(rng.next_below(4)),
+                          static_cast<std::int64_t>(rng.next_below(64))};
+        const std::uint64_t place = rng.next_below(4);
+        if (place == 1) anchor = CacheBlock{array, block};
+        const CacheBlock* at = place == 0 ? nullptr : &anchor;
+        const bool expected = reference.access(array, block, bytes, at);
+        ASSERT_EQ(cache.access(array, block, bytes, at), expected)
+            << label << ", step " << step;
+        ASSERT_EQ(cache.bytes_used(), reference.bytes_used())
+            << label << ", step " << step;
+        hits += expected ? 1 : 0;
+      }
+      EXPECT_EQ(cache.hits(), hits) << label;
+      EXPECT_EQ(cache.misses(), kSteps - hits) << label;
+      if (capacity > 0) {
+        EXPECT_GT(hits, kSteps / 20) << label;
+      }
+    }
+  }
 }
 
 }  // namespace
