@@ -271,19 +271,17 @@ std::vector<experiments::SweepCell> small_sweep() {
 void BM_SweepSerialUncached(benchmark::State& state) {
   const std::vector<experiments::SweepCell> cells = small_sweep();
   for (auto _ : state) {
-    experiments::TraceCache::global().set_enabled(false);
+    experiments::TraceCache::global().clear();  // each run starts cold
     const auto results = experiments::SweepEngine(1).run(cells);
     benchmark::DoNotOptimize(results.back().results.back().energy_j);
   }
-  experiments::TraceCache::global().set_enabled(true);
 }
 BENCHMARK(BM_SweepSerialUncached)->Unit(benchmark::kMillisecond);
 
 void BM_SweepEngineCached(benchmark::State& state) {
   const std::vector<experiments::SweepCell> cells = small_sweep();
-  experiments::TraceCache::global().set_enabled(false);
+  experiments::TraceCache::global().clear();
   const auto reference = experiments::SweepEngine(1).run(cells);
-  experiments::TraceCache::global().set_enabled(true);
   bool verified = false;
   for (auto _ : state) {
     const auto results = experiments::SweepEngine().run(cells);

@@ -67,32 +67,21 @@ constexpr RuleInfo kCatalog[] = {
 
 std::span<const RuleInfo> rule_catalog() { return kCatalog; }
 
-PassRegistry PassRegistry::with_default_passes() {
-  PassRegistry registry;
-  registry.add(make_wellformed_pass());
-  registry.add(make_redundancy_pass());
-  registry.add(make_break_even_pass());
-  registry.add(make_preactivation_pass());
-  registry.add(make_misfit_pass());
-  registry.add(make_fission_pass());
-  registry.add(make_dependence_pass());
-  registry.add(make_coverage_pass());
-  return registry;
-}
-
-void PassRegistry::add(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-}
-
-AnalysisReport PassRegistry::run(const core::ScheduleResult& result,
-                                 const layout::LayoutTable& layout,
-                                 const disk::DiskParameters& params,
-                                 const AnalyzeOptions& options) const {
+AnalysisReport analyze(const core::ScheduleResult& result,
+                       const layout::LayoutTable& layout,
+                       const disk::DiskParameters& params,
+                       const AnalyzeOptions& options) {
+  const std::unique_ptr<Pass> passes[] = {
+      make_wellformed_pass(), make_redundancy_pass(),
+      make_break_even_pass(), make_preactivation_pass(),
+      make_misfit_pass(),     make_fission_pass(),
+      make_dependence_pass(), make_coverage_pass(),
+  };
   AnalysisContext ctx(result, layout, params, options);
   AnalysisReport report;
   report.directives_checked =
       static_cast<std::int64_t>(result.program.directives.size());
-  for (const auto& pass : passes_) {
+  for (const std::unique_ptr<Pass>& pass : passes) {
     report.passes_run.emplace_back(pass->name());
     pass->run(ctx, report.diagnostics);
   }
@@ -104,14 +93,6 @@ AnalysisReport PassRegistry::run(const core::ScheduleResult& result,
   }
   report.sort();
   return report;
-}
-
-AnalysisReport analyze(const core::ScheduleResult& result,
-                       const layout::LayoutTable& layout,
-                       const disk::DiskParameters& params,
-                       const AnalyzeOptions& options) {
-  return PassRegistry::with_default_passes().run(result, layout, params,
-                                                 options);
 }
 
 }  // namespace sdpm::analysis

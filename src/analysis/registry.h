@@ -1,15 +1,13 @@
-// Pass registry and the analyze() facade.
+// The rule catalog and the analyze() facade.
 //
-// The registry owns the ordered list of analysis passes and runs them over
-// one (ScheduleResult, LayoutTable, DiskParameters) triple, collecting a
-// sorted AnalysisReport.  The default registry holds every built-in pass;
-// callers that want a subset (e.g. only the well-formedness pass) build
-// their own.
+// analyze() runs the built-in passes, in catalog order, over one
+// (ScheduleResult, LayoutTable, DiskParameters) triple and collects a
+// sorted AnalysisReport.  A caller that wants one pass (e.g. only the
+// well-formedness pass) runs its factory's Pass on an AnalysisContext.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "analysis/pass.h"
 
@@ -27,7 +25,7 @@ struct RuleInfo {
 /// Every rule the built-in passes can emit, in id order.
 std::span<const RuleInfo> rule_catalog();
 
-// Built-in pass factories, in default registration order.
+// Built-in pass factories, in the order analyze() runs them.
 std::unique_ptr<Pass> make_wellformed_pass();
 std::unique_ptr<Pass> make_redundancy_pass();
 std::unique_ptr<Pass> make_break_even_pass();
@@ -37,27 +35,8 @@ std::unique_ptr<Pass> make_fission_pass();
 std::unique_ptr<Pass> make_dependence_pass();
 std::unique_ptr<Pass> make_coverage_pass();
 
-class PassRegistry {
- public:
-  /// Registry with every built-in pass, in catalog order.
-  static PassRegistry with_default_passes();
-
-  void add(std::unique_ptr<Pass> pass);
-
-  std::size_t size() const { return passes_.size(); }
-
-  /// Run every registered pass and return the sorted report.  A DAP
-  /// failure surfaces as SDPM-E090, not an exception.
-  AnalysisReport run(const core::ScheduleResult& result,
-                     const layout::LayoutTable& layout,
-                     const disk::DiskParameters& params,
-                     const AnalyzeOptions& options) const;
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
-
-/// Run the default registry.
+/// Run every built-in pass, in catalog order, and return the sorted report.
+/// A DAP failure surfaces as SDPM-E090, not an exception.
 AnalysisReport analyze(const core::ScheduleResult& result,
                        const layout::LayoutTable& layout,
                        const disk::DiskParameters& params,

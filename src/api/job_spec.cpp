@@ -10,10 +10,9 @@
 namespace sdpm::api {
 namespace {
 
-/// Field-by-field (name, reader, writer) plumbing would triple the line
-/// count; instead each scalar field is declared once in apply()/emit()
-/// below and the strict-unknown-key check walks the parsed object against
-/// the emitted key set (to_json() writes every field, so the set is total).
+/// to_json() and from_json() each list every field; from_json()'s strict
+/// unknown-key check walks the parsed object against the key set a default
+/// spec's to_json() emits (it writes every field, so the set is total).
 
 void require(bool condition, const std::string& message) {
   if (!condition) throw Error("JobSpec: " + message);
@@ -41,15 +40,7 @@ std::string get_string(const Json& json, const char* key,
   return field == nullptr ? fallback : field->as_string();
 }
 
-}  // namespace
-
-std::optional<experiments::Scheme> scheme_from_name(const std::string& name) {
-  for (const experiments::Scheme s : experiments::all_schemes()) {
-    if (name == experiments::to_string(s)) return s;
-  }
-  return std::nullopt;
-}
-
+/// Parse a transformation name; empty optional for unknown names.
 std::optional<core::Transformation> transform_from_name(
     const std::string& name) {
   using core::Transformation;
@@ -57,6 +48,15 @@ std::optional<core::Transformation> transform_from_name(
        {Transformation::kNone, Transformation::kLF, Transformation::kTL,
         Transformation::kLFDL, Transformation::kTLDL}) {
     if (name == core::to_string(t)) return t;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<experiments::Scheme> scheme_from_name(const std::string& name) {
+  for (const experiments::Scheme s : experiments::all_schemes()) {
+    if (name == experiments::to_string(s)) return s;
   }
   return std::nullopt;
 }

@@ -185,8 +185,4 @@ class JobSpecBuilder {
 /// Parse a scheme name; empty optional for unknown names.
 std::optional<experiments::Scheme> scheme_from_name(const std::string& name);
 
-/// Parse a transformation name; empty optional for unknown names.
-std::optional<core::Transformation> transform_from_name(
-    const std::string& name);
-
 }  // namespace sdpm::api

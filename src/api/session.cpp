@@ -4,7 +4,6 @@
 
 #include "analysis/bounds.h"
 #include "experiments/sweep.h"
-#include "experiments/trace_cache.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "workloads/benchmarks.h"
@@ -81,11 +80,7 @@ std::string JobSlot::error_message() const {
   }
 }
 
-Session::Session(SessionOptions options) : options_(options) {
-  if (!options_.use_cache) {
-    experiments::TraceCache::global().set_enabled(false);
-  }
-}
+Session::Session(SessionOptions options) : options_(options) {}
 
 JobResult Session::run(const JobSpec& spec, const RunHooks& hooks) {
   return run_batch({spec}, hooks).front().value();

@@ -35,11 +35,6 @@ struct SessionOptions {
   /// Worker threads for batched evaluation; 0 = default_jobs()
   /// (SDPM_JOBS / --jobs / hardware concurrency).
   unsigned jobs = 0;
-  /// When false, disables the process-wide TraceCache, and with it the
-  /// access-walk memo, at construction (never re-enables it: the cache is
-  /// process state, and a Session only opts out, it does not override
-  /// another component's opt-out).
-  bool use_cache = true;
 };
 
 /// Observability hooks for one dispatch: attach `replay_tracer` to the

@@ -28,13 +28,6 @@ DiskParameters DiskParameters::preset(const std::string& preset_name) {
   return from_ladder(PowerLadder::preset(preset_name));
 }
 
-int DiskParameters::level_of_rpm(int target_rpm) const {
-  for (int level = 0; level < rpm_level_count(); ++level) {
-    if (rpm_of_level(level) == target_rpm) return level;
-  }
-  throw Error("RPM value not on the ladder");
-}
-
 TimeMs DiskParameters::service_time(Bytes request_bytes, int level,
                                     bool sequential) const {
   SDPM_ASSERT(request_bytes >= 0, "negative request size");

@@ -102,8 +102,6 @@ class DiskParameters {
   int rpm_of_level(int level) const { return state(level_index(level)).rpm; }
   /// Highest (fastest) level index.
   int max_level() const { return rpm_level_count() - 1; }
-  /// Level whose RPM equals `target_rpm` (must be on the ladder).
-  int level_of_rpm(int target_rpm) const;
 
   // ---- power -------------------------------------------------------------
 

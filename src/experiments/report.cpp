@@ -65,45 +65,4 @@ Table summary_table(const sim::SimReport& report, const std::string& title) {
   return table;
 }
 
-Table rpm_residency_table(const sim::SimReport& report,
-                          const disk::DiskParameters& params,
-                          const std::string& title) {
-  // Find the levels that appear anywhere.
-  std::vector<bool> used(static_cast<std::size_t>(params.rpm_level_count()),
-                         false);
-  for (const sim::DiskReport& d : report.disks) {
-    for (std::size_t l = 0; l < d.level_residency_ms.size(); ++l) {
-      if (d.level_residency_ms[l] > 0) used[l] = true;
-    }
-  }
-  Table table(title);
-  std::vector<std::string> header = {"Disk"};
-  for (std::size_t l = 0; l < used.size(); ++l) {
-    if (used[l]) {
-      header.push_back(std::to_string(params.rpm_of_level(
-                           static_cast<int>(l))) +
-                       " RPM");
-    }
-  }
-  header.push_back("standby");
-  table.set_header(header);
-  for (int d = 0; d < report.disk_count(); ++d) {
-    const sim::DiskReport& disk = report.disks[static_cast<std::size_t>(d)];
-    std::vector<std::string> row = {std::to_string(d)};
-    for (std::size_t l = 0; l < used.size(); ++l) {
-      if (!used[l]) continue;
-      const TimeMs ms = l < disk.level_residency_ms.size()
-                            ? disk.level_residency_ms[l]
-                            : 0.0;
-      row.push_back(fmt_double(100.0 * ms / report.execution_ms, 1) + "%");
-    }
-    row.push_back(fmt_double(100.0 * disk.breakdown.standby_ms /
-                                 report.execution_ms,
-                             1) +
-                  "%");
-    table.add_row(row);
-  }
-  return table;
-}
-
 }  // namespace sdpm::experiments

@@ -55,8 +55,7 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
     const ir::Program& program, const layout::LayoutTable& layout,
     const trace::GeneratorOptions& options) {
   // Fingerprint once, before locking: a scheduled program carries tens of
-  // thousands of directives, and every worker shares this mutex.  While
-  // the cache is disabled the index stays empty, so the lookup misses.
+  // thousands of directives, and every worker shares this mutex.
   const TraceKey key = trace_key_of(program, layout, options);
   {
     std::lock_guard lock(mutex_);
@@ -76,7 +75,6 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
       trace::TraceGenerator(program, layout, options).generate());
 
   std::lock_guard lock(mutex_);
-  if (!enabled_) return trace;
   note_lookup(/*hit=*/false);
   const auto it = index_.find(key);
   if (it != index_.end()) {
@@ -91,23 +89,6 @@ std::shared_ptr<const trace::Trace> TraceCache::get_or_generate(
     lru_.pop_back();
   }
   return trace;
-}
-
-void TraceCache::set_enabled(bool enabled) {
-  {
-    std::lock_guard lock(mutex_);
-    enabled_ = enabled;
-    if (!enabled) {
-      lru_.clear();
-      index_.clear();
-    }
-  }
-  trace::set_access_memo_enabled(enabled);
-}
-
-bool TraceCache::enabled() const {
-  std::lock_guard lock(mutex_);
-  return enabled_;
 }
 
 void TraceCache::clear() {

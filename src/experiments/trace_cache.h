@@ -16,8 +16,9 @@
 //               overhead, prefetch lead).  It keys this cache.
 // A trace-cache miss therefore usually costs only timestamping: the walk,
 // which dominated generation, is reused from any earlier trace or DAP of
-// the same program structure.  clear() and set_enabled() cover both
-// levels, on any instance: the access memo sits below every TraceCache.
+// the same program structure.  clear() covers both levels, on any
+// instance: the access memo sits below every TraceCache, and clear() is
+// the one way to start cold.
 //
 // Entries are shared_ptr<const Trace>: concurrently running sweep cells
 // can hold the same trace while the LRU evicts it from the cache proper.
@@ -57,19 +58,11 @@ class TraceCache {
   static TraceCache& global();
 
   /// Return the cached trace for the triple, generating (and inserting) it
-  /// on a miss.  When the cache is disabled every call generates afresh.
-  /// Hits and misses count into the metrics registry
-  /// ("trace_cache.hits"/"trace_cache.misses"); a disabled cache counts
-  /// neither.
+  /// on a miss.  Hits and misses count into the metrics registry
+  /// ("trace_cache.hits"/"trace_cache.misses").
   std::shared_ptr<const trace::Trace> get_or_generate(
       const ir::Program& program, const layout::LayoutTable& layout,
       const trace::GeneratorOptions& options);
-
-  /// Toggle caching (enabled by default).  Disabling also clears the cache
-  /// and bypasses the process-wide access memo, so benchmarks of the
-  /// uncached path start cold and walk on every call.
-  void set_enabled(bool enabled);
-  bool enabled() const;
 
   /// Drop every cached trace and every memoized access walk.
   void clear();
@@ -83,7 +76,6 @@ class TraceCache {
   };
 
   mutable std::mutex mutex_;
-  bool enabled_ = true;
   std::size_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<TraceKey, std::list<Entry>::iterator, ContentKeyHash>

@@ -16,20 +16,6 @@ std::int64_t AffineExpr::eval(std::span<const std::int64_t> iters) const {
   return value;
 }
 
-bool AffineExpr::is_constant() const {
-  for (std::int64_t c : coefs) {
-    if (c != 0) return false;
-  }
-  return true;
-}
-
-int AffineExpr::innermost_dependent_loop() const {
-  for (int k = static_cast<int>(coefs.size()) - 1; k >= 0; --k) {
-    if (coefs[static_cast<std::size_t>(k)] != 0) return k;
-  }
-  return -1;
-}
-
 AffineExpr AffineExpr::substituted(std::span<const AffineExpr> sub) const {
   SDPM_REQUIRE(sub.size() >= coefs.size(),
                "substitution must cover every original loop");
@@ -73,12 +59,6 @@ std::string AffineExpr::to_string(
     os << constant;
   }
   return os.str();
-}
-
-AffineExpr affine_const(std::int64_t c) {
-  AffineExpr e;
-  e.constant = c;
-  return e;
 }
 
 AffineExpr affine_var(std::size_t loop_index, std::size_t nest_depth,

@@ -25,15 +25,9 @@ struct AffineExpr {
     return k < coefs.size() ? coefs[k] : 0;
   }
 
-  /// True when the expression ignores all iterators (a constant subscript).
-  bool is_constant() const;
-
-  /// The innermost loop with a nonzero coefficient, or -1 if constant.
-  int innermost_dependent_loop() const;
-
   /// Expression rewritten for a nest whose loop list was transformed by
   /// substituting loop k := sum_j sub[k].coefs[j]*new_iter[j] +
-  /// sub[k].constant.  Used by strip-mining and tiling.
+  /// sub[k].constant.  Used by tiling.
   AffineExpr substituted(std::span<const AffineExpr> sub) const;
 
   std::string to_string(std::span<const std::string> loop_names) const;
@@ -41,8 +35,7 @@ struct AffineExpr {
   friend bool operator==(const AffineExpr&, const AffineExpr&) = default;
 };
 
-/// Convenience constructors.
-AffineExpr affine_const(std::int64_t c);
+/// `coef * iter[loop_index] + constant` in a nest of depth `nest_depth`.
 AffineExpr affine_var(std::size_t loop_index, std::size_t nest_depth,
                       std::int64_t coef = 1, std::int64_t constant = 0);
 

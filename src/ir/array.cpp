@@ -47,10 +47,4 @@ std::int64_t Array::linear_index(std::span<const std::int64_t> index) const {
   return linear;
 }
 
-Array Array::with_layout(StorageLayout new_layout) const {
-  Array copy = *this;
-  copy.layout = new_layout;
-  return copy;
-}
-
 }  // namespace sdpm::ir

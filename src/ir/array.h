@@ -50,10 +50,6 @@ struct Array {
   /// Element stride (in linear-index units) contributed by dimension `dim`
   /// under this array's layout.
   std::int64_t dim_stride(int dim) const;
-
-  /// Copy of this array with the opposite storage order (used by the
-  /// layout-transformation step of the tiling algorithm).
-  Array with_layout(StorageLayout new_layout) const;
 };
 
 }  // namespace sdpm::ir

@@ -50,7 +50,7 @@ struct DependenceSummary {
 DependenceSummary uniform_dependences(const LoopNest& nest,
                                       std::span<const Array> arrays);
 
-/// True when `dep` permits arbitrary loop interchange / tiling of the
+/// True when `dep` permits any loop permutation (and so tiling) of the
 /// nest: either it is loop-independent, or every constrained component is
 /// non-negative and no unconstrained ('*') loop could realize a negative
 /// component ahead of the carried level.  This is the classic

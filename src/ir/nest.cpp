@@ -14,13 +14,6 @@ std::int64_t Loop::trip_count() const {
   return (upper - lower + step - 1) / step;
 }
 
-std::vector<ArrayId> Statement::referenced_arrays() const {
-  std::vector<ArrayId> ids;
-  ids.reserve(refs.size());
-  for (const ArrayRef& ref : refs) ids.push_back(ref.array);
-  return ids;
-}
-
 std::int64_t LoopNest::iteration_count() const {
   std::int64_t count = 1;
   for (const Loop& loop : loops) count *= loop.trip_count();
@@ -44,16 +37,6 @@ std::vector<std::int64_t> LoopNest::iteration_at(std::int64_t flat) const {
     flat /= trips;
   }
   return iters;
-}
-
-std::int64_t LoopNest::flat_of_trips(
-    std::span<const std::int64_t> trips) const {
-  SDPM_ASSERT(trips.size() == loops.size(), "trip vector rank mismatch");
-  std::int64_t flat = 0;
-  for (std::size_t k = 0; k < loops.size(); ++k) {
-    flat = flat * loops[k].trip_count() + trips[k];
-  }
-  return flat;
 }
 
 std::vector<std::string> LoopNest::loop_names() const {

@@ -43,9 +43,6 @@ struct Statement {
   std::string label;
   std::vector<ArrayRef> refs;
   Cycles cycles = 0;
-
-  /// Ids of all arrays referenced by this statement (with duplicates).
-  std::vector<ArrayId> referenced_arrays() const;
 };
 
 /// A perfectly-nested loop with a body of statements executed every
@@ -72,9 +69,6 @@ struct LoopNest {
   /// Decode a flat iteration number (row-major over the loop trip counts)
   /// into concrete iterator values.
   std::vector<std::int64_t> iteration_at(std::int64_t flat) const;
-
-  /// Inverse of iteration_at for trip indices.
-  std::int64_t flat_of_trips(std::span<const std::int64_t> trips) const;
 
   /// Names of the loop variables, outer-to-inner.
   std::vector<std::string> loop_names() const;

@@ -45,14 +45,6 @@ Array& Program::array(ArrayId id) {
   return arrays[static_cast<std::size_t>(id)];
 }
 
-std::optional<ArrayId> Program::find_array(
-    const std::string& array_name) const {
-  for (std::size_t i = 0; i < arrays.size(); ++i) {
-    if (arrays[i].name == array_name) return static_cast<ArrayId>(i);
-  }
-  return std::nullopt;
-}
-
 Bytes Program::total_data_bytes() const {
   Bytes total = 0;
   for (const Array& a : arrays) total += a.size_bytes();

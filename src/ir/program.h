@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,9 +62,6 @@ struct Program {
 
   const Array& array(ArrayId id) const;
   Array& array(ArrayId id);
-
-  /// Look up an array by name; empty when absent.
-  std::optional<ArrayId> find_array(const std::string& array_name) const;
 
   /// Total bytes across all arrays (Table 2 "data size").
   Bytes total_data_bytes() const;

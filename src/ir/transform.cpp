@@ -1,7 +1,6 @@
 #include "ir/transform.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/error.h"
 
@@ -22,55 +21,6 @@ void substitute_body(LoopNest& nest, std::span<const AffineExpr> sub) {
 }
 
 }  // namespace
-
-LoopNest strip_mine(const LoopNest& nest, int loop_index,
-                    std::int64_t factor) {
-  SDPM_REQUIRE(loop_index >= 0 && loop_index < nest.depth(),
-               "strip_mine: loop index out of range");
-  SDPM_REQUIRE(factor > 0, "strip_mine: factor must be positive");
-  const Loop& target = nest.loops[static_cast<std::size_t>(loop_index)];
-  SDPM_REQUIRE(target.step == 1, "strip_mine: loop must have unit step");
-  const std::int64_t trips = target.trip_count();
-  SDPM_REQUIRE(trips % factor == 0,
-               "strip_mine: factor must divide the trip count");
-
-  LoopNest out;
-  out.name = nest.name;
-  out.loop_overhead_cycles = nest.loop_overhead_cycles;
-  out.body = nest.body;
-
-  // New loop list: same loops, with `target` replaced by (tile, element).
-  for (int k = 0; k < nest.depth(); ++k) {
-    const Loop& loop = nest.loops[static_cast<std::size_t>(k)];
-    if (k == loop_index) {
-      out.loops.push_back(Loop{loop.var + "_t", 0, trips / factor, 1});
-      out.loops.push_back(Loop{loop.var, 0, factor, 1});
-    } else {
-      out.loops.push_back(loop);
-    }
-  }
-
-  // Substitution: old loop k -> expression over new loops.
-  const std::size_t new_depth = out.loops.size();
-  std::vector<AffineExpr> sub(static_cast<std::size_t>(nest.depth()));
-  for (int k = 0; k < nest.depth(); ++k) {
-    AffineExpr e;
-    e.coefs.assign(new_depth, 0);
-    const std::size_t new_k =
-        static_cast<std::size_t>(k) + (k > loop_index ? 1 : 0);
-    if (k == loop_index) {
-      // original value = lower + tile*factor + element
-      e.coefs[static_cast<std::size_t>(loop_index)] = factor;
-      e.coefs[static_cast<std::size_t>(loop_index) + 1] = 1;
-      e.constant = target.lower;
-    } else {
-      e.coefs[new_k] = 1;
-    }
-    sub[static_cast<std::size_t>(k)] = e;
-  }
-  substitute_body(out, sub);
-  return out;
-}
 
 std::vector<LoopNest> fission(const LoopNest& nest,
                               const std::vector<std::vector<int>>& groups) {
@@ -172,98 +122,6 @@ LoopNest tile(const LoopNest& nest,
   }
   substitute_body(out, sub);
   return out;
-}
-
-LoopNest interchange(const LoopNest& nest, int loop_a, int loop_b) {
-  SDPM_REQUIRE(loop_a >= 0 && loop_a < nest.depth() && loop_b >= 0 &&
-                   loop_b < nest.depth(),
-               "interchange: loop index out of range");
-  LoopNest out = nest;
-  std::swap(out.loops[static_cast<std::size_t>(loop_a)],
-            out.loops[static_cast<std::size_t>(loop_b)]);
-  for (Statement& s : out.body) {
-    for (ArrayRef& ref : s.refs) {
-      for (AffineExpr& e : ref.subscripts) {
-        const std::size_t need =
-            static_cast<std::size_t>(std::max(loop_a, loop_b)) + 1;
-        if (e.coefs.size() < need) e.coefs.resize(need, 0);
-        std::swap(e.coefs[static_cast<std::size_t>(loop_a)],
-                  e.coefs[static_cast<std::size_t>(loop_b)]);
-      }
-    }
-  }
-  return out;
-}
-
-LoopNest fuse(const LoopNest& first, const LoopNest& second) {
-  SDPM_REQUIRE(first.loops.size() == second.loops.size(),
-               "fuse: nests must have the same depth");
-  for (std::size_t k = 0; k < first.loops.size(); ++k) {
-    const Loop& a = first.loops[k];
-    const Loop& b = second.loops[k];
-    SDPM_REQUIRE(a.lower == b.lower && a.upper == b.upper && a.step == b.step,
-                 "fuse: loop bounds must match");
-  }
-  LoopNest out = first;
-  out.name = first.name + "+" + second.name;
-  out.loop_overhead_cycles += second.loop_overhead_cycles;
-  out.body.insert(out.body.end(), second.body.begin(), second.body.end());
-  return out;
-}
-
-void transpose_layout(Program& program, ArrayId array) {
-  Array& a = program.array(array);
-  a.layout = a.layout == StorageLayout::kRowMajor
-                 ? StorageLayout::kColMajor
-                 : StorageLayout::kRowMajor;
-}
-
-std::vector<std::vector<int>> coupled_statement_components(
-    const LoopNest& nest) {
-  const int n = static_cast<int>(nest.body.size());
-  // Union-find over statements, coupled through shared arrays.
-  std::vector<int> parent(static_cast<std::size_t>(n));
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(
-              parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  };
-  auto unite = [&](int a, int b) {
-    parent[static_cast<std::size_t>(find(a))] = find(b);
-  };
-
-  // Map array -> first statement seen using it.
-  std::vector<std::pair<ArrayId, int>> owner;
-  for (int si = 0; si < n; ++si) {
-    for (const ArrayRef& ref :
-         nest.body[static_cast<std::size_t>(si)].refs) {
-      auto it = std::find_if(owner.begin(), owner.end(),
-                             [&](const auto& p) { return p.first == ref.array; });
-      if (it == owner.end()) {
-        owner.emplace_back(ref.array, si);
-      } else {
-        unite(si, it->second);
-      }
-    }
-  }
-
-  std::vector<std::vector<int>> components;
-  std::vector<int> root_to_component(static_cast<std::size_t>(n), -1);
-  for (int si = 0; si < n; ++si) {
-    const int root = find(si);
-    int& slot = root_to_component[static_cast<std::size_t>(root)];
-    if (slot == -1) {
-      slot = static_cast<int>(components.size());
-      components.emplace_back();
-    }
-    components[static_cast<std::size_t>(slot)].push_back(si);
-  }
-  return components;
 }
 
 }  // namespace sdpm::ir

@@ -1,8 +1,11 @@
 // Mechanical loop transformations on the IR.
 //
-// These are the *mechanisms* (strip-mining, fission, tiling, layout
-// transposition); the *policies* that decide where to apply them — the
-// paper's Figure 11 and Figure 12 algorithms — live in core/.
+// These are the two *mechanisms* the paper's compiler restructures code
+// with, fission and tiling; the *policies* that decide where to apply them
+// — the paper's Figure 11 and Figure 12 algorithms — live in core/.  The
+// tiling pass flips array layouts itself, and the strip-mined call sites
+// of power calls are modelled by the scheduler's call_site_granularity
+// (core/schedule.h), so no other mechanism is needed.
 #pragma once
 
 #include <cstdint>
@@ -11,14 +14,6 @@
 #include "ir/program.h"
 
 namespace sdpm::ir {
-
-/// Strip-mine loop `loop_index` of `nest` by `factor`, producing a nest of
-/// depth+1 with a tile iterator outside the element iterator.  The paper
-/// strip-mines loops so that power-management calls can be inserted at tile
-/// boundaries without unrolling (§3).  `factor` must divide the loop's trip
-/// count and the loop must have unit step.
-LoopNest strip_mine(const LoopNest& nest, int loop_index,
-                    std::int64_t factor);
 
 /// Distribute (fission) a nest into one nest per statement group.  Each
 /// group is a list of statement indices into `nest.body`; groups must
@@ -38,32 +33,5 @@ std::vector<LoopNest> fission(const LoopNest& nest,
 LoopNest tile(const LoopNest& nest,
               const std::vector<std::int64_t>& tile_sizes,
               int first_loop = 0);
-
-/// Interchange two loops of a nest (paper §6: "most of the other known
-/// loop transformations can also be adapted to work with disk layouts").
-/// Subscript coefficients are permuted to match the new loop order, so the
-/// set of accesses is unchanged; legality (full permutability) is the
-/// caller's responsibility.
-LoopNest interchange(const LoopNest& nest, int loop_a, int loop_b);
-
-/// Fuse two nests with identical loop structure into one (statements of
-/// `first` precede statements of `second` in every iteration).  The duals
-/// of fission: fusing loops shortens disk inter-access times, which is why
-/// the paper's §6 transformation is a *distribution*.  Legality is the
-/// caller's responsibility.
-LoopNest fuse(const LoopNest& first, const LoopNest& second);
-
-/// Flip an array's storage order in place (row- <-> column-major).  Models
-/// the physical data-layout transformation the tiling algorithm performs
-/// when the access pattern does not conform to the storage pattern.
-void transpose_layout(Program& program, ArrayId array);
-
-/// For each statement, true if every pair of statements it is grouped with
-/// shares no written array — the conservative fission-legality test used by
-/// the paper's algorithm (statements coupled through a common array must
-/// stay together).  Returns the coupled-components partition of the body:
-/// statements sharing any array end up in the same component.
-std::vector<std::vector<int>> coupled_statement_components(
-    const LoopNest& nest);
 
 }  // namespace sdpm::ir

@@ -1,7 +1,5 @@
 #include "layout/striping.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -29,14 +27,6 @@ std::int64_t FileLayout::stripe_count() const {
   return (file_size_ + striping_.stripe_size - 1) / striping_.stripe_size;
 }
 
-int FileLayout::disk_of(Bytes offset) const {
-  SDPM_ASSERT(offset >= 0 && offset < file_size_, "file offset out of range");
-  const std::int64_t stripe = offset / striping_.stripe_size;
-  return (striping_.starting_disk +
-          static_cast<int>(stripe % striping_.stripe_factor)) %
-         total_disks_;
-}
-
 DiskLocation FileLayout::locate(Bytes offset) const {
   SDPM_ASSERT(offset >= 0 && offset < file_size_, "file offset out of range");
   const std::int64_t stripe = offset / striping_.stripe_size;
@@ -48,31 +38,6 @@ DiskLocation FileLayout::locate(Bytes offset) const {
   loc.offset = (stripe / striping_.stripe_factor) * striping_.stripe_size +
                within;
   return loc;
-}
-
-std::vector<DiskExtent> FileLayout::extents(Bytes offset,
-                                            Bytes length) const {
-  SDPM_REQUIRE(offset >= 0 && length >= 0 && offset + length <= file_size_,
-               "file range out of bounds");
-  std::vector<DiskExtent> out;
-  Bytes cursor = offset;
-  const Bytes end = offset + length;
-  while (cursor < end) {
-    const Bytes stripe_end =
-        (cursor / striping_.stripe_size + 1) * striping_.stripe_size;
-    const Bytes piece = std::min(end, stripe_end) - cursor;
-    const DiskLocation loc = locate(cursor);
-    // Coalesce with the previous extent when physically contiguous on the
-    // same disk.
-    if (!out.empty() && out.back().disk == loc.disk &&
-        out.back().offset + out.back().length == loc.offset) {
-      out.back().length += piece;
-    } else {
-      out.push_back(DiskExtent{loc.disk, loc.offset, piece});
-    }
-    cursor += piece;
-  }
-  return out;
 }
 
 Bytes FileLayout::bytes_on_disk(int disk) const {

@@ -35,13 +35,6 @@ struct DiskLocation {
   friend bool operator==(const DiskLocation&, const DiskLocation&) = default;
 };
 
-/// A contiguous piece of a file access landing on a single disk.
-struct DiskExtent {
-  int disk = 0;
-  Bytes offset = 0;  ///< offset within the file's region on that disk
-  Bytes length = 0;
-};
-
 /// Striped placement of one file (one array) over the disk subsystem.
 class FileLayout {
  public:
@@ -54,31 +47,14 @@ class FileLayout {
   Bytes file_size() const { return file_size_; }
   int total_disks() const { return total_disks_; }
 
-  /// The disk holding file byte `offset`.
-  int disk_of(Bytes offset) const;
-
   /// Physical location (disk + per-disk offset) of file byte `offset`.
   DiskLocation locate(Bytes offset) const;
-
-  /// Decompose a file range [offset, offset+length) into single-disk
-  /// extents, in file order.
-  std::vector<DiskExtent> extents(Bytes offset, Bytes length) const;
 
   /// Bytes of this file stored on `disk` (for region allocation).
   Bytes bytes_on_disk(int disk) const;
 
   /// Disks actually used by this file, in stripe order.
   std::vector<int> disks_used() const;
-
-  /// Inverse mapping: file offset of the first byte of stripe `s`.
-  Bytes stripe_start(std::int64_t stripe) const {
-    return stripe * striping_.stripe_size;
-  }
-
-  /// Stripe index containing file byte `offset`.
-  std::int64_t stripe_of(Bytes offset) const {
-    return offset / striping_.stripe_size;
-  }
 
   std::int64_t stripe_count() const;
 

@@ -372,8 +372,7 @@ Json ServiceDaemon::handle_request(const Json& request,
     }
     Json cache = Json::object();
     auto& trace_cache = experiments::TraceCache::global();
-    cache.set("size", static_cast<std::int64_t>(trace_cache.size()))
-        .set("enabled", trace_cache.enabled());
+    cache.set("size", static_cast<std::int64_t>(trace_cache.size()));
     Json response = ok_response()
                         .set("protocol", kProtocolVersion)
                         .set("queue", queue)

@@ -26,33 +26,6 @@ constexpr char kMagic[8] = {'S', 'D', 'P', 'M', 'J', 'N', 'L', '1'};
 constexpr std::size_t kBodyFixedBytes = 1 + 8 + 8 + 8 + 4;
 constexpr std::size_t kRecordHeaderBytes = 8;  // body len + crc
 
-void put_u32_be(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v >> 24));
-  out.push_back(static_cast<char>(v >> 16));
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u64_be(std::string& out, std::uint64_t v) {
-  put_u32_be(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32_be(out, static_cast<std::uint32_t>(v));
-}
-
-std::uint32_t get_u32_be(const char* in) {
-  return (static_cast<std::uint32_t>(static_cast<unsigned char>(in[0]))
-          << 24) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[1]))
-          << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[2]))
-          << 8) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(in[3]));
-}
-
-std::uint64_t get_u64_be(const char* in) {
-  return (static_cast<std::uint64_t>(get_u32_be(in)) << 32) |
-         get_u32_be(in + 4);
-}
-
 /// Wall-clock milliseconds since the Unix epoch.  Recorded for operators
 /// reading the journal; replay never consults it (determinism-lint
 /// allowlists this file for exactly that reason).

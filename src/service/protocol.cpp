@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "util/checksum.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -52,14 +53,11 @@ void write_exact(int fd, const char* data, std::size_t n) {
 
 FrameRead read_frame_limited(int fd, std::string& payload,
                              std::uint32_t max_bytes) {
-  unsigned char prefix[4];
-  if (read_exact(fd, reinterpret_cast<char*>(prefix), 4) == 0) {
+  char prefix[4];
+  if (read_exact(fd, prefix, 4) == 0) {
     return FrameRead{FrameRead::Status::kEof, 0, false};
   }
-  const std::uint32_t length = (static_cast<std::uint32_t>(prefix[0]) << 24) |
-                               (static_cast<std::uint32_t>(prefix[1]) << 16) |
-                               (static_cast<std::uint32_t>(prefix[2]) << 8) |
-                               static_cast<std::uint32_t>(prefix[3]);
+  const std::uint32_t length = get_u32_be(prefix);
   if (length > max_bytes) {
     FrameRead result{FrameRead::Status::kTooLarge, length, false};
     // A prefix with the high bit set is a "negative" length from a signed
@@ -103,14 +101,9 @@ void write_frame(int fd, std::string_view payload) {
                            "(limit %u)",
                            payload.size(), kMaxFrameBytes));
   }
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  const unsigned char prefix[4] = {
-      static_cast<unsigned char>(length >> 24),
-      static_cast<unsigned char>(length >> 16),
-      static_cast<unsigned char>(length >> 8),
-      static_cast<unsigned char>(length),
-  };
-  write_exact(fd, reinterpret_cast<const char*>(prefix), 4);
+  std::string prefix;
+  put_u32_be(prefix, static_cast<std::uint32_t>(payload.size()));
+  write_exact(fd, prefix.data(), prefix.size());
   write_exact(fd, payload.data(), payload.size());
 }
 

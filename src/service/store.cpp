@@ -50,23 +50,6 @@ class StageTimer {
 constexpr char kMagic[8] = {'S', 'D', 'P', 'M', 'S', 'T', 'O', '1'};
 constexpr std::size_t kHeaderBytes = 16;
 
-void put_u32_be(char* out, std::uint32_t v) {
-  out[0] = static_cast<char>(v >> 24);
-  out[1] = static_cast<char>(v >> 16);
-  out[2] = static_cast<char>(v >> 8);
-  out[3] = static_cast<char>(v);
-}
-
-std::uint32_t get_u32_be(const char* in) {
-  return (static_cast<std::uint32_t>(static_cast<unsigned char>(in[0]))
-          << 24) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[1]))
-          << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(in[2]))
-          << 8) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(in[3]));
-}
-
 /// mkdir -p: create every missing component of `path`.
 void make_dirs(const std::string& path) {
   std::string partial;
@@ -214,11 +197,11 @@ void PersistentStore::put(const ContentKey& key, std::string_view value) {
     throw Error(str_printf("store: cannot create %s: %s", temp.c_str(),
                            std::strerror(errno)));
   }
-  char header[kHeaderBytes];
-  std::memcpy(header, kMagic, sizeof(kMagic));
-  put_u32_be(header + 8, crc32(value));
-  put_u32_be(header + 12, static_cast<std::uint32_t>(value.size()));
-  bool ok = std::fwrite(header, 1, sizeof(header), file) == sizeof(header);
+  std::string header(kMagic, sizeof(kMagic));
+  put_u32_be(header, crc32(value));
+  put_u32_be(header, static_cast<std::uint32_t>(value.size()));
+  bool ok = std::fwrite(header.data(), 1, header.size(), file) ==
+            header.size();
   ok = ok && (value.empty() ||
               std::fwrite(value.data(), 1, value.size(), file) ==
                   value.size());

@@ -31,7 +31,7 @@
 //       Replay a (possibly external) text trace under a reactive policy.
 //   sdpm_cli bench [--suite sweep|simulator] [--benchmark NAME]
 //                 [--out FILE] [--format table|csv|json|metrics]
-//                 [--no-cache] [--jobs N] [--compare FILE] [--tolerance N]
+//                 [--jobs N] [--compare FILE] [--tolerance N]
 //       --suite sweep (default): the 7-scheme x 8-config sweep through
 //       the facade's batched entry point; --format json emits its
 //       BenchSnapshot, --format metrics the metrics registry (access
@@ -163,7 +163,7 @@ const char* usage_text() {
       "  replay --in FILE [--policy P] [--open-loop] [--per-disk]\n"
       "         [--device D] [fault]\n"
       "  bench  [--benchmark NAME] [--out FILE]\n"
-      "         [--format table|csv|json|metrics] [--no-cache] [config]\n"
+      "         [--format table|csv|json|metrics] [config]\n"
       "         sweep all 7 schemes x 8 configs through the batched facade\n"
       "         entry point; --format json emits its BenchSnapshot\n"
       "         (BENCH_sweep.json schema), --format metrics the metrics\n"
@@ -722,9 +722,8 @@ int cmd_bench(const Args& args) {
     // The sweep's grid sets each job's disks and stripe size.
     require_known_flags("bench", args,
                         {"suite", "out", "format", "compare", "tolerance",
-                         "benchmark", "no-cache", "csv", "jobs", "block",
-                         "cache", "noise", "no-preactivate", "transform",
-                         "device"},
+                         "benchmark", "csv", "jobs", "block", "cache",
+                         "noise", "no-preactivate", "transform", "device"},
                         {kFaultFlags});
   }
   const double tolerance_pct = args.get_double("tolerance", 15.0);
@@ -743,9 +742,7 @@ int cmd_bench(const Args& args) {
     return cmd_bench_simulator(args, format, tolerance_pct);
   }
 
-  api::SessionOptions session_options;
-  session_options.use_cache = !args.has("no-cache");
-  api::Session session(session_options);
+  api::Session session;
 
   // 8 configurations: 4 stripe sizes x 2 subsystem widths, each evaluated
   // under all 7 schemes (the paper's Figs. 5-8 sensitivity grid), batched

@@ -179,7 +179,7 @@ class AccessMemo {
     return memo;
   }
 
-  /// The memoized walk for `key`, or null on a miss or when disabled.
+  /// The memoized walk for `key`, or null on a miss.
   Misses find(const AccessKey& key) {
     std::lock_guard lock(mutex_);
     const auto it = std::find_if(entries_.begin(), entries_.end(),
@@ -189,12 +189,11 @@ class AccessMemo {
     return entries_.front().misses;
   }
 
-  /// Keep `misses` as the most recent walk (a no-op when disabled).  Two
-  /// callers racing on one key both walk; equal keys walk equal misses, so
-  /// the second insert only refreshes the entry.
+  /// Keep `misses` as the most recent walk.  Two callers racing on one
+  /// key both walk; equal keys walk equal misses, so the second insert
+  /// only refreshes the entry.
   void insert(const AccessKey& key, Misses misses) {
     std::lock_guard lock(mutex_);
-    if (!enabled_) return;
     std::erase_if(entries_, [&](const Entry& e) { return e.key == key; });
     entries_.insert(entries_.begin(), Entry{key, std::move(misses)});
     if (entries_.size() > kAccessMemoCapacity) entries_.pop_back();
@@ -205,12 +204,6 @@ class AccessMemo {
     entries_.clear();
   }
 
-  void set_enabled(bool enabled) {
-    std::lock_guard lock(mutex_);
-    enabled_ = enabled;
-    if (!enabled) entries_.clear();
-  }
-
  private:
   struct Entry {
     AccessKey key;
@@ -218,7 +211,6 @@ class AccessMemo {
   };
 
   std::mutex mutex_;
-  bool enabled_ = true;
   std::vector<Entry> entries_;
 };
 
@@ -252,10 +244,6 @@ std::shared_ptr<const std::vector<MissRecord>> collect_misses(
 }
 
 void clear_access_memo() { AccessMemo::global().clear(); }
-
-void set_access_memo_enabled(bool enabled) {
-  AccessMemo::global().set_enabled(enabled);
-}
 
 TraceGenerator::TraceGenerator(const ir::Program& program,
                                const layout::LayoutTable& layout,

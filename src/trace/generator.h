@@ -147,11 +147,6 @@ std::shared_ptr<const std::vector<MissRecord>> collect_misses(
 /// so clearing the trace cache starts the next job cold.
 void clear_access_memo();
 
-/// Use (true, the default) or bypass (false) the access memo; disabling
-/// also clears it.  experiments::TraceCache::set_enabled() calls this, so
-/// an uncached run walks on every call.
-void set_access_memo_enabled(bool enabled);
-
 class TraceGenerator {
  public:
   TraceGenerator(const ir::Program& program,

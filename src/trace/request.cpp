@@ -1,9 +1,6 @@
 #include "trace/request.h"
 
-#include <ostream>
-
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace sdpm::trace {
 
@@ -33,16 +30,6 @@ Trace repeat_trace(const Trace& trace, int timesteps) {
     }
   }
   return out;
-}
-
-void Trace::write_text(std::ostream& os) const {
-  os << "# arrival_ms disk start_sector size_bytes type\n";
-  for (const Request& r : requests) {
-    os << str_printf("%.6f %d %lld %lld %c\n", r.arrival_ms, r.disk,
-                     static_cast<long long>(r.start_sector),
-                     static_cast<long long>(r.size_bytes),
-                     r.kind == ir::AccessKind::kRead ? 'R' : 'W');
-  }
 }
 
 }  // namespace sdpm::trace

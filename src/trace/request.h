@@ -54,9 +54,6 @@ struct Trace {
   std::int64_t request_count() const {
     return static_cast<std::int64_t>(requests.size());
   }
-
-  /// Write in a DiskSim-like text format: one request per line.
-  void write_text(std::ostream& os) const;
 };
 
 /// One trace's items in replay order: requests and power events merged on

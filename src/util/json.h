@@ -45,13 +45,6 @@ class Json {
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_int() const { return type_ == Type::kInt; }
-  bool is_number() const {
-    return type_ == Type::kInt || type_ == Type::kDouble;
-  }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
   /// Typed accessors; throw sdpm::Error on a type mismatch.  as_double

@@ -1,22 +1,18 @@
-// Streaming statistics accumulators.
+// Streaming statistics accumulator.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace sdpm {
 
-/// Online mean/variance/min/max accumulator (Welford's algorithm).
+/// Online mean/min/max/sum accumulator (Welford's running mean).
 class RunningStats {
  public:
   void add(double x) {
     ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
+    mean_ += (x - mean_) / static_cast<double>(count_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
     sum_ += x;
@@ -25,10 +21,6 @@ class RunningStats {
   std::int64_t count() const { return count_; }
   double sum() const { return sum_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
 
@@ -37,46 +29,9 @@ class RunningStats {
  private:
   std::int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Sliding window over the most recent N samples; used by the reactive DRPM
-/// controller (n-request response-time windows).
-class SlidingWindow {
- public:
-  explicit SlidingWindow(std::size_t capacity) : capacity_(capacity) {}
-
-  void add(double x) {
-    if (values_.size() == capacity_) {
-      sum_ -= values_[head_];
-      values_[head_] = x;
-      head_ = (head_ + 1) % capacity_;
-    } else {
-      values_.push_back(x);
-    }
-    sum_ += x;
-  }
-
-  bool full() const { return values_.size() == capacity_; }
-  std::size_t size() const { return values_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  double mean() const {
-    return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
-  }
-  void clear() {
-    values_.clear();
-    head_ = 0;
-    sum_ = 0.0;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<double> values_;
-  std::size_t head_ = 0;
-  double sum_ = 0.0;
 };
 
 }  // namespace sdpm

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <thread>
+
+#include "util/error.h"
 
 namespace sdpm {
 
@@ -31,72 +36,36 @@ void set_default_jobs(unsigned jobs) {
   g_default_jobs.store(jobs, std::memory_order_relaxed);
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = default_jobs();
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-    }
-    all_done_.notify_all();
-  }
-}
-
 void run_parallel(std::vector<std::function<void()>> tasks, unsigned threads) {
-  ThreadPool pool(threads);
-  for (auto& task : tasks) pool.submit(std::move(task));
-  pool.wait_idle();
+  SDPM_REQUIRE(threads > 0, "run_parallel: needs at least one thread");
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto work = [&] {
+    for (std::size_t i = next.fetch_add(1); i < tasks.size();
+         i = next.fetch_add(1)) {
+      try {
+        tasks[i]();
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+  };
+  const std::size_t count = std::min<std::size_t>(threads, tasks.size());
+  std::vector<std::thread> workers;
+  workers.reserve(count);
+  try {
+    while (workers.size() < count) workers.emplace_back(work);
+  } catch (...) {
+    // A thread failed to start: hand out no more tasks, and join the
+    // workers already running before the state they share goes away.
+    next.store(tasks.size());
+    for (std::thread& worker : workers) worker.join();
+    throw;
+  }
+  for (std::thread& worker : workers) worker.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace sdpm

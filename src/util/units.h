@@ -30,7 +30,6 @@ using BlockNo = std::int64_t;
 
 constexpr TimeMs ms_from_seconds(double s) { return s * 1e3; }
 constexpr double seconds_from_ms(TimeMs ms) { return ms * 1e-3; }
-constexpr TimeMs ms_from_us(double us) { return us * 1e-3; }
 
 /// watts * milliseconds -> joules.
 constexpr Joules joules_from_watt_ms(Watts w, TimeMs ms) {
@@ -44,11 +43,6 @@ constexpr Bytes gib(std::int64_t n) { return n * 1024 * 1024 * 1024; }
 /// Cycles -> milliseconds at a given clock rate (Hz).
 constexpr TimeMs ms_from_cycles(Cycles cycles, double clock_hz) {
   return cycles / clock_hz * 1e3;
-}
-
-/// Milliseconds -> cycles at a given clock rate (Hz).
-constexpr Cycles cycles_from_ms(TimeMs ms, double clock_hz) {
-  return ms * 1e-3 * clock_hz;
 }
 
 }  // namespace sdpm

@@ -308,9 +308,11 @@ TEST(Analyze, SchedulerOutputIsCleanOnEveryDevice) {
 
 AnalysisReport wellformed_report(const ScheduleResult& result,
                                  const layout::LayoutTable& table) {
-  PassRegistry registry;
-  registry.add(make_wellformed_pass());
-  return registry.run(result, table, params(), analyze_options());
+  AnalysisContext ctx(result, table, params(), analyze_options());
+  AnalysisReport report;
+  make_wellformed_pass()->run(ctx, report.diagnostics);
+  report.sort();
+  return report;
 }
 
 TEST(Compat, CheckScheduleCollectsEveryViolation) {
@@ -342,7 +344,8 @@ TEST(Compat, ReturnsDirectiveCountOnSuccess) {
   const TwoPhase tp;
   const layout::LayoutTable table(tp.program, tp.striping, 2);
   const ScheduleResult result = scheduled(tp, table, PowerMode::kDrpm);
-  const AnalysisReport report = wellformed_report(result, table);
+  const AnalysisReport report =
+      analyze(result, table, params(), analyze_options());
   EXPECT_TRUE(report.diagnostics.empty()) << render_text(report);
   EXPECT_EQ(report.directives_checked, result.calls_inserted);
   EXPECT_EQ(result.calls_inserted,

@@ -370,15 +370,5 @@ TEST(Session, RepairWalksOncePerLayout) {
   }
 }
 
-TEST(Session, UncachedSessionWalksEveryTime) {
-  // use_cache = false is `sdpm_cli bench --no-cache`: it bypasses the
-  // access memo too, so the Base, CMTPM and CMDRPM traces and both
-  // schedules' DAPs each walk.
-  Session session(SessionOptions{.use_cache = false});
-  const JobSpec spec = JobSpecBuilder("galgel").build();
-  EXPECT_EQ(access_walks_of([&] { session.run(spec); }), 5);
-  experiments::TraceCache::global().set_enabled(true);
-}
-
 }  // namespace
 }  // namespace sdpm::api

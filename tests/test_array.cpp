@@ -88,13 +88,6 @@ TEST(Array, FourDimensionalBlockedShape) {
   EXPECT_EQ(a.linear_index(idx), (1 * 8 + 2) * 128 * 256);
 }
 
-TEST(Array, WithLayoutFlips) {
-  const Array a = make_array(StorageLayout::kRowMajor);
-  const Array b = a.with_layout(StorageLayout::kColMajor);
-  EXPECT_EQ(b.layout, StorageLayout::kColMajor);
-  EXPECT_EQ(b.extents, a.extents);
-}
-
 TEST(Array, LayoutNames) {
   EXPECT_STREQ(to_string(StorageLayout::kRowMajor), "row-major");
   EXPECT_STREQ(to_string(StorageLayout::kColMajor), "col-major");

@@ -5,9 +5,7 @@
 #include "core/tiling.h"
 #include "experiments/runner.h"
 #include "util/error.h"
-#include "sim/invariants.h"
 #include "workloads/benchmarks.h"
-#include "workloads/extra.h"
 
 namespace sdpm::workloads {
 namespace {
@@ -131,57 +129,6 @@ TEST(Benchmarks, MesaHasFourArrayGroups) {
 TEST(Benchmarks, GalgelIsOneArrayGroup) {
   const Benchmark b = make_galgel();
   EXPECT_EQ(core::array_groups(b.program).size(), 1u);
-}
-
-TEST(ExtraWorkloads, AllValidateAndSimulate) {
-  for (Benchmark& b : extra_benchmarks()) {
-    b.program.validate();
-    experiments::ExperimentConfig config;
-    experiments::Runner runner(b, config);
-    sim::check_invariants(runner.base_report(), config.disk);
-  }
-}
-
-TEST(ExtraWorkloads, CheckpointMakesTpmViableWithoutTransformation) {
-  // Unlike the paper's six, the checkpoint/restart shape has >15.2 s
-  // compute epochs: plain CMTPM profits with no code restructuring.
-  Benchmark b = make_checkpoint();
-  experiments::ExperimentConfig config;
-  config.actual_noise = trace::CycleNoise::none();
-  config.profile_noise = trace::CycleNoise::none();
-  experiments::Runner runner(b, config);
-  const auto cmtpm = runner.run(experiments::Scheme::kCmtpm);
-  EXPECT_LT(cmtpm.normalized_energy, 0.82);
-  EXPECT_LT(cmtpm.normalized_time, 1.01);
-  // With the default 20% profiling noise the savings shrink and a late
-  // wake-up can leak through, but the scheme stays clearly worthwhile.
-  experiments::ExperimentConfig noisy;
-  experiments::Runner noisy_runner(b, noisy);
-  const auto noisy_cmtpm = noisy_runner.run(experiments::Scheme::kCmtpm);
-  EXPECT_LT(noisy_cmtpm.normalized_energy, 0.90);
-  EXPECT_LT(noisy_cmtpm.normalized_time, 1.08);
-}
-
-TEST(ExtraWorkloads, TransposeGainsFromTiling) {
-  Benchmark b = make_transpose();
-  experiments::ExperimentConfig plain;
-  experiments::Runner plain_runner(b, plain);
-  const auto& base = plain_runner.base_report();
-
-  experiments::ExperimentConfig tldl;
-  tldl.transform = core::Transformation::kTLDL;
-  experiments::Runner tldl_runner(b, tldl);
-  // The blocked layout collapses the write-thrash misses dramatically.
-  EXPECT_LT(tldl_runner.base_report().requests, base.requests / 4);
-}
-
-TEST(ExtraWorkloads, ScanIsStreamingBound) {
-  Benchmark b = make_scan();
-  experiments::ExperimentConfig config;
-  experiments::Runner runner(b, config);
-  const auto drpm = runner.run(experiments::Scheme::kDrpm);
-  // Reactive DRPM saves on a pure streaming scan (steady load per disk).
-  EXPECT_LT(drpm.normalized_energy, 0.95);
 }
 
 }  // namespace

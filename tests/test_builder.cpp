@@ -111,15 +111,6 @@ TEST(Builder, StatementLabelsDefaultToIndices) {
   EXPECT_EQ(p.nests[0].body[1].label, "s2");
 }
 
-TEST(Program, FindArray) {
-  ProgramBuilder pb("p");
-  pb.array("A", {2});
-  pb.array("B", {2});
-  Program prog = pb.build();
-  EXPECT_EQ(prog.find_array("B").value(), 1);
-  EXPECT_FALSE(prog.find_array("C").has_value());
-}
-
 TEST(Program, SortDirectives) {
   ProgramBuilder pb("p");
   const ArrayId u = pb.array("U", {16});

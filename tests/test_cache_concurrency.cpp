@@ -1,5 +1,5 @@
 // TraceCache under concurrency: many threads sharing one cache, mixed
-// hit/miss/eviction traffic, and enable/clear toggles racing lookups, plus
+// hit/miss/eviction traffic, and clear() racing lookups, plus
 // the process-wide access memo under the scheduler, the DAP analysis and
 // trace generation.  Primarily a TSan target (the CI tsan job runs it), but
 // the assertions also pin the sharing contract: equal keys -> the exact
@@ -132,13 +132,12 @@ TEST(TraceCacheConcurrency, ToggleAndClearRaceLookups) {
 
   std::atomic<bool> stop{false};
   std::thread toggler([&] {
-    // enable/disable/clear from one thread while others look up; every
-    // combination must stay memory-safe (the TSan point of this test).
+    // clear from one thread while others look up and insert; every
+    // interleaving must stay memory-safe (the TSan point of this test).
     for (int i = 0; i < 40; ++i) {
-      cache.set_enabled(i % 4 != 0);
-      if (i % 7 == 0) cache.clear();
+      cache.clear();
+      std::this_thread::yield();
     }
-    cache.set_enabled(true);
     stop.store(true);
   });
 
@@ -158,7 +157,6 @@ TEST(TraceCacheConcurrency, ToggleAndClearRaceLookups) {
   }
   toggler.join();
   for (std::thread& th : readers) th.join();
-  EXPECT_TRUE(cache.enabled());
 }
 
 bool same_schedule(const core::ScheduleResult& a,
@@ -231,17 +229,20 @@ TEST(TraceCacheConcurrency, AccessMemoRacesKeepEveryResultExact) {
                                   config.total_disks);
   TraceCache& cache = TraceCache::global();
 
-  // Serial references, every one from a fresh walk.
-  cache.set_enabled(false);
+  // Serial references, every one from a fresh walk: each starts after a
+  // clear().
   const auto schedule = [&](core::PowerMode mode) {
     core::SchedulerOptions so;
     so.mode = mode;
     so.access = config.gen;
     return core::schedule_power_calls(bench.program, table, config.disk, so);
   };
+  cache.clear();
   const core::ScheduleResult ref_tpm = schedule(core::PowerMode::kTpm);
+  cache.clear();
   const core::ScheduleResult ref_drpm = schedule(core::PowerMode::kDrpm);
   ASSERT_GT(ref_drpm.calls_inserted, 0);
+  cache.clear();
   const trace::DiskAccessPattern ref_dap =
       trace::DiskAccessPattern::analyze(bench.program, table, config.gen);
   // Two directive sets (none, CMDRPM's) x two noise seeds.
@@ -254,11 +255,11 @@ TEST(TraceCacheConcurrency, AccessMemoRacesKeepEveryResultExact) {
   };
   std::vector<trace::Trace> ref_traces;
   for (std::size_t k = 0; k < 4; ++k) {
+    cache.clear();
     ref_traces.push_back(trace::TraceGenerator(*programs[k % 2], table,
                                                options_for(k / 2))
                              .generate());
   }
-  cache.set_enabled(true);
 
   constexpr int kWorkers = 4;
   constexpr int kIters = 6;
@@ -267,8 +268,6 @@ TEST(TraceCacheConcurrency, AccessMemoRacesKeepEveryResultExact) {
   std::thread toggler([&] {
     while (workers_left.load() > 0) {
       cache.clear();
-      cache.set_enabled(false);
-      cache.set_enabled(true);
       std::this_thread::yield();
     }
   });
@@ -305,7 +304,6 @@ TEST(TraceCacheConcurrency, AccessMemoRacesKeepEveryResultExact) {
   for (std::thread& th : workers) th.join();
   toggler.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_TRUE(cache.enabled());
 }
 
 }  // namespace

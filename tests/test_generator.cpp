@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "reference_lru.h"
 #include "trace/generator.h"
+#include "trace/text_io.h"
 #include "util/error.h"
 #include "workloads/benchmarks.h"
 #include "workloads/synthetic.h"
@@ -738,7 +739,7 @@ TEST(Trace, WriteTextFormat) {
   TraceGenerator gen(p, table, no_cache());
   const Trace trace = gen.generate();
   std::ostringstream os;
-  trace.write_text(os);
+  write_trace_text(trace, os);
   const std::string text = os.str();
   EXPECT_NE(text.find("# arrival_ms disk start_sector size_bytes type"),
             std::string::npos);

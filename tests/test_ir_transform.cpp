@@ -1,8 +1,8 @@
 // Mechanical loop transformations: semantics preservation.
 //
-// The key property: strip-mining, tiling, and fission must preserve the
-// multiset of element accesses a nest performs (order may change).  We
-// verify by brute-force enumeration of every iteration.
+// The key property: tiling and fission must preserve the multiset of
+// element accesses a nest performs (order may change).  We verify by
+// brute-force enumeration of every iteration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,40 +68,6 @@ Program make_simple_program() {
       .write(v, {sym("j"), sym("i")})  // transposed access
       .done();
   return pb.build();
-}
-
-TEST(StripMine, PreservesAccessesAndCount) {
-  const Program p = make_simple_program();
-  const LoopNest& original = p.nests[0];
-  for (const int loop : {0, 1}) {
-    for (const std::int64_t factor : {2, 4}) {
-      const LoopNest mined = strip_mine(original, loop, factor);
-      EXPECT_EQ(mined.depth(), 3);
-      EXPECT_EQ(mined.iteration_count(), original.iteration_count());
-      EXPECT_EQ(enumerate_accesses(p, mined), enumerate_accesses(p, original))
-          << "loop " << loop << " factor " << factor;
-    }
-  }
-}
-
-TEST(StripMine, RejectsNonDividingFactor) {
-  const Program p = make_simple_program();
-  EXPECT_THROW(strip_mine(p.nests[0], 0, 5), Error);
-}
-
-TEST(StripMine, RejectsBadLoopIndex) {
-  const Program p = make_simple_program();
-  EXPECT_THROW(strip_mine(p.nests[0], 2, 2), Error);
-}
-
-TEST(StripMine, NonZeroLowerBound) {
-  ProgramBuilder pb("t");
-  const ArrayId u = pb.array("U", {20});
-  pb.nest("n").loop("i", 4, 16).stmt(1.0).read(u, {sym("i")}).done();
-  const Program p = pb.build();
-  const LoopNest mined = strip_mine(p.nests[0], 0, 3);
-  EXPECT_EQ(enumerate_accesses(p, mined),
-            enumerate_accesses(p, p.nests[0]));
 }
 
 TEST(Tile, PreservesAccesses) {
@@ -176,113 +142,6 @@ TEST(Fission, RejectsNonPartition) {
   EXPECT_THROW(fission(p.nests[0], {{0}}), Error);          // missing stmt
   EXPECT_THROW(fission(p.nests[0], {{0, 1}, {1}}), Error);  // duplicated
   EXPECT_THROW(fission(p.nests[0], {{0}, {2}}), Error);     // out of range
-}
-
-TEST(Interchange, PreservesAccessMultiset) {
-  const Program p = make_simple_program();
-  const LoopNest swapped = interchange(p.nests[0], 0, 1);
-  EXPECT_EQ(swapped.loops[0].var, "j");
-  EXPECT_EQ(swapped.loops[1].var, "i");
-  EXPECT_EQ(enumerate_accesses(p, swapped),
-            enumerate_accesses(p, p.nests[0]));
-}
-
-TEST(Interchange, ChangesTraversalOrder) {
-  // U[i][j] row-major: after interchange the innermost loop walks i, i.e.
-  // the non-contiguous dimension — the subscript/loop association moved.
-  const Program p = make_simple_program();
-  const LoopNest swapped = interchange(p.nests[0], 0, 1);
-  const ir::AffineExpr& sub0 = swapped.body[0].refs[0].subscripts[0];
-  // Subscript 0 of U is "i", which is now loop 1 (inner).
-  EXPECT_EQ(sub0.coef(0), 0);
-  EXPECT_EQ(sub0.coef(1), 1);
-}
-
-TEST(Interchange, SelfInterchangeIsIdentity) {
-  const Program p = make_simple_program();
-  const LoopNest same = interchange(p.nests[0], 1, 1);
-  EXPECT_EQ(enumerate_accesses(p, same), enumerate_accesses(p, p.nests[0]));
-  EXPECT_EQ(same.loops[0].var, "i");
-}
-
-TEST(Interchange, RejectsBadIndices) {
-  const Program p = make_simple_program();
-  EXPECT_THROW(interchange(p.nests[0], 0, 2), Error);
-}
-
-TEST(Fuse, ConcatenatesBodies) {
-  const Program p = make_test_program();
-  const std::vector<LoopNest> parts = fission(p.nests[0], {{0}, {1}});
-  const LoopNest refused = fuse(parts[0], parts[1]);
-  EXPECT_EQ(refused.body.size(), 2u);
-  EXPECT_EQ(enumerate_accesses(p, refused),
-            enumerate_accesses(p, p.nests[0]));
-  EXPECT_DOUBLE_EQ(refused.cycles_per_iteration(),
-                   p.nests[0].cycles_per_iteration());
-}
-
-TEST(Fuse, RejectsMismatchedBounds) {
-  ProgramBuilder pb("t");
-  const ArrayId u = pb.array("U", {32});
-  pb.nest("a").loop("i", 0, 16).stmt(1.0).read(u, {sym("i")}).done();
-  pb.nest("b").loop("i", 0, 32).stmt(1.0).read(u, {sym("i")}).done();
-  const Program p = pb.build();
-  EXPECT_THROW(fuse(p.nests[0], p.nests[1]), Error);
-}
-
-TEST(TransposeLayout, FlipsStorageOrder) {
-  Program p = make_simple_program();
-  EXPECT_EQ(p.arrays[0].layout, StorageLayout::kRowMajor);
-  transpose_layout(p, 0);
-  EXPECT_EQ(p.arrays[0].layout, StorageLayout::kColMajor);
-  transpose_layout(p, 0);
-  EXPECT_EQ(p.arrays[0].layout, StorageLayout::kRowMajor);
-}
-
-TEST(CoupledComponents, SingleStatementSingleComponent) {
-  const Program p = make_simple_program();
-  const auto components = coupled_statement_components(p.nests[0]);
-  ASSERT_EQ(components.size(), 1u);
-  EXPECT_EQ(components[0], (std::vector<int>{0}));
-}
-
-TEST(CoupledComponents, IndependentStatementsSeparate) {
-  ProgramBuilder pb("t");
-  const ArrayId a = pb.array("A", {8});
-  const ArrayId b = pb.array("B", {8});
-  pb.nest("n")
-      .loop("i", 0, 8)
-      .stmt(1.0)
-      .read(a, {sym("i")})
-      .stmt(1.0)
-      .read(b, {sym("i")})
-      .done();
-  const Program p = pb.build();
-  const auto components = coupled_statement_components(p.nests[0]);
-  EXPECT_EQ(components.size(), 2u);
-}
-
-TEST(CoupledComponents, TransitiveCoupling) {
-  ProgramBuilder pb("t");
-  const ArrayId a = pb.array("A", {8});
-  const ArrayId b = pb.array("B", {8});
-  const ArrayId c = pb.array("C", {8});
-  pb.nest("n")
-      .loop("i", 0, 8)
-      .stmt(1.0)
-      .read(a, {sym("i")})
-      .read(b, {sym("i")})
-      .stmt(1.0)
-      .read(c, {sym("i")})
-      .stmt(1.0)
-      .read(b, {sym("i")})
-      .read(c, {sym("i")})
-      .done();
-  const Program p = pb.build();
-  // Statement 3 couples B and C, so all three statements end up together.
-  const auto components = coupled_statement_components(p.nests[0]);
-  ASSERT_EQ(components.size(), 1u);
-  EXPECT_EQ(components[0].size(), 3u);
 }
 
 }  // namespace

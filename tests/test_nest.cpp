@@ -53,19 +53,6 @@ TEST(LoopNest, IterationAtDecodesRowMajor) {
   EXPECT_EQ(nest.iteration_at(11), (std::vector<std::int64_t>{8, 2}));
 }
 
-TEST(LoopNest, FlatOfTripsInvertsIterationAt) {
-  const LoopNest nest = two_level_nest();
-  for (std::int64_t flat = 0; flat < nest.iteration_count(); ++flat) {
-    const auto iters = nest.iteration_at(flat);
-    // convert iterator values back to trip indices
-    std::vector<std::int64_t> trips(iters.size());
-    for (std::size_t k = 0; k < iters.size(); ++k) {
-      trips[k] = (iters[k] - nest.loops[k].lower) / nest.loops[k].step;
-    }
-    EXPECT_EQ(nest.flat_of_trips(trips), flat);
-  }
-}
-
 TEST(LoopNest, LoopNames) {
   EXPECT_EQ(two_level_nest().loop_names(),
             (std::vector<std::string>{"i", "j"}));
@@ -97,16 +84,6 @@ TEST(LoopNest, ValidateRejectsRankMismatch) {
   nest.body[0].refs.push_back(ref);
   const Array arrays[] = {a};
   EXPECT_THROW(nest.validate(arrays), Error);
-}
-
-TEST(Statement, ReferencedArrays) {
-  Statement s;
-  ArrayRef r1;
-  r1.array = 2;
-  ArrayRef r2;
-  r2.array = 5;
-  s.refs = {r1, r2};
-  EXPECT_EQ(s.referenced_arrays(), (std::vector<ArrayId>{2, 5}));
 }
 
 TEST(AccessKind, Names) {

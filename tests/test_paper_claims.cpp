@@ -37,12 +37,11 @@ TEST(PaperClaims, CompilerExtractsDapAndSchedulesBothModes) {
       so.access = config.gen;
       const core::ScheduleResult result =
           core::schedule_power_calls(b.program, table, config.disk, so);
-      analysis::PassRegistry wellformed;
-      wellformed.add(analysis::make_wellformed_pass());
       analysis::AnalyzeOptions options;
       options.access = config.gen;
-      const analysis::AnalysisReport report =
-          wellformed.run(result, table, config.disk, options);
+      analysis::AnalysisContext ctx(result, table, config.disk, options);
+      analysis::AnalysisReport report;
+      analysis::make_wellformed_pass()->run(ctx, report.diagnostics);
       EXPECT_TRUE(report.diagnostics.empty())
           << name << "\n" << analysis::render_text(report);
     }

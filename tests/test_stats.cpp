@@ -1,4 +1,4 @@
-// RunningStats (Welford) and SlidingWindow.
+// RunningStats: Welford running mean, extrema and sum.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,7 +13,8 @@ TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
+  EXPECT_EQ(s.min(), 0.0);
+  EXPECT_EQ(s.max(), 0.0);
 }
 
 TEST(RunningStats, SingleValue) {
@@ -23,7 +24,6 @@ TEST(RunningStats, SingleValue) {
   EXPECT_DOUBLE_EQ(s.mean(), 4.5);
   EXPECT_DOUBLE_EQ(s.min(), 4.5);
   EXPECT_DOUBLE_EQ(s.max(), 4.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
 TEST(RunningStats, MatchesNaiveComputation) {
@@ -38,12 +38,8 @@ TEST(RunningStats, MatchesNaiveComputation) {
   double mean = 0;
   for (double v : values) mean += v;
   mean /= static_cast<double>(values.size());
-  double var = 0;
-  for (double v : values) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(values.size() - 1);
 
   EXPECT_NEAR(s.mean(), mean, 1e-9);
-  EXPECT_NEAR(s.variance(), var, 1e-9);
 }
 
 TEST(RunningStats, SumAndExtrema) {
@@ -62,36 +58,6 @@ TEST(RunningStats, Reset) {
   s.reset();
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(SlidingWindow, FillsToCapacity) {
-  SlidingWindow w(3);
-  EXPECT_FALSE(w.full());
-  w.add(1);
-  w.add(2);
-  EXPECT_FALSE(w.full());
-  w.add(3);
-  EXPECT_TRUE(w.full());
-  EXPECT_DOUBLE_EQ(w.mean(), 2.0);
-}
-
-TEST(SlidingWindow, EvictsOldest) {
-  SlidingWindow w(3);
-  w.add(1);
-  w.add(2);
-  w.add(3);
-  w.add(10);  // evicts 1
-  EXPECT_DOUBLE_EQ(w.mean(), 5.0);
-  w.add(11);  // evicts 2
-  EXPECT_DOUBLE_EQ(w.mean(), 8.0);
-}
-
-TEST(SlidingWindow, Clear) {
-  SlidingWindow w(2);
-  w.add(5);
-  w.clear();
-  EXPECT_EQ(w.size(), 0u);
-  EXPECT_DOUBLE_EQ(w.mean(), 0.0);
 }
 
 }  // namespace

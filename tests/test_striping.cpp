@@ -20,49 +20,46 @@ TEST(FileLayout, PaperFigure2U1) {
   //  array can be expressed as (0, 4, S)" with total size 4S.
   const Bytes s = kib(64);
   const FileLayout u1(Striping{0, 4, s}, 4 * s, 4);
-  EXPECT_EQ(u1.disk_of(0), 0);
-  EXPECT_EQ(u1.disk_of(s), 1);
-  EXPECT_EQ(u1.disk_of(2 * s), 2);
-  EXPECT_EQ(u1.disk_of(3 * s), 3);
+  EXPECT_EQ(u1.locate(0).disk, 0);
+  EXPECT_EQ(u1.locate(s).disk, 1);
+  EXPECT_EQ(u1.locate(2 * s).disk, 2);
+  EXPECT_EQ(u1.locate(3 * s).disk, 3);
   EXPECT_EQ(u1.disks_used(), (std::vector<int>{0, 1, 2, 3}));
   // "for array U1, we access the first two disks (disk0 and disk1)" when
   // reading elements [0, 2S).
-  const auto extents = u1.extents(0, 2 * s);
-  ASSERT_EQ(extents.size(), 2u);
-  EXPECT_EQ(extents[0].disk, 0);
-  EXPECT_EQ(extents[1].disk, 1);
+  EXPECT_EQ(u1.locate(2 * s - 1).disk, 1);
 }
 
 TEST(FileLayout, PaperFigure2U2) {
   // Array U2 lives entirely on disk2: layout (2, 1, S).
   const Bytes s = kib(64);
   const FileLayout u2(Striping{2, 1, s}, 2 * s, 4);
-  EXPECT_EQ(u2.disk_of(0), 2);
-  EXPECT_EQ(u2.disk_of(2 * s - 1), 2);
+  EXPECT_EQ(u2.locate(0).disk, 2);
+  EXPECT_EQ(u2.locate(2 * s - 1).disk, 2);
   EXPECT_EQ(u2.disks_used(), (std::vector<int>{2}));
 }
 
 TEST(FileLayout, RoundRobinPlacement) {
   const FileLayout layout(Striping{0, 4, 100}, 1000, 8);
   for (Bytes off = 0; off < 1000; ++off) {
-    EXPECT_EQ(layout.disk_of(off), static_cast<int>((off / 100) % 4));
+    EXPECT_EQ(layout.locate(off).disk, static_cast<int>((off / 100) % 4));
   }
 }
 
 TEST(FileLayout, StartingDiskOffsetsRotation) {
   const FileLayout layout(Striping{3, 4, 100}, 800, 8);
-  EXPECT_EQ(layout.disk_of(0), 3);
-  EXPECT_EQ(layout.disk_of(100), 4);
-  EXPECT_EQ(layout.disk_of(300), 6);
-  EXPECT_EQ(layout.disk_of(400), 3);  // wraps within the window
+  EXPECT_EQ(layout.locate(0).disk, 3);
+  EXPECT_EQ(layout.locate(100).disk, 4);
+  EXPECT_EQ(layout.locate(300).disk, 6);
+  EXPECT_EQ(layout.locate(400).disk, 3);  // wraps within the window
 }
 
 TEST(FileLayout, WindowWrapsModuloTotalDisks) {
   const FileLayout layout(Striping{6, 4, 10}, 100, 8);
-  EXPECT_EQ(layout.disk_of(0), 6);
-  EXPECT_EQ(layout.disk_of(10), 7);
-  EXPECT_EQ(layout.disk_of(20), 0);
-  EXPECT_EQ(layout.disk_of(30), 1);
+  EXPECT_EQ(layout.locate(0).disk, 6);
+  EXPECT_EQ(layout.locate(10).disk, 7);
+  EXPECT_EQ(layout.locate(20).disk, 0);
+  EXPECT_EQ(layout.locate(30).disk, 1);
 }
 
 TEST(FileLayout, LocatePacksStripesPerDisk) {
@@ -93,32 +90,6 @@ TEST(FileLayout, BytesOnDiskSumsToFileSize) {
   }
 }
 
-TEST(FileLayout, ExtentsCoverRangeExactly) {
-  SplitMix64 rng(10);
-  const FileLayout layout(Striping{1, 3, 128}, 4096, 4);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Bytes off = static_cast<Bytes>(rng.next_below(4000));
-    const Bytes len = static_cast<Bytes>(rng.next_below(
-        static_cast<std::uint64_t>(4096 - off)));
-    Bytes covered = 0;
-    for (const DiskExtent& e : layout.extents(off, len)) {
-      covered += e.length;
-      EXPECT_GE(e.disk, 0);
-      EXPECT_LT(e.disk, 4);
-    }
-    EXPECT_EQ(covered, len);
-  }
-}
-
-TEST(FileLayout, ExtentsCoalesceWithinStripeRuns) {
-  // factor 1: the whole file is one disk, so any range is one extent.
-  const FileLayout layout(Striping{2, 1, 64}, 1024, 4);
-  const auto extents = layout.extents(10, 900);
-  ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0].disk, 2);
-  EXPECT_EQ(extents[0].length, 900);
-}
-
 TEST(FileLayout, InvalidConfigurationsThrow) {
   EXPECT_THROW(FileLayout(Striping{0, 0, 64}, 100, 4), Error);   // factor 0
   EXPECT_THROW(FileLayout(Striping{0, 5, 64}, 100, 4), Error);   // factor > disks
@@ -129,10 +100,8 @@ TEST(FileLayout, InvalidConfigurationsThrow) {
 
 TEST(FileLayout, StripeHelpers) {
   const FileLayout layout(Striping{0, 2, 100}, 950, 2);
-  EXPECT_EQ(layout.stripe_count(), 10);
-  EXPECT_EQ(layout.stripe_of(99), 0);
-  EXPECT_EQ(layout.stripe_of(100), 1);
-  EXPECT_EQ(layout.stripe_start(3), 300);
+  EXPECT_EQ(layout.stripe_count(), 10);  // a partial last stripe counts
+  EXPECT_EQ(FileLayout(Striping{0, 2, 100}, 1000, 2).stripe_count(), 10);
 }
 
 TEST(FileLayout, DisksUsedLimitedByFileSize) {

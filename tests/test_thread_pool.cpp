@@ -1,5 +1,5 @@
-// ThreadPool: completion, wait_idle semantics, exception propagation, and
-// run_parallel; OnceState, the run-once guard pool tasks share.
+// run_parallel: completion and exception propagation; default_jobs; and
+// OnceState, the run-once guard parallel tasks share.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,37 +16,16 @@ namespace {
 
 TEST(ThreadPool, RunsAllTasks) {
   std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 100);
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 100; ++i) {
+    tasks.push_back([&counter] { counter.fetch_add(1); });
   }
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, DestructorJoinsOutstandingWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-  }
-  EXPECT_EQ(counter.load(), 10);
+  run_parallel(std::move(tasks), 4);
+  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, DefaultsToAtLeastOneThread) {
-  ThreadPool pool;
-  EXPECT_GE(pool.thread_count(), 1u);
+  EXPECT_GE(default_jobs(), 1u);
 }
 
 TEST(ThreadPool, RunParallelConvenience) {
@@ -59,48 +38,19 @@ TEST(ThreadPool, RunParallelConvenience) {
   EXPECT_EQ(sum.load(), 55);
 }
 
-TEST(ThreadPool, TasksSubmittedFromTasks) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(2);
-  pool.submit([&] {
-    counter.fetch_add(1);
-    pool.submit([&] { counter.fetch_add(1); });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPool, ThrowingTaskRethrowsFromWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&completed] { completed.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The other tasks still ran to completion before the rethrow.
-  EXPECT_EQ(completed.load(), 8);
-}
-
 TEST(ThreadPool, OnlyFirstExceptionIsKept) {
-  ThreadPool pool(2);
+  // Every task throws; exactly one of their exceptions comes back.
+  std::vector<std::function<void()>> tasks;
   for (int i = 0; i < 4; ++i) {
-    pool.submit([] { throw std::runtime_error("boom"); });
+    tasks.push_back(
+        [i] { throw std::runtime_error("boom " + std::to_string(i)); });
   }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
-TEST(ThreadPool, PoolRemainsUsableAfterException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::logic_error("first batch"); });
-  EXPECT_THROW(pool.wait_idle(), std::logic_error);
-
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
+  try {
+    run_parallel(std::move(tasks), 2);
+    ADD_FAILURE() << "run_parallel returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("boom ", 0), 0u) << e.what();
   }
-  pool.wait_idle();  // no stale exception left behind
-  EXPECT_EQ(counter.load(), 10);
 }
 
 TEST(ThreadPool, RunParallelPropagatesTaskException) {
@@ -117,8 +67,6 @@ TEST(ThreadPool, RunParallelPropagatesTaskException) {
 TEST(ThreadPool, SetDefaultJobsOverridesDetection) {
   set_default_jobs(3);
   EXPECT_EQ(default_jobs(), 3u);
-  ThreadPool pool;
-  EXPECT_EQ(pool.thread_count(), 3u);
   set_default_jobs(0);  // restore automatic detection
   EXPECT_GE(default_jobs(), 1u);
 }
@@ -132,7 +80,7 @@ TEST(OnceState, RunsTheCallableOnce) {
 }
 
 TEST(OnceState, ThrowingCallableRethrowsToEveryCaller) {
-  // Pool tasks race on one guard whose callable throws: it runs once, and
+  // Parallel tasks race on one guard whose callable throws: it runs once, and
   // every task sees its error, none hangs.
   OnceState once;
   std::atomic<int> runs{0};

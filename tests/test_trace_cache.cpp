@@ -214,29 +214,6 @@ TEST(TraceCacheTest, SharedPtrOutlivesEviction) {
   EXPECT_EQ(held->requests.size(), n);  // still fully usable
 }
 
-TEST(TraceCacheTest, DisablingClearsAndBypasses) {
-  const workloads::Benchmark bench = workloads::make_galgel();
-  const layout::LayoutTable table(bench.program, striping(), kDisks);
-  const trace::GeneratorOptions gen = small_cache_options();
-
-  TraceCache cache(4);
-  cache.get_or_generate(bench.program, table, gen);
-  EXPECT_EQ(cache.size(), 1u);
-
-  cache.set_enabled(false);
-  EXPECT_FALSE(cache.enabled());
-  EXPECT_EQ(cache.size(), 0u);  // disabling clears
-  const auto a = cache.get_or_generate(bench.program, table, gen);
-  const auto b = cache.get_or_generate(bench.program, table, gen);
-  EXPECT_NE(a.get(), b.get());  // every call generates afresh
-  EXPECT_EQ(cache.size(), 0u);
-
-  cache.set_enabled(true);
-  EXPECT_TRUE(cache.enabled());
-  cache.get_or_generate(bench.program, table, gen);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Access key soundness: one field at a time, every field the walk reads
 // changes the access key, and every timing-only field leaves both the key
@@ -475,7 +452,7 @@ TEST(AccessMemo, TraceFromAHitEqualsAFreshGeneration) {
   }
 }
 
-TEST(AccessMemo, ClearAndDisableCoverTheMemo) {
+TEST(AccessMemo, ClearCoversTheMemo) {
   const KeyInputs in;
   const layout::LayoutTable table = in.layout();
   TraceCache& cache = TraceCache::global();
@@ -493,17 +470,6 @@ TEST(AccessMemo, ClearAndDisableCoverTheMemo) {
   EXPECT_NE(after_clear.get(), first.get());
   EXPECT_EQ(*after_clear, *first);
   EXPECT_EQ(access_walks() - before, 2);
-
-  cache.set_enabled(false);
-  const auto a = trace::collect_misses(in.program, table, in.options);
-  const auto b = trace::collect_misses(in.program, table, in.options);
-  EXPECT_NE(a.get(), b.get());  // every call walks
-  EXPECT_EQ(access_walks() - before, 4);
-
-  cache.set_enabled(true);
-  trace::collect_misses(in.program, table, in.options);
-  trace::collect_misses(in.program, table, in.options);
-  EXPECT_EQ(access_walks() - before, 5);
 }
 
 TEST(AccessMemo, KeepsTheMostRecentWalks) {
