@@ -38,11 +38,10 @@ struct AbstractDisk {
   bool wasted_preactivation_possible = false;
 };
 
-/// Per-(disk-model) constants the inner loop reuses.
+/// Per-(disk-model) constants the inner loop reuses beyond the device's
+/// level table (DiskParameters::level_physics).
 struct ModelTable {
   const disk::DiskParameters* params = nullptr;
-  std::vector<Watts> idle_w;    ///< by level
-  std::vector<Watts> active_w;  ///< by level
   Watts spin_up_w = 0;
   Watts spin_down_w = 0;
   Watts power_max = 0;  ///< global max power of any disk state
@@ -50,12 +49,6 @@ struct ModelTable {
 
   explicit ModelTable(const disk::DiskParameters& p) : params(&p) {
     const int n = p.rpm_level_count();
-    idle_w.reserve(static_cast<std::size_t>(n));
-    active_w.reserve(static_cast<std::size_t>(n));
-    for (int l = 0; l < n; ++l) {
-      idle_w.push_back(p.idle_power_at_level(l));
-      active_w.push_back(p.active_power_at_level(l));
-    }
     // Directives only ever park into the default (deepest) park, so the
     // wake window is that park's edge; the entry window takes the worst
     // entry edge over all levels (the paper disk: the Table 1 constants).
@@ -69,13 +62,18 @@ struct ModelTable {
       spin_down_w = std::max(
           spin_down_w, down_t > 0 ? down_e / seconds_from_ms(down_t) : 0);
     }
-    power_max = std::max({active_w.back(), idle_w.back(), spin_up_w,
-                          spin_down_w, p.standby_power()});
+    const disk::LevelPhysics& top = p.level_physics(p.max_level());
+    power_max = std::max({top.active_w, top.idle_w, spin_up_w, spin_down_w,
+                          p.standby_power()});
     power_min = p.standby_power();
-    for (const Watts w : idle_w) power_min = std::min(power_min, w);
-    for (const Watts w : active_w) power_min = std::min(power_min, w);
+    for (int l = 0; l < n; ++l) {
+      const disk::LevelPhysics& level = p.level_physics(l);
+      power_min = std::min({power_min, level.idle_w, level.active_w});
+    }
     power_min = std::min({power_min, spin_up_w, spin_down_w});
   }
+
+  Watts idle_w(int level) const { return params->level_physics(level).idle_w; }
 };
 
 bool standby_possible(const AbstractDisk& d) {
@@ -90,7 +88,7 @@ bool standby_possible(const AbstractDisk& d) {
 /// abstract state (stale pending windows only loosen the bound).
 Watts ceil_power(const AbstractDisk& d, const ModelTable& m) {
   Watts w = d.standby ? m.params->standby_power() : 0;
-  for (const int l : d.levels) w = std::max(w, m.idle_w[l]);
+  for (const int l : d.levels) w = std::max(w, m.idle_w(l));
   for (const PendingTransition& p : d.pending) w = std::max(w, p.power_hi);
   return w;
 }
@@ -100,8 +98,8 @@ Watts ceil_power(const AbstractDisk& d, const ModelTable& m) {
 /// idle power of the slowest possible level.
 Watts floor_power(const AbstractDisk& d, const ModelTable& m) {
   if (d.standby || !d.pending.empty()) return m.power_min;
-  Watts w = m.idle_w[m.params->max_level()];
-  for (const int l : d.levels) w = std::min(w, m.idle_w[l]);
+  Watts w = m.idle_w(m.params->max_level());
+  for (const int l : d.levels) w = std::min(w, m.idle_w(l));
   return w;
 }
 
@@ -193,14 +191,14 @@ void apply_directive(AbstractDisk& d, const ModelTable& m, TimeMs t,
       if (standby_possible(d)) {
         const TimeMs shift = p.rpm_transition_time(p.max_level(), target);
         duration = p.wake_time(p.default_park()) + shift;
-        power = std::max(m.spin_up_w, m.idle_w[p.max_level()]);
+        power = std::max(m.spin_up_w, m.idle_w(p.max_level()));
         lump = p.wake_energy(p.default_park()) +
                p.rpm_transition_energy(p.max_level(), target);
       }
       for (const int from : d.levels) {
         if (from == target) continue;
         duration = std::max(duration, p.rpm_transition_time(from, target));
-        power = std::max(power, m.idle_w[std::max(from, target)]);
+        power = std::max(power, m.idle_w(std::max(from, target)));
         lump = std::max(lump, p.rpm_transition_energy(from, target));
       }
       add_pending(d, t, duration, power, /*to_standby=*/false);
@@ -335,12 +333,12 @@ ScheduleCertificate certify_trace(const trace::Trace& trace,
     }
     // Lower bound: only the serving disk's minimum active transfer energy
     // is certain.
-    Joules active_lo = joules_from_watt_ms(
-        model.active_w[0], service.transfer_ms[0]);
+    Joules active_lo = joules_from_watt_ms(params.level_physics(0).active_w,
+                                           service.transfer_ms[0]);
     for (int l = 1; l < params.rpm_level_count(); ++l) {
       active_lo = std::min(
           active_lo,
-          joules_from_watt_ms(model.active_w[static_cast<std::size_t>(l)],
+          joules_from_watt_ms(params.level_physics(l).active_w,
                               service.transfer_ms[static_cast<std::size_t>(l)]));
     }
     d.lo_j += active_lo;

@@ -1,6 +1,8 @@
 #include "api/job_spec.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "disk/ladder.h"
 #include "util/error.h"
@@ -88,11 +90,17 @@ void JobSpec::validate() const {
           "starting_disk must be in [0, disks)");
   require(block_size >= 0, "block_size must be non-negative");
   require(cache_bytes >= 0, "cache_bytes must be non-negative");
-  require(power_call_overhead_ms >= 0,
-          "power_call_overhead_ms must be non-negative");
-  require(prefetch_lead_ms >= 0, "prefetch_lead_ms must be non-negative");
-  require(noise_sigma >= 0 && profile_sigma >= 0,
-          "noise sigmas must be non-negative");
+  // A JSON number may overflow to inf (1e999); no timing field is usable
+  // there, so refuse it at admission instead of failing the job later.
+  for (const auto& [field, value] :
+       {std::pair{"power_call_overhead_ms", power_call_overhead_ms},
+        std::pair{"prefetch_lead_ms", prefetch_lead_ms},
+        std::pair{"noise_sigma", noise_sigma},
+        std::pair{"profile_sigma", profile_sigma}}) {
+    require(std::isfinite(value) && value >= 0,
+            str_printf("%s must be finite and non-negative, got %g", field,
+                       value));
+  }
   require(tile_bytes > 0, "tile_bytes must be positive");
   require(call_site_granularity > 0, "call_site_granularity must be positive");
   // Fault ranges are re-validated by FaultConfig::validate(); checking here

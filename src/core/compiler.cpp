@@ -54,6 +54,7 @@ CompileOutput compile(const ir::Program& program, Transformation transform,
       to.total_disks = options.total_disks;
       to.base_striping = options.base_striping;
       to.access = options.access;
+      to.disk_params = options.disk_params;
       to.tile_bytes = options.tile_bytes;
       TilingResult tr = apply_loop_tiling(program, to);
       out.program = std::move(tr.program);

@@ -26,8 +26,8 @@ std::vector<std::int64_t> misses_per_nest(
 
 std::vector<double> disk_energy_per_nest(
     const ir::Program& program, const layout::LayoutTable& layout,
+    const disk::DiskParameters& params,
     const trace::GeneratorOptions& options, int total_disks) {
-  const disk::DiskParameters params = disk::DiskParameters::ultrastar_36z15();
   const trace::Timeline timeline(program, options.clock_hz);
   const std::vector<std::int64_t> misses =
       misses_per_nest(program, layout, options);
@@ -159,8 +159,9 @@ TilingResult apply_once(const ir::Program& program,
   if (target < 0) {
     const layout::LayoutTable base_layout(program, options.base_striping,
                                           options.total_disks);
-    const std::vector<double> energy = disk_energy_per_nest(
-        program, base_layout, options.access, options.total_disks);
+    const std::vector<double> energy =
+        disk_energy_per_nest(program, base_layout, options.disk_params,
+                             options.access, options.total_disks);
     target = static_cast<int>(
         std::max_element(energy.begin(), energy.end()) - energy.begin());
   }
@@ -375,8 +376,9 @@ TilingResult apply_loop_tiling(const ir::Program& program,
     layout::Striping ranking_striping = options.base_striping;
     const layout::LayoutTable ranking_layout(acc.program, ranking_striping,
                                              options.total_disks);
-    const std::vector<double> energy = disk_energy_per_nest(
-        acc.program, ranking_layout, options.access, options.total_disks);
+    const std::vector<double> energy =
+        disk_energy_per_nest(acc.program, ranking_layout, options.disk_params,
+                             options.access, options.total_disks);
     std::vector<int> order(acc.program.nests.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(),

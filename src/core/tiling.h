@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "disk/parameters.h"
 #include "ir/program.h"
 #include "layout/striping.h"
 #include "trace/generator.h"
@@ -40,6 +41,9 @@ struct TilingOptions {
   layout::Striping base_striping{};
   /// Access-model options used to rank nests by disk cost.
   trace::GeneratorOptions access;
+  /// Disk model the nests' energy is ranked on (the compiler passes its
+  /// CompilerOptions::disk_params, the job's device).
+  disk::DiskParameters disk_params = disk::DiskParameters::ultrastar_36z15();
   /// Force the nest to tile (-1 = pick the most costly one).
   int nest_override = -1;
   /// Target per-array tile footprint; tile sizes are chosen as divisors of
@@ -73,12 +77,13 @@ std::vector<std::int64_t> misses_per_nest(const ir::Program& program,
                                           const layout::LayoutTable& layout,
                                           const trace::GeneratorOptions& options);
 
-/// Estimated disk energy of every nest: its duration keeps all disks at
-/// idle power, and every miss adds an active-service increment.  This is
-/// the ranking used to pick "the most costly nest (as far as disk energy is
-/// concerned)".
+/// Estimated disk energy of every nest on disks of model `params`: its
+/// duration keeps all disks at top-level idle power, and every miss adds
+/// an active-service increment.  This is the ranking used to pick "the
+/// most costly nest (as far as disk energy is concerned)".
 std::vector<double> disk_energy_per_nest(const ir::Program& program,
                                          const layout::LayoutTable& layout,
+                                         const disk::DiskParameters& params,
                                          const trace::GeneratorOptions& options,
                                          int total_disks);
 

@@ -2,26 +2,32 @@
 
 namespace sdpm::disk {
 
-namespace {
-
-/// The paper's ladder, built and validated once for every default disk.
-const std::shared_ptr<const PowerLadder>& paper_ladder() {
-  static const std::shared_ptr<const PowerLadder> ladder =
-      std::make_shared<const PowerLadder>(
-          PowerLadder::preset("ultrastar_36z15"));
-  return ladder;
+DiskParameters::Device::Device(PowerLadder validated)
+    : ladder(std::move(validated)) {
+  const std::size_t parks = static_cast<std::size_t>(ladder.park_count());
+  levels.reserve(ladder.states.size() - parks);
+  for (std::size_t s = parks; s < ladder.states.size(); ++s) {
+    const LadderState& level = ladder.states[s];
+    levels.push_back(LevelPhysics{
+        level.idle_power, level.active_power, level.rot_latency_ms,
+        level.transfer_mb_per_s * 1'000'000.0 / 1'000.0});
+  }
 }
 
-}  // namespace
+const std::shared_ptr<const DiskParameters::Device>&
+DiskParameters::paper_device() {
+  static const std::shared_ptr<const Device> device =
+      std::make_shared<const Device>(PowerLadder::preset("ultrastar_36z15"));
+  return device;
+}
 
-DiskParameters::DiskParameters() : DiskParameters(paper_ladder()) {}
+DiskParameters::DiskParameters() : DiskParameters(paper_device()) {}
 
 DiskParameters DiskParameters::ultrastar_36z15() { return DiskParameters(); }
 
 DiskParameters DiskParameters::from_ladder(PowerLadder ladder) {
   ladder.validate();
-  return DiskParameters(
-      std::make_shared<const PowerLadder>(std::move(ladder)));
+  return DiskParameters(std::make_shared<const Device>(std::move(ladder)));
 }
 
 DiskParameters DiskParameters::preset(const std::string& preset_name) {
@@ -31,12 +37,13 @@ DiskParameters DiskParameters::preset(const std::string& preset_name) {
 TimeMs DiskParameters::service_time(Bytes request_bytes, int level,
                                     bool sequential) const {
   SDPM_ASSERT(request_bytes >= 0, "negative request size");
-  const double rate_bytes_per_ms =
-      transfer_rate_at_level(level) * 1'000'000.0 / 1'000.0;
-  const TimeMs transfer = static_cast<double>(request_bytes) / rate_bytes_per_ms;
+  SDPM_REQUIRE(level >= 0 && level < rpm_level_count(),
+               "RPM level out of range");
+  const LevelPhysics& physics = level_physics(level);
+  const TimeMs transfer =
+      static_cast<double>(request_bytes) / physics.bytes_per_ms;
   if (sequential) return transfer;
-  return ladder_->average_seek_time + rotational_latency_at_level(level) +
-         transfer;
+  return ladder().average_seek_time + physics.rot_latency_ms + transfer;
 }
 
 TimeMs DiskParameters::break_even_time(int park) const {

@@ -7,7 +7,9 @@
 // only be obtained validated: the default constructor and
 // ultrastar_36z15() share the paper's ladder, built once; from_ladder()
 // and preset() validate the descriptor they are given.  To vary a knob,
-// copy ladder(), edit the copy and rebuild with from_ladder().
+// copy ladder(), edit the copy and rebuild with from_ladder().  Where the
+// ladder is built, its per-level physics (LevelPhysics) is derived once
+// too; copies of the handle share both.
 //
 // The paper disk is the IBM Ultrastar 36Z15 of Table 1 with the DRPM
 // scaling laws from Gurumurthi et al. (ISCA'03); its ladder is built from
@@ -30,6 +32,16 @@
 
 namespace sdpm::disk {
 
+/// The physics of one serviceable level that the replay and the certifier
+/// read per request and per energy integration, derived from the ladder
+/// once per handle (see DiskParameters::level_physics).
+struct LevelPhysics {
+  Watts idle_w = 0;           ///< idle_power_at_level
+  Watts active_w = 0;         ///< active_power_at_level
+  TimeMs rot_latency_ms = 0;  ///< rotational_latency_at_level
+  double bytes_per_ms = 0;    ///< transfer_rate_at_level * 1e6 / 1e3
+};
+
 class DiskParameters {
  public:
   /// The paper's disk (Table 1).
@@ -46,7 +58,7 @@ class DiskParameters {
   }
 
   /// The validated device descriptor.
-  const PowerLadder& ladder() const { return *ladder_; }
+  const PowerLadder& ladder() const { return device_->ladder; }
 
   // ---- parked states -----------------------------------------------------
 
@@ -96,7 +108,7 @@ class DiskParameters {
   /// Number of serviceable levels; level 0 is the slowest, the top level
   /// runs at full speed.
   int rpm_level_count() const {
-    return static_cast<int>(ladder_->states.size()) - parks_;
+    return static_cast<int>(device_->ladder.states.size()) - parks_;
   }
   /// RPM of level `level`.
   int rpm_of_level(int level) const { return state(level_index(level)).rpm; }
@@ -130,6 +142,15 @@ class DiskParameters {
   /// latency (skipped when `sequential`), plus transfer.
   TimeMs service_time(Bytes request_bytes, int level, bool sequential) const;
 
+  /// The physics of `level`, each field equal bit for bit to its accessor
+  /// above.  Not range-checked (a debug assert only): the replay reads it
+  /// on its hot path at levels its commands already checked.
+  const LevelPhysics& level_physics(int level) const {
+    SDPM_ASSERT(level >= 0 && level < rpm_level_count(),
+                "RPM level out of range");
+    return device_->levels[static_cast<std::size_t>(level)];
+  }
+
   // ---- transitions -------------------------------------------------------
 
   /// Time and energy to move between two serviceable levels.
@@ -152,19 +173,29 @@ class DiskParameters {
   /// Effective reactive-TPM idleness threshold (the ladder's override, or
   /// break-even when unset).
   TimeMs effective_idleness_threshold() const {
-    return ladder_->idleness_threshold >= 0 ? ladder_->idleness_threshold
+    return ladder().idleness_threshold >= 0 ? ladder().idleness_threshold
                                             : break_even_time();
   }
 
   // ---- reactive-controller knobs ----------------------------------------
 
-  int window_size() const { return ladder_->window_size; }
-  double lower_tolerance() const { return ladder_->lower_tolerance; }
-  double upper_tolerance() const { return ladder_->upper_tolerance; }
+  int window_size() const { return ladder().window_size; }
+  double lower_tolerance() const { return ladder().lower_tolerance; }
+  double upper_tolerance() const { return ladder().upper_tolerance; }
 
  private:
-  explicit DiskParameters(std::shared_ptr<const PowerLadder> ladder)
-      : ladder_(std::move(ladder)), parks_(ladder_->park_count()) {}
+  /// A validated ladder and the level table derived from it.
+  struct Device {
+    explicit Device(PowerLadder validated);
+    PowerLadder ladder;
+    std::vector<LevelPhysics> levels;  ///< by level, slowest first
+  };
+
+  explicit DiskParameters(std::shared_ptr<const Device> device)
+      : device_(std::move(device)), parks_(device_->ladder.park_count()) {}
+
+  /// The paper disk's device, built once for every default handle.
+  static const std::shared_ptr<const Device>& paper_device();
 
   /// Ladder state index of serviceable `level` / of `park` (range-checked).
   int level_index(int level) const {
@@ -177,12 +208,12 @@ class DiskParameters {
     return park;
   }
   const LadderState& state(int index) const {
-    return ladder_->states[static_cast<std::size_t>(index)];
+    return ladder().states[static_cast<std::size_t>(index)];
   }
   /// Edge between two range-checked state indices.
   const LadderEdge& edge(int from_state, int to_state) const {
-    return ladder_->edges[static_cast<std::size_t>(from_state) *
-                              ladder_->states.size() +
+    return ladder().edges[static_cast<std::size_t>(from_state) *
+                              ladder().states.size() +
                           static_cast<std::size_t>(to_state)];
   }
   const LadderEdge& entry_edge(int level, int park) const {
@@ -196,7 +227,7 @@ class DiskParameters {
     return e;
   }
   const LadderEdge& wake_edge(int park) const {
-    return edge(park_index(park), ladder_->top_state());
+    return edge(park_index(park), ladder().top_state());
   }
   /// The level-to-level edge; a zero-cost edge when the levels are equal.
   const LadderEdge& shift_edge(int from_level, int to_level) const {
@@ -206,8 +237,8 @@ class DiskParameters {
     return from == to ? kStay : edge(from, to);
   }
 
-  std::shared_ptr<const PowerLadder> ladder_;  ///< never null, validated
-  int parks_;  ///< ladder_->park_count(), fixed with the immutable ladder
+  std::shared_ptr<const Device> device_;  ///< never null
+  int parks_;  ///< ladder().park_count(), fixed with the immutable ladder
 };
 
 }  // namespace sdpm::disk

@@ -18,16 +18,16 @@ void ResilientPolicy::attach(sim::DiskUnit& disk) {
   inner_.attach(disk);
   fallback_.attach(disk);
   Health& h = health_[disk.id()];
-  h.prev_retries = disk.spin_up_retries();
-  h.prev_demand = disk.demand_spin_ups();
+  h.prev_retries = disk.report().spin_up_retries;
+  h.prev_demand = disk.report().demand_spin_ups;
 }
 
 void ResilientPolicy::observe(sim::DiskUnit& disk, TimeMs now) {
   Health& h = health_[disk.id()];
-  const std::int64_t retries = disk.spin_up_retries() - h.prev_retries;
-  const std::int64_t demand = disk.demand_spin_ups() - h.prev_demand;
-  h.prev_retries = disk.spin_up_retries();
-  h.prev_demand = disk.demand_spin_ups();
+  const std::int64_t retries = disk.report().spin_up_retries - h.prev_retries;
+  const std::int64_t demand = disk.report().demand_spin_ups - h.prev_demand;
+  h.prev_retries = disk.report().spin_up_retries;
+  h.prev_demand = disk.report().demand_spin_ups;
 
   double bad = static_cast<double>(retries) * options_.retry_weight;
   // Demand spin-ups are only evidence against the *plan*; under the

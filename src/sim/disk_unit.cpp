@@ -24,22 +24,9 @@ const char* state_label(const disk::DiskParameters& params, DiskMode mode,
 
 DiskUnit::DiskUnit(const disk::DiskParameters& params, int id,
                    FaultModel* faults)
-    : params_(&params), id_(id), faults_(faults), state_(nullptr), slot_(0),
-      level_residency_(static_cast<std::size_t>(params.rpm_level_count()),
-                       0.0) {
-  owned_ = std::make_unique<DiskArrayState>(1, params);
-  state_ = owned_.get();
-}
-
-DiskUnit::DiskUnit(DiskArrayState& state, int slot,
-                   const disk::DiskParameters& params, int id,
-                   FaultModel* faults)
-    : params_(&params), id_(id), faults_(faults), state_(&state),
-      slot_(static_cast<std::size_t>(slot)),
-      level_residency_(static_cast<std::size_t>(params.rpm_level_count()),
-                       0.0) {
-  SDPM_REQUIRE(slot >= 0 && slot_ < state.core.size(),
-               "disk slot out of range for the array state");
+    : params_(&params), id_(id), faults_(faults), level_(params.max_level()) {
+  report_.level_residency_ms.assign(
+      static_cast<std::size_t>(params.rpm_level_count()), 0.0);
 }
 
 void DiskUnit::emit_state_segment(disk::PowerState bucket, TimeMs dt,
@@ -47,13 +34,13 @@ void DiskUnit::emit_state_segment(disk::PowerState bucket, TimeMs dt,
   obs::Event ev;
   ev.kind = obs::EventKind::kStateSegment;
   ev.disk = id_;
-  ev.t0 = core().clock;
-  ev.t1 = core().clock + dt;
+  ev.t0 = clock_;
+  ev.t1 = clock_ + dt;
   ev.state = bucket;
-  ev.level = core().level;
+  ev.level = level_;
   ev.energy_j = energy;
   ev.value = dt;
-  ev.label = state_label(*params_, core().mode, core().level, core().park);
+  ev.label = state_label(*params_, mode_, level_, park_);
   tracer_->emit(ev);
 }
 
@@ -65,33 +52,30 @@ void DiskUnit::emit_service_segment(TimeMs t0, TimeMs t1, Joules energy,
   ev.t0 = t0;
   ev.t1 = t1;
   ev.state = disk::PowerState::kActive;
-  ev.level = core().level;
+  ev.level = level_;
   ev.energy_j = energy;
   ev.value = dt;
-  ev.label =
-      state_label(*params_, DiskMode::kSpinning, core().level, core().park);
+  ev.label = state_label(*params_, DiskMode::kSpinning, level_, park_);
   tracer_->emit(ev);
 }
 
 void DiskUnit::begin_transition(disk::PowerState bucket, TimeMs duration,
                                 Joules energy, DiskMode after,
                                 int level_after, int park_after) {
-  DiskArrayState::Core& c = core();
-  SDPM_ASSERT(c.mode != DiskMode::kTransition,
-              "transition already in flight");
+  SDPM_ASSERT(mode_ != DiskMode::kTransition, "transition already in flight");
   if (duration <= 0) {
-    c.mode = after;
-    c.level = level_after;
-    c.park = static_cast<std::uint8_t>(park_after);
-    breakdown_.add(bucket, 0, energy);
+    mode_ = after;
+    level_ = level_after;
+    park_ = park_after;
+    report_.breakdown.add(bucket, 0, energy);
     if (tracer_ != nullptr && energy > 0) {
       // Instant transitions still pay their energy; report a zero-width
       // segment so timeline consumers reconcile exactly with the breakdown.
       obs::Event ev;
       ev.kind = obs::EventKind::kStateSegment;
       ev.disk = id_;
-      ev.t0 = c.clock;
-      ev.t1 = c.clock;
+      ev.t0 = clock_;
+      ev.t1 = clock_;
       ev.state = bucket;
       ev.level = level_after;
       ev.energy_j = energy;
@@ -99,41 +83,37 @@ void DiskUnit::begin_transition(disk::PowerState bucket, TimeMs duration,
     }
     return;
   }
-  c.mode = DiskMode::kTransition;
-  DiskArrayState::Transition& tr = trans();
-  tr.end = c.clock + duration;
-  tr.power = energy / seconds_from_ms(duration);
-  tr.bucket = bucket;
-  tr.after_mode = after;
-  tr.after_level = level_after;
-  tr.after_park = static_cast<std::uint8_t>(park_after);
+  mode_ = DiskMode::kTransition;
+  trans_.end = clock_ + duration;
+  trans_.power = energy / seconds_from_ms(duration);
+  trans_.bucket = bucket;
+  trans_.after_mode = after;
+  trans_.after_level = level_after;
+  trans_.after_park = park_after;
 }
 
 int DiskUnit::target_level() const {
-  const DiskArrayState::Core& c = core();
-  if (c.mode == DiskMode::kTransition &&
-      trans().after_mode == DiskMode::kSpinning) {
-    return trans().after_level;
+  if (mode_ == DiskMode::kTransition &&
+      trans_.after_mode == DiskMode::kSpinning) {
+    return trans_.after_level;
   }
-  return c.level;
+  return level_;
 }
 
 int DiskUnit::current_park() const {
-  const DiskArrayState::Core& c = core();
-  if (c.mode == DiskMode::kStandby) return c.park;
-  if (c.mode == DiskMode::kTransition &&
-      trans().after_mode == DiskMode::kStandby) {
-    return trans().after_park;
+  if (mode_ == DiskMode::kStandby) return park_;
+  if (mode_ == DiskMode::kTransition &&
+      trans_.after_mode == DiskMode::kStandby) {
+    return trans_.after_park;
   }
   return -1;
 }
 
 void DiskUnit::begin_spin_up() {
-  SDPM_ASSERT(core().mode == DiskMode::kStandby,
-              "spin-up must start from standby");
+  SDPM_ASSERT(mode_ == DiskMode::kStandby, "spin-up must start from standby");
   // Wake cost depends on the resident park (the paper disk: its standby
   // park, whose wake edge carries the Table 1 spin-up figures).
-  const int park = core().park;
+  const int park = park_;
   const TimeMs up_time = params_->wake_time(park);
   const Joules up_energy = params_->wake_energy(park);
   if (faults_ != nullptr) {
@@ -148,21 +128,21 @@ void DiskUnit::begin_spin_up() {
     // recovery), so service can never wedge behind a permanently dead
     // spindle.
     while (attempt < fc.max_spin_up_retries && faults_->spin_up_fails(id_)) {
-      ++spin_up_retries_;
+      ++report_.spin_up_retries;
       const TimeMs backoff = faults_->backoff_ms(attempt);
       if (tracer_ != nullptr) {
         obs::Event ev;
         ev.kind = obs::EventKind::kSpinUpRetry;
         ev.disk = id_;
-        ev.t0 = core().clock;
-        ev.t1 = core().clock;
+        ev.t0 = clock_;
+        ev.t1 = clock_;
         ev.value = backoff;
         tracer_->emit(ev);
       }
       begin_transition(disk::PowerState::kSpinningUp, attempt_ms, attempt_j,
-                       DiskMode::kStandby, core().level, park);
+                       DiskMode::kStandby, level_, park);
       settle();
-      advance_to(core().clock + backoff);
+      advance_to(clock_ + backoff);
       ++attempt;
     }
   }
@@ -171,20 +151,19 @@ void DiskUnit::begin_spin_up() {
 }
 
 void DiskUnit::serve_wake(ServeResult& result) {
-  DiskArrayState::Core& c = core();
-  if (c.mode == DiskMode::kTransition) {
-    result.waited_transition = trans().after_mode == DiskMode::kSpinning;
+  if (mode_ == DiskMode::kTransition) {
+    result.waited_transition = trans_.after_mode == DiskMode::kSpinning;
     settle();
   }
-  if (c.mode == DiskMode::kStandby) {
+  if (mode_ == DiskMode::kStandby) {
     result.demand_spin_up = true;
-    ++demand_spin_ups_;
+    ++report_.demand_spin_ups;
     if (tracer_ != nullptr) {
       obs::Event ev;
       ev.kind = obs::EventKind::kDemandSpinUp;
       ev.disk = id_;
-      ev.t0 = c.clock;
-      ev.t1 = c.clock;
+      ev.t0 = clock_;
+      ev.t1 = clock_;
       tracer_->emit(ev);
     }
     begin_spin_up();
@@ -194,29 +173,29 @@ void DiskUnit::serve_wake(ServeResult& result) {
 
 TimeMs DiskUnit::faulted_service(BlockNo sector, Bytes size_bytes,
                                  TimeMs service) {
-  const DiskArrayState::Core& c = core();
-  const LevelTable::Level& lv = state_->levels[c.level];
+  const disk::LevelPhysics& lv = params_->level_physics(level_);
+  const TimeMs seek_ms = params_->ladder().average_seek_time;
   if (faults_->is_remapped(id_, sector)) {
     // The head must detour to the spare area: one reposition (seek +
     // rotational latency) on top of the nominal transfer.
-    service += state_->levels.seek_ms() + lv.rot_latency_ms;
+    service += seek_ms + lv.rot_latency_ms;
   }
   const FaultModel::MediaOutcome media = faults_->media_check(id_, sector);
   if (media.error) {
-    ++media_errors_;
-    if (media.new_remap) ++remapped_sectors_;
+    ++report_.media_errors;
+    if (media.new_remap) ++report_.remapped_sectors;
     if (tracer_ != nullptr) {
       obs::Event ev;
       ev.kind = obs::EventKind::kMediaError;
       ev.disk = id_;
-      ev.t0 = c.clock;
-      ev.t1 = c.clock;
+      ev.t0 = clock_;
+      ev.t1 = clock_;
       ev.value = media.new_remap ? 1 : 0;
       tracer_->emit(ev);
     }
     // Retry the transfer from the (re)mapped location: a full
     // non-sequential re-read at the current level.
-    service += state_->levels.seek_ms() + lv.rot_latency_ms +
+    service += seek_ms + lv.rot_latency_ms +
                static_cast<double>(size_bytes) / lv.bytes_per_ms;
   }
   return service * faults_->service_jitter_factor(id_);
@@ -228,7 +207,7 @@ void DiskUnit::park_to(TimeMs t, int park) {
   const int resident = current_park();
   if (resident >= 0 && resident <= park) return;  // already at-or-deeper
   if (faults_ != nullptr && faults_->drops_directive(id_)) {
-    ++dropped_directives_;
+    ++report_.dropped_directives;
     if (tracer_ != nullptr) {
       obs::Event ev;
       ev.kind = obs::EventKind::kDirectiveDropped;
@@ -241,51 +220,50 @@ void DiskUnit::park_to(TimeMs t, int park) {
     }
     return;
   }
-  advance_to(std::max(t, core().clock));
+  advance_to(std::max(t, clock_));
   settle();
-  DiskArrayState::Core& c = core();
-  const bool parked = c.mode == DiskMode::kStandby;
-  if (parked && c.park <= park) return;
+  const bool parked = mode_ == DiskMode::kStandby;
+  if (parked && park_ <= park) return;
   // Hold when the ladder has no edge for the requested move (a reactive
   // policy may ask for a deepening the hardware cannot do directly).
-  if (parked ? !params_->park_descent_possible(c.park, park)
-             : !params_->park_entry_possible(c.level, park)) {
+  if (parked ? !params_->park_descent_possible(park_, park)
+             : !params_->park_entry_possible(level_, park)) {
     return;
   }
-  ++spin_downs_;
+  ++report_.spin_downs;
   if (tracer_ != nullptr) {
     obs::Event ev;
     ev.kind = obs::EventKind::kDirective;
     ev.disk = id_;
-    ev.t0 = c.clock;
-    ev.t1 = c.clock;
+    ev.t0 = clock_;
+    ev.t1 = clock_;
     ev.value = park;
     ev.label = params_->park_name(park).c_str();
     tracer_->emit(ev);
   }
   begin_transition(disk::PowerState::kSpinningDown,
-                   parked ? params_->park_descent_time(c.park, park)
-                          : params_->park_entry_time(c.level, park),
-                   parked ? params_->park_descent_energy(c.park, park)
-                          : params_->park_entry_energy(c.level, park),
-                   DiskMode::kStandby, c.level, park);
+                   parked ? params_->park_descent_time(park_, park)
+                          : params_->park_entry_time(level_, park),
+                   parked ? params_->park_descent_energy(park_, park)
+                          : params_->park_entry_energy(level_, park),
+                   DiskMode::kStandby, level_, park);
 }
 
 void DiskUnit::spin_up(TimeMs t) {
-  if (core().mode == DiskMode::kSpinning) return;
-  if (core().mode == DiskMode::kTransition &&
-      trans().after_mode == DiskMode::kSpinning) {
+  if (mode_ == DiskMode::kSpinning) return;
+  if (mode_ == DiskMode::kTransition &&
+      trans_.after_mode == DiskMode::kSpinning) {
     return;
   }
-  advance_to(std::max(t, core().clock));
+  advance_to(std::max(t, clock_));
   settle();
-  if (core().mode == DiskMode::kSpinning) return;
+  if (mode_ == DiskMode::kSpinning) return;
   if (tracer_ != nullptr) {
     obs::Event ev;
     ev.kind = obs::EventKind::kDirective;
     ev.disk = id_;
-    ev.t0 = core().clock;
-    ev.t1 = core().clock;
+    ev.t0 = clock_;
+    ev.t1 = clock_;
     ev.label = "spin_up";
     tracer_->emit(ev);
   }
@@ -299,7 +277,7 @@ void DiskUnit::set_rpm_level(TimeMs t, int level) {
                "set_rpm_level on a standby disk (spin it up first)");
   if (target_level() == level) return;
   if (faults_ != nullptr && faults_->drops_directive(id_)) {
-    ++dropped_directives_;
+    ++report_.dropped_directives;
     if (tracer_ != nullptr) {
       obs::Event ev;
       ev.kind = obs::EventKind::kDirectiveDropped;
@@ -312,28 +290,28 @@ void DiskUnit::set_rpm_level(TimeMs t, int level) {
     }
     return;
   }
-  advance_to(std::max(t, core().clock));
+  advance_to(std::max(t, clock_));
   settle();
-  if (core().level == level) return;
-  ++rpm_transitions_;
+  if (level_ == level) return;
+  ++report_.rpm_transitions;
   if (tracer_ != nullptr) {
     obs::Event ev;
     ev.kind = obs::EventKind::kDirective;
     ev.disk = id_;
-    ev.t0 = core().clock;
-    ev.t1 = core().clock;
+    ev.t0 = clock_;
+    ev.t1 = clock_;
     ev.level = level;
     ev.label = "set_rpm";
     tracer_->emit(ev);
   }
   begin_transition(disk::PowerState::kRpmShift,
-                   params_->rpm_transition_time(core().level, level),
-                   params_->rpm_transition_energy(core().level, level),
+                   params_->rpm_transition_time(level_, level),
+                   params_->rpm_transition_energy(level_, level),
                    DiskMode::kSpinning, level);
 }
 
 void DiskUnit::finish(TimeMs end) {
-  advance_to(std::max(end, core().clock));
+  advance_to(std::max(end, clock_));
   settle();
 }
 

@@ -14,26 +14,23 @@
 // transition settles (a physical spindle cannot abort a speed change
 // mid-flight in this model).
 //
-// Hot/cold split: the scalars the replay loop touches per request (clock,
-// mode, level, head position, completion time) live in a DiskArrayState
-// slot (disk_state.h) shared by every disk of a simulated array; the unit
-// itself keeps only the cold accounting (energy breakdown, residency,
-// busy periods, fault counters).  A standalone unit owns a one-slot state,
-// so direct construction behaves exactly as before.  The hot methods
-// (advance_to / accumulate / the serve fast path) are defined inline here
-// so the replay engine compiles them into its loop.
+// The unit owns its whole state (clock, mode, level, park, head position,
+// in-flight transition) and accumulates its outcome in a DiskReport.  Per
+// request it reads the device's level table (DiskParameters::level_physics)
+// and seek time.  The hot methods (advance_to / accumulate / the serve fast
+// path) are defined inline here so the replay engine compiles them into
+// its loop.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "disk/parameters.h"
 #include "disk/power_state.h"
 #include "ir/nest.h"
 #include "layout/striping.h"
-#include "sim/disk_state.h"
 #include "sim/faults.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -51,24 +48,42 @@ struct BusyPeriod {
   TimeMs completion = 0;  ///< service end
 };
 
+/// One disk's accounting: what a DiskUnit accumulates as it runs and what
+/// the replay reports per disk.
+struct DiskReport {
+  disk::EnergyBreakdown breakdown;
+  /// Time spent spinning (idle or active) at each RPM level, indexed by
+  /// level; the DRPM analogue of the active/idle/standby buckets.
+  std::vector<TimeMs> level_residency_ms;
+  std::int64_t services = 0;
+  std::int64_t demand_spin_ups = 0;
+  std::int64_t rpm_transitions = 0;
+  /// Park commands that took effect (spin-down directives included).
+  std::int64_t spin_downs = 0;
+  // Fault outcomes (all zero without fault injection).
+  /// Failed spin-up attempts (each paid attempt time + energy + backoff).
+  std::int64_t spin_up_retries = 0;
+  /// Transient media errors hit while servicing requests.
+  std::int64_t media_errors = 0;
+  /// Sectors remapped to the spare area by this disk's media errors.
+  std::int64_t remapped_sectors = 0;
+  /// park_to / set_rpm_level commands that silently did not take effect.
+  std::int64_t dropped_directives = 0;
+  /// One entry per serviced request while busy capture is on.
+  std::vector<BusyPeriod> busy_periods;
+};
+
+/// Spindle operating mode (DiskUnit's power-state machine).
+enum class DiskMode : std::uint8_t { kSpinning, kStandby, kTransition };
+
 class DiskUnit {
  public:
-  /// Standalone unit owning its own one-slot hot state.  `faults`
-  /// (optional, not owned) injects spin-up failures, media errors, jitter
-  /// and dropped directives; nullptr keeps the unit's behavior exactly
-  /// fault-free.
+  /// A disk of model `params` (not owned; must outlive the unit), spinning
+  /// idle at its top level at time 0.  `faults` (optional, not owned)
+  /// injects spin-up failures, media errors, jitter and dropped directives;
+  /// nullptr keeps the unit's behavior exactly fault-free.
   DiskUnit(const disk::DiskParameters& params, int id,
            FaultModel* faults = nullptr);
-
-  /// Array member: hot scalars live in `state` slot `slot` (shared with
-  /// the replay engine).  `state` must outlive the unit and have been
-  /// built from the same `params`.
-  DiskUnit(DiskArrayState& state, int slot,
-           const disk::DiskParameters& params, int id,
-           FaultModel* faults = nullptr);
-
-  DiskUnit(DiskUnit&&) = default;
-  DiskUnit& operator=(DiskUnit&&) = delete;
 
   int id() const { return id_; }
   const disk::DiskParameters& params() const { return *params_; }
@@ -133,107 +148,76 @@ class DiskUnit {
 
   /// The unit's internal clock: the last time up to which energy has been
   /// integrated.
-  TimeMs clock() const { return core().clock; }
+  TimeMs clock() const { return clock_; }
 
   /// Completion time of the last serviced request (start of the current
   /// idle period); 0 if never serviced.
-  TimeMs last_completion() const { return core().last_completion; }
+  TimeMs last_completion() const { return last_completion_; }
 
-  const disk::EnergyBreakdown& breakdown() const { return breakdown_; }
-  const std::vector<BusyPeriod>& busy_periods() const { return busy_; }
-
-  /// Time spent spinning (idle or active) at each RPM level, indexed by
-  /// level; the DRPM analogue of the active/idle/standby buckets.
-  const std::vector<TimeMs>& level_residency_ms() const {
-    return level_residency_;
-  }
-
-  std::int64_t services() const { return services_; }
-  std::int64_t demand_spin_ups() const { return demand_spin_ups_; }
-  std::int64_t rpm_transitions() const { return rpm_transitions_; }
-  std::int64_t commanded_spin_downs() const { return spin_downs_; }
-
-  // ---- fault outcomes (all zero when no FaultModel is attached) ----------
-
-  /// Failed spin-up attempts (each paid attempt time + energy + backoff).
-  std::int64_t spin_up_retries() const { return spin_up_retries_; }
-  /// Transient media errors hit while servicing requests.
-  std::int64_t media_errors() const { return media_errors_; }
-  /// Sectors remapped to the spare area by this unit's media errors.
-  std::int64_t remapped_sectors() const { return remapped_sectors_; }
-  /// park_to / set_rpm_level commands that silently did not take effect.
-  std::int64_t dropped_directives() const { return dropped_directives_; }
+  /// The accounting so far (energy up to clock()).  The rvalue overload
+  /// hands it over without a copy once the unit is done.
+  const DiskReport& report() const& { return report_; }
+  DiskReport report() && { return std::move(report_); }
 
  private:
   static constexpr TimeMs kTimeEps = 1e-9;
 
-  DiskArrayState::Core& core() { return state_->core[slot_]; }
-  const DiskArrayState::Core& core() const { return state_->core[slot_]; }
-  DiskArrayState::Transition& trans() { return state_->trans[slot_]; }
-  const DiskArrayState::Transition& trans() const {
-    return state_->trans[slot_];
-  }
-
-  /// Integrate energy from the slot clock to `t`, resolving a transition
-  /// that completes in between.
+  /// Integrate energy from the clock to `t`, resolving a transition that
+  /// completes in between.
   void advance_to(TimeMs t) {
-    DiskArrayState::Core& c = core();
-    SDPM_ASSERT(t >= c.clock - kTimeEps,
-                "disk commands must be time-ordered");
-    if (t <= c.clock) return;
-    if (c.mode == DiskMode::kTransition && trans().end <= t) {
-      const DiskArrayState::Transition tr = trans();
-      accumulate(tr.end - c.clock);
-      c.clock = tr.end;
-      c.mode = tr.after_mode;
-      c.level = tr.after_level;
-      c.park = tr.after_park;
+    SDPM_ASSERT(t >= clock_ - kTimeEps, "disk commands must be time-ordered");
+    if (t <= clock_) return;
+    if (mode_ == DiskMode::kTransition && trans_.end <= t) {
+      accumulate(trans_.end - clock_);
+      clock_ = trans_.end;
+      mode_ = trans_.after_mode;
+      level_ = trans_.after_level;
+      park_ = trans_.after_park;
     }
-    if (t > c.clock) {
-      accumulate(t - c.clock);
-      c.clock = t;
+    if (t > clock_) {
+      accumulate(t - clock_);
+      clock_ = t;
     }
   }
 
   /// Account `dt` of time in the *current* mode ending at clock + dt.
   void accumulate(TimeMs dt) {
     if (dt <= 0) return;
-    DiskArrayState::Core& c = core();
     disk::PowerState bucket = disk::PowerState::kIdle;
     Joules energy = 0;
-    switch (c.mode) {
+    switch (mode_) {
       case DiskMode::kSpinning:
         bucket = disk::PowerState::kIdle;
-        energy = joules_from_watt_ms(state_->levels[c.level].idle_w, dt);
-        level_residency_[static_cast<std::size_t>(c.level)] += dt;
+        energy = joules_from_watt_ms(params_->level_physics(level_).idle_w, dt);
+        report_.level_residency_ms[static_cast<std::size_t>(level_)] += dt;
         break;
       case DiskMode::kStandby:
         bucket = disk::PowerState::kStandby;
-        energy = joules_from_watt_ms(state_->levels.park_w(c.park), dt);
+        energy = joules_from_watt_ms(params_->park_power(park_), dt);
         break;
       case DiskMode::kTransition:
-        bucket = trans().bucket;
-        energy = joules_from_watt_ms(trans().power, dt);
+        bucket = trans_.bucket;
+        energy = joules_from_watt_ms(trans_.power, dt);
         break;
     }
-    breakdown_.add(bucket, dt, energy);
+    report_.breakdown.add(bucket, dt, energy);
     if (tracer_ != nullptr) emit_state_segment(bucket, dt, energy);
   }
 
   /// Advance through any in-flight transition; afterwards the mode is
-  /// kSpinning or kStandby and the slot clock >= previous transition end.
+  /// kSpinning or kStandby and the clock >= previous transition end.
   void settle() {
-    if (core().mode == DiskMode::kTransition) advance_to(trans().end);
-    SDPM_ASSERT(core().mode != DiskMode::kTransition,
+    if (mode_ == DiskMode::kTransition) advance_to(trans_.end);
+    SDPM_ASSERT(mode_ != DiskMode::kTransition,
                 "settle left a transition open");
   }
 
-  /// Start a transition at the slot clock (mode must be settled).
+  /// Start a transition at the clock (mode must be settled).
   void begin_transition(disk::PowerState bucket, TimeMs duration,
                         Joules energy, DiskMode after, int level_after,
                         int park_after = 0);
 
-  /// Start the standby -> spinning transition at the slot clock (mode
+  /// Start the standby -> spinning transition at the clock (mode
   /// kStandby, settled), burning through any injected failed attempts
   /// (attempt time + capped exponential backoff each) before the final,
   /// successful spin-up is left in flight.
@@ -251,28 +235,31 @@ class DiskUnit {
   void emit_state_segment(disk::PowerState bucket, TimeMs dt, Joules energy);
   void emit_service_segment(TimeMs t0, TimeMs t1, Joules energy, TimeMs dt);
 
+  /// The in-flight transition; valid only while mode_ is kTransition.
+  struct Transition {
+    TimeMs end = 0;
+    Watts power = 0;
+    int after_level = 0;
+    int after_park = 0;  ///< park entered when after_mode is kStandby
+    disk::PowerState bucket = disk::PowerState::kRpmShift;
+    DiskMode after_mode = DiskMode::kSpinning;
+  };
+
   const disk::DiskParameters* params_;
   int id_;
   FaultModel* faults_;
   obs::EventTracer* tracer_ = nullptr;
-
-  DiskArrayState* state_;
-  std::size_t slot_;
-  std::unique_ptr<DiskArrayState> owned_;  ///< standalone units only
-
   bool capture_busy_ = true;
 
-  disk::EnergyBreakdown breakdown_;
-  std::vector<BusyPeriod> busy_;
-  std::vector<TimeMs> level_residency_;
-  std::int64_t services_ = 0;
-  std::int64_t demand_spin_ups_ = 0;
-  std::int64_t rpm_transitions_ = 0;
-  std::int64_t spin_downs_ = 0;
-  std::int64_t spin_up_retries_ = 0;
-  std::int64_t media_errors_ = 0;
-  std::int64_t remapped_sectors_ = 0;
-  std::int64_t dropped_directives_ = 0;
+  TimeMs clock_ = 0;            ///< energy integrated up to here
+  TimeMs last_completion_ = 0;  ///< start of the current idle period
+  BlockNo next_sector_ = -1;    ///< head position (sequential detection)
+  int level_;                   ///< physical RPM level while spinning
+  int park_ = 0;                ///< resident park while mode_ is kStandby
+  DiskMode mode_ = DiskMode::kSpinning;
+  Transition trans_;
+
+  DiskReport report_;
 };
 
 inline DiskUnit::ServeResult DiskUnit::serve(TimeMs arrival, BlockNo sector,
@@ -280,38 +267,38 @@ inline DiskUnit::ServeResult DiskUnit::serve(TimeMs arrival, BlockNo sector,
                                              ir::AccessKind kind) {
   (void)kind;  // reads and writes share the service model
   ServeResult result;
-  DiskArrayState::Core& c = core();
-  advance_to(std::max(arrival, c.clock));
-  if (c.mode != DiskMode::kSpinning) serve_wake(result);
-  SDPM_ASSERT(c.mode == DiskMode::kSpinning, "disk must spin to serve");
+  advance_to(std::max(arrival, clock_));
+  if (mode_ != DiskMode::kSpinning) serve_wake(result);
+  SDPM_ASSERT(mode_ == DiskMode::kSpinning, "disk must spin to serve");
 
-  const bool sequential = sector == c.next_sector;
-  const LevelTable::Level& lv = state_->levels[c.level];
-  // Same arithmetic as DiskParameters::service_time over the cached level
-  // physics: optional positioning (skipped when sequential) + transfer.
+  const bool sequential = sector == next_sector_;
+  const disk::LevelPhysics& lv = params_->level_physics(level_);
+  // DiskParameters::service_time's arithmetic: optional positioning
+  // (skipped when sequential) + transfer.
   const TimeMs transfer = static_cast<double>(size_bytes) / lv.bytes_per_ms;
   TimeMs service =
       sequential ? transfer
-                 : state_->levels.seek_ms() + lv.rot_latency_ms + transfer;
+                 : params_->ladder().average_seek_time + lv.rot_latency_ms +
+                       transfer;
   if (faults_ != nullptr) {
     service = faulted_service(sector, size_bytes, service);
   }
-  result.start = c.clock;
-  result.completion = c.clock + service;
+  result.start = clock_;
+  result.completion = clock_ + service;
   const Joules active_j = joules_from_watt_ms(lv.active_w, service);
-  breakdown_.add(disk::PowerState::kActive, service, active_j);
+  report_.breakdown.add(disk::PowerState::kActive, service, active_j);
   if (tracer_ != nullptr) {
     emit_service_segment(result.start, result.completion, active_j, service);
   }
-  level_residency_[static_cast<std::size_t>(c.level)] += service;
-  c.clock = result.completion;
-  c.last_completion = c.clock;
-  c.next_sector = sector + (size_bytes + layout::kSectorBytes - 1) /
-                               layout::kSectorBytes;
+  report_.level_residency_ms[static_cast<std::size_t>(level_)] += service;
+  clock_ = result.completion;
+  last_completion_ = clock_;
+  next_sector_ = sector + (size_bytes + layout::kSectorBytes - 1) /
+                              layout::kSectorBytes;
   if (capture_busy_) {
-    busy_.push_back(BusyPeriod{result.start, result.completion});
+    report_.busy_periods.push_back(BusyPeriod{result.start, result.completion});
   }
-  ++services_;
+  ++report_.services;
   return result;
 }
 

@@ -9,8 +9,7 @@
 // the equivalence suite pins their reports bit for bit.
 //
 // Every driver shares the item merge (trace::ItemCursor, which the
-// certifier walks too) and the ReplayRig: one
-// DiskArrayState (disk_state.h) with the units as its slots, power-event
+// certifier walks too) and the ReplayRig: the DiskUnits, power-event
 // delivery and the per-request service step.  A driver decides only when
 // each item is due and how each application's clock moves: the closed
 // loop steps one Application, the open loop delivers every item at its
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "obs/tracer.h"
-#include "sim/disk_state.h"
 #include "sim/disk_unit.h"
 #include "sim/multi_stream.h"
 #include "sim/policy.h"
@@ -58,10 +56,10 @@ class ReplayRig {
       : policy_(policy),
         tracer_(ctx.tracer),
         capture_responses_(ctx.options->capture_responses),
-        state_(total_disks, *ctx.params) {
+        last_issue_(static_cast<std::size_t>(total_disks), 0.0) {
     units_.reserve(static_cast<std::size_t>(total_disks));
     for (int d = 0; d < total_disks; ++d) {
-      units_.emplace_back(state_, d, *ctx.params, d, ctx.faults);
+      units_.emplace_back(*ctx.params, d, ctx.faults);
       units_.back().set_tracer(tracer_);
       units_.back().set_capture_busy(ctx.options->capture_busy_periods);
     }
@@ -90,7 +88,7 @@ class ReplayRig {
                   SimReport& tally) {
     const std::size_t d = static_cast<std::size_t>(req.disk);
     DiskUnit& unit = units_[d];
-    TimeMs& last_issue = state_.last_issue[d];
+    TimeMs& last_issue = last_issue_[d];
     TimeMs issue = demand;
     if (req.prefetch_lead_ms > 0) {
       issue = std::max(demand - req.prefetch_lead_ms, last_issue);
@@ -119,16 +117,16 @@ class ReplayRig {
     return {result.completion, stall};
   }
 
-  /// Finalize energy at `end` and assemble the per-disk reports.
+  /// Finalize energy at `end` and hand each unit's report over to
+  /// `report`; the rig is spent afterwards.
   template <class Report>
   void finalize(Report& report, TimeMs end) {
     report.disks.reserve(units_.size());
     for (DiskUnit& unit : units_) {
       policy_.finalize(unit, end);
       unit.finish(end);
-      DiskReport dr = make_disk_report(unit);
-      report.total_energy += dr.breakdown.total_j();
-      report.disks.push_back(std::move(dr));
+      report.total_energy += unit.report().breakdown.total_j();
+      report.disks.push_back(std::move(unit).report());
     }
   }
 
@@ -136,8 +134,9 @@ class ReplayRig {
   PolicyT& policy_;
   obs::EventTracer* const tracer_;
   const bool capture_responses_;
-  DiskArrayState state_;
   std::vector<DiskUnit> units_;
+  /// Per-disk last issue time (the prefetch lead's FIFO clamp).
+  std::vector<TimeMs> last_issue_;
 };
 
 /// One closed-loop application, the paper's model: a single thread that

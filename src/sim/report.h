@@ -1,50 +1,16 @@
-// Simulation results.
+// Simulation results.  The per-disk entry is the DiskReport each DiskUnit
+// accumulates (sim/disk_unit.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "disk/power_state.h"
 #include "sim/disk_unit.h"
 #include "util/stats.h"
 #include "util/units.h"
 
 namespace sdpm::sim {
-
-/// Per-disk outcome.
-struct DiskReport {
-  disk::EnergyBreakdown breakdown;
-  /// Spinning time per RPM level (see DiskUnit::level_residency_ms).
-  std::vector<TimeMs> level_residency_ms;
-  std::int64_t services = 0;
-  std::int64_t demand_spin_ups = 0;
-  std::int64_t rpm_transitions = 0;
-  std::int64_t spin_downs = 0;
-  // Fault outcomes (all zero without fault injection).
-  std::int64_t spin_up_retries = 0;
-  std::int64_t media_errors = 0;
-  std::int64_t remapped_sectors = 0;
-  std::int64_t dropped_directives = 0;
-  std::vector<BusyPeriod> busy_periods;
-};
-
-/// Snapshot a finished DiskUnit into its report entry.
-inline DiskReport make_disk_report(const DiskUnit& unit) {
-  DiskReport dr;
-  dr.breakdown = unit.breakdown();
-  dr.level_residency_ms = unit.level_residency_ms();
-  dr.services = unit.services();
-  dr.demand_spin_ups = unit.demand_spin_ups();
-  dr.rpm_transitions = unit.rpm_transitions();
-  dr.spin_downs = unit.commanded_spin_downs();
-  dr.spin_up_retries = unit.spin_up_retries();
-  dr.media_errors = unit.media_errors();
-  dr.remapped_sectors = unit.remapped_sectors();
-  dr.dropped_directives = unit.dropped_directives();
-  dr.busy_periods = unit.busy_periods();
-  return dr;
-}
 
 /// Whole-run outcome.
 struct SimReport {

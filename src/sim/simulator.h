@@ -60,35 +60,16 @@ struct SimOptions {
   /// the only consumers, and the runner enables it for the Base replay
   /// they read.
   bool capture_busy_periods = false;
-  /// Observability tracer (not owned, may be nullptr or sink-less).  run()
-  /// resolves it once via obs::effective_tracer(), so the untraced replay
-  /// pays nothing beyond one null test per emission site and produces
-  /// bit-identical results either way.
+  /// Observability tracer (not owned, may be nullptr or sink-less).
+  /// simulate() resolves it once via obs::effective_tracer(), so the
+  /// untraced replay pays nothing beyond one null test per emission site
+  /// and produces bit-identical results either way.
   obs::EventTracer* tracer = nullptr;
 };
 
-class Simulator {
- public:
-  /// Replay `trace` under `policy`.  The trace, the parameters and the
-  /// policy must outlive the simulator.
-  Simulator(const trace::Trace& trace, const disk::DiskParameters& params,
-            PowerPolicy& policy, const SimOptions& options = {});
-
-  /// Run the replay to completion and produce the report.  A Simulator is
-  /// single-shot: a second call throws sdpm::Error (the policy and fault
-  /// streams carry state from the first replay, so rerunning would
-  /// silently produce different results).
-  SimReport run();
-
- private:
-  const trace::Trace& trace_;
-  const disk::DiskParameters& params_;
-  PowerPolicy& policy_;
-  SimOptions options_;
-  bool ran_ = false;
-};
-
-/// Convenience: simulate `trace` under `policy` with `params`.
+/// Replay `trace` under `policy` on disks of model `params`.  The policy
+/// keeps the per-disk state it built during the replay, so a second replay
+/// needs a fresh policy to reproduce the first.
 SimReport simulate(const trace::Trace& trace,
                    const disk::DiskParameters& params, PowerPolicy& policy,
                    const SimOptions& options = {});

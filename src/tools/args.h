@@ -1,9 +1,11 @@
 // The command-line tools' one flag parser: `--key value` and boolean
 // `--key`.  Numbers are strict: a value with trailing garbage (`5s`), a
-// non-number, or a negative count is a usage error, reported through the
-// tool's usage function (which exits 2) before any work starts.
+// non-number, `inf` or `nan`, or a negative count is a usage error,
+// reported through the tool's usage function (which exits 2) before any
+// work starts.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -70,6 +72,10 @@ class Args {
     }
     if (pos != it->second.size()) {
       fail("--" + key + " expects a number, got '" + it->second + "'");
+    }
+    // std::stod also reads "inf" and "nan", which no flag means.
+    if (!std::isfinite(value)) {
+      fail("--" + key + " expects a finite number, got '" + it->second + "'");
     }
     return value;
   }

@@ -4,6 +4,7 @@
 
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sdpm::trace {
 
@@ -43,6 +44,14 @@ void Timeline::build(const ir::Program& program) {
     per_iter_ms_[n] = ms_from_cycles(
         nest.cycles_per_iteration() * multipliers_[n], clock_hz_);
     cursor += per_iter_ms_[n] * static_cast<double>(nest.iteration_count());
+    // A large noise sigma overflows a multiplier (exp) or the sum; every
+    // timestamp after it would be inf or nan.
+    if (!std::isfinite(per_iter_ms_[n]) || !std::isfinite(cursor)) {
+      throw Error(str_printf(
+          "timeline: nest '%s' (index %zu) gives a non-finite compute time "
+          "(%g ms per iteration, %g ms running total; cycle multiplier %g)",
+          nest.name.c_str(), n, per_iter_ms_[n], cursor, multipliers_[n]));
+    }
   }
   total_ = cursor;
 }

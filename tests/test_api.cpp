@@ -1,6 +1,11 @@
 // sdpm::api facade: JobSpec defaulting/round-trip, Session determinism.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "api/job_result.h"
 #include "api/job_spec.h"
 #include "api/session.h"
@@ -88,6 +93,37 @@ TEST(JobSpec, ValidateNamesTheOffendingField) {
                sdpm::Error);
   EXPECT_THROW(JobSpecBuilder("swim").transform("UV").build(), sdpm::Error);
   EXPECT_THROW(JobSpecBuilder("swim").disks(0).build(), sdpm::Error);
+}
+
+TEST(JobSpec, TimingFieldsMustBeFinite) {
+  // A JSON number past double range parses as inf: each timing field
+  // refuses it, and nan, by name instead of running the job to inf energy.
+  const std::pair<const char*, double JobSpec::*> fields[] = {
+      {"noise_sigma", &JobSpec::noise_sigma},
+      {"profile_sigma", &JobSpec::profile_sigma},
+      {"power_call_overhead_ms", &JobSpec::power_call_overhead_ms},
+      {"prefetch_lead_ms", &JobSpec::prefetch_lead_ms}};
+  for (const auto& [name, field] : fields) {
+    SCOPED_TRACE(name);
+    const std::string text =
+        std::string("{\"schemes\":[\"CMTPM\"],\"") + name + "\":1e999}";
+    try {
+      (void)JobSpec::from_json(Json::parse(text));
+      ADD_FAILURE() << "no error thrown";
+    } catch (const sdpm::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    JobSpec spec = JobSpecBuilder("swim").build();
+    spec.*field = std::numeric_limits<double>::quiet_NaN();
+    try {
+      spec.validate();
+      ADD_FAILURE() << "no error thrown";
+    } catch (const sdpm::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(JobSpec, CanonicalJsonIsTheJobIdentity) {
@@ -228,6 +264,30 @@ TEST(Session, BatchFailsOnlyTheJobThatThrew) {
   } catch (const sdpm::Error& e) {
     EXPECT_EQ(e.what(), batch[1].error_message());
   }
+}
+
+TEST(Session, OverflowingNoiseFailsTheJobNamingTheNest) {
+  // sigma 1e308 is finite, so admission takes it, but exp() overflows a
+  // nest's cycle multiplier; the job's slot carries the timeline's error.
+  const JobSpec spec =
+      JobSpecBuilder("swim").scheme("CMTPM").noise(1e308).build();
+  Session session;
+  const std::vector<JobSlot> batch = session.run_batch({spec});
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_TRUE(batch[0].error);
+  const std::string message = batch[0].error_message();
+  const std::string prefix = "timeline: nest '";
+  const std::size_t at = message.find(prefix);
+  ASSERT_NE(at, std::string::npos) << message;
+  const std::size_t begin = at + prefix.size();
+  const std::string nest =
+      message.substr(begin, message.find('\'', begin) - begin);
+  const workloads::Benchmark swim = workloads::make_benchmark("swim");
+  bool named = false;
+  for (const ir::LoopNest& n : swim.program.nests) {
+    named = named || n.name == nest;
+  }
+  EXPECT_TRUE(named) << message;
 }
 
 TEST(Session, ResultJsonRoundTrips) {

@@ -2,10 +2,14 @@
 // construction rules.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "disk/ladder.h"
 #include "disk/parameters.h"
 #include "disk/power_state.h"
 #include "util/error.h"
+#include "util/json.h"
 
 namespace sdpm::disk {
 namespace {
@@ -239,6 +243,38 @@ TEST(Parameters, ToLadderFromLadderRoundTrip) {
   EXPECT_NE(&back.ladder(), &paper.ladder());
   EXPECT_EQ(back.ladder(), paper.ladder());
   EXPECT_EQ(back.break_even_time(), paper.break_even_time());
+}
+
+TEST(Parameters, LevelPhysicsMatchesTheLadder) {
+  // The three presets, plus an edited paper ladder read back through
+  // from_json (off-grid transfer rate and latency at the top level).
+  std::vector<DiskParameters> devices;
+  for (const std::string& name : DiskParameters::preset_names()) {
+    devices.push_back(DiskParameters::preset(name));
+  }
+  PowerLadder edited = DiskParameters().ladder();
+  LadderState& top = edited.states.back();
+  top.transfer_mb_per_s = 47.3;
+  top.rot_latency_ms = 2.3;
+  devices.push_back(DiskParameters::from_ladder(
+      PowerLadder::from_json(Json::parse(edited.to_json().dump()))));
+  for (const DiskParameters& p : devices) {
+    for (int l = 0; l < p.rpm_level_count(); ++l) {
+      const LevelPhysics& physics = p.level_physics(l);
+      // Bit for bit: the replay reads these where the accessors were read.
+      EXPECT_EQ(physics.idle_w, p.idle_power_at_level(l));
+      EXPECT_EQ(physics.active_w, p.active_power_at_level(l));
+      EXPECT_EQ(physics.rot_latency_ms, p.rotational_latency_at_level(l));
+      EXPECT_EQ(physics.bytes_per_ms,
+                p.transfer_rate_at_level(l) * 1'000'000.0 / 1'000.0);
+    }
+    // A copied handle shares the table instead of deriving its own.
+    const DiskParameters copy = p;
+    EXPECT_EQ(&copy.level_physics(0), &p.level_physics(0));
+  }
+  EXPECT_EQ(devices.back().level_physics(devices.back().max_level())
+                .rot_latency_ms,
+            2.3);
 }
 
 }  // namespace

@@ -15,8 +15,8 @@ const disk::DiskParameters& params() {
 TEST(DiskUnit, IdleEnergyIntegration) {
   DiskUnit unit(params(), 0);
   unit.finish(10'000.0);  // 10 s idle at 10.2 W
-  EXPECT_NEAR(unit.breakdown().idle_j, 102.0, 1e-9);
-  EXPECT_NEAR(unit.breakdown().total_ms(), 10'000.0, 1e-9);
+  EXPECT_NEAR(unit.report().breakdown.idle_j, 102.0, 1e-9);
+  EXPECT_NEAR(unit.report().breakdown.total_ms(), 10'000.0, 1e-9);
 }
 
 TEST(DiskUnit, TimeAccountingIsExhaustive) {
@@ -27,19 +27,19 @@ TEST(DiskUnit, TimeAccountingIsExhaustive) {
   unit.serve(40'000.0, 512, kib(64));
   unit.finish(60'000.0);
   // Every millisecond of [0, 60000] lands in exactly one bucket.
-  EXPECT_NEAR(unit.breakdown().total_ms(), 60'000.0, 1e-6);
+  EXPECT_NEAR(unit.report().breakdown.total_ms(), 60'000.0, 1e-6);
 }
 
 TEST(DiskUnit, SpinDownThenStandbyEnergy) {
   DiskUnit unit(params(), 0);
   unit.park_to(0.0, params().default_park());
   unit.finish(10'000.0);
-  const auto& b = unit.breakdown();
+  const auto& b = unit.report().breakdown;
   EXPECT_NEAR(b.spin_down_ms, 1'500.0, 1e-9);
   EXPECT_NEAR(b.spin_down_j, 13.0, 1e-9);
   EXPECT_NEAR(b.standby_ms, 8'500.0, 1e-9);
   EXPECT_NEAR(b.standby_j, 2.5 * 8.5, 1e-9);
-  EXPECT_EQ(unit.commanded_spin_downs(), 1);
+  EXPECT_EQ(unit.report().spin_downs, 1);
 }
 
 TEST(DiskUnit, SpinDownIsIdempotent) {
@@ -47,7 +47,7 @@ TEST(DiskUnit, SpinDownIsIdempotent) {
   unit.park_to(0.0, params().default_park());
   unit.park_to(100.0, params().default_park());
   unit.park_to(5'000.0, params().default_park());
-  EXPECT_EQ(unit.commanded_spin_downs(), 1);
+  EXPECT_EQ(unit.report().spin_downs, 1);
 }
 
 TEST(DiskUnit, PreactivatedSpinUpHidesLatency) {
@@ -57,7 +57,7 @@ TEST(DiskUnit, PreactivatedSpinUpHidesLatency) {
   const auto result = unit.serve(20'000.0, 0, kib(64));
   EXPECT_FALSE(result.demand_spin_up);
   EXPECT_NEAR(result.start, 20'000.0, 1e-9);
-  EXPECT_NEAR(unit.breakdown().spin_up_j, 135.0, 1e-9);
+  EXPECT_NEAR(unit.report().breakdown.spin_up_j, 135.0, 1e-9);
 }
 
 TEST(DiskUnit, DemandSpinUpDelaysRequest) {
@@ -67,7 +67,7 @@ TEST(DiskUnit, DemandSpinUpDelaysRequest) {
   EXPECT_TRUE(result.demand_spin_up);
   // Spin-up starts at arrival; service only after 10.9 s.
   EXPECT_NEAR(result.start, 5'000.0 + 10'900.0, 1e-9);
-  EXPECT_EQ(unit.demand_spin_ups(), 1);
+  EXPECT_EQ(unit.report().demand_spin_ups, 1);
 }
 
 TEST(DiskUnit, RequestDuringSpinDownWaitsOutBothTransitions) {
@@ -85,7 +85,7 @@ TEST(DiskUnit, ServiceTimeAndActiveEnergy) {
   const TimeMs expected =
       params().service_time(kib(64), params().max_level(), false);
   EXPECT_NEAR(result.completion - result.start, expected, 1e-9);
-  EXPECT_NEAR(unit.breakdown().active_j,
+  EXPECT_NEAR(unit.report().breakdown.active_j,
               joules_from_watt_ms(13.5, expected), 1e-9);
 }
 
@@ -107,7 +107,7 @@ TEST(DiskUnit, RpmTransitionTimeline) {
   DiskUnit unit(params(), 0);
   unit.set_rpm_level(0.0, 5);  // 5 steps = 25 ms (default 5 ms/step)
   unit.finish(1'000.0);
-  const auto& b = unit.breakdown();
+  const auto& b = unit.report().breakdown;
   EXPECT_NEAR(b.rpm_shift_ms, params().rpm_transition_time(10, 5), 1e-9);
   EXPECT_NEAR(b.rpm_shift_j, params().rpm_transition_energy(10, 5), 1e-9);
   // Idle after the transition is billed at the lower level's power.
@@ -120,7 +120,7 @@ TEST(DiskUnit, RpmTransitionTimeline) {
 TEST(DiskUnit, SetRpmNoopAtSameLevel) {
   DiskUnit unit(params(), 0);
   unit.set_rpm_level(0.0, params().max_level());
-  EXPECT_EQ(unit.rpm_transitions(), 0);
+  EXPECT_EQ(unit.report().rpm_transitions, 0);
 }
 
 TEST(DiskUnit, ServeDuringRpmShiftWaits) {
@@ -139,9 +139,9 @@ TEST(DiskUnit, ChainedRpmCommandsSerialize) {
   unit.set_rpm_level(0.0, 8);   // 2 steps, ends at 10 ms
   unit.set_rpm_level(5.0, 10);  // must wait, then 2 steps back up
   unit.finish(100.0);
-  EXPECT_EQ(unit.rpm_transitions(), 2);
+  EXPECT_EQ(unit.report().rpm_transitions, 2);
   EXPECT_EQ(unit.target_level(), 10);
-  EXPECT_NEAR(unit.breakdown().rpm_shift_ms,
+  EXPECT_NEAR(unit.report().breakdown.rpm_shift_ms,
               2 * params().rpm_transition_time(10, 8), 1e-9);
 }
 
@@ -171,11 +171,11 @@ TEST(DiskUnit, BusyPeriodsRecorded) {
   DiskUnit unit(params(), 0);
   unit.serve(10.0, 0, kib(64));
   unit.serve(100.0, 99'999, kib(64));
-  ASSERT_EQ(unit.busy_periods().size(), 2u);
-  EXPECT_NEAR(unit.busy_periods()[0].start, 10.0, 1e-9);
-  EXPECT_GT(unit.busy_periods()[1].completion,
-            unit.busy_periods()[1].start);
-  EXPECT_EQ(unit.services(), 2);
+  ASSERT_EQ(unit.report().busy_periods.size(), 2u);
+  EXPECT_NEAR(unit.report().busy_periods[0].start, 10.0, 1e-9);
+  EXPECT_GT(unit.report().busy_periods[1].completion,
+            unit.report().busy_periods[1].start);
+  EXPECT_EQ(unit.report().services, 2);
 }
 
 TEST(DiskUnit, EnergyNeverNegativeAndMonotone) {
@@ -185,7 +185,7 @@ TEST(DiskUnit, EnergyNeverNegativeAndMonotone) {
   for (int k = 0; k < 20; ++k) {
     t += 500.0;
     unit.serve(t, k * 1'000, kib(16));
-    const Joules now = unit.breakdown().total_j();
+    const Joules now = unit.report().breakdown.total_j();
     EXPECT_GT(now, prev);
     prev = now;
   }

@@ -94,8 +94,7 @@ TEST(AdaptiveTpm, RejectsBadAdjustFactor) {
   t.compute_total_ms = 1'000.0;
   policy::AdaptiveTpmPolicy policy(
       policy::AdaptiveTpmOptions{-1.0, 1'000.0, 2'000.0, 1.0});
-  sim::Simulator sim(t, params(), policy);
-  EXPECT_THROW(sim.run(), Error);
+  EXPECT_THROW(sim::simulate(t, params(), policy), Error);
 }
 
 // ---- PDC --------------------------------------------------------------------

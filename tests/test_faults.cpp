@@ -131,7 +131,7 @@ TEST(DiskUnitFaults, RetriesPayTimeEnergyAndBackoff) {
   // Demand serve long after the spin-down transition has settled.
   const DiskUnit::ServeResult r = unit.serve(60'000.0, 0, kib(64));
   EXPECT_TRUE(r.demand_spin_up);
-  EXPECT_EQ(unit.spin_up_retries(), 2);
+  EXPECT_EQ(unit.report().spin_up_retries, 2);
   // Two failed attempts (500 ms + backoff 100, 200 ms) then a full spin-up.
   const TimeMs wake = 60'000.0 + (500.0 + 100.0) + (500.0 + 200.0) +
                       params().wake_time(0);
@@ -140,7 +140,7 @@ TEST(DiskUnitFaults, RetriesPayTimeEnergyAndBackoff) {
   const Joules attempt_j =
       params().wake_energy(0) * 500.0 / params().wake_time(0);
   unit.finish(r.completion);
-  EXPECT_NEAR(unit.breakdown().spin_up_j,
+  EXPECT_NEAR(unit.report().breakdown.spin_up_j,
               params().wake_energy(0) + 2 * attempt_j, 1e-9);
 }
 
@@ -151,8 +151,8 @@ TEST(DiskUnitFaults, DroppedDirectiveLeavesDiskSpinning) {
   DiskUnit unit(params(), 0, &model);
   unit.park_to(1'000.0, params().default_park());
   EXPECT_EQ(unit.current_park(), -1);
-  EXPECT_EQ(unit.dropped_directives(), 1);
-  EXPECT_EQ(unit.commanded_spin_downs(), 0);
+  EXPECT_EQ(unit.report().dropped_directives, 1);
+  EXPECT_EQ(unit.report().spin_downs, 0);
 }
 
 TEST(DiskUnitFaults, MediaErrorRemapsOnceThenPaysReposition) {
@@ -164,16 +164,16 @@ TEST(DiskUnitFaults, MediaErrorRemapsOnceThenPaysReposition) {
 
   const DiskUnit::ServeResult faulty = unit.serve(0.0, 42, kib(64));
   const DiskUnit::ServeResult ok = clean.serve(0.0, 42, kib(64));
-  EXPECT_EQ(unit.media_errors(), 1);
-  EXPECT_EQ(unit.remapped_sectors(), 1);
+  EXPECT_EQ(unit.report().media_errors, 1);
+  EXPECT_EQ(unit.report().remapped_sectors, 1);
   EXPECT_TRUE(model.is_remapped(0, 42));
   EXPECT_GT(faulty.completion, ok.completion);  // re-read costs extra
 
   // Touching the same sector again: another error draw fires (prob 1) but
   // the remap entry already exists.
   unit.serve(faulty.completion + 1.0, 42, kib(64));
-  EXPECT_EQ(unit.media_errors(), 2);
-  EXPECT_EQ(unit.remapped_sectors(), 1);
+  EXPECT_EQ(unit.report().media_errors, 2);
+  EXPECT_EQ(unit.report().remapped_sectors, 1);
   EXPECT_EQ(model.remapped_count(0), 1);
 }
 

@@ -80,8 +80,8 @@ TEST(ParkWalk, OneParkLadderHonoursItsIdlenessThreshold) {
     policy->before_service(disk, idle_start + 20'000.0);
     disk.finish(idle_start + 20'000.0);
     tracer.close();
-    EXPECT_EQ(disk.commanded_spin_downs(), 1) << policy->name();
-    EXPECT_DOUBLE_EQ(disk.breakdown().idle_ms, 5'000.0) << policy->name();
+    EXPECT_EQ(disk.report().spin_downs, 1) << policy->name();
+    EXPECT_DOUBLE_EQ(disk.report().breakdown.idle_ms, 5'000.0) << policy->name();
     const std::vector<Recorded> decisions =
         recorder.of(obs::EventKind::kBreakEven);
     ASSERT_EQ(decisions.size(), 1u) << policy->name();
@@ -110,7 +110,7 @@ TEST(ParkWalk, DescendsEveryScsiParkAtItsTimer) {
   tpm.attach(unit);
 
   const TimeMs c = unit.serve(0.0, 0, kib(64)).completion;
-  const disk::EnergyBreakdown served = unit.breakdown();
+  const disk::EnergyBreakdown served = unit.report().breakdown;
   tpm.before_service(unit, c + 400'000.0);
   unit.finish(c + 400'000.0);
   tracer.close();
@@ -135,13 +135,13 @@ TEST(ParkWalk, DescendsEveryScsiParkAtItsTimer) {
     EXPECT_DOUBLE_EQ(decisions[i].event.value2, timers[i]);
   }
   EXPECT_EQ(unit.current_park(), 0);
-  EXPECT_EQ(unit.commanded_spin_downs(), 4);
+  EXPECT_EQ(unit.report().spin_downs, 4);
 
   // Entry active_idle -> idle_b 0.5 s / 3.2 J, then the descents
   // idle_b -> idle_c 0.6 s / 1.8 J, idle_c -> standby_y 3.5 s / 11 J and
   // standby_y -> standby_z 2.5 s / 4.5 J (the direct entries would take
   // 1, 4 and 6 s).
-  const disk::EnergyBreakdown& b = unit.breakdown();
+  const disk::EnergyBreakdown& b = unit.report().breakdown;
   EXPECT_DOUBLE_EQ(b.idle_ms - served.idle_ms, 2'000.0);
   EXPECT_NEAR(b.idle_j - served.idle_j, 11.6 * 2.0, 1e-9);
   EXPECT_NEAR(b.spin_down_ms, 500.0 + 600.0 + 3'500.0 + 2'500.0, 1e-9);
@@ -190,8 +190,8 @@ TEST(ParkWalk, ParkToHoldsWithoutAnEdgeAndNamesDroppedParks) {
   unit.park_to(10'000.0, 1);  // idle_b has no edge to standby_y
   unit.finish(20'000.0);
   EXPECT_EQ(unit.current_park(), 3);
-  EXPECT_EQ(unit.commanded_spin_downs(), 1);
-  EXPECT_NEAR(unit.breakdown().spin_down_ms, 500.0, 1e-9);
+  EXPECT_EQ(unit.report().spin_downs, 1);
+  EXPECT_NEAR(unit.report().breakdown.spin_down_ms, 500.0, 1e-9);
 
   sim::FaultConfig fc;
   fc.dropped_directive_prob = 1.0;
@@ -204,8 +204,8 @@ TEST(ParkWalk, ParkToHoldsWithoutAnEdgeAndNamesDroppedParks) {
   dropped.park_to(1'000.0, 2);
   tracer.close();
   EXPECT_EQ(dropped.current_park(), -1);
-  EXPECT_EQ(dropped.dropped_directives(), 1);
-  EXPECT_EQ(dropped.commanded_spin_downs(), 0);
+  EXPECT_EQ(dropped.report().dropped_directives, 1);
+  EXPECT_EQ(dropped.report().spin_downs, 0);
   const std::vector<Recorded> drops =
       recorder.of(obs::EventKind::kDirectiveDropped);
   ASSERT_EQ(drops.size(), 1u);

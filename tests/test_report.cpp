@@ -80,8 +80,7 @@ TEST(SimReport, FaultTotalsAggregateFromSimulation) {
   // failures), media checks, and directive drops all occur.
   const trace::Trace t = gap_trace(4, 8, 30'000.0);
   policy::TpmPolicy policy;
-  Simulator sim(t, params(), policy, faulty_options());
-  const SimReport report = sim.run();
+  const SimReport report = simulate(t, params(), policy, faulty_options());
 
   ASSERT_EQ(report.disk_count(), 4);
   EXPECT_TRUE(report.responses.empty());  // capture_responses = false

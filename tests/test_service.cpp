@@ -1225,6 +1225,39 @@ TEST(ServiceDaemon, SurvivesMalformedAndTruncatedFrames) {
   EXPECT_TRUE(daemon.done());
 }
 
+// A JSON number past double range parses as inf.  A spec carrying one is
+// refused at admission naming the field: admitted, it finished with inf
+// energy that no status or result request could serialize.
+TEST(ServiceDaemon, NonFiniteSpecIsRefusedAtAdmission) {
+  DaemonOptions options;
+  options.socket_path = test_socket_path("non_finite");
+  options.jobs = 1;
+  ServiceDaemon daemon(options);
+  daemon.start();
+  std::thread waiter([&] { daemon.wait(); });
+  {
+    const int fd = raw_connect(options.socket_path);
+    write_frame(fd,
+                "{\"op\":\"submit\",\"spec\":{\"schemes\":[\"CMTPM\"],"
+                "\"noise_sigma\":1e999}}");
+    std::string payload;
+    ASSERT_TRUE(read_frame(fd, payload));
+    const Json response = Json::parse(payload);
+    EXPECT_FALSE(response.at("ok").as_bool());
+    EXPECT_FALSE(response.contains("id"));
+    EXPECT_NE(response.at("error").as_string().find("noise_sigma"),
+              std::string::npos)
+        << payload;
+    ::close(fd);
+  }
+  {
+    Client client(options.socket_path);
+    EXPECT_EQ(client.stats().at("queue").at("submitted").as_int(), 0);
+    client.shutdown();
+  }
+  waiter.join();
+}
+
 // The daemon has no "analyze" op (static analysis runs in-process through
 // api::Session); it and any invented op get the structured unknown-op
 // error, and the connection keeps serving.

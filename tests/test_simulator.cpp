@@ -147,14 +147,6 @@ TEST(Simulator, RejectsUnknownDisk) {
   }
 }
 
-TEST(Simulator, RunOnlyOnce) {
-  const trace::Trace t = empty_trace(1, 100.0);
-  policy::BasePolicy policy;
-  Simulator sim(t, params(), policy);
-  sim.run();
-  EXPECT_THROW(sim.run(), Error);
-}
-
 TEST(Simulator, PowerEventsReachPolicy) {
   struct CountingPolicy final : PowerPolicy {
     int events = 0;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/tiling.h"
+#include "disk/parameters.h"
 #include "ir/builder.h"
+#include "layout/layout_table.h"
 #include "trace/generator.h"
 
 namespace sdpm::core {
@@ -251,9 +253,53 @@ TEST(DiskEnergyPerNest, DurationDominatedRanking) {
   const layout::LayoutTable table(p, layout::Striping{0, 4, kib(64)}, 4);
   trace::GeneratorOptions gen;
   gen.cache_bytes = 0;
-  const auto energy = disk_energy_per_nest(p, table, gen, 4);
+  const auto energy =
+      disk_energy_per_nest(p, table, disk::DiskParameters(), gen, 4);
   ASSERT_EQ(energy.size(), 2u);
   EXPECT_GT(energy[1], energy[0]);
+}
+
+TEST(Tiling, RanksNestsOnTheJobsDevice) {
+  // "compute" runs ~1.5 s over 2 blocks, "stream" ~0.3 ms over 32.  On the
+  // paper disk (~6.6 ms per miss) the long nest costs more; on a device
+  // whose seeks take 500 ms the many-miss nest does, and the pass tiles it.
+  ProgramBuilder pb("rank");
+  const ArrayId small = pb.array("A", {128, 128});
+  const ArrayId big = pb.array("B", {512, 512});
+  pb.nest("compute")
+      .loop("i", 0, 128)
+      .loop("j", 0, 128)
+      .stmt(70'000.0)
+      .read(small, {sym("i"), sym("j")})
+      .done();
+  pb.nest("stream")
+      .loop("i", 0, 512)
+      .loop("j", 0, 512)
+      .stmt(1.0)
+      .read(big, {sym("i"), sym("j")})
+      .done();
+  const ir::Program p = pb.build();
+  disk::PowerLadder ladder = disk::DiskParameters().ladder();
+  ladder.average_seek_time = 500.0;
+  const disk::DiskParameters slow_seek =
+      disk::DiskParameters::from_ladder(ladder);
+
+  TilingOptions o = small_options();
+  o.access.cache_bytes = mib(64);  // one miss per distinct block
+  const layout::LayoutTable table(p, o.base_striping, o.total_disks);
+  const auto paper = disk_energy_per_nest(p, table, disk::DiskParameters(),
+                                          o.access, o.total_disks);
+  const auto slow = disk_energy_per_nest(p, table, slow_seek, o.access,
+                                         o.total_disks);
+  ASSERT_EQ(paper.size(), 2u);
+  EXPECT_GT(paper[0], paper[1]);
+  EXPECT_GT(slow[1], slow[0]);
+
+  EXPECT_EQ(apply_loop_tiling(p, o).tiled_nest, 0);
+  o.disk_params = slow_seek;
+  const TilingResult result = apply_loop_tiling(p, o);
+  EXPECT_TRUE(result.applied);
+  EXPECT_EQ(result.tiled_nest, 1);
 }
 
 TEST(MultiNestTiling, TilesEveryApplicableFamily) {
