@@ -30,6 +30,30 @@ std::int64_t snap_up(std::int64_t g, std::int64_t granularity) {
                           : ((g + granularity - 1) / granularity) * granularity;
 }
 
+bool by_point(const ir::PlacedDirective& a, const ir::PlacedDirective& b) {
+  return a.point < b.point;
+}
+
+/// Merge the sorted runs [bounds[i], bounds[i + 1]) of `directives`
+/// pairwise until one is left.  Equal points keep their run order, so the
+/// result is what a stable sort of the whole vector gives.
+void merge_runs(std::vector<ir::PlacedDirective>& directives,
+                std::vector<std::size_t> bounds) {
+  const auto at = [&](std::size_t i) {
+    return directives.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  while (bounds.size() > 2) {
+    std::size_t kept = 1;
+    for (std::size_t i = 0; i + 2 < bounds.size(); i += 2) {
+      std::inplace_merge(at(bounds[i]), at(bounds[i + 1]), at(bounds[i + 2]),
+                         by_point);
+      bounds[kept++] = bounds[i + 2];
+    }
+    if (bounds.size() % 2 == 0) bounds[kept++] = bounds.back();
+    bounds.resize(kept);
+  }
+}
+
 }  // namespace
 
 ScheduleResult schedule_power_calls(const ir::Program& program,
@@ -48,23 +72,30 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
   const trace::StallAwareTimeline& est =
       options.estimate != nullptr ? *options.estimate : nominal;
   const trace::IterationSpace& space = nominal.compute().space();
-  SDPM_REQUIRE(est.total_iterations() == space.total(),
+  SDPM_REQUIRE(est.compute().space() == space,
                "estimate timeline does not match the program");
   const std::int64_t total = space.total();
   const int top = params.max_level();
   const TimeMs tm = options.access.power_call_overhead_ms;
 
-  const auto place = [&](std::int64_t g, ir::PowerDirective directive) {
-    result.program.directives.push_back(
-        ir::PlacedDirective{space.point_of(g), directive});
-    ++result.calls_inserted;
-  };
+  // The input's directives, sorted, are the first run; each disk appends
+  // one more in point order, and merge_runs joins them.
+  std::vector<ir::PlacedDirective>& directives = result.program.directives;
+  std::stable_sort(directives.begin(), directives.end(), by_point);
+  std::vector<std::size_t> runs{0, directives.size()};
 
   for (int d = 0; d < dap.disk_count(); ++d) {
     // A disk's gaps come in increasing order, so two forward cursors read
     // both ends of every gap without searching the timeline.
     trace::StallAwareTimeline::Cursor gap_begin(est);
     trace::StallAwareTimeline::Cursor gap_end(est);
+    // Every site lies in its gap, so in a nest between the cursors'.
+    const auto place = [&](std::int64_t g, ir::PowerDirective directive) {
+      const int nest = space.nest_of(g, gap_begin.nest(), gap_end.nest());
+      directives.push_back(ir::PlacedDirective{
+          ir::IterationPoint{nest, g - space.nest_begin(nest)}, directive});
+      ++result.calls_inserted;
+    };
     const IntervalSet idle = dap.idle_periods(d);
     for (const Interval& gap : idle.intervals()) {
       GapPlan plan;
@@ -132,9 +163,10 @@ ScheduleResult schedule_power_calls(const ir::Program& program,
       }
       result.plans.push_back(plan);
     }
+    if (directives.size() > runs.back()) runs.push_back(directives.size());
   }
 
-  result.program.sort_directives();
+  merge_runs(directives, std::move(runs));
   result.program.validate();
   return result;
 }

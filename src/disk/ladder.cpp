@@ -20,6 +20,15 @@ constexpr double kDecompositionTol = 1e-6;
               "': " + what);
 }
 
+/// Reject a value that is inf or NaN, naming its descriptor field.
+void require_finite(const PowerLadder& ladder, const std::string& where,
+                    const char* field, double value) {
+  if (!std::isfinite(value)) {
+    fail(ladder, where + str_printf("field '%s' is not finite (%g)", field,
+                                    value));
+  }
+}
+
 /// Size the edge matrix to the states, every edge absent.
 void clear_edges(PowerLadder& ladder) {
   const auto n = static_cast<std::size_t>(ladder.state_count());
@@ -69,6 +78,36 @@ void PowerLadder::validate() const {
   if (edges.size() != static_cast<std::size_t>(n) * static_cast<std::size_t>(n)) {
     fail(*this, str_printf("edge matrix holds %zu entries, want %d x %d",
                            edges.size(), n, n));
+  }
+
+  // Every number must be finite.  A descriptor's 1e999 parses as inf,
+  // passes the sign checks below, and would otherwise fail only when a
+  // result is serialized, naming neither the ladder nor the field.
+  require_finite(*this, "", "average_seek_time_ms", average_seek_time);
+  require_finite(*this, "", "electronics_power_w", electronics_power);
+  require_finite(*this, "", "spindle_power_at_max_w", spindle_power_at_max);
+  require_finite(*this, "", "lower_tolerance", lower_tolerance);
+  require_finite(*this, "", "upper_tolerance", upper_tolerance);
+  require_finite(*this, "", "idleness_threshold_ms", idleness_threshold);
+  for (const LadderState& s : states) {
+    const std::string where = "state '" + s.name + "': ";
+    require_finite(*this, where, "idle_power_w", s.idle_power);
+    require_finite(*this, where, "active_power_w", s.active_power);
+    require_finite(*this, where, "rot_latency_ms", s.rot_latency_ms);
+    require_finite(*this, where, "transfer_mb_per_s", s.transfer_mb_per_s);
+    require_finite(*this, where, "timer_ms", s.timer_ms);
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const LadderEdge& e = edge(i, j);
+      if (std::isfinite(e.time_ms) && std::isfinite(e.energy_j)) continue;
+      const std::string where = "edge " +
+                                states[static_cast<std::size_t>(i)].name +
+                                " -> " +
+                                states[static_cast<std::size_t>(j)].name + ": ";
+      require_finite(*this, where, "time_ms", e.time_ms);
+      require_finite(*this, where, "energy_j", e.energy_j);
+    }
   }
 
   // Shape: parks strictly before levels, at least one of each.

@@ -1,6 +1,7 @@
 #include "trace/dap.h"
 
 #include <sstream>
+#include <string>
 
 #include "util/error.h"
 
@@ -11,10 +12,18 @@ DiskAccessPattern::DiskAccessPattern(const ir::Program& program,
                                      const std::vector<MissRecord>& misses)
     : space_(program),
       active_(static_cast<std::size_t>(total_disks)) {
+  // Misses come in program order, so each disk's active runs are appended
+  // in one pass.
+  std::int64_t previous_iter = 0;
   for (const MissRecord& miss : misses) {
     SDPM_ASSERT(miss.disk >= 0 && miss.disk < total_disks,
                 "miss references unknown disk");
-    active_[static_cast<std::size_t>(miss.disk)].insert(miss.global_iter,
+    SDPM_REQUIRE(miss.global_iter >= previous_iter,
+                 "misses must come in program order: iteration " +
+                     std::to_string(miss.global_iter) + " after " +
+                     std::to_string(previous_iter));
+    previous_iter = miss.global_iter;
+    active_[static_cast<std::size_t>(miss.disk)].append(miss.global_iter,
                                                         miss.global_iter + 1);
   }
 }

@@ -30,7 +30,8 @@ class DiskAccessPattern {
                                    const layout::LayoutTable& layout,
                                    const GeneratorOptions& options = {});
 
-  /// Build directly from a miss stream (shared with the trace generator).
+  /// Build directly from a miss stream (shared with the trace generator),
+  /// which must come in program order.
   DiskAccessPattern(const ir::Program& program, int total_disks,
                     const std::vector<MissRecord>& misses);
 

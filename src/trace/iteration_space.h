@@ -41,6 +41,10 @@ class IterationSpace {
   /// which must hold it.
   int nest_of(std::int64_t g, int first, int last) const;
 
+  /// Same nests with the same trip counts.
+  friend bool operator==(const IterationSpace&,
+                         const IterationSpace&) = default;
+
  private:
   std::vector<std::int64_t> begin_;  // per nest
   std::int64_t total_ = 0;

@@ -44,9 +44,11 @@ class StallAwareTimeline {
 
     TimeMs at(std::int64_t g);
 
-    /// The last g read, and t(g) there.
+    /// The last g read, t(g) there, and the nest that holds it (as
+    /// IterationSpace::point_of picks it).
     std::int64_t position() const { return g_; }
     TimeMs time() const { return t_; }
+    int nest() const { return compute_.nest(); }
 
    private:
     friend class StallAwareTimeline;
@@ -84,8 +86,11 @@ class StallAwareTimeline {
   /// time t(to) - t(g) is at least `lead_ms`, or from.position() when
   /// none is: the pre-activation site of a gap read by `from` and `to`.
   /// t never decreases as g grows, so the condition holds on a prefix of
-  /// the range and this bisection returns the one answer.  Each probe
-  /// searches only the nests and requests between the two cursors.
+  /// the range and any exact search returns the one answer.  This one
+  /// bisects over the requests issued inside the gap for the last
+  /// constant-stall segment whose start meets the lead, guesses the site
+  /// in it from the nest's linear time (paper Eq. 1), and gallops from the
+  /// guess with the exact condition.
   std::int64_t latest_start(const Cursor& from, const Cursor& to,
                             TimeMs lead_ms) const;
 

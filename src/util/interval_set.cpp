@@ -49,6 +49,17 @@ void IntervalSet::insert(std::int64_t lo, std::int64_t hi) {
   intervals_.insert(it, merged);
 }
 
+void IntervalSet::append(std::int64_t lo, std::int64_t hi) {
+  if (hi <= lo) return;
+  if (intervals_.empty() || lo > intervals_.back().hi) {
+    intervals_.push_back(Interval{lo, hi});
+    return;
+  }
+  Interval& back = intervals_.back();
+  SDPM_ASSERT(lo >= back.lo, "append before the last interval");
+  back.hi = std::max(back.hi, hi);
+}
+
 void IntervalSet::merge(const IntervalSet& other) {
   for (const Interval& iv : other.intervals_) insert(iv);
 }
@@ -69,17 +80,21 @@ std::int64_t IntervalSet::total_length() const {
 }
 
 IntervalSet IntervalSet::gaps_within(std::int64_t lo, std::int64_t hi) const {
+  // The gaps come out sorted, disjoint and non-adjacent (an interval lies
+  // between any two), so they go into the canonical vector directly.
   IntervalSet result;
   if (hi <= lo) return result;
   std::int64_t cursor = lo;
   for (const Interval& iv : intervals_) {
     if (iv.hi <= lo) continue;
     if (iv.lo >= hi) break;
-    if (iv.lo > cursor) result.insert(cursor, std::min(iv.lo, hi));
+    if (iv.lo > cursor) {
+      result.intervals_.push_back(Interval{cursor, std::min(iv.lo, hi)});
+    }
     cursor = std::max(cursor, iv.hi);
     if (cursor >= hi) break;
   }
-  if (cursor < hi) result.insert(cursor, hi);
+  if (cursor < hi) result.intervals_.push_back(Interval{cursor, hi});
   return result;
 }
 

@@ -39,6 +39,10 @@ class IntervalSet {
   void insert(std::int64_t lo, std::int64_t hi);
   void insert(const Interval& iv) { insert(iv.lo, iv.hi); }
 
+  /// Insert [lo, hi), which must not start before the last interval, in
+  /// O(1): it extends the last interval when the two overlap or touch.
+  void append(std::int64_t lo, std::int64_t hi);
+
   /// Union with another set.
   void merge(const IntervalSet& other);
 

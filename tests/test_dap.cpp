@@ -1,9 +1,13 @@
 // Disk Access Pattern extraction — including the paper's Figure 2 example.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ir/builder.h"
 #include "layout/layout_table.h"
 #include "trace/dap.h"
+#include "util/error.h"
 
 namespace sdpm::trace {
 namespace {
@@ -111,6 +115,23 @@ TEST(Dap, ActiveAndIdlePartitionIterationSpace) {
                   dap.idle_periods(d).total_length(),
               dap.space().total());
     EXPECT_FALSE(dap.active_iterations(d).intersects(dap.idle_periods(d)));
+  }
+}
+
+TEST(Dap, RejectsMissesOutOfProgramOrder) {
+  const Figure2 fig;
+  std::vector<MissRecord> misses(2);
+  misses[0].global_iter = 10;
+  misses[1].global_iter = 5;
+  misses[1].disk = 1;
+  try {
+    const DiskAccessPattern dap(fig.program, 4, misses);
+    ADD_FAILURE() << "accepted misses out of program order";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "misses must come in program order: iteration 5 after 10"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -161,6 +161,24 @@ TEST(IntervalSetProperty, MatchesNaivePointModel) {
   }
 }
 
+// append() in start order builds what insert() builds: repeated starts,
+// overlaps, touching and separated intervals, and empty ones.
+TEST(IntervalSetProperty, AppendInStartOrderMatchesInsert) {
+  SplitMix64 rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    IntervalSet appended;
+    IntervalSet inserted;
+    std::int64_t lo = 0;
+    for (int op = 0; op < 200; ++op) {
+      lo += static_cast<std::int64_t>(rng.next_below(4));
+      const std::int64_t hi = lo + static_cast<std::int64_t>(rng.next_below(4));
+      appended.append(lo, hi);
+      inserted.insert(lo, hi);
+    }
+    EXPECT_EQ(appended, inserted) << "trial " << trial;
+  }
+}
+
 TEST(IntervalSetProperty, GapsRoundTrip) {
   SplitMix64 rng(7);
   for (int trial = 0; trial < 20; ++trial) {

@@ -3,6 +3,7 @@
 // results, Table 1 closed forms) live in test_ladder_equivalence.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -218,6 +219,35 @@ TEST(Ladder, FromJsonRangeChecksIntegersBeforeNarrowing) {
       edited_tiny_json("\"rpm\":15000", "\"rpm\":1099511627776"), "rpm");
   expect_rejected_naming(edited_tiny_json("\"rpm\":15000", "\"rpm\":-1"),
                          "rpm");
+}
+
+TEST(Ladder, RejectsNonFiniteNumbers) {
+  // 1e999 parses as inf, which passes every sign check.
+  expect_rejected_naming(edited_tiny_json("\"average_seek_time_ms\":3.4",
+                                          "\"average_seek_time_ms\":1e999"),
+                         "average_seek_time_ms");
+  expect_rejected_naming(edited_tiny_json("\"rot_latency_ms\":2",
+                                          "\"rot_latency_ms\":1e999"),
+                         "rot_latency_ms");
+  expect_rejected_naming(
+      edited_tiny_json("\"time_ms\":1.5e+03", "\"time_ms\":1e999"),
+      "time_ms");
+  expect_rejected_naming(
+      edited_tiny_json("\"energy_j\":135", "\"energy_j\":-1e999"),
+      "energy_j");
+  // A ladder built in code can hold a NaN, which fails every comparison.
+  PowerLadder l = tiny_ladder();
+  l.states[1].transfer_mb_per_s = std::nan("");
+  try {
+    l.validate();
+    ADD_FAILURE() << "accepted a NaN transfer rate";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "PowerLadder 'tiny': state 'full': field "
+                  "'transfer_mb_per_s' is not finite"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Ladder, FromJsonBoundsTheStateCountBeforeAllocating) {

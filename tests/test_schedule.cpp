@@ -1,6 +1,9 @@
 // Power-call scheduler: Eq. 1, gap planning, pre-activation placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "analysis/pass.h"
 #include "analysis/registry.h"
 #include "core/mispredict.h"
@@ -249,6 +252,93 @@ TEST(Schedule, StallAwareEstimateChangesPlacement) {
     if (plan.disk == 1 && plan.begin_iter == 0) aware_gap = plan.estimated_ms;
   }
   EXPECT_NEAR(aware_gap - plain_gap, 60'000.0, 1.0);
+}
+
+// Four disks: phase1 reads A, striped over disks 0 and 1, and phase2 reads
+// B, striped over disks 2 and 3.  At a call-site granularity of 65,536
+// iterations both disks of a pair take their calls at the same sites.
+struct FourDisks {
+  ir::Program program;
+  std::vector<layout::Striping> striping;
+
+  FourDisks() {
+    ProgramBuilder pb("fourdisks");
+    const ArrayId a = pb.array("A", {64 * 8192});
+    const ArrayId b = pb.array("B", {64 * 8192});
+    pb.nest("phase1")
+        .loop("i", 0, 64 * 8192)
+        .stmt(75'000.0)
+        .read(a, {sym("i")})
+        .done();
+    pb.nest("phase2")
+        .loop("i", 0, 64 * 8192)
+        .stmt(75'000.0)
+        .read(b, {sym("i")})
+        .done();
+    program = pb.build();
+    striping = {layout::Striping{0, 2, kib(64)},
+                layout::Striping{2, 2, kib(64)}};
+  }
+};
+
+bool by_point(const ir::PlacedDirective& a, const ir::PlacedDirective& b) {
+  return a.point < b.point;
+}
+
+TEST(Schedule, InputDirectivesMergeLikeAStableSort) {
+  const FourDisks fd;
+  const layout::LayoutTable table(fd.program, fd.striping, 4);
+  SchedulerOptions o = tpm_options();
+  o.call_site_granularity = 65'536;
+  const ScheduleResult fresh =
+      schedule_power_calls(fd.program, table, params(), o);
+  // The new directives in the order the scheduler makes them: disk by
+  // disk, each disk's in point order.
+  std::vector<ir::PlacedDirective> made = fresh.program.directives;
+  std::stable_sort(made.begin(), made.end(),
+                   [](const ir::PlacedDirective& a,
+                      const ir::PlacedDirective& b) {
+                     return a.directive.disk < b.directive.disk;
+                   });
+  // The points that hold calls for several disks.
+  std::vector<ir::IterationPoint> shared;
+  const std::vector<ir::PlacedDirective>& sorted = fresh.program.directives;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].point == sorted[i - 1].point &&
+        sorted[i].directive.disk != sorted[i - 1].directive.disk &&
+        (shared.empty() || shared.back() != sorted[i].point)) {
+      shared.push_back(sorted[i].point);
+    }
+  }
+  ASSERT_GE(shared.size(), 2u);
+
+  // The input holds two directives at each shared point and two elsewhere,
+  // all in descending point order.
+  ir::Program input = fd.program;
+  using Kind = ir::PowerDirective::Kind;
+  input.directives.push_back(
+      {ir::IterationPoint{1, 9}, {Kind::kSpinDown, 1, 0}});
+  for (auto it = shared.rbegin(); it != shared.rend(); ++it) {
+    input.directives.push_back({*it, {Kind::kSetRpm, 0, 3}});
+    input.directives.push_back({*it, {Kind::kSpinUp, 3, 0}});
+  }
+  input.directives.push_back(
+      {ir::IterationPoint{0, 7}, {Kind::kSpinDown, 2, 0}});
+  const ScheduleResult merged = schedule_power_calls(input, table, params(), o);
+
+  std::vector<ir::PlacedDirective> want = input.directives;
+  want.insert(want.end(), made.begin(), made.end());
+  std::stable_sort(want.begin(), want.end(), by_point);
+  const std::vector<ir::PlacedDirective>& got = merged.program.directives;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got[i].point == want[i].point &&
+                got[i].directive.kind == want[i].directive.kind &&
+                got[i].directive.disk == want[i].directive.disk &&
+                got[i].directive.rpm_level == want[i].directive.rpm_level)
+        << "directive " << i << " of " << want.size();
+  }
+  EXPECT_EQ(merged.calls_inserted, fresh.calls_inserted);
 }
 
 // The plan's mode rides in the padding after `acted`: recording it does

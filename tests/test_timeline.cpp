@@ -172,16 +172,55 @@ ir::Program random_program(SplitMix64& rng) {
   return p;
 }
 
+/// Programs on which the closed-form guess of latest_start misses: up to 6
+/// nests, each either 10^5 to 3·10^6 iterations of a statement that takes
+/// a fraction of a cycle (t(g) then stays flat over runs of g, the more so
+/// after a 1e12 ms stall), up to 10^6 iterations that take no time at
+/// all, empty, or as in random_program.
+ir::Program stress_program(SplitMix64& rng) {
+  ir::Program p;
+  p.name = "stress";
+  const int nests = 1 + static_cast<int>(rng.next_below(6));
+  for (int n = 0; n < nests; ++n) {
+    std::int64_t trips = 0;
+    double cycles = 0.0;
+    switch (rng.next_below(4)) {
+      case 0:
+        trips = 100'000 + static_cast<std::int64_t>(rng.next_below(2'900'001));
+        cycles = rng.next_double() * 0.5;
+        break;
+      case 1:
+        trips = 1 + static_cast<std::int64_t>(rng.next_below(1'000'000));
+        break;
+      case 2:
+        break;
+      default:
+        trips = 1 + static_cast<std::int64_t>(rng.next_below(60));
+        cycles = 100.0 + rng.next_double() * 1e6;
+        break;
+    }
+    ir::LoopNest nest;
+    nest.name = std::string("n").append(std::to_string(n));
+    nest.loops.push_back(ir::Loop{"i", 0, trips, 1});
+    nest.body.push_back(ir::Statement{"s", {}, cycles});
+    p.nests.push_back(nest);
+  }
+  return p;
+}
+
 /// A measured timeline over `p`: noisy compute plus up to 60 requests,
-/// often at repeated iterations, each stalling 0, a few ms or 1e12 ms.
-StallAwareTimeline random_timeline(const ir::Program& p, SplitMix64& rng) {
+/// often at repeated iterations (all at one with `one_iteration`), each
+/// stalling 0, a few ms or 1e12 ms.
+StallAwareTimeline random_timeline(const ir::Program& p, SplitMix64& rng,
+                                   bool one_iteration = false) {
   Timeline compute = Timeline::with_noise(p, CycleNoise{0.3, rng.next_u64()});
   const std::int64_t total = compute.total_iterations();
   std::vector<std::int64_t> iters;
   std::vector<TimeMs> responses;
   const std::uint64_t requests = total == 0 ? 0 : rng.next_below(61);
   for (std::uint64_t i = 0; i < requests; ++i) {
-    const bool repeat = !iters.empty() && rng.next_below(3) == 0;
+    const bool repeat =
+        !iters.empty() && (one_iteration || rng.next_below(3) == 0);
     iters.push_back(repeat ? iters.back()
                            : static_cast<std::int64_t>(rng.next_below(
                                  static_cast<std::uint64_t>(total))));
@@ -267,9 +306,15 @@ TEST(TimelineCursor, NoRequestsIsTheComputeTimeline) {
 
 TEST(TimelineCursor, LatestStartMatchesTheSearchOverAtGlobal) {
   SplitMix64 rng(0x1ead);
-  for (int trial = 0; trial < 300; ++trial) {
-    const ir::Program p = random_program(rng);
-    const StallAwareTimeline sa = random_timeline(p, rng);
+  // The first 300 programs have at most 60 iterations per nest and at
+  // least 100 cycles per statement, so the closed-form guess holds; the
+  // next 300 are stress programs, every other one with all its requests
+  // at one iteration.
+  for (int trial = 0; trial < 600; ++trial) {
+    const bool stress = trial >= 300;
+    const ir::Program p = stress ? stress_program(rng) : random_program(rng);
+    const StallAwareTimeline sa =
+        random_timeline(p, rng, stress && trial % 2 == 0);
     const std::int64_t total = sa.total_iterations();
     if (total == 0) continue;
     // Increasing disjoint gaps, read the way the scheduler reads a disk's
