@@ -63,8 +63,17 @@ Runner::Runner(const workloads::Benchmark& benchmark,
                   config_.total_disks);
 }
 
+trace::GeneratorOptions Runner::actual_options() const {
+  trace::GeneratorOptions gen = config_.gen;
+  gen.noise = config_.actual_noise;
+  return gen;
+}
+
 const trace::Trace& Runner::trace() {
-  trace_once_.call([this] { trace_ = generate_actual(compiled_.program); });
+  trace_once_.call([this] {
+    trace_ = TraceCache::global().get_or_generate(compiled_.program, *layout_,
+                                                  actual_options());
+  });
   return *trace_;
 }
 
@@ -103,18 +112,19 @@ core::ScheduleResult Runner::schedule_cm(core::PowerMode mode) {
                                     config_.disk, so);
 }
 
-std::shared_ptr<const trace::Trace> Runner::generate_actual(
-    const ir::Program& program) const {
-  trace::GeneratorOptions gen = config_.gen;
-  gen.noise = config_.actual_noise;
-  return TraceCache::global().get_or_generate(program, *layout_, gen);
+std::shared_ptr<const trace::Trace> Runner::trace_with_calls(
+    const ir::Program& scheduled) {
+  const trace::Trace& base = trace();
+  if (scheduled.directives.empty()) return trace_;
+  return std::make_shared<const trace::Trace>(
+      trace::add_directives(base, scheduled, actual_options()));
 }
 
 trace::Trace Runner::cm_trace(core::PowerMode mode,
                               std::int64_t* calls_inserted) {
   const core::ScheduleResult scheduled = schedule_cm(mode);
   if (calls_inserted != nullptr) *calls_inserted = scheduled.calls_inserted;
-  return *generate_actual(scheduled.program);
+  return *trace_with_calls(scheduled.program);
 }
 
 const trace::StallAwareTimeline& Runner::measured_timeline(
@@ -199,7 +209,7 @@ SchemeResult Runner::run(Scheme scheme) {
       const core::ScheduleResult scheduled = schedule_cm(mode);
       result.power_calls = scheduled.calls_inserted;
       const std::shared_ptr<const trace::Trace> cm =
-          generate_actual(scheduled.program);
+          trace_with_calls(scheduled.program);
 
       policy::ProactivePolicy policy(scheme == Scheme::kCmtpm ? "CMTPM"
                                                               : "CMDRPM");

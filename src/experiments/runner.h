@@ -8,7 +8,8 @@
 //   CMTPM/CMDRPM  compiler pipeline: DAP analysis on the (transformed)
 //                 program, power-call insertion against the *measured*
 //                 per-nest timing (profile run), then closed-loop replay of
-//                 the re-generated trace under the proactive policy.
+//                 the Base trace with the calls added under the proactive
+//                 policy.
 //
 // The measured timing mirrors the paper's methodology: per-iteration cycle
 // estimates come from profiling the actual execution (so they include
@@ -89,8 +90,10 @@ struct SchemeResult {
 
 /// Evaluates one (benchmark, configuration) cell.  The Base run, the trace
 /// and the measured timelines are computed once and shared by all schemes.
-/// Traces come from the process-wide content-keyed TraceCache, so repeated
-/// cells with identical generation inputs reuse one generation.
+/// The trace comes from the process-wide content-keyed TraceCache, so
+/// repeated cells with identical generation inputs reuse one generation;
+/// each CM trace is built from it (trace::add_directives), since a
+/// scheduled program has the compiled program's nests and misses.
 ///
 /// Thread safety: after construction, run() may be called concurrently for
 /// different schemes — the lazy shared state (Base run, memoized measured
@@ -114,9 +117,9 @@ class Runner {
   /// noise, from the TraceCache.  Generated on first use; needs no Base run.
   const trace::Trace& trace();
 
-  /// The re-generated trace with the compiler's power calls inserted for
-  /// `mode`, as used by the CM schemes; `calls_inserted` (optional)
-  /// receives the directive count.
+  /// The trace with the compiler's power calls inserted for `mode`, as
+  /// used by the CM schemes, built from trace(); `calls_inserted`
+  /// (optional) receives the directive count.
   trace::Trace cm_trace(core::PowerMode mode,
                         std::int64_t* calls_inserted = nullptr);
 
@@ -139,9 +142,13 @@ class Runner {
   /// Run the compiler's power-call scheduler for `mode` against the
   /// profile-noise estimate.
   core::ScheduleResult schedule_cm(core::PowerMode mode);
-  /// The production-run trace of `program` (actual noise), via the cache.
-  std::shared_ptr<const trace::Trace> generate_actual(
-      const ir::Program& program) const;
+  /// config_.gen under the production run's (actual) noise.
+  trace::GeneratorOptions actual_options() const;
+  /// The production-run trace of `scheduled`, the compiled program plus
+  /// power calls: the Base trace with the calls added
+  /// (trace::add_directives), or the Base trace itself when there are none.
+  std::shared_ptr<const trace::Trace> trace_with_calls(
+      const ir::Program& scheduled);
 
   workloads::Benchmark benchmark_;
   ExperimentConfig config_;

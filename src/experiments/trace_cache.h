@@ -1,10 +1,14 @@
 // Content-keyed trace cache.
 //
-// Base, TPM and DRPM all replay the *same* power-call-free trace, and bench
-// sweeps revisit identical (program, layout, options) combinations across
-// configurations.  The cache keys traces by a 128-bit fingerprint of
-// everything that determines the generated trace bit for bit, so a hit is
-// guaranteed to return the exact trace a fresh generation would produce.
+// Bench sweeps revisit identical (program, layout, options) combinations
+// across configurations.  The cache keys traces by a 128-bit fingerprint
+// of everything that determines the generated trace bit for bit, so a hit
+// is guaranteed to return the exact trace a fresh generation would
+// produce.  experiments::Runner looks up one trace per cell here, the
+// power-call-free trace that Base, TPM and DRPM replay; it builds each CM
+// trace from that one with trace::add_directives instead, so scheduled
+// programs, with their tens of thousands of directives, are neither
+// fingerprinted nor kept here.
 //
 // Two keys, one mixer (util/fingerprint.h):
 //   access key  trace::access_key_of: what the access walk reads (program

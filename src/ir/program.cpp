@@ -66,16 +66,22 @@ void Program::sort_directives() {
 
 void Program::validate() const {
   for (const LoopNest& nest : nests) nest.validate(arrays);
+  // Each nest's iteration count once, not once per directive: a scheduled
+  // program carries tens of thousands of directives.
+  std::vector<std::int64_t> iterations;
+  iterations.reserve(nests.size());
+  for (const LoopNest& nest : nests) {
+    iterations.push_back(nest.iteration_count());
+  }
   for (const PlacedDirective& pd : directives) {
     SDPM_REQUIRE(pd.point.nest_index >= 0 &&
                      pd.point.nest_index < static_cast<int>(nests.size()),
                  "directive attached to unknown nest");
-    const LoopNest& nest =
-        nests[static_cast<std::size_t>(pd.point.nest_index)];
+    const auto n = static_cast<std::size_t>(pd.point.nest_index);
     SDPM_REQUIRE(pd.point.flat_iteration >= 0 &&
-                     pd.point.flat_iteration <= nest.iteration_count(),
-                 "directive iteration out of range in nest '" + nest.name +
-                     "'");
+                     pd.point.flat_iteration <= iterations[n],
+                 "directive iteration out of range in nest '" +
+                     nests[n].name + "'");
     SDPM_REQUIRE(pd.directive.disk >= 0, "directive disk must be >= 0");
   }
 }

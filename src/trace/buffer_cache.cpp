@@ -100,6 +100,7 @@ void BufferCache::link_after(std::uint32_t at, std::uint32_t node) {
 
 void BufferCache::evict_lru() {
   const std::uint32_t victim = nodes_[0].prev;
+  evicted_own_ = evicted_own_ || nodes_[victim].nest == nest_;
   used_ -= nodes_[victim].bytes;
   index_erase(nodes_[victim].key);
   unlink(victim);
@@ -113,6 +114,7 @@ bool BufferCache::hit(ir::ArrayId array, std::int64_t block,
   const std::uint32_t node = find(make_key(array, block));
   if (node == 0) return false;
   ++hits_;
+  nodes_[node].nest = nest_;
   const std::uint32_t at = place(anchor);
   if (at != node) {
     unlink(node);
@@ -128,7 +130,10 @@ void BufferCache::insert(ir::ArrayId array, std::int64_t block,
   const std::uint64_t key = make_key(array, block);
   // Evict from the tail until the new block fits.
   while (used_ + block_bytes > capacity_ && nodes_[0].prev != 0) evict_lru();
-  if (block_bytes > capacity_) return;
+  if (block_bytes > capacity_) {
+    evicted_own_ = true;  // emptied
+    return;
+  }
   std::uint32_t node = free_;
   if (node != 0) {
     free_ = nodes_[node].next;
@@ -140,9 +145,15 @@ void BufferCache::insert(ir::ArrayId array, std::int64_t block,
   }
   nodes_[node].key = key;
   nodes_[node].bytes = block_bytes;
+  nodes_[node].nest = nest_;
   link_after(place(anchor), node);
   index_insert(key, node);
   used_ += block_bytes;
+}
+
+void BufferCache::begin_nest(int nest) {
+  nest_ = nest;
+  evicted_own_ = capacity_ == 0;
 }
 
 bool BufferCache::access(ir::ArrayId array, std::int64_t block,

@@ -9,6 +9,10 @@
 // behind an open-addressing index (linear probing, backward-shift
 // deletion), so no access allocates once the cache has grown to its
 // working set.
+//
+// Each entry is stamped with the nest that last touched it, so the cache
+// can tell when a nest evicts one of its own blocks: from then on it holds
+// only what that nest's touches put there (DESIGN.md §9, nest replay).
 #pragma once
 
 #include <cstdint>
@@ -48,6 +52,17 @@ class BufferCache {
   void insert(ir::ArrayId array, std::int64_t block, Bytes block_bytes,
               const CacheBlock* anchor = nullptr);
 
+  /// Start nest `nest`: every block touched from now on is stamped with
+  /// it, and evicted_own() restarts (true at once at capacity 0).
+  void begin_nest(int nest);
+
+  /// Whether, since begin_nest(), the cache evicted a block stamped with
+  /// the current nest or was emptied by a block larger than the capacity
+  /// (always at capacity 0).  Every block older than the nest's goes before
+  /// the nest's own, so after such an event the cache holds only what the
+  /// nest's touches put there.
+  bool evicted_own() const { return evicted_own_; }
+
   std::int64_t hits() const { return hits_; }
   std::int64_t misses() const { return misses_; }
   Bytes bytes_used() const { return used_; }
@@ -62,6 +77,7 @@ class BufferCache {
     Bytes bytes = 0;
     std::uint32_t prev = 0;
     std::uint32_t next = 0;
+    int nest = 0;  // the nest that last touched the entry
   };
   /// An index slot; `node == 0` marks it empty.
   struct Slot {
@@ -86,6 +102,8 @@ class BufferCache {
   Bytes used_ = 0;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
+  int nest_ = 0;  // the stamp of the current nest
+  bool evicted_own_ = false;
   std::vector<Node> nodes_;
   std::uint32_t free_ = 0;   // first free node, 0 when none
   std::vector<Slot> slots_;  // power-of-two size, at most half full

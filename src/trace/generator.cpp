@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace sdpm::trace {
 
@@ -71,11 +72,75 @@ Bytes block_size_for(const layout::LayoutTable& layout, ir::ArrayId array,
   return options.block_size;
 }
 
+namespace {
+
+/// Whether two nests have the same access shape, the per-nest part of
+/// access_key_of: loop bounds and steps, and each statement's references
+/// in order (array, kind, subscripts).  Nests of one program with the same
+/// shape make the same touches at the same flat iterations.
+bool same_access_shape(const ir::LoopNest& a, const ir::LoopNest& b) {
+  if (a.loops.size() != b.loops.size() || a.body.size() != b.body.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < a.loops.size(); ++k) {
+    const ir::Loop& x = a.loops[k];
+    const ir::Loop& y = b.loops[k];
+    if (x.lower != y.lower || x.upper != y.upper || x.step != y.step) {
+      return false;
+    }
+  }
+  for (std::size_t s = 0; s < a.body.size(); ++s) {
+    const std::vector<ir::ArrayRef>& x = a.body[s].refs;
+    const std::vector<ir::ArrayRef>& y = b.body[s].refs;
+    if (x.size() != y.size()) return false;
+    for (std::size_t r = 0; r < x.size(); ++r) {
+      if (x[r].array != y[r].array || x[r].kind != y[r].kind ||
+          x[r].subscripts != y[r].subscripts) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Each nest's shape id: the index of the first nest with its access
+/// shape.  Exact comparison, no hash, so no collision can merge shapes.
+std::vector<int> shape_ids(const ir::Program& program) {
+  std::vector<int> ids(program.nests.size());
+  for (std::size_t n = 0; n < ids.size(); ++n) {
+    ids[n] = static_cast<int>(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      if (ids[m] == static_cast<int>(m) &&
+          same_access_shape(program.nests[m], program.nests[n])) {
+        ids[n] = ids[m];
+        break;
+      }
+    }
+  }
+  return ids;
+}
+
+/// A walked nest j whose predecessor evicted one of its own blocks: what a
+/// later nest k replays when nests k-1, k have the shapes of j-1, j.
+struct Twin {
+  int before = 0;            ///< shape of nest j-1
+  int shape = 0;             ///< shape of nest j
+  std::size_t first = 0;     ///< nest j's misses are out[first, last)
+  std::size_t last = 0;
+  std::int64_t begin = 0;    ///< nest_begin(j)
+  std::int64_t skipped = 0;  ///< sweeps nest j skipped
+  std::int64_t pinned = 0;   ///< sweeps nest j pinned
+  BufferCache cache;         ///< the cache as nest j left it
+};
+
+}  // namespace
+
 MissCursor::MissCursor(const ir::Program& program,
                        const layout::LayoutTable& layout,
                        const GeneratorOptions& options)
-    : layout_(&layout), options_(options), space_(program),
-      geometry_(program.arrays.size()), cache_(options.cache_bytes),
+    : program_(&program), layout_(&layout), options_(options),
+      space_(program), geometry_(program.arrays.size()),
+      cache_(options.cache_bytes),
       cursor_(
           program, [this](ir::ArrayId a) { return block_size_of(a); },
           options.cache_bytes) {
@@ -92,9 +157,9 @@ Bytes MissCursor::block_size_of(ir::ArrayId array) {
   return g.block_size;
 }
 
-bool MissCursor::next(MissRecord& out) {
+void MissCursor::walk_nest(std::vector<MissRecord>& out) {
   BlockTouch touch;
-  while (cursor_.next(touch)) {
+  while (cursor_.next_in_nest(touch)) {
     const CacheBlock* anchor = cursor_.anchor();
     if (cache_.hit(touch.array, touch.block, anchor)) continue;
     const Geometry& g = geometry_[static_cast<std::size_t>(touch.array)];
@@ -104,17 +169,65 @@ bool MissCursor::next(MissRecord& out) {
 
     // A block never spans disks: block size divides the stripe size.
     const layout::PhysicalLocation loc = layout_->locate(touch.array, begin);
-    out.global_iter =
+    MissRecord& miss = out.emplace_back();
+    miss.global_iter =
         space_.global_of(ir::IterationPoint{touch.nest, touch.flat_iter});
-    out.disk = loc.disk;
-    out.start_sector = loc.sector();
-    out.size_bytes = length;
-    out.kind = touch.kind;
-    out.array = touch.array;
-    out.block = touch.block;
-    return true;
+    miss.disk = loc.disk;
+    miss.start_sector = loc.sector();
+    miss.size_bytes = length;
+    miss.kind = touch.kind;
+    miss.array = touch.array;
+    miss.block = touch.block;
   }
-  return false;
+}
+
+// Nest replay (DESIGN.md §9).  Whether a nest evicts one of its own blocks
+// follows from its shape (its distinct blocks outgrow the cache), so the
+// verdict is kept per shape and holds for a replayed nest too.
+void MissCursor::walk(std::vector<MissRecord>& out) {
+  const std::vector<int> shape = shape_ids(*program_);
+  // Per shape: whether its nests evict one of their own blocks, known
+  // once one of them is walked.
+  std::vector<bool> evicts_own(shape.size());
+  std::vector<Twin> twins;
+  for (int n = cursor_.nest(); n < space_.nest_count(); n = cursor_.nest()) {
+    const auto i = static_cast<std::size_t>(n);
+    const bool after_reset =
+        n > 0 && evicts_own[static_cast<std::size_t>(shape[i - 1])];
+    const auto twin =
+        after_reset ? std::find_if(twins.begin(), twins.end(),
+                                   [&](const Twin& t) {
+                                     return t.before == shape[i - 1] &&
+                                            t.shape == shape[i];
+                                   })
+                    : twins.end();
+    if (twin != twins.end()) {
+      const std::int64_t shift = space_.nest_begin(n) - twin->begin;
+      for (std::size_t m = twin->first; m < twin->last; ++m) {
+        MissRecord miss = out[m];
+        miss.global_iter += shift;
+        out.push_back(miss);
+      }
+      cache_ = twin->cache;
+      replayed_skips_ += twin->skipped;
+      replayed_pins_ += twin->pinned;
+      ++nests_replayed_;
+    } else {
+      const std::size_t first = out.size();
+      const std::int64_t skipped = cursor_.sweeps_skipped();
+      const std::int64_t pinned = cursor_.sweeps_pinned();
+      cache_.begin_nest(n);
+      walk_nest(out);
+      evicts_own[static_cast<std::size_t>(shape[i])] = cache_.evicted_own();
+      if (after_reset) {
+        twins.push_back(Twin{shape[i - 1], shape[i], first, out.size(),
+                             space_.nest_begin(n),
+                             cursor_.sweeps_skipped() - skipped,
+                             cursor_.sweeps_pinned() - pinned, cache_});
+      }
+    }
+    cursor_.leave_nest();
+  }
 }
 
 AccessKey access_key_of(const ir::Program& program,
@@ -227,18 +340,21 @@ std::shared_ptr<const std::vector<MissRecord>> collect_misses(
   // parallel.
   MissCursor cursor(program, layout, options);
   auto misses = std::make_shared<std::vector<MissRecord>>();
-  MissRecord miss;
-  while (cursor.next(miss)) misses->push_back(miss);
+  cursor.walk(*misses);
   static obs::MetricsRegistry::Counter& walks_run =
       obs::MetricsRegistry::global().counter("trace.walks_run");
   static obs::MetricsRegistry::Counter& sweeps_skipped =
       obs::MetricsRegistry::global().counter("trace.sweeps_skipped");
   static obs::MetricsRegistry::Counter& sweeps_pinned =
       obs::MetricsRegistry::global().counter("trace.sweeps_pinned");
+  static obs::MetricsRegistry::Counter& nests_replayed =
+      obs::MetricsRegistry::global().counter("trace.nests_replayed");
   walks_run.fetch_add(1, std::memory_order_relaxed);
   sweeps_skipped.fetch_add(cursor.sweeps_skipped(),
                            std::memory_order_relaxed);
   sweeps_pinned.fetch_add(cursor.sweeps_pinned(), std::memory_order_relaxed);
+  nests_replayed.fetch_add(cursor.nests_replayed(),
+                           std::memory_order_relaxed);
   memo.insert(key, misses);
   return misses;
 }
@@ -296,6 +412,53 @@ Trace TraceGenerator::generate() const {
   static obs::MetricsRegistry::Counter& generated =
       obs::MetricsRegistry::global().counter("trace.generated");
   generated.fetch_add(1, std::memory_order_relaxed);
+  return trace;
+}
+
+Trace add_directives(const Trace& base, const ir::Program& program,
+                     const GeneratorOptions& options) {
+  program.validate();
+  SDPM_REQUIRE(base.power_events.empty(),
+               str_printf("add_directives: the base trace carries %zu power "
+                          "events; it must be a trace without directives",
+                          base.power_events.size()));
+  const Timeline actual =
+      Timeline::with_noise(program, options.noise, options.clock_hz);
+  SDPM_REQUIRE(base.compute_total_ms == actual.total(),
+               str_printf("add_directives: the base trace's compute total "
+                          "(%.17g ms) is not the timeline's of program '%s' "
+                          "(%.17g ms): it was made under another program, "
+                          "noise or clock",
+                          base.compute_total_ms, program.name.c_str(),
+                          actual.total()));
+  const TimeMs tm = options.power_call_overhead_ms;
+  const std::vector<std::int64_t> directive_globals =
+      directive_globals_of(program, actual.space());
+
+  Trace trace;
+  trace.total_disks = base.total_disks;
+  trace.power_events =
+      power_events_of(program, actual, directive_globals, tm);
+  trace.requests.reserve(base.requests.size());
+  std::size_t directives_before = 0;
+  std::int64_t previous_iter = 0;
+  for (const Request& r : base.requests) {
+    SDPM_REQUIRE(r.global_iter >= previous_iter,
+                 "misses must come in program order: iteration " +
+                     std::to_string(r.global_iter) + " after " +
+                     std::to_string(previous_iter));
+    previous_iter = r.global_iter;
+    while (directives_before < directive_globals.size() &&
+           directive_globals[directives_before] <= r.global_iter) {
+      ++directives_before;
+    }
+    Request& shifted = trace.requests.emplace_back(r);
+    shifted.arrival_ms += tm * static_cast<double>(directives_before);
+  }
+  trace.bytes_transferred = base.bytes_transferred;
+  trace.compute_total_ms =
+      base.compute_total_ms +
+      tm * static_cast<double>(program.directives.size());
   return trace;
 }
 

@@ -10,7 +10,9 @@
 // The generator reads the access walk through collect_misses, which
 // memoizes it by access key: the walk reads no directive, cycle count or
 // noise value, so every trace, DAP and compiler profile of one program
-// structure shares a single walk.
+// structure shares a single walk.  A scheduled program's trace need not
+// be generated at all: add_directives builds it from the trace of the
+// same program without directives.
 #pragma once
 
 #include <cstddef>
@@ -67,14 +69,17 @@ struct MissRecord {
   friend bool operator==(const MissRecord&, const MissRecord&) = default;
 };
 
-/// Pull-based access walk + buffer cache: next() yields every miss in
-/// program order, one at a time, with memory independent of the trace
-/// length; collect_misses materializes it.  It hands its cache capacity
-/// to the TouchCursor, which then skips every outer sweep that provably
-/// hits the cache on each touch — such a sweep adds no miss and leaves the
-/// LRU as it was — and pins every sweep whose touches after trip 0
-/// provably hit, yielding only its trip-0 touches with the LRU position
-/// that keeps the cache as the whole sweep would leave it.  So the miss
+/// The access walk + buffer cache: walk() appends every miss in program
+/// order.  It hands its cache capacity to the TouchCursor, which then skips
+/// every outer sweep that provably hits the cache on each touch — such a
+/// sweep adds no miss and leaves the LRU as it was — and pins every sweep
+/// whose touches after trip 0 provably hit, yielding only its trip-0
+/// touches with the LRU position that keeps the cache as the whole sweep
+/// would leave it.  One level up it replays whole nests: when nests k-1
+/// and k have the access shapes (the per-nest part of access_key_of) of an
+/// earlier pair j-1, j and nest j-1 evicted one of its own blocks, nest k
+/// misses exactly as nest j did, shifted by nest_begin(k) - nest_begin(j),
+/// and leaves the cache as nest j left it (DESIGN.md §9).  So the miss
 /// stream is the one a touch-by-touch walk produces.  Each array's block
 /// size and file size are resolved once per walk, when a nest first names
 /// the array.  The program and layout must outlive the cursor.
@@ -86,14 +91,25 @@ class MissCursor {
   MissCursor(const MissCursor&) = delete;
   MissCursor& operator=(const MissCursor&) = delete;
 
-  /// Advance to the next cache miss; false when the walk is complete.
-  bool next(MissRecord& out);
+  /// Walk every nest not walked yet, appending its misses to `out`.  A
+  /// replayed nest copies its twin's misses from `out` itself, so the
+  /// replay memo holds index ranges and one cache copy per nest pair, and
+  /// lives and dies with this call.
+  void walk(std::vector<MissRecord>& out);
 
-  /// Outer sweeps the walk has skipped as all-hit repeats so far.
-  std::int64_t sweeps_skipped() const { return cursor_.sweeps_skipped(); }
+  /// Outer sweeps the walk has skipped as all-hit repeats so far, a
+  /// replayed nest's counted as its twin's.
+  std::int64_t sweeps_skipped() const {
+    return cursor_.sweeps_skipped() + replayed_skips_;
+  }
 
-  /// Outer sweeps the walk has walked pinned so far.
-  std::int64_t sweeps_pinned() const { return cursor_.sweeps_pinned(); }
+  /// Outer sweeps the walk has walked pinned so far, likewise.
+  std::int64_t sweeps_pinned() const {
+    return cursor_.sweeps_pinned() + replayed_pins_;
+  }
+
+  /// Nests replayed from an earlier twin instead of walked.
+  std::int64_t nests_replayed() const { return nests_replayed_; }
 
  private:
   /// An array's block size and file size; block_size 0 until resolved.
@@ -102,13 +118,19 @@ class MissCursor {
     Bytes file_size = 0;
   };
   Bytes block_size_of(ir::ArrayId array);
+  /// Walk the cursor's current nest to its end, appending its misses.
+  void walk_nest(std::vector<MissRecord>& out);
 
+  const ir::Program* program_;
   const layout::LayoutTable* layout_;
   GeneratorOptions options_;
   IterationSpace space_;
   std::vector<Geometry> geometry_;  // per array
   BufferCache cache_;
   TouchCursor cursor_;
+  std::int64_t replayed_skips_ = 0;
+  std::int64_t replayed_pins_ = 0;
+  std::int64_t nests_replayed_ = 0;
 };
 
 /// 128-bit fingerprint of exactly what the access walk reads:
@@ -133,12 +155,15 @@ inline constexpr std::size_t kAccessMemoCapacity = 8;
 /// materialized access walk.  The trace generator, the DAP analysis (and
 /// through it the scheduler and the analyzer) and the compiler's tiling and
 /// PDC profiles all read it, so the compiler's model and the "hardware"
-/// agree exactly.  Walks are memoized by access_key_of in a process-wide,
-/// thread-safe LRU of kAccessMemoCapacity entries; a hit returns the misses
-/// a fresh walk of the same key produces.  A walk that throws is not
-/// memoized.  Each walk actually run counts into the metrics registry's
-/// "trace.walks_run", the sweeps it skipped into "trace.sweeps_skipped"
-/// and the sweeps it pinned into "trace.sweeps_pinned".
+/// agree exactly.  experiments::Runner's CM traces do not read it again:
+/// they are built from the Base trace (add_directives).  Walks are
+/// memoized by access_key_of in a process-wide, thread-safe LRU of
+/// kAccessMemoCapacity entries; a hit returns the misses a fresh walk of
+/// the same key produces.  A walk that throws is not memoized.  Each walk
+/// actually run counts into the metrics registry's "trace.walks_run", the
+/// sweeps it skipped into "trace.sweeps_skipped", the sweeps it pinned
+/// into "trace.sweeps_pinned" and the nests it replayed into
+/// "trace.nests_replayed".
 std::shared_ptr<const std::vector<MissRecord>> collect_misses(
     const ir::Program& program, const layout::LayoutTable& layout,
     const GeneratorOptions& options);
@@ -165,6 +190,20 @@ class TraceGenerator {
   GeneratorOptions options_;
   Timeline actual_;
 };
+
+/// The trace TraceGenerator(program, layout, options).generate() makes,
+/// built from `base`: the trace of the same program without directives,
+/// on the same layout under the same options.  Directives move no nest and
+/// no miss, so each request is base's with Tm x (directives at or before
+/// its iteration) added to its arrival, bit for bit, since a base arrival
+/// is t(g) + Tm x 0 = t(g) + 0.0; so is the compute total, and the power
+/// events are timed as generate() times them.  Makes the checks the
+/// generator makes on the program (Program::validate, sorted directives,
+/// requests in program order), and fails with a located error when `base`
+/// carries power events or its compute total is not the program's
+/// timeline's (a base trace of another program, noise or clock).
+Trace add_directives(const Trace& base, const ir::Program& program,
+                     const GeneratorOptions& options);
 
 /// Resolve the per-array block size implied by `options` and the layout.
 Bytes block_size_for(const layout::LayoutTable& layout, ir::ArrayId array,

@@ -101,7 +101,8 @@ struct HeapEntry {
 // odometer — so next() replays the original loop structure one emission at
 // a time and yields the identical touch order, less the sweeps that
 // start_sweep proves to be all-hit repeats and the touches of pinned
-// sweeps that provably hit, when given a cache capacity.
+// sweeps that provably hit, when given a cache capacity.  A nest's state
+// is built on its first touch, so a nest left before it runs no check.
 struct TouchCursor::Impl {
   const ir::Program* program = nullptr;
   BlockSizeFn block_size_of;
@@ -110,6 +111,7 @@ struct TouchCursor::Impl {
   std::int64_t pinned = 0;   // outer sweeps walked pinned so far
 
   int nest = 0;  // current nest index; nest_count() when done
+  bool entered = false;  // the per-nest state below is the nest's
 
   // Per-nest state (rebuilt by enter_nest):
   std::vector<RefInfo> refs;
@@ -202,6 +204,7 @@ struct TouchCursor::Impl {
     o = 0;
     run = 0;
     sole_multi_ref = -1;
+    heap.clear();  // a nest left in mid-walk leaves its touches queued
     if (outer_total > 0) start_sweep();
   }
 
@@ -395,9 +398,13 @@ struct TouchCursor::Impl {
     }
   }
 
-  bool next(BlockTouch& out) {
+  bool next_in_nest(BlockTouch& out) {
+    if (nest >= nest_count()) return false;
+    if (!entered) {
+      enter_nest();
+      entered = true;
+    }
     for (;;) {
-      if (nest >= nest_count()) return false;
       if (!heap.empty()) {
         std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
         const HeapEntry top = heap.back();
@@ -420,15 +427,16 @@ struct TouchCursor::Impl {
         return true;
       }
       if (run > 0) skip_run_sweeps();
-      if (o + 1 < outer_total) {
-        advance_outer();
-        ++o;
-        start_sweep();
-        continue;
-      }
-      ++nest;
-      if (nest < nest_count()) enter_nest();
+      if (o + 1 >= outer_total) return false;
+      advance_outer();
+      ++o;
+      start_sweep();
     }
+  }
+
+  void leave_nest() {
+    if (nest < nest_count()) ++nest;
+    entered = false;
   }
 };
 
@@ -439,14 +447,27 @@ TouchCursor::TouchCursor(const ir::Program& program, BlockSizeFn block_size_of,
   impl_->program = &program;
   impl_->block_size_of = std::move(block_size_of);
   impl_->capacity = cache_capacity;
-  if (impl_->nest_count() > 0) impl_->enter_nest();
 }
 
 TouchCursor::~TouchCursor() = default;
 TouchCursor::TouchCursor(TouchCursor&&) noexcept = default;
 TouchCursor& TouchCursor::operator=(TouchCursor&&) noexcept = default;
 
-bool TouchCursor::next(BlockTouch& out) { return impl_->next(out); }
+bool TouchCursor::next(BlockTouch& out) {
+  while (!impl_->next_in_nest(out)) {
+    if (impl_->nest >= impl_->nest_count()) return false;
+    impl_->leave_nest();
+  }
+  return true;
+}
+
+bool TouchCursor::next_in_nest(BlockTouch& out) {
+  return impl_->next_in_nest(out);
+}
+
+void TouchCursor::leave_nest() { impl_->leave_nest(); }
+
+int TouchCursor::nest() const { return impl_->nest; }
 
 const CacheBlock* TouchCursor::anchor() const {
   return impl_->pinned_sweep ? &impl_->anchor : nullptr;

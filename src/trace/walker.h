@@ -79,6 +79,19 @@ class TouchCursor {
   /// Advance to the next touch; returns false when the walk is complete.
   bool next(BlockTouch& out);
 
+  /// The nest the cursor is in: next_in_nest() yields its touches
+  /// (nest_count() once the walk is complete).
+  int nest() const;
+
+  /// Advance to the next touch of the current nest; false once the nest is
+  /// finished, and the cursor stays at its end until leave_nest().
+  bool next_in_nest(BlockTouch& out);
+
+  /// Move to the next nest, yielding nothing more of the current one.  A
+  /// nest left before its first touch is never entered: it runs neither
+  /// its bounds checks nor its block-size lookups.
+  void leave_nest();
+
   /// Where the touch next() last yielded goes in the LRU: null for the
   /// front, else the resident block it goes right below (a pinned sweep's
   /// touch; never without a cache capacity).

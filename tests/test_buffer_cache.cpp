@@ -108,6 +108,57 @@ TEST(BufferCache, AnchorPlacesRightBelowIt) {
   EXPECT_FALSE(cache.access(0, 2, 64));
 }
 
+TEST(BufferCache, EvictingAnOwnBlockSetsTheNestFlag) {
+  BufferCache cache(2 * 64);
+  cache.begin_nest(0);
+  cache.access(0, 0, 64);
+  cache.access(0, 1, 64);
+  cache.begin_nest(1);
+  cache.access(0, 2, 64);  // evicts block 0, nest 0's
+  cache.access(0, 3, 64);  // evicts block 1, nest 0's
+  EXPECT_FALSE(cache.evicted_own());
+  cache.access(0, 4, 64);  // evicts block 2, the nest's own
+  EXPECT_TRUE(cache.evicted_own());
+  cache.begin_nest(2);
+  EXPECT_FALSE(cache.evicted_own());
+}
+
+TEST(BufferCache, OversizeInsertSetsTheNestFlag) {
+  BufferCache cache(100);
+  cache.begin_nest(0);
+  cache.access(0, 0, 50);
+  cache.begin_nest(1);
+  EXPECT_FALSE(cache.access(0, 1, 200));  // empties the cache
+  EXPECT_TRUE(cache.evicted_own());
+  EXPECT_EQ(cache.bytes_used(), 0);
+  cache.begin_nest(2);
+  EXPECT_FALSE(cache.access(0, 1, 200));  // nothing left to evict
+  EXPECT_TRUE(cache.evicted_own());
+}
+
+TEST(BufferCache, ZeroCapacitySetsTheNestFlagAtOnce) {
+  // A cache that keeps nothing forgets every nest before it, touched or
+  // not.
+  BufferCache cache(0);
+  cache.begin_nest(3);
+  EXPECT_TRUE(cache.evicted_own());
+  cache.access(0, 0, 8);
+  EXPECT_TRUE(cache.evicted_own());
+}
+
+TEST(BufferCache, AHitRestampsAnOldBlock) {
+  BufferCache cache(2 * 64);
+  cache.begin_nest(0);
+  cache.access(0, 0, 64);
+  cache.access(0, 1, 64);
+  cache.begin_nest(1);
+  EXPECT_TRUE(cache.access(0, 0, 64));  // block 0 is now nest 1's
+  cache.access(0, 2, 64);               // evicts block 1, nest 0's
+  EXPECT_FALSE(cache.evicted_own());
+  cache.access(0, 3, 64);  // evicts block 0, re-stamped by the hit
+  EXPECT_TRUE(cache.evicted_own());
+}
+
 TEST(BufferCache, MatchesTheReferenceLru) {
   // Seeded sequences of (array, block, bytes) over a dense key space: each
   // cache holds about 40 entries of up to 256 keys, so the index grows

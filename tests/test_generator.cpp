@@ -1,6 +1,7 @@
 // TraceGenerator: request stream correctness.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "reference_lru.h"
 #include "trace/generator.h"
 #include "trace/text_io.h"
+#include "trace_bits.h"
 #include "util/error.h"
 #include "workloads/benchmarks.h"
 #include "workloads/synthetic.h"
@@ -165,6 +167,116 @@ TEST(Generator, CollectMissesMatchesTraceRequests) {
   }
 }
 
+// --- add_directives: a scheduled program's trace from its Base trace -----
+
+/// sweep_twice_program plus directives at iteration 0, one past nest s1's
+/// last iteration (16 * 8192), twice at one point in s2, and at s2's end.
+ir::Program with_directives(ir::Program p) {
+  const auto place = [&p](int nest, std::int64_t flat,
+                          ir::PowerDirective::Kind kind, int disk) {
+    p.directives.push_back(
+        ir::PlacedDirective{{nest, flat}, ir::PowerDirective{kind, disk, 0}});
+  };
+  place(0, 0, ir::PowerDirective::Kind::kSpinDown, 1);
+  place(0, 16 * 8192, ir::PowerDirective::Kind::kSpinUp, 1);
+  place(1, 40'000, ir::PowerDirective::Kind::kSpinDown, 2);
+  place(1, 40'000, ir::PowerDirective::Kind::kSpinDown, 3);
+  place(1, 16 * 8192, ir::PowerDirective::Kind::kSpinUp, 2);
+  p.sort_directives();
+  return p;
+}
+
+/// The text of the sdpm::Error `f` throws ("" when it throws none).
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AddDirectives, EqualsTheGeneratorsTrace) {
+  const ir::Program base_program = sweep_twice_program();
+  const ir::Program scheduled = with_directives(base_program);
+  const layout::LayoutTable table(base_program,
+                                  layout::Striping{0, 4, kib(64)}, 4);
+  struct Case {
+    const char* label;
+    TimeMs tm;
+    TimeMs prefetch_lead_ms;
+    CycleNoise noise;
+  };
+  for (const Case& c : {
+           Case{"paper Tm, sigma 0", 0.02, 0, CycleNoise::none()},
+           Case{"Tm 0", 0, 0, CycleNoise{0.2, 7}},
+           Case{"prefetch lead", 0.02, 1.5, CycleNoise{0.2, 7}},
+           Case{"large Tm, noise", 3.7, 0, CycleNoise{0.35, 11}},
+       }) {
+    GeneratorOptions options = no_cache();
+    options.power_call_overhead_ms = c.tm;
+    options.prefetch_lead_ms = c.prefetch_lead_ms;
+    options.noise = c.noise;
+    const Trace base = TraceGenerator(base_program, table, options).generate();
+    const Trace generated =
+        TraceGenerator(scheduled, table, options).generate();
+    ASSERT_EQ(generated.power_events.size(), 5u) << c.label;
+    EXPECT_EQ(test::first_difference(
+                  add_directives(base, scheduled, options), generated),
+              "")
+        << c.label;
+  }
+}
+
+TEST(AddDirectives, RejectsABaseTraceWithPowerEvents) {
+  const ir::Program scheduled = with_directives(sweep_twice_program());
+  const layout::LayoutTable table(scheduled, layout::Striping{0, 4, kib(64)},
+                                  4);
+  const Trace generated =
+      TraceGenerator(scheduled, table, no_cache()).generate();
+  const std::string error =
+      error_of([&] { add_directives(generated, scheduled, no_cache()); });
+  EXPECT_NE(error.find("add_directives: the base trace carries 5 power "
+                       "events"),
+            std::string::npos)
+      << error;
+}
+
+TEST(AddDirectives, RejectsABaseTraceOfAnotherNoiseSeed) {
+  const ir::Program base_program = sweep_twice_program();
+  const ir::Program scheduled = with_directives(base_program);
+  const layout::LayoutTable table(base_program,
+                                  layout::Striping{0, 4, kib(64)}, 4);
+  GeneratorOptions options = no_cache();
+  options.noise = CycleNoise{0.2, 1};
+  const Trace base = TraceGenerator(base_program, table, options).generate();
+  options.noise.seed = 2;
+  const std::string error =
+      error_of([&] { add_directives(base, scheduled, options); });
+  EXPECT_NE(error.find("add_directives: the base trace's compute total"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("program 'p'"), std::string::npos) << error;
+}
+
+TEST(AddDirectives, KeepsTheGeneratorsProgramChecks) {
+  const ir::Program base_program = sweep_twice_program();
+  const layout::LayoutTable table(base_program,
+                                  layout::Striping{0, 4, kib(64)}, 4);
+  const Trace base =
+      TraceGenerator(base_program, table, no_cache()).generate();
+  ir::Program unsorted = with_directives(base_program);
+  std::swap(unsorted.directives.front(), unsorted.directives.back());
+  EXPECT_NE(error_of([&] { add_directives(base, unsorted, no_cache()); })
+                .find("program directives must be sorted"),
+            std::string::npos);
+  ir::Program past_the_end = with_directives(base_program);
+  past_the_end.directives.back().point.flat_iteration = 16 * 8192 + 1;
+  EXPECT_NE(error_of([&] { add_directives(base, past_the_end, no_cache()); })
+                .find("directive iteration out of range in nest 's2'"),
+            std::string::npos);
+}
+
 // --- WalkSkip: the skipping walk against the touch-by-touch walk ---------
 
 /// The miss stream of a walk that enumerates every touch: a TouchCursor
@@ -205,6 +317,7 @@ struct SkippingWalk {
   std::vector<MissRecord> misses;
   std::int64_t sweeps_skipped = 0;
   std::int64_t sweeps_pinned = 0;
+  std::int64_t nests_replayed = 0;
 };
 
 /// The product walk, straight from MissCursor (no memo involved).
@@ -213,10 +326,10 @@ SkippingWalk skipping_walk(const ir::Program& program,
                            const GeneratorOptions& options) {
   MissCursor cursor(program, layout, options);
   SkippingWalk walk;
-  MissRecord miss;
-  while (cursor.next(miss)) walk.misses.push_back(miss);
+  cursor.walk(walk.misses);
   walk.sweeps_skipped = cursor.sweeps_skipped();
   walk.sweeps_pinned = cursor.sweeps_pinned();
+  walk.nests_replayed = cursor.nests_replayed();
   return walk;
 }
 
@@ -249,14 +362,19 @@ layout::LayoutTable paper_layout(const ir::Program& program) {
 }
 
 TEST(WalkSkip, PaperBenchmarksMatchTheFullWalk) {
-  // Sweeps skipped and pinned per walk at paper defaults (64 KiB blocks,
-  // 6 MiB cache) are pinned, so a change that narrows either fails here.
+  // Sweeps skipped and pinned and nests replayed per walk at paper
+  // defaults (64 KiB blocks, 6 MiB cache) are pinned, so a change that
+  // narrows any of them fails here.  A replayed nest's sweeps count as its
+  // twin's, so replay leaves the sweep counts as they were.
   const std::map<std::string, std::int64_t> expected_skips = {
       {"wupwise", 26'673}, {"swim", 5'535}, {"mgrid", 27'776},
       {"applu", 10'952},   {"mesa", 9'344}, {"galgel", 7'168}};
   const std::map<std::string, std::int64_t> expected_pins = {
       {"wupwise", 7'676}, {"swim", 0}, {"mgrid", 0},
       {"applu", 32},      {"mesa", 248}, {"galgel", 0}};
+  const std::map<std::string, std::int64_t> expected_replays = {
+      {"wupwise", 7}, {"swim", 0}, {"mgrid", 27},
+      {"applu", 28},  {"mesa", 0}, {"galgel", 5}};
   const experiments::ExperimentConfig paper;
   for (const workloads::Benchmark& b : workloads::all_benchmarks()) {
     const layout::LayoutTable table = paper_layout(b.program);
@@ -264,6 +382,7 @@ TEST(WalkSkip, PaperBenchmarksMatchTheFullWalk) {
         expect_same_misses(b.program, table, paper.gen, b.name);
     EXPECT_EQ(walk.sweeps_skipped, expected_skips.at(b.name)) << b.name;
     EXPECT_EQ(walk.sweeps_pinned, expected_pins.at(b.name)) << b.name;
+    EXPECT_EQ(walk.nests_replayed, expected_replays.at(b.name)) << b.name;
   }
   const workloads::Benchmark swim = workloads::make_swim();
   GeneratorOptions small_blocks = paper.gen;
@@ -299,6 +418,64 @@ TEST(WalkSkip, CollectMissesCountsSkippedSweeps) {
   EXPECT_EQ(after.counter("trace.sweeps_pinned") -
                 after_galgel.counter("trace.sweeps_pinned"),
             7'676);
+}
+
+/// Nests A B A B A B C: A reads U and B writes V, each sweeping its
+/// array's `blocks` 64 KiB blocks twice, so every nest has a footprint of
+/// `blocks` blocks.  C reads V's last block, which the last B leaves
+/// resident in any cache of one block or more: a replayed B must leave
+/// the cache as its twin did.
+ir::Program alternating_program(std::int64_t blocks) {
+  ProgramBuilder pb("alternating");
+  const auto u = pb.array("U", {blocks * 8192});
+  const auto v = pb.array("V", {blocks * 8192});
+  for (int rep = 0; rep < 3; ++rep) {
+    pb.nest("a")
+        .loop("t", 0, 2)
+        .loop("i", 0, blocks * 8192)
+        .stmt(1.0)
+        .read(u, {sym("i")})
+        .done();
+    pb.nest("b")
+        .loop("t", 0, 2)
+        .loop("i", 0, blocks * 8192)
+        .stmt(1.0)
+        .write(v, {sym("i")})
+        .done();
+  }
+  pb.nest("c")
+      .loop("i", 0, 1)
+      .stmt(1.0)
+      .read(v, {ir::sym_const((blocks - 1) * 8192)})
+      .done();
+  return pb.build();
+}
+
+/// Nests P A B Q A B over 64 KiB blocks: P reads V's two blocks, A reads
+/// U's block 0, B reads V again and Q reads W's five blocks.  Under a
+/// four-block cache the first B hits on every block P left, while Q
+/// evicts V before the second B.  Neither A evicts a block of its own, so
+/// the second pair A B is no replay of the first: its B misses.
+ir::Program unreset_pair_program() {
+  ProgramBuilder pb("unreset");
+  const auto u = pb.array("U", {2 * 8192});
+  const auto v = pb.array("V", {2 * 8192});
+  const auto w = pb.array("W", {5 * 8192});
+  const auto sweep = [&pb](const char* name, ir::ArrayId array,
+                           std::int64_t elements) {
+    pb.nest(name)
+        .loop("i", 0, elements)
+        .stmt(1.0)
+        .read(array, {sym("i")})
+        .done();
+  };
+  sweep("p", v, 2 * 8192);
+  sweep("a", u, 8192);
+  sweep("b", v, 2 * 8192);
+  sweep("q", w, 5 * 8192);
+  sweep("a", u, 8192);
+  sweep("b", v, 2 * 8192);
+  return pb.build();
 }
 
 TEST(WalkSkip, SyntheticProgramsMatchTheFullWalk) {
@@ -337,6 +514,41 @@ TEST(WalkSkip, SyntheticProgramsMatchTheFullWalk) {
   // The pinned rule also fires where the cache evicts, so the comparison
   // covers its LRU argument under eviction pressure.
   EXPECT_GT(pinned_under_pressure, 0);
+
+  // Programs that repeat nest shapes, so nest replay fires or must not.
+  const ir::Program alternating = alternating_program(4);
+  const layout::LayoutTable table(alternating,
+                                  layout::Striping{0, 4, kib(64)}, 4);
+  struct Case {
+    const char* label;
+    Bytes capacity;
+    std::int64_t replays;
+  };
+  for (const Case& c : {
+           // Each nest's 4 blocks fit: no nest evicts its own block.
+           Case{"footprint one block inside", 5 * kib(64), 0},
+           // Every nest evicts its own: nests 3-5 replay, and C follows
+           // a replayed B.
+           Case{"footprint one block outside", 3 * kib(64), 3},
+           Case{"block larger than the capacity", kib(32), 3},
+           Case{"zero capacity", 0, 3},
+       }) {
+    GeneratorOptions options;
+    options.cache_bytes = c.capacity;
+    const SkippingWalk walk =
+        expect_same_misses(alternating, table, options, c.label);
+    EXPECT_EQ(walk.nests_replayed, c.replays) << c.label;
+  }
+
+  const ir::Program unreset = unreset_pair_program();
+  GeneratorOptions options;
+  options.cache_bytes = 4 * kib(64);
+  const SkippingWalk walk = expect_same_misses(
+      unreset, layout::LayoutTable(unreset, layout::Striping{0, 4, kib(64)}, 4),
+      options, "unreset pair");
+  EXPECT_EQ(walk.nests_replayed, 0);
+  // P 2 + A 1 + B 0 + Q 5 + A 1 + B 2.
+  EXPECT_EQ(walk.misses.size(), 11u);
 }
 
 /// `sweeps` sweeps of one reference over a 2-block (128 KiB) array plus
@@ -667,9 +879,8 @@ WalkUntilError walk_until_error(const ir::Program& p,
   const layout::LayoutTable table(p, layout::Striping{0, 4, kib(64)}, 4);
   MissCursor cursor(p, table, options);
   WalkUntilError walk;
-  MissRecord miss;
   try {
-    while (cursor.next(miss)) walk.misses.push_back(miss);
+    cursor.walk(walk.misses);
   } catch (const Error& e) {
     walk.error = e.what();
   }

@@ -12,7 +12,10 @@
 // 64-bit FNV-1a digest of every directive (nest, flat iteration, kind,
 // disk, level) and every plan (disk, begin, end, estimated_ms bits, level,
 // acted), so any moved call site or changed gap estimate shows up here.
-// A failure names the schedule and the first differing field.
+// A failure names the schedule and the first differing field.  Every
+// schedule also checks that trace::add_directives over the Base trace, as
+// experiments::Runner builds each CM trace, is the trace the generator
+// makes for the scheduled program, every double to the bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -30,6 +33,7 @@
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/stall_aware.h"
+#include "trace_bits.h"
 #include "util/json.h"
 #include "workloads/benchmarks.h"
 
@@ -73,11 +77,14 @@ class Fnv1a {
 };
 
 /// One (benchmark, transform, device) setup: the compiled program, its
-/// layout and the two measured timelines the Runner would build.
+/// layout, its Base trace under the generator options `gen`, and the two
+/// measured timelines the Runner would build.
 struct Setup {
   experiments::ExperimentConfig config;
   core::CompileOutput compiled;
   layout::LayoutTable layout;
+  trace::GeneratorOptions gen;
+  trace::Trace trace;
   trace::StallAwareTimeline profile;
   trace::StallAwareTimeline actual;
 };
@@ -94,7 +101,7 @@ Setup make_setup(const std::string& benchmark, core::Transformation transform,
 
   trace::GeneratorOptions gen = config.gen;
   gen.noise = config.actual_noise;
-  const trace::Trace trace =
+  trace::Trace trace =
       trace::TraceGenerator(compiled.program, layout, gen).generate();
   policy::BasePolicy base_policy;
   sim::SimOptions options;
@@ -114,14 +121,16 @@ Setup make_setup(const std::string& benchmark, core::Transformation transform,
   };
   trace::StallAwareTimeline profile = measured(config.profile_noise);
   trace::StallAwareTimeline actual = measured(config.actual_noise);
-  return Setup{std::move(config), std::move(compiled), std::move(layout),
-               std::move(profile), std::move(actual)};
+  return Setup{std::move(config),  std::move(compiled), std::move(layout),
+               gen,                std::move(trace),    std::move(profile),
+               std::move(actual)};
 }
 
 /// Schedule one configuration and add the fields a golden entry keeps of
-/// it to `entry`.
-void summarize(const Setup& s, core::PowerMode mode, std::int64_t granularity,
-               bool measured_estimate, Json& entry) {
+/// it to `entry`; returns the schedule.
+core::ScheduleResult summarize(const Setup& s, core::PowerMode mode,
+                               std::int64_t granularity,
+                               bool measured_estimate, Json& entry) {
   core::SchedulerOptions so;
   so.mode = mode;
   so.access = s.config.gen;
@@ -152,6 +161,7 @@ void summarize(const Setup& s, core::PowerMode mode, std::int64_t granularity,
   entry.set("plans", static_cast<std::int64_t>(result.plans.size()));
   entry.set("mispredicted", stats.mispredicted);
   entry.set("digest", fnv.hex());
+  return result;
 }
 
 const std::vector<core::Transformation>& transforms() {
@@ -160,6 +170,15 @@ const std::vector<core::Transformation>& transforms() {
       core::Transformation::kTL, core::Transformation::kLFDL,
       core::Transformation::kTLDL};
   return all;
+}
+
+std::string schedule_name(const Json& entry) {
+  return entry.at("benchmark").as_string() + "/" +
+         entry.at("transform").as_string() + " " +
+         entry.at("mode").as_string() + " granularity " +
+         entry.at("granularity").dump() + " " +
+         entry.at("estimate").as_string() + " estimate on " +
+         entry.at("device").as_string();
 }
 
 /// Every schedule on `device`, in golden order, as JSON entries.
@@ -180,7 +199,15 @@ std::vector<Json> entries_for(const std::string& device) {
             entry.set("mode", core::to_string(mode));
             entry.set("granularity", granularity);
             entry.set("estimate", measured_estimate ? "measured" : "nominal");
-            summarize(s, mode, granularity, measured_estimate, entry);
+            const core::ScheduleResult scheduled =
+                summarize(s, mode, granularity, measured_estimate, entry);
+            EXPECT_EQ(
+                test::first_difference(
+                    trace::add_directives(s.trace, scheduled.program, s.gen),
+                    trace::TraceGenerator(scheduled.program, s.layout, s.gen)
+                        .generate()),
+                "")
+                << schedule_name(entry) << ": add_directives";
             entries.push_back(std::move(entry));
           }
         }
@@ -188,15 +215,6 @@ std::vector<Json> entries_for(const std::string& device) {
     }
   }
   return entries;
-}
-
-std::string schedule_name(const Json& entry) {
-  return entry.at("benchmark").as_string() + "/" +
-         entry.at("transform").as_string() + " " +
-         entry.at("mode").as_string() + " granularity " +
-         entry.at("granularity").dump() + " " +
-         entry.at("estimate").as_string() + " estimate on " +
-         entry.at("device").as_string();
 }
 
 /// Recompute every golden schedule on `device` and compare it with its

@@ -268,8 +268,7 @@ struct KeyInputs {
     const layout::LayoutTable table = layout();
     trace::MissCursor cursor(program, table, options);
     std::vector<trace::MissRecord> misses;
-    trace::MissRecord miss;
-    while (cursor.next(miss)) misses.push_back(miss);
+    cursor.walk(misses);
     return misses;
   }
 };
